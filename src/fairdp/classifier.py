@@ -1,7 +1,12 @@
 """Multinomial logistic model: probabilities, cross-entropy, and Jacobians.
 
-The optimizer only consumes (loss, loss_grad, predict_proba, jacobian_proba),
-so any differentiable classifier exposing the same surface can be swapped in.
+The batch kernels work class-major: `forward` returns an (l, m) array of
+probabilities, `loss_dlogits` turns it into per-sample logit gradients
+(clipped on request), and `mean_param_grad` chains any such (l, m) logit
+gradients through the features to a mean parameter gradient. The training
+step calls them directly; the batch helpers (mean_loss, mean_loss_grad) are
+thin wrappers over them, and the per-sample functions (loss, loss_grad,
+jacobian_proba) are the exact references they are tested against.
 Parameter vectors are flattened as concat(weights row-major, bias).
 """
 
@@ -63,6 +68,24 @@ class ModelParams:
         return np.concatenate([self.weights.ravel(), self.bias])
 
 
+def forward(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class-major softmax probabilities of the rows of x.
+
+    weights (l, d_x), bias (l,) and a batch x (m, d_x) give an (l, m) array
+    whose column i is F(x_i, theta). The class axis comes first so the max
+    and sum reductions of the softmax run across contiguous rows. Raises
+    FloatingPointError if a logit is not finite.
+    """
+    logits = weights @ x.T
+    logits += bias[:, None]
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits
+
+
 def predict_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     """Softmax of weights @ x + bias, computed with max subtraction.
 
@@ -72,12 +95,8 @@ def predict_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != theta.d_x:
         raise ValueError(f"expected feature dimension {theta.d_x}, got {x.shape[-1]}")
-    logits = x @ theta.weights.T + theta.bias
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError("non-finite logits")
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(logits)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    probs = forward(theta.weights, theta.bias, x.reshape(-1, theta.d_x)).T
+    return probs.reshape(x.shape[:-1] + (theta.l,))
 
 
 def predict_label(theta: ModelParams, x: np.ndarray):
@@ -118,11 +137,47 @@ def jacobian_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.concatenate([weight_part.reshape(theta.l, -1), a], axis=1)
 
 
+def mean_cross_entropy(proba: np.ndarray, labels: np.ndarray) -> float:
+    """Average -log F_y over class-major probabilities (l, m) and labels in 1..l."""
+    picked = proba[labels - 1, np.arange(labels.shape[0])]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+
+
 def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
     """Average cross-entropy over a sample set."""
-    probs = predict_proba(theta, features)
-    picked = probs[np.arange(labels.shape[0]), np.asarray(labels) - 1]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+    features = np.asarray(features, dtype=np.float64)
+    return mean_cross_entropy(forward(theta.weights, theta.bias, features), np.asarray(labels))
+
+
+def gradient_scale(features: np.ndarray) -> np.ndarray:
+    """sqrt(||x||^2 + 1) per row: the norm of a sample's full loss gradient
+    is the norm of its logit gradient times this factor."""
+    return np.sqrt(np.einsum("ij,ij->i", features, features) + 1.0)
+
+
+def loss_dlogits(
+    proba: np.ndarray,
+    labels: np.ndarray,
+    clip: float | None = None,
+    scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-sample cross-entropy gradients in the logits, class-major (l, m).
+
+    Column i is F(x_i) - onehot(y_i). With `clip`, each column is rescaled
+    so that the sample's full gradient norm, its column norm times
+    scale[i] = gradient_scale(x_i), is at most `clip`.
+    """
+    dlogits = proba - (labels == np.arange(1, proba.shape[0] + 1)[:, None])
+    if clip is not None:
+        norms = np.sqrt((dlogits * dlogits).sum(axis=0)) * scale
+        dlogits *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))
+    return dlogits
+
+
+def mean_param_grad(dlogits: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batch mean of per-sample parameter gradients from class-major logit
+    gradients (l, m): flattened as concat(weights row-major, bias)."""
+    return np.concatenate([(dlogits @ x).ravel(), dlogits.sum(axis=1)]) / x.shape[0]
 
 
 def mean_loss_grad(
@@ -137,17 +192,9 @@ def mean_loss_grad(
     averaging; the per-sample norm is ||F - onehot(y)|| * sqrt(||x||^2 + 1).
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    m = labels.shape[0]
-    dlogits = predict_proba(theta, features)
-    dlogits[np.arange(m), labels - 1] -= 1.0
-    if clip is not None:
-        norms = np.linalg.norm(dlogits, axis=1) * np.sqrt(
-            (features ** 2).sum(axis=1) + 1.0
-        )
-        dlogits = dlogits * np.minimum(1.0, clip / np.maximum(norms, 1e-300))[:, None]
-    grad_w = dlogits.T @ features / m
-    return np.concatenate([grad_w.ravel(), dlogits.mean(axis=0)])
+    proba = forward(theta.weights, theta.bias, features)
+    scale = None if clip is None else gradient_scale(features)
+    return mean_param_grad(loss_dlogits(proba, np.asarray(labels), clip, scale), features)
 
 
 def proba_lipschitz_bound(features: np.ndarray) -> float:

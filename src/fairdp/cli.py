@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: train, sweep, calibrate, audit-sensitivity, evaluate, synth.
-Exit codes: 0 success, 2 configuration error, 3 divergence in a train run.
+Exit codes: 0 success, 2 configuration error (including a model whose
+logits overflow on the data it is evaluated on), 3 divergence in a train run.
 Runs execute sequentially, so results are deterministic for a fixed seed;
 --deterministic is accepted for interface stability and pins that behavior.
 """
@@ -33,6 +34,7 @@ from .harness import (
     calibrate_for_run,
     emit_csv,
     evaluate_metrics,
+    require_clip_for_all_features,
     run_sweep,
     synth_dataset,
 )
@@ -119,6 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    clip = args.clip if args.clip > 0 else None
+    require_clip_for_all_features(GRANULARITY_FLAGS[args.granularity], clip)
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     train, test = train_test_split(ds, 0.25, args.seed)
     m = min(args.batch_size, train.n)
@@ -141,7 +145,7 @@ def _cmd_train(args) -> int:
         T=T,
         m=m,
         box_radius=args.box_radius,
-        clip_theta=args.clip if args.clip > 0 else None,
+        clip_theta=clip,
         seed=args.seed,
     )
     result = dp_fermi_train(
@@ -295,7 +299,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FairdpError, ValueError, OSError) as exc:
+    except (FairdpError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ModelParams, predict_proba
+from .classifier import ModelParams, forward, mean_param_grad, predict_proba
 from .dataset import SensitiveStats, TabularDataset
 from .exceptions import (
     DegenerateConditionalError,
@@ -149,10 +149,8 @@ def soft_distribution(
     theta: ModelParams, ds: TabularDataset, stats: SensitiveStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft joint p(j, r) = mean_i F_j(x_i) 1{s_i = r} and marginal p(j)."""
-    probs = predict_proba(theta, ds.features)  # (n, l)
-    by_group = np.zeros((stats.k, ds.l))
-    np.add.at(by_group, ds.sensitive - 1, probs)
-    return by_group.T / ds.n, probs.mean(axis=0)
+    proba = forward(theta.weights, theta.bias, ds.features)  # (l, n)
+    return _cell_sums(proba, ds.sensitive - 1, stats.k) / ds.n, proba.mean(axis=1)
 
 
 def ermi_soft(theta: ModelParams, ds: TabularDataset, stats: SensitiveStats) -> float:
@@ -244,6 +242,51 @@ def _psi_coeffs(w: np.ndarray, s: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarra
     return -diag_quad[None, :] + 2.0 * inv_sqrt[s - 1, None] * w[s - 1, :]
 
 
+def _cell_sums(proba: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """(l, n_cells) sums of class-major probabilities (l, m) per cell code.
+
+    One bincount over the combined (class, cell) code; cells are 0-based.
+    """
+    l = proba.shape[0]
+    codes = cells + (n_cells * np.arange(l))[:, None]
+    return np.bincount(
+        codes.ravel(), weights=proba.ravel(), minlength=l * n_cells
+    ).reshape(l, n_cells)
+
+
+def saddle_terms(
+    proba: np.ndarray, w: np.ndarray, inv_sqrt: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Batch saddle terms for both fairness notions in one dual layout.
+
+    The dual w is (C, k, l): one k x l block per conditioning stratum, with
+    (C, k) group inverse square roots. Demographic parity is C = 1;
+    equalized odds has one stratum per label class, C = l. A sample with
+    stratum c and group r has cell code c * k + (r - 1) and touches only
+    block c. proba is class-major (l, m).
+
+    Returns the per-sample logit gradients of psi (l, m), to be chained
+    through the features with mean_param_grad; the batch-mean dual gradient
+    (C, k, l), where each block sums its own samples and divides by the full
+    batch size; and the batch-mean psi value.
+    """
+    n_strata, k, l = w.shape
+    m = cells.shape[0]
+    blocks = w.reshape(n_strata * k, l)
+    # per-cell psi coefficients: -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c))
+    diag_quad = np.repeat((w * w).sum(axis=1), k, axis=0)
+    table = (2.0 * inv_sqrt.reshape(-1, 1) * blocks - diag_quad).T.copy()  # (l, C k)
+    coeffs = table.take(cells, axis=1)  # (l, m)
+    per_sample = (proba * coeffs).sum(axis=0)  # c . F
+    # the logit gradient of c . F is diag(F) c - F (F . c)
+    coeffs -= per_sample
+    coeffs *= proba
+    joint = _cell_sums(proba, cells, n_strata * k).T.reshape(n_strata, k, l)
+    marginal = joint.sum(axis=1, keepdims=True)
+    grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
+    return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
+
+
 def psi_grad_theta(
     theta: ModelParams,
     w: DualMatrix | np.ndarray,
@@ -275,25 +318,16 @@ def mean_psi_terms(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Batch-averaged (theta-gradient, W-gradient, psi value) in one pass.
 
-    Equivalent to averaging the per-sample psi_grad_* functions; vectorized
-    for the training loop.
+    Equivalent to averaging the per-sample psi_grad_* functions; the
+    demographic-parity case of saddle_terms (a single stratum).
     """
     features = np.asarray(features, dtype=np.float64)
-    s = np.asarray(s, dtype=np.int64)
-    m = s.shape[0]
-    probs = predict_proba(theta, features)  # (m, l)
-    coeffs = _psi_coeffs(w, s, stats.inv_sqrt)  # (m, l)
-    a = probs * coeffs - probs * (probs * coeffs).sum(axis=1, keepdims=True)
-    grad_theta = np.concatenate([(a.T @ features).ravel(), a.sum(axis=0)]) / m
-
-    marginal = probs.mean(axis=0)
-    joint = np.zeros((stats.k, theta.l))
-    np.add.at(joint, s - 1, probs)
-    joint /= m
-    grad_w = -2.0 * w * marginal[None, :] + 2.0 * stats.inv_sqrt[:, None] * joint
-
-    value = float((coeffs * probs).sum() / m - 1.0)
-    return grad_theta, grad_w, value
+    w = np.asarray(w, dtype=np.float64)
+    proba = forward(theta.weights, theta.bias, features)
+    dlogits, grad_w, value = saddle_terms(
+        proba, w[None], stats.inv_sqrt[None], np.asarray(s, dtype=np.int64) - 1
+    )
+    return mean_param_grad(dlogits, features), grad_w[0], value
 
 
 def mean_psi_terms_eo(
@@ -310,36 +344,12 @@ def mean_psi_terms_eo(
     by the full batch size), and the averaged psi value.
     """
     features = np.asarray(features, dtype=np.float64)
-    s = np.asarray(s, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    m = s.shape[0]
-    l = stack.l
-    probs = predict_proba(theta, features)
-    w_stack = np.stack([dm.w for dm in stack.mats])  # (l, k, l)
-    inv_stack = np.stack([st.inv_sqrt for st in stack.stats])  # (l, k)
-
-    diag_quad = (w_stack ** 2).sum(axis=1)  # (l, l): row y = diag coeffs of W_y
-    coeffs = -diag_quad[y - 1] + 2.0 * inv_stack[y - 1, s - 1, None] * w_stack[y - 1, s - 1, :]
-    a = probs * coeffs - probs * (probs * coeffs).sum(axis=1, keepdims=True)
-    grad_theta = np.concatenate([(a.T @ features).ravel(), a.sum(axis=0)]) / m
-
-    grad_w = np.zeros((l, stack.stats[0].k, l))
-    for label in range(1, l + 1):
-        mask = y == label
-        if not mask.any():
-            continue
-        p_block = probs[mask]
-        marginal = p_block.sum(axis=0) / m
-        joint = np.zeros((stack.stats[0].k, l))
-        np.add.at(joint, s[mask] - 1, p_block)
-        joint /= m
-        grad_w[label - 1] = (
-            -2.0 * w_stack[label - 1] * marginal[None, :]
-            + 2.0 * stack.stats[label - 1].inv_sqrt[:, None] * joint
-        )
-
-    value = float((coeffs * probs).sum() / m - 1.0)
-    return grad_theta, grad_w, value
+    w = np.stack([dm.w for dm in stack.mats])
+    inv_sqrt = np.stack([st.inv_sqrt for st in stack.stats])
+    cells = (np.asarray(y, dtype=np.int64) - 1) * w.shape[1] + np.asarray(s, dtype=np.int64) - 1
+    proba = forward(theta.weights, theta.bias, features)
+    dlogits, grad_w, value = saddle_terms(proba, w, inv_sqrt, cells)
+    return mean_param_grad(dlogits, features), grad_w, value
 
 
 def eo_psi_grads(

@@ -99,6 +99,17 @@ def synth_dataset(spec: SyntheticSpec) -> TabularDataset:
     return TabularDataset(features, y, s, spec.l, spec.k)
 
 
+def require_clip_for_all_features(granularity: str, clip_theta: float | None) -> None:
+    """Reject all-features privacy without loss-gradient clipping.
+
+    A person's whole record enters the loss gradient, which is bounded only
+    by the per-sample clip; without it the all-features calibration does
+    not hold. Raises CalibrationError.
+    """
+    if granularity == ALL_FEATURES and clip_theta is None:
+        raise CalibrationError("all-features privacy requires loss-gradient clipping")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a dataset source, a fairness notion, and the run grid."""
@@ -135,6 +146,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown fairness notion {self.notion!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        require_clip_for_all_features(self.granularity, self.clip_theta)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,7 @@
 """Noisy two-timescale stochastic gradient descent-ascent.
 
-The generic engine (dp_sgda) alternates a gradient descent step in the
-model variable and a projected ascent step in the dual variable, adding
-fresh Gaussian noise to both stochastic gradients each iteration. The
-fairness trainer (dp_fermi_train) instantiates it on cross-entropy plus
-lam times the per-sample saddle terms:
+The fairness trainer (dp_fermi_train) runs noisy projected descent-ascent
+on cross-entropy plus lam times the per-sample saddle terms:
 
     theta <- theta - eta_theta * (mean grad_theta loss
                                   + lam * (mean grad_theta psi + u_t))
@@ -15,6 +12,21 @@ theta noise sits inside the lam bracket, so the injected noise is
 effectively lam * u_t; set noise_in_lambda_bracket=False to add u_t
 unscaled instead. Everything is deterministic given the seed: per
 iteration the batch is drawn first, then u_t, then V_t.
+
+Each step is one fused pass in class-major (l, m) layout. The class
+probabilities of the batch are computed once (classifier.forward) and feed
+both the clipped loss gradient in the logits (classifier.loss_dlogits) and
+the saddle terms (fairness.saddle_terms); the two logit gradients are
+summed and chained through the features in a single product. Both fairness
+notions share one dual layout: a (C, k, l) array with (C, k) group inverse
+square roots, where demographic parity is the single stratum C = 1 and
+equalized odds has one stratum per label class, C = l. Each sample's cell
+code stratum * k + group is precomputed once per run, so the joints are one
+bincount per step. The dual comes back as a DualMatrix for demographic
+parity and a DualStack for equalized odds.
+
+The generic engine (dp_sgda) runs the same update on any min-max problem
+given by its gradient oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +38,15 @@ from typing import Callable
 
 import numpy as np
 
-from .classifier import ModelParams, mean_loss, mean_loss_grad
+from .classifier import (
+    ModelParams,
+    forward,
+    gradient_scale,
+    loss_dlogits,
+    mean_cross_entropy,
+    mean_loss_grad,
+    mean_param_grad,
+)
 from .dataset import TabularDataset, minibatch, sensitive_stats
 from .exceptions import DivergenceError
 from .fairness import (
@@ -36,7 +56,7 @@ from .fairness import (
     FermiConfig,
     inner_max_closed_form,
     mean_psi_terms,
-    mean_psi_terms_eo,
+    saddle_terms,
 )
 from .privacy import NoiseScales, gaussian_noise, min_iterations
 
@@ -238,7 +258,9 @@ def dp_fermi_train(
     descent-ascent steps on minibatches drawn uniformly with replacement.
     Per-sample clipping, when configured, applies to the loss gradient only;
     the saddle gradients are already bounded by the box radius and the
-    probability-map Lipschitz constant.
+    probability-map Lipschitz constant. Non-finite logits raise
+    DivergenceError(t, "logits"); non-finite iterates raise
+    DivergenceError(t, "iterates").
     """
     if config.m > ds.n:
         raise ValueError(f"batch size {config.m} exceeds n={ds.n}")
@@ -248,73 +270,66 @@ def dp_fermi_train(
     eo = fermi.notion == EQUALIZED_ODDS
     if eo:
         stack = DualStack.initial(ds, config.box_radius)
-        w = np.zeros((ds.l, ds.k, ds.l))
+        inv_sqrt = np.stack([st.inv_sqrt for st in stack.stats])
+        strata = ds.labels - 1
     else:
-        stats = sensitive_stats(ds)
-        w = np.zeros((ds.k, ds.l))
+        inv_sqrt = sensitive_stats(ds).inv_sqrt[None, :]
+        strata = 0
+    cells = strata * ds.k + (ds.sensitive - 1)
+    scale = None if config.clip_theta is None else gradient_scale(ds.features)
+    w = np.zeros((inv_sqrt.shape[0], ds.k, ds.l))
     theta = theta0.as_vector()
-    d_theta = theta0.d_theta
-    d_w = w.size
+    # views into theta, which every step updates in place
+    weights = theta[: ds.l * ds.d_x].reshape(ds.l, ds.d_x)
+    bias = theta[ds.l * ds.d_x :]
+    lam = fermi.lam
+    noise_weight = lam if noise_in_lambda_bracket else 1.0
     chosen = _pick_iterate(rng, config.iterate_rule, config.T)
     snapshot = theta.copy()
     tracer = _TraceWriter(trace_every, trace_path)
 
-    def as_params(vec: np.ndarray) -> ModelParams:
-        return ModelParams.from_vector(vec, ds.l, ds.d_x)
-
     try:
         for t in range(1, config.T + 1):
             batch = minibatch(ds.n, config.m, rng)
-            feats = ds.features[batch]
-            labels = ds.labels[batch]
-            groups = ds.sensitive[batch]
-            params = as_params(theta)
-            g_loss = mean_loss_grad(params, feats, labels, clip=config.clip_theta)
-            if eo:
-                live = DualStack(
-                    tuple(DualMatrix(w[j], config.box_radius) for j in range(ds.l)),
-                    stack.stats,
-                    stack.label_probs,
-                )
-                g_psi_theta, g_psi_w, psi_val = mean_psi_terms_eo(
-                    params, live, feats, groups, labels
-                )
-            else:
-                g_psi_theta, g_psi_w, psi_val = mean_psi_terms(
-                    params, w, feats, groups, stats
-                )
-            u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
-            v = gaussian_noise(rng, noise.sigma_w_sq, d_w).reshape(w.shape)
-            if noise_in_lambda_bracket:
-                theta = theta - config.eta_theta * (g_loss + fermi.lam * (g_psi_theta + u))
-            else:
-                theta = theta - config.eta_theta * (g_loss + fermi.lam * g_psi_theta + u)
-            w = project_box(w + config.eta_w * (fermi.lam * g_psi_w + v), config.box_radius)
+            x = ds.features.take(batch, axis=0)
+            labels = ds.labels.take(batch)
+            try:
+                proba = forward(weights, bias, x)
+            except FloatingPointError:
+                raise DivergenceError(t, "logits") from None
+            d_loss = loss_dlogits(
+                proba, labels, config.clip_theta, None if scale is None else scale.take(batch)
+            )
+            d_psi, g_w, psi_val = saddle_terms(proba, w, inv_sqrt, cells.take(batch))
+            g_theta = mean_param_grad(d_loss + lam * d_psi, x)
+            u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
+            v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
+            theta -= config.eta_theta * (g_theta + noise_weight * u)
+            w = project_box(w + config.eta_w * (lam * g_w + v), config.box_radius)
             _check_finite((theta, w), t, "iterates")
             if t == chosen:
                 snapshot = theta.copy()
             if tracer.records is not None and t % tracer.every == 0:
-                obj = mean_loss(params, feats, labels) + fermi.lam * psi_val
                 tracer.log(
                     t,
-                    obj,
-                    np.linalg.norm(g_loss + fermi.lam * g_psi_theta),
-                    np.linalg.norm(fermi.lam * g_psi_w),
+                    mean_cross_entropy(proba, labels) + lam * psi_val,
+                    np.linalg.norm(g_theta),
+                    np.linalg.norm(lam * g_w),
                     np.abs(w).max(),
                 )
     finally:
         tracer.close()
 
     if eo:
-        dual = DualStack(
-            tuple(DualMatrix(w[j], config.box_radius) for j in range(ds.l)),
-            stack.stats,
-            stack.label_probs,
-        )
+        mats = tuple(DualMatrix(block, config.box_radius) for block in w)
+        dual = DualStack(mats, stack.stats, stack.label_probs)
     else:
-        dual = DualMatrix(w, config.box_radius)
+        dual = DualMatrix(w[0], config.box_radius)
     return TrainResult(
-        params=as_params(snapshot), dual=dual, trace=tracer.records, chosen_iterate=chosen
+        params=ModelParams.from_vector(snapshot, ds.l, ds.d_x),
+        dual=dual,
+        trace=tracer.records,
+        chosen_iterate=chosen,
     )
 
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from fairdp.classifier import ModelParams, save_checkpoint
 from fairdp.cli import main
 from fairdp.dataset import load_csv
 
@@ -96,6 +98,43 @@ class TestTrainEvaluate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_evaluate_with_overflowing_logits_is_config_error(self, synth_csv, tmp_path, capsys):
+        ckpt = tmp_path / "huge.json"
+        save_checkpoint(ModelParams(np.full((2, 4), 1e308), np.zeros(2)), ckpt)
+        code = main(["evaluate", "--dataset", str(synth_csv), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "error: non-finite logits" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_logit_overflow_in_training_is_divergence(self, tmp_path, capsys):
+        # features of 1e200 keep the first step finite, but its update makes
+        # the second step's logits overflow while theta itself stays finite
+        path = tmp_path / "huge.csv"
+        rows = ["f0,f1,label,sensitive"]
+        rows += [f"{(-1) ** i * 1e200},{1e200},{i % 2},{i // 2 % 2}" for i in range(40)]
+        path.write_text("\n".join(rows) + "\n")
+        code = main(
+            [
+                "train", "--dataset", str(path), "--granularity", "none", "--clip", "0",
+                "--lambda", "1", "--epochs", "1", "--batch-size", "10",
+            ]
+        )
+        assert code == 3
+        assert "error: non-finite logits at iteration 2" in capsys.readouterr().err
+
+    def test_all_features_privacy_without_clip_is_config_error(self, synth_csv, capsys):
+        code = main(
+            [
+                "train", "--dataset", str(synth_csv), "--granularity", "all",
+                "--clip", "0", "--epsilon", "3", "--epochs", "20", "--batch-size", "64",
+            ]
+        )
+        assert code == 2
+        assert "requires loss-gradient clipping" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ from fairdp.dataset import train_test_split
 from fairdp.exceptions import CalibrationError
 from fairdp.fairness import FermiConfig
 from fairdp.harness import (
+    ALL_FEATURES,
     NO_PRIVACY,
     SENSITIVE_ONLY,
     ExperimentConfig,
@@ -134,6 +135,19 @@ class TestRunSweep:
         # T = 45 but min_iterations(90, 2, 1) = ceil((90/4)^2) >> 45
         with pytest.raises(CalibrationError):
             run_sweep(config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_logit_overflow_records_diverged(self):
+        # noise_scale 1e200 gives features whose second-step logits overflow
+        spec = SyntheticSpec(n=120, d_x=3, bias=0.6, noise_scale=1e200, seed=0)
+        records = run_sweep(cheap_config(dataset=spec, lambdas=(0.0, 1.0)))
+        assert [rec.status for rec in records] == ["diverged", "diverged"]
+        assert all(math.isnan(rec.test_error) for rec in records)
+
+    def test_all_features_privacy_requires_clip(self):
+        with pytest.raises(CalibrationError):
+            cheap_config(granularity=ALL_FEATURES, clip_theta=None)
+        assert cheap_config(granularity=ALL_FEATURES, clip_theta=1.0).clip_theta == 1.0
 
     def test_deterministic_records(self):
         config = cheap_config(lambdas=(0.0, 1.0), trials=2)

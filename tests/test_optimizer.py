@@ -4,14 +4,25 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fairdp.classifier import ModelParams, mean_loss, mean_loss_grad, predict_label
-from fairdp.dataset import minibatch, sensitive_stats
+from fairdp import classifier, fairness, optimizer
+from fairdp.classifier import (
+    ModelParams,
+    loss_grad,
+    mean_loss,
+    mean_loss_grad,
+    predict_label,
+)
+from fairdp.dataset import TabularDataset, minibatch, sensitive_stats
 from fairdp.exceptions import DivergenceError
 from fairdp.fairness import (
+    DEMOGRAPHIC_PARITY,
     EQUALIZED_ODDS,
     DualStack,
     FermiConfig,
+    eo_psi_grads,
     ermi_soft,
+    psi_grad_theta,
+    psi_grad_w,
 )
 from fairdp.harness import SyntheticSpec, synth_dataset
 from fairdp.optimizer import (
@@ -26,7 +37,7 @@ from fairdp.optimizer import (
     stationarity_gap,
 )
 from fairdp.privacy import NoiseScales, PrivacyBudget, min_iterations
-from helpers import central_diff_grad
+from helpers import central_diff_grad, rel_error
 
 
 def toy_saddle(n=1):
@@ -174,6 +185,32 @@ class TestDpFermiTrain:
         assert np.array_equal(result.params.as_vector(), theta)
         assert np.array_equal(result.dual.w, w)
 
+    def test_equalized_odds_lambda_zero_with_noise_matches_reference_loop(self):
+        ds = separable(n=90, seed=12, bias=0.5)
+        sigma_theta_sq, sigma_w_sq = 0.04, 0.09
+        config = SgdaConfig(eta_theta=0.05, eta_w=0.1, T=25, m=20, box_radius=0.5, seed=17)
+        result = dp_fermi_train(
+            ds,
+            ModelParams.zeros(ds.l, ds.d_x),
+            FermiConfig(0.0, EQUALIZED_ODDS),
+            config,
+            NoiseScales(sigma_theta_sq, sigma_w_sq),
+        )
+        rng = np.random.default_rng(17)
+        theta = np.zeros(ds.l * ds.d_x + ds.l)
+        w = np.zeros((ds.l, ds.k, ds.l))
+        for _ in range(25):
+            batch = minibatch(ds.n, 20, rng)
+            params = ModelParams.from_vector(theta, ds.l, ds.d_x)
+            g_loss = mean_loss_grad(params, ds.features[batch], ds.labels[batch])
+            u = rng.normal(0.0, np.sqrt(sigma_theta_sq), size=theta.size)
+            v = rng.normal(0.0, np.sqrt(sigma_w_sq), size=w.size).reshape(w.shape)
+            theta = theta - 0.05 * (g_loss + 0.0 * u)
+            w = np.clip(w + 0.1 * (0.0 + v), -0.5, 0.5)
+        assert np.array_equal(result.params.as_vector(), theta)
+        assert isinstance(result.dual, DualStack)
+        assert np.array_equal(np.stack([mat.w for mat in result.dual.mats]), w)
+
     def test_lambda_zero_with_noise_dual_stays_boxed(self):
         ds = separable(n=120, seed=2)
         config = SgdaConfig(eta_theta=0.05, eta_w=0.5, T=80, m=30, box_radius=0.2, seed=9)
@@ -249,6 +286,94 @@ class TestDpFermiTrain:
         record = json.loads(lines[0])
         assert {"iteration", "objective", "grad_theta_norm", "grad_w_norm"} <= set(record)
         assert [json.loads(ln)["iteration"] for ln in lines] == [10, 20, 30, 40]
+
+
+def random_instance(rng, l, k, d_x=3, n=40):
+    """Random dataset in which every (label, group) cell is occupied."""
+    cells = np.concatenate([np.arange(l * k), rng.integers(0, l * k, n - l * k)])
+    labels = cells // k + 1
+    groups = cells % k + 1
+    return TabularDataset(rng.normal(size=(n, d_x)), labels, groups, l, k)
+
+
+class TestFusedStep:
+    """The fused class-major step against the per-sample reference functions."""
+
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    @pytest.mark.parametrize("clip", [None, 0.3])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_batch_gradients_match_per_sample_oracles(self, notion, clip, trial):
+        # With unit step sizes, no noise and a box that never binds, the
+        # second step's batch gradients are the differences of the iterates
+        # of a T=1 and a T=2 run from the same seed.
+        rng = np.random.default_rng(100 + trial)
+        l, k = (int(v) for v in rng.integers(2, 5, size=2))
+        ds = random_instance(rng, l, k)
+        theta0 = ModelParams(rng.normal(scale=0.5, size=(l, 3)), rng.normal(scale=0.5, size=l))
+        lam, m, seed = 0.7, 16, 200 + trial
+        fermi = FermiConfig(lam, notion)
+
+        def run(T):
+            config = SgdaConfig(
+                eta_theta=1.0, eta_w=1.0, T=T, m=m, box_radius=1e6, clip_theta=clip, seed=seed
+            )
+            result = dp_fermi_train(ds, theta0, fermi, config, NoiseScales.none())
+            dual = result.dual
+            w = dual.w[None] if notion == DEMOGRAPHIC_PARITY else np.stack([b.w for b in dual.mats])
+            return result.params.as_vector(), w
+
+        theta1, w1 = run(1)
+        theta2, w2 = run(2)
+        step_theta = theta1 - theta2
+        step_w = (w2 - w1) / lam
+
+        stream = np.random.default_rng(seed)
+        minibatch(ds.n, m, stream)
+        batch = minibatch(ds.n, m, stream)
+        params = ModelParams.from_vector(theta1, l, 3)
+        if notion == EQUALIZED_ODDS:
+            stack = DualStack.initial(ds)
+            stack = DualStack(
+                tuple(fairness.DualMatrix(b) for b in w1), stack.stats, stack.label_probs
+            )
+        else:
+            stats = sensitive_stats(ds)
+        oracle_theta = np.zeros_like(theta1)
+        oracle_w = np.zeros_like(w1)
+        for i in batch:
+            x, s, y = ds.features[i], int(ds.sensitive[i]), int(ds.labels[i])
+            g_loss = loss_grad(params, x, y)
+            if clip is not None:
+                g_loss = g_loss * min(1.0, clip / np.linalg.norm(g_loss))
+            if notion == EQUALIZED_ODDS:
+                g_psi, g_w = eo_psi_grads(params, stack, x, s, y)
+                oracle_w[y - 1] += g_w / m
+            else:
+                g_psi = psi_grad_theta(params, w1[0], x, s, stats)
+                oracle_w[0] += psi_grad_w(params, w1[0], x, s, stats) / m
+            oracle_theta += (g_loss + lam * g_psi) / m
+        assert rel_error(step_theta, oracle_theta) <= 1e-12
+        assert rel_error(step_w, oracle_w) <= 1e-12
+
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    def test_one_forward_pass_per_iteration(self, notion, monkeypatch):
+        calls = []
+        original = classifier.forward
+
+        def counting_forward(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (classifier, fairness, optimizer):
+            monkeypatch.setattr(module, "forward", counting_forward)
+        ds = separable(n=100, seed=13, bias=0.5)
+        config = SgdaConfig(
+            eta_theta=0.02, eta_w=0.02, T=7, m=25, box_radius=1.0, clip_theta=1.0, seed=3
+        )
+        dp_fermi_train(
+            ds, ModelParams.zeros(2, 5), FermiConfig(1.0, notion), config, NoiseScales(0.01, 0.01)
+        )
+        assert len(calls) == 7
 
 
 class TestRecommendedHyperparams:
