@@ -271,11 +271,10 @@ def dp_fermi_train(
     if eo:
         stack = DualStack.initial(ds, config.box_radius)
         inv_sqrt = np.stack([st.inv_sqrt for st in stack.stats])
-        strata = ds.labels - 1
+        cells = (ds.labels - 1) * ds.k + (ds.sensitive - 1)
     else:
         inv_sqrt = sensitive_stats(ds).inv_sqrt[None, :]
-        strata = 0
-    cells = strata * ds.k + (ds.sensitive - 1)
+        cells = ds.sensitive - 1
     scale = None if config.clip_theta is None else gradient_scale(ds.features)
     w = np.zeros((inv_sqrt.shape[0], ds.k, ds.l))
     theta = theta0.as_vector()
