@@ -33,7 +33,6 @@ from .dataset import (
     adjacent_sensitive,
     load_csv,
     minibatch,
-    one_hot,
     sensitive_stats,
     train_test_split,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "mean_loss_grad",
     "min_iterations",
     "minibatch",
-    "one_hot",
     "predict_label",
     "predict_proba",
     "proba_lipschitz_bound",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .exceptions import (
     ParseError,
     SchemaError,
 )
+
+CHUNK_ROWS = 1024  # CSV rows converted per block by load_csv and written per write by synth
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
@@ -136,7 +140,14 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     One label column and one sensitive column are taken by name; every other
     column must be numeric and becomes a feature. Missing values are a hard
     error. Label and sensitive categories are encoded in first-appearance
-    order and the code-to-name maps are stored on the dataset.
+    order of their whitespace-stripped cells and the code-to-name maps are
+    stored on the dataset.
+
+    Rows are converted CHUNK_ROWS at a time: the feature cells of a chunk go
+    through one float() pass into a float64 block, which is then checked as
+    a whole. Only a chunk that fails is re-scanned cell by cell, to raise the
+    ParseError of its first bad row; error rows are absolute 0-based data-row
+    indices (the header is not counted), whichever chunk they fall in.
     """
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
@@ -157,39 +168,82 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
         label_codes: dict[str, int] = {}
         sens_codes: dict[str, int] = {}
         features, labels, sensitive = [], [], []
-        for row_i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
-            feats = np.empty(len(feat_idx))
-            for j, col_i in enumerate(feat_idx):
-                cell = row[col_i].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
-                    )
-                feats[j] = value
-            labels.append(label_codes.setdefault(row[label_idx].strip(), len(label_codes) + 1))
-            sensitive.append(sens_codes.setdefault(row[sens_idx].strip(), len(sens_codes) + 1))
-            features.append(feats)
+        start = 0
+        while True:
+            rows = []
+            try:
+                rows.extend(islice(reader, CHUNK_ROWS))
+            except (csv.Error, ValueError):
+                # a bad row read before the unreadable one reports first
+                _parse_features(rows, start, header, feat_idx)
+                raise
+            if not rows:
+                break
+            features.append(_feature_block(rows, start, header, feat_idx))
+            labels.append(_encode(rows, label_idx, label_codes))
+            sensitive.append(_encode(rows, sens_idx, sens_codes))
+            start += len(rows)
 
     if not features:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
     return TabularDataset(
-        features=np.vstack(features),
-        labels=np.array(labels),
-        sensitive=np.array(sensitive),
+        features=np.concatenate(features),
+        labels=np.concatenate(labels),
+        sensitive=np.concatenate(sensitive),
         l=len(label_codes),
         k=len(sens_codes),
         label_names=tuple(label_codes),
         sensitive_names=tuple(sens_codes),
         feature_names=tuple(header[i] for i in feat_idx),
     )
+
+
+def _feature_block(rows, start, header, feat_idx) -> np.ndarray:
+    """(len(rows), len(feat_idx)) float64 features of one chunk of CSV rows."""
+    if set(map(len, rows)) == {len(header)}:
+        if len(feat_idx) > 1:
+            cells = chain.from_iterable(map(itemgetter(*feat_idx), rows))
+        else:
+            cells = map(itemgetter(*feat_idx), rows) if feat_idx else ()
+        try:
+            block = np.fromiter(map(float, cells), np.float64, len(rows) * len(feat_idx))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(block).all():
+                return block.reshape(len(rows), len(feat_idx))
+    return _parse_features(rows, start, header, feat_idx)
+
+
+def _parse_features(rows, start, header, feat_idx) -> np.ndarray:
+    """Cell-by-cell conversion that raises the first bad row's ParseError."""
+    block = np.empty((len(rows), len(feat_idx)))
+    for row_i, row in enumerate(rows, start):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
+        for j, col_i in enumerate(feat_idx):
+            cell = row[col_i].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
+                )
+            block[row_i - start, j] = value
+    return block
+
+
+def _encode(rows, col: int, codes: dict[str, int]) -> np.ndarray:
+    """1-based codes of the stripped cells of column col, extending codes in
+    first-appearance order."""
+    cells = list(map(str.strip, map(itemgetter(col), rows)))
+    for name in dict.fromkeys(cells):
+        codes.setdefault(name, len(codes) + 1)
+    return np.fromiter(map(codes.__getitem__, cells), np.int64, len(cells))
 
 
 def train_test_split(
@@ -204,15 +258,6 @@ def train_test_split(
         raise ValueError(f"split of n={ds.n} at fraction {test_fraction} leaves an empty side")
     perm = np.random.default_rng(seed).permutation(ds.n)
     return ds.subset(np.sort(perm[:n_train])), ds.subset(np.sort(perm[n_train:]))
-
-
-def one_hot(index: int, dim: int) -> np.ndarray:
-    """0/1 vector with a single 1 at 1-based position `index`."""
-    if not 1 <= index <= dim:
-        raise ValueError(f"index {index} out of range 1..{dim}")
-    v = np.zeros(dim)
-    v[index - 1] = 1.0
-    return v
 
 
 def minibatch(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

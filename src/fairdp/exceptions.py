@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class FairdpError(Exception):
     """Base class for all library-specific errors."""
+
+    def __reduce__(self):
+        # A subclass's __init__ may take other arguments than the formatted
+        # message in args, so rebuild through __new__ (which sets args) and
+        # restore attributes such as row and iteration from __dict__.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SchemaError(FairdpError):

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairdp.classifier import ModelParams, save_checkpoint
 from fairdp.cli import main
-from fairdp.dataset import load_csv
+from fairdp.dataset import CHUNK_ROWS, load_csv
+from fairdp.harness import SyntheticSpec, synth_dataset
+from helpers import reference_write_csv
 
 
 @pytest.fixture()
@@ -34,6 +40,19 @@ class TestSynth:
             main(["synth", "--n", "50", "--seed", "9", "--out", str(path)])
             out.append(path.read_bytes())
         assert out[0] == out[1]
+
+    @pytest.mark.parametrize(
+        "n, d_x, k, l",
+        [(1, 1, 2, 2), (300, 4, 2, 2), (CHUNK_ROWS + 1, 3, 3, 4), (2 * CHUNK_ROWS, 7, 4, 3)],
+    )
+    def test_matches_reference_writer_byte_for_byte(self, n, d_x, k, l, tmp_path):
+        path = tmp_path / "synth.csv"
+        argv = ["synth", "--n", n, "--d-x", d_x, "--k", k, "--l", l, "--bias", 0.4,
+                "--noise-scale", 3.7, "--seed", 5, "--out", path]
+        assert main([str(a) for a in argv]) == 0
+        ds = synth_dataset(SyntheticSpec(n=n, d_x=d_x, k=k, l=l, bias=0.4, noise_scale=3.7, seed=5))
+        reference_write_csv(ds, tmp_path / "reference.csv")
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCalibrate:
@@ -101,7 +120,7 @@ class TestTrainEvaluate:
 
 
 class TestExitCodes:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_evaluate_with_overflowing_logits_is_config_error(self, synth_csv, tmp_path, capsys):
         ckpt = tmp_path / "huge.json"
         save_checkpoint(ModelParams(np.full((2, 4), 1e308), np.zeros(2)), ckpt)
@@ -109,7 +128,7 @@ class TestExitCodes:
         assert code == 2
         assert "error: non-finite logits" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_logit_overflow_in_training_is_divergence(self, tmp_path, capsys):
         # features of 1e200 keep the first step finite, but its update makes
         # the second step's logits overflow while theta itself stays finite
@@ -125,6 +144,21 @@ class TestExitCodes:
         )
         assert code == 3
         assert "error: non-finite logits at iteration 2" in capsys.readouterr().err
+
+    def test_overflow_prints_only_the_error_line(self, synth_csv, tmp_path):
+        # a real interpreter, where numpy warnings reach stderr uncaptured
+        ckpt = tmp_path / "huge.json"
+        save_checkpoint(ModelParams(np.full((2, 4), 1e308), np.zeros(2)), ckpt)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairdp", "evaluate", "--dataset", str(synth_csv),
+             "--checkpoint", str(ckpt)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: non-finite logits\n"
 
     def test_all_features_privacy_without_clip_is_config_error(self, synth_csv, capsys):
         code = main(

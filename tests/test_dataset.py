@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fairdp import dataset
 from fairdp.dataset import (
+    CHUNK_ROWS,
     SensitiveStats,
     TabularDataset,
     adjacent_sensitive,
     load_csv,
     minibatch,
-    one_hot,
     sensitive_stats,
     train_test_split,
 )
@@ -19,6 +20,7 @@ from fairdp.exceptions import (
     ParseError,
     SchemaError,
 )
+from helpers import reference_load_csv
 
 
 def write_csv(path, text):
@@ -94,6 +96,95 @@ class TestLoadCsv:
         assert np.array_equal(a.sensitive, b.sensitive)
 
 
+def _valid_rows(n, first_new_label=None):
+    """n valid rows; label 'late' first appears at row first_new_label."""
+    rows = []
+    for i in range(n):
+        lab = "late" if first_new_label is not None and i >= first_new_label else "ab"[i % 2]
+        rows.append(f"{i * 0.1:.3f},{-i},{lab},{'mf'[i // 3 % 2]}\n")
+    return rows
+
+
+def _past_first_chunk(bad_row, bad_text):
+    rows = _valid_rows(CHUNK_ROWS + 5)
+    rows[bad_row] = bad_text
+    return "x,y,lab,grp\n" + "".join(rows)
+
+
+UNREADABLE = '"' + "z" * 200_000 + '",a,m\n'  # longer than csv's field size limit
+
+LOAD_CSV_CORPUS = {
+    "plain": "x,y,lab,grp\n1,2,a,m\n3,4,b,f\n5,6,a,f\n",
+    "blank_line": "x,lab,grp\n1,a,m\n\n2,b,f\n",
+    "crlf": "x,lab,grp\r\n1,a,m\r\n2,b,f\r\n",
+    "cr_only": "x,lab,grp\r1,a,m\r2,b,f\r",
+    "quoted_comma": 'x,lab,grp\n1,"a,b",m\n2,c,f\n',
+    "quoted_newline": 'x,lab,grp\n1,"a\nb",m\n2,c,"f\r\n"\n',
+    "doubled_quote": 'x,lab,grp\n1,"say ""hi""",m\n2,b,f\n',
+    "quoted_number": 'x,lab,grp\n"1.5",a,m\n" 2 ",b,f\n',
+    "padded_cells": " x , lab ,grp\n 1.5 , a ,m\n\t2\t,a,  f \n3 ,b,m\n",
+    "underscore_digits": "x,lab,grp\n1_0,a,m\n2,b,f\n",
+    "arabic_indic_digit": "x,lab,grp\n\u0661,a,m\n2,b,f\n",
+    "empty_cell": "x,y,lab,grp\n1,2,a,m\n3,,b,f\n",
+    "nan": "x,y,lab,grp\n1,2,a,m\n3,nan,b,f\n",
+    "inf": "x,y,lab,grp\n1,2,a,m\n-inf,4,b,f\n",
+    "overflow": "x,y,lab,grp\n1,2,a,m\n3,1e400,b,f\n",
+    "short_row": "x,y,lab,grp\n1,2,a,m\n3,b,f\n",
+    "trailing_comma": "x,lab,grp\n1,a,m\n2,b,f,\n",
+    "bad_cell_before_short_row": "x,y,lab,grp\n1,2,a,m\n3,?,b,f\n4,a,m\n",
+    "codes_across_chunks": "x,y,lab,grp\n"
+    + "".join(_valid_rows(2 * CHUNK_ROWS + 7, first_new_label=CHUNK_ROWS + 1)),
+    "bad_cell_past_first_chunk": _past_first_chunk(CHUNK_ROWS + 3, "1,oops,a,m\n"),
+    "short_row_past_first_chunk": _past_first_chunk(CHUNK_ROWS + 4, "1,a,m\n"),
+    "unreadable_row": "x,lab,grp\n1,a,m\n2,b,f\n" + UNREADABLE,
+    "unreadable_row_after_bad_cell": "x,lab,grp\n1,a,m\nbad,b,f\n" + UNREADABLE,
+    "no_feature_columns": "lab,grp\na,m\nb,f\n",
+    "header_only": "x,lab,grp\n",
+    "empty_file": "",
+}
+
+
+def _load_outcome(load, path):
+    """Everything observable about a load: the dataset or the exception."""
+    try:
+        ds = load(path, "lab", "grp")
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return (
+        ds.features.shape,
+        ds.features.dtype,
+        ds.features.flags.c_contiguous,
+        ds.features.tobytes(),
+        ds.labels.tolist(),
+        ds.sensitive.tolist(),
+        ds.l,
+        ds.k,
+        ds.label_names,
+        ds.sensitive_names,
+        ds.feature_names,
+    )
+
+
+class TestLoadCsvMatchesReference:
+    """The chunked loader against the row-by-row reference loader."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, CHUNK_ROWS])
+    @pytest.mark.parametrize("name", sorted(LOAD_CSV_CORPUS))
+    def test_identical_outcome(self, name, chunk_rows, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(LOAD_CSV_CORPUS[name].encode("utf-8"))
+        expected = _load_outcome(reference_load_csv, path)
+        monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
+        assert _load_outcome(load_csv, path) == expected
+
+    def test_error_row_is_absolute(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(LOAD_CSV_CORPUS["bad_cell_past_first_chunk"], encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, "lab", "grp")
+        assert info.value.row == CHUNK_ROWS + 3
+
+
 class TestSplit:
     def test_three_to_one(self):
         rng = np.random.default_rng(1)
@@ -163,18 +254,6 @@ class TestSensitiveStats:
     def test_inv_sqrt_inverts(self):
         st_ = SensitiveStats.from_groups(np.array([1, 1, 2, 3, 3, 3]), 3)
         assert np.allclose(st_.inv_sqrt * np.sqrt(st_.probabilities), 1.0)
-
-
-class TestOneHot:
-    def test_basic(self):
-        assert one_hot(2, 4).tolist() == [0.0, 1.0, 0.0, 0.0]
-        assert one_hot(1, 1).tolist() == [1.0]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(5, 4)
-        with pytest.raises(ValueError):
-            one_hot(0, 4)
 
 
 class TestMinibatch:
