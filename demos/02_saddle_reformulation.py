@@ -42,7 +42,7 @@ print(f"model gradient norm:    {np.linalg.norm(psi_grad_theta(theta, w, x, s, s
 
 # Closed-form inner maximizer: batch gradient vanishes there, and plugging
 # it back in recovers the soft ERMI exactly.
-w_star = inner_max_closed_form(theta, ds, stats).w
+w_star = inner_max_closed_form(theta, ds)[0]  # the single demographic-parity stratum
 g_theta, g_w, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
 print(f"\nclosed-form maximizer entries:\n{np.round(w_star, 4)}")
 print(f"batch dual gradient at maximizer: {np.abs(g_w).max():.2e}  (should be ~0)")

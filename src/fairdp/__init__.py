@@ -39,11 +39,8 @@ from .dataset import (
 from .fairness import (
     DEMOGRAPHIC_PARITY,
     EQUALIZED_ODDS,
-    DualMatrix,
-    DualStack,
     FermiConfig,
     dp_violation,
-    eo_psi_grads,
     eo_violation,
     ermi_conditional,
     ermi_hard,
@@ -68,15 +65,10 @@ from .harness import (
     synth_dataset,
 )
 from .optimizer import (
-    MinMaxProblem,
     SgdaConfig,
-    SmoothnessProfile,
     TrainResult,
     dp_fermi_train,
-    dp_sgda,
-    estimate_smoothness_profile,
     project_box,
-    recommended_hyperparams,
     stationarity_gap,
 )
 from .privacy import (
@@ -96,12 +88,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_FEATURES",
     "DEMOGRAPHIC_PARITY",
-    "DualMatrix",
-    "DualStack",
     "EQUALIZED_ODDS",
     "ExperimentConfig",
     "FermiConfig",
-    "MinMaxProblem",
     "ModelParams",
     "NO_PRIVACY",
     "NoiseScales",
@@ -110,7 +99,6 @@ __all__ = [
     "SensitiveStats",
     "SensitivityBounds",
     "SgdaConfig",
-    "SmoothnessProfile",
     "SyntheticSpec",
     "TabularDataset",
     "TradeoffRecord",
@@ -120,16 +108,13 @@ __all__ = [
     "calibrate_all_features",
     "calibrate_sensitive_only",
     "dp_fermi_train",
-    "dp_sgda",
     "dp_violation",
     "emit_csv",
     "empirical_sensitivity_audit",
-    "eo_psi_grads",
     "eo_violation",
     "ermi_conditional",
     "ermi_hard",
     "ermi_soft",
-    "estimate_smoothness_profile",
     "evaluate_metrics",
     "exceptions",
     "gaussian_noise",
@@ -150,7 +135,6 @@ __all__ = [
     "psi",
     "psi_grad_theta",
     "psi_grad_w",
-    "recommended_hyperparams",
     "run_sweep",
     "save_checkpoint",
     "sensitive_stats",

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: train, sweep, calibrate, audit-sensitivity, evaluate, synth.
-Exit codes: 0 success, 2 configuration error (including a model whose
+Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
+above its closed-form bound), 2 configuration error (including a model whose
 logits overflow on the data it is evaluated on), 3 divergence in a train run.
-Runs execute sequentially, so results are deterministic for a fixed seed;
---deterministic is accepted for interface stability and pins that behavior.
+Runs execute sequentially, so results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .classifier import (
 )
 from .dataset import CHUNK_ROWS, load_csv, sensitive_stats, train_test_split
 from .exceptions import DivergenceError, FairdpError
-from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, DualMatrix, FermiConfig
+from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig
 from .harness import (
     ALL_FEATURES,
     NO_PRIVACY,
@@ -43,6 +43,11 @@ from .privacy import empirical_sensitivity_audit, sensitivity_bounds
 
 NOTIONS = {"dp": DEMOGRAPHIC_PARITY, "eo": EQUALIZED_ODDS}
 GRANULARITY_FLAGS = {"sensitive": SENSITIVE_ONLY, "all": ALL_FEATURES, "none": NO_PRIVACY}
+# The audit's observed sensitivities are differences of two batch gradients,
+# each a sum of m per-sample terms of size up to about 1/sqrt(rho) + D. Where
+# a batch attains a bound exactly, rounding can put the observed value about
+# m (1 + D) units in the last place above it; AUDIT_ULPS of those are allowed.
+AUDIT_ULPS = 4
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
@@ -62,7 +67,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clip", type=float, default=1.0, help="per-sample loss-gradient clip; 0 disables")
     p.add_argument("--granularity", choices=sorted(GRANULARITY_FLAGS), default="sensitive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,11 +237,13 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_audit(args) -> int:
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
+    if args.box_radius <= 0:
+        raise ValueError("box_radius must be positive")
     rng = np.random.default_rng(args.seed)
     theta = ModelParams(
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)
     )
-    w = DualMatrix(rng.uniform(-args.box_radius, args.box_radius, size=(ds.k, ds.l)), args.box_radius)
+    w = rng.uniform(-args.box_radius, args.box_radius, size=(ds.k, ds.l))
     observed_theta, observed_w = empirical_sensitivity_audit(
         theta, w, ds, args.trials, args.batch_size, rng
     )
@@ -246,7 +252,9 @@ def _cmd_audit(args) -> int:
     bounds = sensitivity_bounds(args.box_radius, L_theta, args.batch_size, rho)
     print(f"observed_delta_theta={observed_theta:.6g} bound={bounds.delta_theta:.6g}")
     print(f"observed_delta_w={observed_w:.6g} bound={bounds.delta_w:.6g}")
-    ok = observed_theta <= bounds.delta_theta and observed_w <= bounds.delta_w
+    ulp = np.finfo(np.float64).eps
+    slack = 1.0 + AUDIT_ULPS * ulp * args.batch_size * (1.0 + args.box_radius)
+    ok = observed_theta <= bounds.delta_theta * slack and observed_w <= bounds.delta_w * slack
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -41,10 +41,6 @@ class CalibrationError(FairdpError):
     """Privacy parameters violate the calibration preconditions."""
 
 
-class SingularityError(FairdpError):
-    """A soft class marginal is zero and the ridge fallback is disabled."""
-
-
 class DivergenceError(FairdpError):
     """A parameter became non-finite; carries the iteration index."""
 

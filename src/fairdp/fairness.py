@@ -13,42 +13,33 @@ strongly concave in a k x l dual matrix W, and the batch maximum of the
 averaged psi over W recovers the soft-prediction ERMI exactly. That is
 what makes unbiased minibatch gradients (and hence private stochastic
 optimization) possible.
+
+Both fairness notions use one dual layout. The dual is a (C, k, l) array,
+one k x l block per conditioning stratum, with (C, k) group inverse square
+roots: demographic parity is the single stratum C = 1, and equalized odds
+conditions on the true label, C = l. strata() is the one place that maps a
+dataset and a notion to this layout: each sample's 0-based cell code
+stratum * k + group and the (C, k) statistics. The batch saddle terms
+(saddle_terms) and the closed-form inner maximum (inner_max_closed_form)
+work on it for both notions; psi, psi_grad_theta and psi_grad_w are the
+per-sample references for one k x l block.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classifier import ModelParams, forward, mean_param_grad, predict_proba
-from .dataset import SensitiveStats, TabularDataset
-from .exceptions import (
-    DegenerateConditionalError,
-    DegenerateGroupError,
-    SingularityError,
-)
+from .dataset import SensitiveStats, TabularDataset, sensitive_stats
+from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
 EQUALIZED_ODDS = "equalized_odds"
-
-
-@dataclass(frozen=True)
-class DualMatrix:
-    """A k x l dual variable with the entrywise box it is projected onto."""
-
-    w: np.ndarray
-    box_radius: float = math.inf
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError("dual variable must be a k x l matrix")
-        if self.box_radius <= 0:
-            raise ValueError("box_radius must be positive")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+# added to a stratum's soft class marginals when one of them is zero
+# (a saturated model), so the closed-form inner maximum stays finite
+MARGINAL_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,51 +56,32 @@ class FermiConfig:
             raise ValueError(f"unknown fairness notion {self.notion!r}")
 
 
-@dataclass(frozen=True)
-class DualStack:
-    """Per-label dual matrices and label-conditional group stats.
+def strata(
+    ds: TabularDataset, notion: str = DEMOGRAPHIC_PARITY
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell codes and group statistics of the (C, k, l) dual layout.
 
-    Used by the equalized-odds variant: each label y owns one k x l dual
-    block W_y and the sensitive-group stats conditional on Y = y; a sample
-    only ever touches its own label's block.
+    Returns the 0-based (n,) codes stratum * k + (group - 1) and the (C, k)
+    group inverse square roots within each stratum. Demographic parity has
+    one stratum (C = 1) and raises DegenerateGroupError for an empty group;
+    equalized odds has one stratum per label class (C = l) and raises
+    DegenerateConditionalError if a label class is absent or a (label,
+    group) cell is empty.
     """
-
-    mats: tuple[DualMatrix, ...]
-    stats: tuple[SensitiveStats, ...]
-    label_probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.mats) != len(self.stats) or len(self.mats) < 2:
-            raise ValueError("need one dual matrix and stats object per label, l >= 2")
-        lp = np.array(self.label_probs, dtype=np.float64)
-        lp.setflags(write=False)
-        object.__setattr__(self, "label_probs", lp)
-
-    @property
-    def l(self) -> int:
-        return len(self.mats)
-
-    @classmethod
-    def initial(cls, ds: TabularDataset, box_radius: float = math.inf) -> "DualStack":
-        """Zero duals plus conditional stats computed once from `ds`.
-
-        Raises DegenerateConditionalError if any label class is absent or
-        any (label, group) cell is empty.
-        """
-        mats, stats = [], []
-        for y in range(1, ds.l + 1):
-            mask = ds.labels == y
-            if not mask.any():
-                raise DegenerateConditionalError(f"label class {y} has no samples")
-            try:
-                stats.append(SensitiveStats.from_groups(ds.sensitive[mask], ds.k))
-            except DegenerateGroupError as exc:
-                raise DegenerateConditionalError(
-                    f"within label class {y}: {exc}"
-                ) from None
-            mats.append(DualMatrix(np.zeros((ds.k, ds.l)), box_radius))
-        label_probs = np.bincount(ds.labels - 1, minlength=ds.l) / ds.n
-        return cls(tuple(mats), tuple(stats), label_probs)
+    if notion == DEMOGRAPHIC_PARITY:
+        return ds.sensitive - 1, sensitive_stats(ds).inv_sqrt[None, :]
+    if notion != EQUALIZED_ODDS:
+        raise ValueError(f"unknown fairness notion {notion!r}")
+    inv_sqrt = []
+    for y in range(1, ds.l + 1):
+        groups = ds.sensitive[ds.labels == y]
+        if groups.size == 0:
+            raise DegenerateConditionalError(f"label class {y} has no samples")
+        try:
+            inv_sqrt.append(SensitiveStats.from_groups(groups, ds.k).inv_sqrt)
+        except DegenerateGroupError as exc:
+            raise DegenerateConditionalError(f"within label class {y}: {exc}") from None
+    return (ds.labels - 1) * ds.k + (ds.sensitive - 1), np.stack(inv_sqrt)
 
 
 def _joint_from_codes(a: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -203,7 +175,7 @@ def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.
 
 def psi(
     theta: ModelParams,
-    w: DualMatrix | np.ndarray,
+    w: np.ndarray,
     x: np.ndarray,
     s: int,
     stats: SensitiveStats,
@@ -214,7 +186,7 @@ def psi(
     B[r, j] = 1{s = r} F_j(x, theta); strongly concave in W, and the batch
     maximum over W of the averaged psi equals the soft ERMI.
     """
-    w = _check_dual(theta, w.w if isinstance(w, DualMatrix) else w, stats)
+    w = _check_dual(theta, w, stats)
     probs = predict_proba(theta, x)
     quad = float((w ** 2).sum(axis=0) @ probs)
     coupling = float(w[s - 1] @ probs) * stats.inv_sqrt[s - 1]
@@ -223,13 +195,13 @@ def psi(
 
 def psi_grad_w(
     theta: ModelParams,
-    w: DualMatrix | np.ndarray,
+    w: np.ndarray,
     x: np.ndarray,
     s: int,
     stats: SensitiveStats,
 ) -> np.ndarray:
     """Exact dual gradient -2 W diag(F) + 2 P_S^{-1/2} B."""
-    w = _check_dual(theta, w.w if isinstance(w, DualMatrix) else w, stats)
+    w = _check_dual(theta, w, stats)
     probs = predict_proba(theta, x)
     grad = -2.0 * w * probs[None, :]
     grad[s - 1] += 2.0 * stats.inv_sqrt[s - 1] * probs
@@ -289,7 +261,7 @@ def saddle_terms(
 
 def psi_grad_theta(
     theta: ModelParams,
-    w: DualMatrix | np.ndarray,
+    w: np.ndarray,
     x: np.ndarray,
     s: int,
     stats: SensitiveStats,
@@ -300,7 +272,7 @@ def psi_grad_theta(
     with c_j = -(W^T W)_{jj} + 2 W[s, j] / sqrt(p_S(s)), so the gradient is
     J^T c where J is jacobian_proba.
     """
-    w = _check_dual(theta, w.w if isinstance(w, DualMatrix) else w, stats)
+    w = _check_dual(theta, w, stats)
     x = np.asarray(x, dtype=np.float64)
     probs = predict_proba(theta, x)
     c = _psi_coeffs(w, np.array([s]), stats.inv_sqrt)[0]
@@ -330,66 +302,27 @@ def mean_psi_terms(
     return mean_param_grad(dlogits, features), grad_w[0], value
 
 
-def mean_psi_terms_eo(
-    theta: ModelParams,
-    stack: DualStack,
-    features: np.ndarray,
-    s: np.ndarray,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Equalized-odds analogue of mean_psi_terms.
-
-    Returns the batch-averaged theta gradient, an (l, k, l) array of dual
-    gradients (block y collects only the samples with label y, still divided
-    by the full batch size), and the averaged psi value.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    w = np.stack([dm.w for dm in stack.mats])
-    inv_sqrt = np.stack([st.inv_sqrt for st in stack.stats])
-    cells = (np.asarray(y, dtype=np.int64) - 1) * w.shape[1] + np.asarray(s, dtype=np.int64) - 1
-    proba = forward(theta.weights, theta.bias, features)
-    dlogits, grad_w, value = saddle_terms(proba, w, inv_sqrt, cells)
-    return mean_param_grad(dlogits, features), grad_w, value
-
-
-def eo_psi_grads(
-    theta: ModelParams,
-    stack: DualStack,
-    x: np.ndarray,
-    s: int,
-    y: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample equalized-odds gradients (theta part, dual block of label y)."""
-    if not 1 <= y <= stack.l:
-        raise ValueError(f"label {y} out of range 1..{stack.l}")
-    stats_y = stack.stats[y - 1]
-    w_y = stack.mats[y - 1]
-    return (
-        psi_grad_theta(theta, w_y, x, s, stats_y),
-        psi_grad_w(theta, w_y, x, s, stats_y),
-    )
-
-
 def inner_max_closed_form(
-    theta: ModelParams,
-    ds: TabularDataset,
-    stats: SensitiveStats,
-    ridge: float | None = 1e-8,
-) -> DualMatrix:
-    """Maximizer of the batch-averaged psi over unconstrained W.
+    theta: ModelParams, ds: TabularDataset, notion: str = DEMOGRAPHIC_PARITY
+) -> np.ndarray:
+    """Maximizer of the batch-averaged psi over unconstrained (C, k, l) duals.
 
-    First-order condition of the strongly concave quadratic gives
-    W*[r, j] = p(j, r) / (sqrt(p_S(r)) * p_yhat(j)) with soft distributions.
-    A zero soft marginal (saturated model) gets a small ridge added before
-    the inversion; pass ridge=None to raise SingularityError instead.
+    The first-order condition of the strongly concave quadratic gives, per
+    stratum c, W*_c[r, j] = p(j, r | c) / (sqrt(p(r | c)) * p(j | c)) with
+    soft distributions. A stratum with a zero soft class marginal (a
+    saturated model) gets MARGINAL_RIDGE added to its marginals before the
+    division.
     """
-    joint, marginal = soft_distribution(theta, ds, stats)
-    if marginal.min() <= 0.0:
-        if ridge is None:
-            raise SingularityError("a soft class marginal is zero")
-        marginal = marginal + ridge
-    w_star = joint.T * stats.inv_sqrt[:, None] / marginal[None, :]
-    return DualMatrix(w_star)
+    cells, inv_sqrt = strata(ds, notion)
+    n_strata, k = inv_sqrt.shape
+    proba = forward(theta.weights, theta.bias, ds.features)
+    sums = _cell_sums(proba, cells, n_strata * k).T.reshape(n_strata, k, theta.l)
+    # joint[c, r, j] = p(j, r | c) and marginal[c, j] = p(j | c)
+    joint = sums / np.bincount(cells // k, minlength=n_strata)[:, None, None]
+    marginal = joint.sum(axis=1)
+    saturated = marginal.min(axis=1, keepdims=True) <= 0.0
+    marginal = np.where(saturated, marginal + MARGINAL_RIDGE, marginal)
+    return joint * inv_sqrt[:, :, None] / marginal[:, None, :]
 
 
 def dp_violation(preds: np.ndarray, s: np.ndarray, k: int | None = None) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from .classifier import ModelParams
 from .dataset import TabularDataset, sensitive_stats
 from .exceptions import CalibrationError
-from .fairness import DualMatrix, mean_psi_terms
+from .fairness import mean_psi_terms
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def gaussian_noise(rng: np.random.Generator, sigma_sq: float, dim: int) -> np.nd
 
 def empirical_sensitivity_audit(
     theta: ModelParams,
-    w: DualMatrix | np.ndarray,
+    w: np.ndarray,
     ds: TabularDataset,
     trials: int,
     m: int,
@@ -173,7 +173,6 @@ def empirical_sensitivity_audit(
         raise ValueError("trials must be positive")
     if not 1 <= m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
-    w = w.w if isinstance(w, DualMatrix) else np.asarray(w, dtype=np.float64)
     stats = sensitive_stats(ds)
     max_dtheta = 0.0
     max_dw = 0.0

@@ -144,7 +144,7 @@ def test_criterion_2_minmax_identity():
         ds, theta = random_instance(rng)
         stats = sensitive_stats(ds)
         lam = float(rng.uniform(0.0, 2.5))
-        w_star = inner_max_closed_form(theta, ds, stats).w
+        w_star = inner_max_closed_form(theta, ds)[0]
         _, _, psi_at_star = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
         max_f = mean_loss(theta, ds.features, ds.labels) + lam * psi_at_star
         direct = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds, stats)
@@ -349,7 +349,7 @@ def test_criterion_9_scaling_trend():
         result = dp_fermi_train(
             ds, ModelParams.zeros(ds.l, ds.d_x), FermiConfig(1.0), config, noise
         )
-        return stationarity_gap(result.params, ds, 1.0, stats) ** 2
+        return stationarity_gap(result.params, ds, FermiConfig(1.0)) ** 2
 
     small = float(np.mean([gap_sq(500, t) for t in range(10)]))
     large = float(np.mean([gap_sq(4000, t) for t in range(10)]))

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairdp import cli
 from fairdp.classifier import ModelParams, save_checkpoint
 from fairdp.cli import main
 from fairdp.dataset import CHUNK_ROWS, load_csv
 from fairdp.harness import SyntheticSpec, synth_dataset
+from fairdp.privacy import SensitivityBounds, sensitivity_bounds
 from helpers import reference_write_csv
 
 
@@ -212,3 +214,37 @@ class TestAudit:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.fixture()
+    def saturated_csv(self, tmp_path):
+        # features of +-1e308 saturate every prediction, so each flip moves the
+        # dual gradient by exactly the W bound and only rounding decides
+        path = tmp_path / "saturated.csv"
+        x = np.random.default_rng(0).choice([-1e308, 1e308], size=40)
+        rows = [f"{v!r},{i % 2 + 1},{i // 20 + 1}" for i, v in enumerate(x.tolist())]
+        path.write_text("\n".join(["f0,label,sensitive", *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_attained_up_to_rounding_passes(self, saturated_csv, seed, capsys):
+        argv = ["audit-sensitivity", "--dataset", str(saturated_csv), "--trials", "200",
+                "--batch-size", "10", "--seed", str(seed)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "observed_delta_w=0.4 bound=0.4\nPASS\n" in out
+
+    def test_observed_above_bound_fails_with_exit_1(self, saturated_csv, monkeypatch, capsys):
+        def shrunk(*args):
+            bounds = sensitivity_bounds(*args)
+            return SensitivityBounds(bounds.delta_theta, bounds.delta_w * (1.0 - 1e-9))
+
+        monkeypatch.setattr(cli, "sensitivity_bounds", shrunk)
+        argv = ["audit-sensitivity", "--dataset", str(saturated_csv), "--trials", "200",
+                "--batch-size", "10", "--seed", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.endswith("FAIL\n")
+
+    def test_zero_box_radius_is_config_error(self, synth_csv, capsys):
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: box_radius must be positive\n"

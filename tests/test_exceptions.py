@@ -12,7 +12,6 @@ INSTANCES = [
     ex.DegenerateGroupError("group 2 is empty"),
     ex.DegenerateConditionalError("cell (1, 2) is empty"),
     ex.CalibrationError("epsilon too large"),
-    ex.SingularityError("zero marginal"),
     ex.DivergenceError(12, "logits"),
     ex.DivergenceError(3),
 ]

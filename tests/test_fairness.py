@@ -4,30 +4,27 @@ import math
 import numpy as np
 import pytest
 
-from fairdp.classifier import ModelParams, mean_loss, predict_proba
-from fairdp.dataset import TabularDataset, sensitive_stats
-from fairdp.exceptions import (
-    DegenerateConditionalError,
-    DegenerateGroupError,
-    SingularityError,
-)
+from fairdp.classifier import ModelParams, forward, mean_loss, mean_param_grad, predict_proba
+from fairdp.dataset import SensitiveStats, TabularDataset, sensitive_stats
+from fairdp.exceptions import DegenerateConditionalError, DegenerateGroupError
 from fairdp.fairness import (
-    DualMatrix,
-    DualStack,
+    DEMOGRAPHIC_PARITY,
+    EQUALIZED_ODDS,
+    MARGINAL_RIDGE,
     FermiConfig,
     dp_violation,
-    eo_psi_grads,
     eo_violation,
     ermi_conditional,
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
     mean_psi_terms,
-    mean_psi_terms_eo,
     psi,
     psi_grad_theta,
     psi_grad_w,
+    saddle_terms,
     soft_distribution,
+    strata,
 )
 from helpers import central_diff_grad, rel_error
 
@@ -216,16 +213,6 @@ class TestPsi:
             w = rng.normal(scale=2.0, size=(2, 2))
             assert psi(theta, w, x, s, stats) <= best + 1e-12
 
-    def test_accepts_dual_matrix_wrapper(self):
-        rng = np.random.default_rng(8)
-        ds = random_dataset(rng)
-        stats = sensitive_stats(ds)
-        theta = random_params(rng, 2, 3)
-        w = rng.normal(size=(2, 2))
-        a = psi(theta, w, ds.features[1], 2, stats)
-        b = psi(theta, DualMatrix(w, 10.0), ds.features[1], 2, stats)
-        assert a == b
-
 
 class TestPsiGradW:
     def test_zero_dual_formula(self):
@@ -318,7 +305,7 @@ class TestInnerMax:
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, n=12)
         stats = sensitive_stats(ds)
-        w = inner_max_closed_form(ModelParams.zeros(2, 3), ds, stats).w
+        w = inner_max_closed_form(ModelParams.zeros(2, 3), ds)[0]
         expected = np.repeat(np.sqrt(stats.probabilities)[:, None], 2, axis=1)
         assert np.allclose(w, expected, atol=1e-12)
 
@@ -328,7 +315,7 @@ class TestInnerMax:
             ds = random_dataset(rng, n=14)
             stats = sensitive_stats(ds)
             theta = random_params(rng, 2, 3)
-            w_star = inner_max_closed_form(theta, ds, stats).w
+            w_star = inner_max_closed_form(theta, ds)[0]
             _, grad_w, _ = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
             assert np.abs(grad_w).max() <= 1e-9
 
@@ -337,7 +324,7 @@ class TestInnerMax:
         ds = random_dataset(rng, n=10)
         stats = sensitive_stats(ds)
         theta = random_params(rng, 2, 3)
-        w_star = inner_max_closed_form(theta, ds, stats).w
+        w_star = inner_max_closed_form(theta, ds)[0]
         w_ascent = ascent_oracle(theta, ds, stats)
         assert np.abs(w_star - w_ascent).max() <= 1e-6
 
@@ -347,7 +334,7 @@ class TestInnerMax:
             ds = random_dataset(rng, n=int(rng.integers(8, 24)))
             stats = sensitive_stats(ds)
             theta = random_params(rng, 2, 3)
-            w_star = inner_max_closed_form(theta, ds, stats).w
+            w_star = inner_max_closed_form(theta, ds)[0]
             _, _, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
             assert value == pytest.approx(ermi_soft(theta, ds, stats), abs=1e-9)
 
@@ -356,19 +343,39 @@ class TestInnerMax:
         ds = random_dataset(rng, n=12)
         stats = sensitive_stats(ds)
         theta = ModelParams(np.zeros((2, 3)), rng.normal(size=2))
-        w_star = inner_max_closed_form(theta, ds, stats).w
+        w_star = inner_max_closed_form(theta, ds)[0]
         _, _, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_singularity_without_ridge(self):
-        # class 2 saturated off: marginal underflows to zero
+    def test_saturated_marginal_gets_ridge(self):
+        # class 2 saturated off: its soft marginal underflows to zero, so the
+        # ridge is added to both class marginals of each stratum
         ds = TabularDataset.from_arrays(np.ones((4, 1)), [1, 2, 1, 2], [1, 1, 2, 2])
-        stats = sensitive_stats(ds)
         theta = ModelParams(np.array([[800.0], [-800.0]]), np.zeros(2))
-        with pytest.raises(SingularityError):
-            inner_max_closed_form(theta, ds, stats, ridge=None)
-        w = inner_max_closed_form(theta, ds, stats)  # ridge fallback works
-        assert np.all(np.isfinite(w.w))
+        # in every stratum p(1, r) = p(r) = 1/2, p(1) = 1 and p(2) = 0
+        expected = np.array([[math.sqrt(0.5) / (1.0 + MARGINAL_RIDGE), 0.0]] * 2)
+        for notion, n_strata in ((DEMOGRAPHIC_PARITY, 1), (EQUALIZED_ODDS, 2)):
+            w = inner_max_closed_form(theta, ds, notion)
+            assert w.shape == (n_strata, 2, 2)
+            assert np.allclose(w, expected, rtol=1e-15, atol=0.0)
+        # only label class 1 saturated: label class 2 keeps its exact maximizer
+        ds = TabularDataset.from_arrays(np.array([[1.0], [0], [1], [0]]), [1, 2, 1, 2], [1, 1, 2, 2])
+        w = inner_max_closed_form(theta, ds, EQUALIZED_ODDS)
+        assert np.allclose(w[0], expected, rtol=1e-15, atol=0.0)
+        assert np.array_equal(w[1], np.full((2, 2), math.sqrt(0.5)))
+
+    def test_equalized_odds_gradient_vanishes_at_maximizer(self):
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            l, k = (int(v) for v in rng.integers(2, 4, size=2))
+            ds = random_dataset(rng, n=30, l=l, k=k)
+            cells, inv_sqrt = strata(ds, EQUALIZED_ODDS)
+            theta = random_params(rng, l, 3)
+            w_star = inner_max_closed_form(theta, ds, EQUALIZED_ODDS)
+            assert w_star.shape == (l, k, l)
+            proba = forward(theta.weights, theta.bias, ds.features)
+            _, grad_w, _ = saddle_terms(proba, w_star, inv_sqrt, cells)
+            assert np.abs(grad_w).max() <= 1e-9
 
 
 class TestMinMaxIdentity:
@@ -382,7 +389,7 @@ class TestMinMaxIdentity:
             stats = sensitive_stats(ds)
             theta = random_params(rng, l, ds.d_x)
             lam = float(rng.uniform(0.0, 2.5))
-            w_star = inner_max_closed_form(theta, ds, stats).w
+            w_star = inner_max_closed_form(theta, ds)[0]
             _, _, best_psi = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
             lhs = mean_loss(theta, ds.features, ds.labels) + lam * best_psi
             rhs = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds, stats)
@@ -511,18 +518,60 @@ class TestEoViolation:
             eo_violation([1, 2, 1, 2], [1, 2, 1, 2], [1, 1, 1, 1])
 
 
+def label_stats(ds, y):
+    """Group statistics within label class y: stratum y - 1 of equalized odds."""
+    return SensitiveStats.from_groups(ds.sensitive[ds.labels == y], ds.k)
+
+
+def label_slice(ds, y):
+    mask = ds.labels == y
+    return TabularDataset(ds.features[mask], ds.labels[mask], ds.sensitive[mask], ds.l, ds.k)
+
+
+class TestStrata:
+    def test_demographic_parity_is_one_stratum(self):
+        rng = np.random.default_rng(28)
+        ds = random_dataset(rng, n=15, k=3)
+        cells, inv_sqrt = strata(ds, DEMOGRAPHIC_PARITY)
+        assert np.array_equal(cells, ds.sensitive - 1)
+        assert np.array_equal(inv_sqrt, sensitive_stats(ds).inv_sqrt[None, :])
+
+    def test_equalized_odds_has_one_stratum_per_label(self):
+        rng = np.random.default_rng(29)
+        ds = random_dataset(rng, n=30, l=3, k=2)
+        cells, inv_sqrt = strata(ds, EQUALIZED_ODDS)
+        assert np.array_equal(cells, (ds.labels - 1) * 2 + ds.sensitive - 1)
+        expected = np.stack([label_stats(ds, y).inv_sqrt for y in (1, 2, 3)])
+        assert np.array_equal(inv_sqrt, expected)
+
+    def test_absent_group_raises(self):
+        ds = TabularDataset.from_arrays(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 1, 1], l=2, k=2)
+        with pytest.raises(DegenerateGroupError, match=r"sensitive group\(s\) \[2\] have no samples"):
+            strata(ds, DEMOGRAPHIC_PARITY)
+
+    def test_unknown_notion_rejected(self):
+        ds = TabularDataset.from_arrays(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2])
+        with pytest.raises(ValueError):
+            strata(ds, "parity_of_some_kind")
+
+
 class TestEoPsiGrads:
+    """Equalized-odds saddle terms on the (l, k, l) layout: block y - 1 with
+    the group statistics of label class y, against the per-sample references."""
+
     def eo_setup(self, rng, n=16):
         ds = random_dataset(rng, n=n)
-        stack = DualStack.initial(ds, box_radius=5.0)
-        return ds, stack
+        cells, inv_sqrt = strata(ds, EQUALIZED_ODDS)
+        return ds, cells, inv_sqrt
 
     def test_zero_duals_give_zero_theta_grad(self):
         rng = np.random.default_rng(23)
-        ds, stack = self.eo_setup(rng)
+        ds, cells, inv_sqrt = self.eo_setup(rng)
         theta = random_params(rng, 2, 3)
-        g_theta, _ = eo_psi_grads(theta, stack, ds.features[0], int(ds.sensitive[0]), int(ds.labels[0]))
-        assert np.allclose(g_theta, 0.0, atol=1e-15)
+        proba = forward(theta.weights, theta.bias, ds.features)
+        d_psi, _, value = saddle_terms(proba, np.zeros((2, 2, 2)), inv_sqrt, cells)
+        assert np.allclose(d_psi, 0.0, atol=1e-15)
+        assert value == -1.0
 
     def test_construction_requires_two_labels(self):
         with pytest.raises(ValueError):
@@ -533,90 +582,79 @@ class TestEoPsiGrads:
         ds = TabularDataset.from_arrays(
             np.zeros((6, 2)), [1, 1, 1, 1, 2, 2], [1, 2, 1, 2, 1, 1]
         )
-        with pytest.raises(DegenerateConditionalError):
-            DualStack.initial(ds, box_radius=1.0)
+        with pytest.raises(
+            DegenerateConditionalError,
+            match=r"^within label class 2: sensitive group\(s\) \[2\] have no samples$",
+        ):
+            strata(ds, EQUALIZED_ODDS)
 
     def test_absent_label_class_aborts_stack(self):
         ds = TabularDataset.from_arrays(
             np.zeros((4, 2)), [1, 1, 1, 1], [1, 2, 1, 2], l=2, k=2
         )
-        with pytest.raises(DegenerateConditionalError):
-            DualStack.initial(ds, box_radius=1.0)
+        with pytest.raises(DegenerateConditionalError, match=r"^label class 2 has no samples$"):
+            strata(ds, EQUALIZED_ODDS)
 
     def test_matches_finite_differences(self):
+        # a one-sample batch touches only its own label's block
         rng = np.random.default_rng(24)
-        ds, stack = self.eo_setup(rng)
-        mats = tuple(
-            DualMatrix(rng.normal(size=(2, 2)), 5.0) for _ in range(2)
-        )
-        stack = DualStack(mats, stack.stats, stack.label_probs)
+        ds, cells, inv_sqrt = self.eo_setup(rng)
+        w = rng.normal(size=(2, 2, 2))
         theta = random_params(rng, 2, 3)
         x, s, y = ds.features[0], int(ds.sensitive[0]), int(ds.labels[0])
+        stats_y = label_stats(ds, y)
 
         def eo_value(v):
             p = ModelParams.from_vector(v, 2, 3)
-            return psi(p, stack.mats[y - 1], x, s, stack.stats[y - 1])
+            return psi(p, w[y - 1], x, s, stats_y)
 
-        g_theta, g_w = eo_psi_grads(theta, stack, x, s, y)
+        proba = forward(theta.weights, theta.bias, x[None])
+        d_psi, g_w, value = saddle_terms(proba, w, inv_sqrt, cells[:1])
+        g_theta = mean_param_grad(d_psi, x[None])
         fd = central_diff_grad(eo_value, theta.as_vector())
         assert rel_error(g_theta, fd) <= 1e-5
-        expected_w = psi_grad_w(theta, stack.mats[y - 1], x, s, stack.stats[y - 1])
-        assert np.allclose(g_w, expected_w, atol=1e-12)
+        assert value == pytest.approx(eo_value(theta.as_vector()), abs=1e-12)
+        assert np.allclose(g_w[y - 1], psi_grad_w(theta, w[y - 1], x, s, stats_y), atol=1e-12)
+        assert np.array_equal(g_w[2 - y], np.zeros((2, 2)))
 
     def test_batch_terms_respect_label_blocks(self):
         rng = np.random.default_rng(25)
-        ds, stack = self.eo_setup(rng)
+        ds, cells, inv_sqrt = self.eo_setup(rng)
+        w = rng.normal(size=(2, 2, 2))
         theta = random_params(rng, 2, 3)
-        g_theta, g_w, value = mean_psi_terms_eo(
-            theta, stack, ds.features, ds.sensitive, ds.labels
-        )
+        proba = forward(theta.weights, theta.bias, ds.features)
+        d_psi, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells)
+        g_theta = mean_param_grad(d_psi, ds.features)
         # block y must equal the sum of that label's per-sample grads over m
+        per_theta = []
         for label in (1, 2):
-            mask = ds.labels == label
-            per = np.sum(
-                [
-                    psi_grad_w(
-                        theta,
-                        stack.mats[label - 1],
-                        ds.features[i],
-                        int(ds.sensitive[i]),
-                        stack.stats[label - 1],
-                    )
-                    for i in np.flatnonzero(mask)
-                ],
-                axis=0,
-            ) / ds.n
-            assert np.allclose(g_w[label - 1], per, atol=1e-12)
-        per_theta = np.mean(
-            [
-                eo_psi_grads(
-                    theta, stack, ds.features[i], int(ds.sensitive[i]), int(ds.labels[i])
-                )[0]
-                for i in range(ds.n)
-            ],
-            axis=0,
-        )
-        assert np.allclose(g_theta, per_theta, atol=1e-12)
+            stats_y = label_stats(ds, label)
+            members = np.flatnonzero(ds.labels == label)
+            per = [
+                psi_grad_w(theta, w[label - 1], ds.features[i], int(ds.sensitive[i]), stats_y)
+                for i in members
+            ]
+            assert np.allclose(g_w[label - 1], np.sum(per, axis=0) / ds.n, atol=1e-12)
+            per_theta += [
+                psi_grad_theta(theta, w[label - 1], ds.features[i], int(ds.sensitive[i]), stats_y)
+                for i in members
+            ]
+        assert np.allclose(g_theta, np.sum(per_theta, axis=0) / ds.n, atol=1e-12)
 
     def test_maximized_stack_recovers_conditional_soft_ermi(self):
-        # per-label closed form on each conditional slice; weighted values sum
+        # block y of the closed form is the demographic-parity maximizer of
+        # slice y, and the saddle value there is sum_y p(y) * ERMI_soft(slice y)
         rng = np.random.default_rng(26)
-        ds, stack = self.eo_setup(rng, n=20)
+        ds, cells, inv_sqrt = self.eo_setup(rng, n=20)
         theta = random_params(rng, 2, 3)
-        mats = []
+        w_star = inner_max_closed_form(theta, ds, EQUALIZED_ODDS)
         expected = 0.0
         for label in (1, 2):
-            mask = ds.labels == label
-            sub = TabularDataset.from_arrays(
-                ds.features[mask], ds.labels[mask].clip(max=2), ds.sensitive[mask], l=2, k=2
-            )
-            w_y = inner_max_closed_form(theta, sub, stack.stats[label - 1])
-            mats.append(w_y)
-            expected += stack.label_probs[label - 1] * ermi_soft(
-                theta, sub, stack.stats[label - 1]
-            )
-        best = DualStack(tuple(mats), stack.stats, stack.label_probs)
-        _, _, value = mean_psi_terms_eo(theta, best, ds.features, ds.sensitive, ds.labels)
+            sub = label_slice(ds, label)
+            assert np.allclose(w_star[label - 1], inner_max_closed_form(theta, sub)[0], atol=1e-12)
+            expected += (ds.labels == label).mean() * ermi_soft(theta, sub, sensitive_stats(sub))
+        proba = forward(theta.weights, theta.bias, ds.features)
+        _, _, value = saddle_terms(proba, w_star, inv_sqrt, cells)
         assert value == pytest.approx(expected, abs=1e-9)
 
 

@@ -12,44 +12,27 @@ from fairdp.classifier import (
     mean_loss_grad,
     predict_label,
 )
-from fairdp.dataset import TabularDataset, minibatch, sensitive_stats
+from fairdp.dataset import SensitiveStats, TabularDataset, minibatch, sensitive_stats
 from fairdp.exceptions import DivergenceError
 from fairdp.fairness import (
     DEMOGRAPHIC_PARITY,
     EQUALIZED_ODDS,
-    DualStack,
     FermiConfig,
-    eo_psi_grads,
     ermi_soft,
     psi_grad_theta,
     psi_grad_w,
 )
 from fairdp.harness import SyntheticSpec, synth_dataset
 from fairdp.optimizer import (
-    MinMaxProblem,
+    LAST,
+    UNIFORM_RANDOM,
     SgdaConfig,
-    SmoothnessProfile,
     dp_fermi_train,
-    dp_sgda,
-    estimate_smoothness_profile,
     project_box,
-    recommended_hyperparams,
     stationarity_gap,
 )
-from fairdp.privacy import NoiseScales, PrivacyBudget, min_iterations
+from fairdp.privacy import NoiseScales
 from helpers import central_diff_grad, rel_error
-
-
-def toy_saddle(n=1):
-    """f(theta, w) = theta * w - w^2 / 2, so max_w gives Phi = theta^2 / 2."""
-    return MinMaxProblem(
-        n=n,
-        d_theta=1,
-        d_w=1,
-        grad_theta=lambda theta, w, batch: w.copy(),
-        grad_w=lambda theta, w, batch: theta - w,
-        project=lambda w: w,
-    )
 
 
 def small_config(**kw):
@@ -77,65 +60,6 @@ class TestProjectBox:
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             project_box(np.zeros((2, 2)), 0.0)
-
-
-class TestDpSgda:
-    def test_zero_gradients_zero_noise_fixed_point(self):
-        problem = MinMaxProblem(
-            n=4,
-            d_theta=3,
-            d_w=2,
-            grad_theta=lambda t, w, b: np.zeros(3),
-            grad_w=lambda t, w, b: np.zeros(2),
-            project=lambda w: w,
-        )
-        theta0 = np.array([1.0, -2.0, 3.0])
-        w0 = np.array([0.5, 0.5])
-        result = dp_sgda(problem, small_config(T=25, m=2), NoiseScales.none(), theta0=theta0, w0=w0)
-        assert np.array_equal(result.params, theta0)
-        assert np.array_equal(result.dual, w0)
-
-    def test_toy_saddle_converges(self):
-        result = dp_sgda(
-            toy_saddle(),
-            small_config(T=500),
-            NoiseScales.none(),
-            theta0=np.array([1.0]),
-            w0=np.array([0.0]),
-        )
-        assert abs(result.params[0]) <= 1e-3
-
-    def test_noisy_runs_are_seed_deterministic(self):
-        noise = NoiseScales(0.01, 0.01)
-        runs = [
-            dp_sgda(toy_saddle(), small_config(T=40, seed=5), noise, theta0=np.array([1.0]))
-            for _ in range(2)
-        ]
-        assert np.array_equal(runs[0].params, runs[1].params)
-        assert np.array_equal(runs[0].dual, runs[1].dual)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_divergence_reports_iteration(self):
-        problem = MinMaxProblem(
-            n=1,
-            d_theta=1,
-            d_w=1,
-            grad_theta=lambda t, w, b: -1e9 * t,
-            grad_w=lambda t, w, b: np.zeros(1),
-            project=lambda w: w,
-        )
-        with pytest.raises(DivergenceError) as err:
-            dp_sgda(problem, small_config(T=2000), NoiseScales.none(), theta0=np.array([1.0]))
-        assert err.value.iteration >= 1
-
-    def test_uniform_random_iterate_rule(self):
-        config = small_config(T=30, iterate_rule="uniform_random", seed=11)
-        result = dp_sgda(toy_saddle(), config, NoiseScales.none(), theta0=np.array([1.0]))
-        assert 1 <= result.chosen_iterate <= 30
-
-    def test_batch_size_exceeding_n(self):
-        with pytest.raises(ValueError):
-            dp_sgda(toy_saddle(n=2), small_config(m=3), NoiseScales.none())
 
 
 def separable(n=400, seed=0, bias=0.0):
@@ -173,7 +97,7 @@ class TestDpFermiTrain:
         )
         rng = np.random.default_rng(13)
         theta = np.zeros(ds.l * ds.d_x + ds.l)
-        w = np.zeros((ds.k, ds.l))
+        w = np.zeros((1, ds.k, ds.l))
         for _ in range(25):
             batch = minibatch(ds.n, 20, rng)
             params = ModelParams.from_vector(theta, ds.l, ds.d_x)
@@ -183,7 +107,7 @@ class TestDpFermiTrain:
             theta = theta - 0.05 * (g_loss + 0.0 * u)
             w = np.clip(w + 0.1 * (0.0 + v), -0.5, 0.5)
         assert np.array_equal(result.params.as_vector(), theta)
-        assert np.array_equal(result.dual.w, w)
+        assert np.array_equal(result.dual, w)
 
     def test_equalized_odds_lambda_zero_with_noise_matches_reference_loop(self):
         ds = separable(n=90, seed=12, bias=0.5)
@@ -208,8 +132,7 @@ class TestDpFermiTrain:
             theta = theta - 0.05 * (g_loss + 0.0 * u)
             w = np.clip(w + 0.1 * (0.0 + v), -0.5, 0.5)
         assert np.array_equal(result.params.as_vector(), theta)
-        assert isinstance(result.dual, DualStack)
-        assert np.array_equal(np.stack([mat.w for mat in result.dual.mats]), w)
+        assert np.array_equal(result.dual, w)
 
     def test_lambda_zero_with_noise_dual_stays_boxed(self):
         ds = separable(n=120, seed=2)
@@ -222,7 +145,7 @@ class TestDpFermiTrain:
             NoiseScales(0.5, 0.5),
             trace_every=1,
         )
-        assert np.abs(result.dual.w).max() <= 0.2 + 1e-12
+        assert np.abs(result.dual).max() <= 0.2 + 1e-12
         assert all(rec["w_max_abs"] <= 0.2 + 1e-12 for rec in result.trace)
 
     def test_learns_separable_data(self):
@@ -241,7 +164,50 @@ class TestDpFermiTrain:
         a = dp_fermi_train(ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, noise)
         b = dp_fermi_train(ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, noise)
         assert np.array_equal(a.params.as_vector(), b.params.as_vector())
-        assert np.array_equal(a.dual.w, b.dual.w)
+        assert np.array_equal(a.dual, b.dual)
+
+    def test_uniform_random_iterate_rule(self):
+        # the chosen iterate is drawn first, so the returned model is the one
+        # a LAST run of T = chosen steps reaches from the stream after it
+        ds = separable(n=100, seed=4, bias=0.6)
+        fermi = FermiConfig(1.0, EQUALIZED_ODDS)
+        noise = NoiseScales(0.01, 0.01)
+        base = dict(eta_theta=0.05, eta_w=0.05, m=25, box_radius=1.0, clip_theta=1.0)
+        config = SgdaConfig(T=30, iterate_rule=UNIFORM_RANDOM, **base)
+        result = dp_fermi_train(
+            ds, ModelParams.zeros(2, 5), fermi, config, noise, rng=np.random.default_rng(11)
+        )
+        assert 1 <= result.chosen_iterate < 30
+        rng = np.random.default_rng(11)
+        assert int(rng.integers(1, 31)) == result.chosen_iterate
+        last = dp_fermi_train(
+            ds,
+            ModelParams.zeros(2, 5),
+            fermi,
+            SgdaConfig(T=result.chosen_iterate, iterate_rule=LAST, **base),
+            noise,
+            rng=rng,
+        )
+        assert last.chosen_iterate == result.chosen_iterate
+        assert np.array_equal(result.params.as_vector(), last.params.as_vector())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_reports_iteration(self):
+        ds = separable(n=60, seed=5)
+        config = SgdaConfig(eta_theta=0.1, eta_w=1e308, T=20, m=10, box_radius=np.inf, seed=0)
+        with pytest.raises(DivergenceError, match="non-finite iterates") as err:
+            dp_fermi_train(
+                ds, ModelParams.zeros(2, 5), FermiConfig(0.0), config, NoiseScales(0.0, 100.0)
+            )
+        assert err.value.iteration == 1
+
+    def test_batch_size_exceeding_n(self):
+        ds = separable(n=30, seed=6)
+        config = SgdaConfig(eta_theta=0.1, eta_w=0.1, T=5, m=31, box_radius=1.0)
+        with pytest.raises(ValueError, match="exceeds n=30"):
+            dp_fermi_train(
+                ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, NoiseScales.none()
+            )
 
     def test_equalized_odds_variant_runs(self):
         ds = separable(n=200, seed=5, bias=0.6)
@@ -253,9 +219,8 @@ class TestDpFermiTrain:
             config,
             NoiseScales(0.001, 0.001),
         )
-        assert isinstance(result.dual, DualStack)
-        for mat in result.dual.mats:
-            assert np.abs(mat.w).max() <= 1.0 + 1e-12
+        assert result.dual.shape == (2, 2, 2)
+        assert np.abs(result.dual).max() <= 1.0 + 1e-12
 
     def test_noise_placement_flag_changes_trajectory(self):
         ds = separable(n=100, seed=6, bias=0.4)
@@ -318,9 +283,7 @@ class TestFusedStep:
                 eta_theta=1.0, eta_w=1.0, T=T, m=m, box_radius=1e6, clip_theta=clip, seed=seed
             )
             result = dp_fermi_train(ds, theta0, fermi, config, NoiseScales.none())
-            dual = result.dual
-            w = dual.w[None] if notion == DEMOGRAPHIC_PARITY else np.stack([b.w for b in dual.mats])
-            return result.params.as_vector(), w
+            return result.params.as_vector(), result.dual
 
         theta1, w1 = run(1)
         theta2, w2 = run(2)
@@ -332,12 +295,11 @@ class TestFusedStep:
         batch = minibatch(ds.n, m, stream)
         params = ModelParams.from_vector(theta1, l, 3)
         if notion == EQUALIZED_ODDS:
-            stack = DualStack.initial(ds)
-            stack = DualStack(
-                tuple(fairness.DualMatrix(b) for b in w1), stack.stats, stack.label_probs
-            )
+            stats = [
+                SensitiveStats.from_groups(ds.sensitive[ds.labels == y], k) for y in range(1, l + 1)
+            ]
         else:
-            stats = sensitive_stats(ds)
+            stats = [sensitive_stats(ds)]
         oracle_theta = np.zeros_like(theta1)
         oracle_w = np.zeros_like(w1)
         for i in batch:
@@ -345,12 +307,9 @@ class TestFusedStep:
             g_loss = loss_grad(params, x, y)
             if clip is not None:
                 g_loss = g_loss * min(1.0, clip / np.linalg.norm(g_loss))
-            if notion == EQUALIZED_ODDS:
-                g_psi, g_w = eo_psi_grads(params, stack, x, s, y)
-                oracle_w[y - 1] += g_w / m
-            else:
-                g_psi = psi_grad_theta(params, w1[0], x, s, stats)
-                oracle_w[0] += psi_grad_w(params, w1[0], x, s, stats) / m
+            c = y - 1 if notion == EQUALIZED_ODDS else 0
+            g_psi = psi_grad_theta(params, w1[c], x, s, stats[c])
+            oracle_w[c] += psi_grad_w(params, w1[c], x, s, stats[c]) / m
             oracle_theta += (g_loss + lam * g_psi) / m
         assert rel_error(step_theta, oracle_theta) <= 1e-12
         assert rel_error(step_w, oracle_w) <= 1e-12
@@ -376,47 +335,13 @@ class TestFusedStep:
         assert len(calls) == 7
 
 
-class TestRecommendedHyperparams:
-    BUDGET = PrivacyBudget(1.0, 1e-5)
-
-    def profile(self, **kw):
-        base = dict(
-            L_theta=1.0, L_w=1.0, beta_theta=1.0, beta_w=2.0,
-            beta_thetaw=1.0, mu=1.0, delta_Phi=1.0, d_theta=10, d_w=4,
-        )
-        base.update(kw)
-        return SmoothnessProfile(**base)
-
-    def test_reference_arithmetic(self):
-        eta_theta, eta_w, _ = recommended_hyperparams(self.profile(), self.BUDGET, 1000, 1.0, 100)
-        assert eta_w == pytest.approx(0.5)
-        assert eta_theta == pytest.approx(1.0 / 64.0)
-
-    def test_larger_mu_raises_eta_theta(self):
-        small, _, _ = recommended_hyperparams(self.profile(mu=1.0), self.BUDGET, 1000, 1.0, 100)
-        large, _, _ = recommended_hyperparams(self.profile(mu=2.0), self.BUDGET, 1000, 1.0, 100)
-        assert large > small
-
-    def test_floor_at_min_iterations(self):
-        _, _, T = recommended_hyperparams(
-            self.profile(delta_Phi=0.0), self.BUDGET, 1000, 0.0, 100
-        )
-        assert T == min_iterations(1000, 100, 1.0) == 25
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            self.profile(mu=-1.0)
-        with pytest.raises(ValueError):
-            self.profile(beta_w=0.5)  # kappa_w < 1
-
-
 class TestStationarityGap:
     def test_lambda_zero_is_loss_grad_norm(self):
         ds = separable(n=80, seed=8)
         rng = np.random.default_rng(0)
         theta = ModelParams(rng.normal(size=(2, 5)), rng.normal(size=2))
         expected = np.linalg.norm(mean_loss_grad(theta, ds.features, ds.labels))
-        assert stationarity_gap(theta, ds, 0.0) == pytest.approx(expected)
+        assert stationarity_gap(theta, ds, FermiConfig(0.0)) == pytest.approx(expected)
 
     def test_small_at_numeric_minimizer(self):
         ds = synth_dataset(SyntheticSpec(n=40, d_x=2, bias=0.7, noise_scale=1.0, seed=9))
@@ -428,7 +353,7 @@ class TestStationarityGap:
             return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(ds=ds, theta=params, stats=stats)
 
         result = minimize(objective, np.zeros(6), method="BFGS", options={"gtol": 1e-8, "maxiter": 2000})
-        gap = stationarity_gap(ModelParams.from_vector(result.x, 2, 2), ds, lam, stats)
+        gap = stationarity_gap(ModelParams.from_vector(result.x, 2, 2), ds, FermiConfig(lam))
         assert gap <= 1e-4
 
     def test_matches_envelope_finite_differences(self):
@@ -443,18 +368,31 @@ class TestStationarityGap:
             return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(params, ds, stats)
 
         fd = central_diff_grad(objective, theta.as_vector())
-        gap = stationarity_gap(theta, ds, lam, stats)
+        gap = stationarity_gap(theta, ds, FermiConfig(lam))
         assert abs(gap - np.linalg.norm(fd)) / np.linalg.norm(fd) <= 1e-4
 
+    @pytest.mark.parametrize("trial", range(3))
+    def test_equalized_odds_matches_conditional_envelope_finite_differences(self, trial):
+        # the envelope is mean loss + lam * sum_y p(y) * soft ERMI of slice y
+        rng = np.random.default_rng(30 + trial)
+        l, k = (int(v) for v in rng.integers(2, 4, size=2))
+        ds = random_instance(rng, l, k)
+        lam = 0.8
+        theta = ModelParams(rng.normal(scale=0.5, size=(l, 3)), rng.normal(scale=0.5, size=l))
+        slices = []
+        for y in range(1, l + 1):
+            mask = ds.labels == y
+            sub = TabularDataset(ds.features[mask], ds.labels[mask], ds.sensitive[mask], l, k)
+            slices.append((mask.mean(), sub, sensitive_stats(sub)))
 
-class TestSmoothnessProbe:
-    def test_probe_returns_valid_profile(self):
-        ds = separable(n=60, seed=11, bias=0.5)
-        profile = estimate_smoothness_profile(ds, lam=1.0, D=1.0, trials=10, rng=np.random.default_rng(2))
-        assert profile.kappa_w >= 1.0
-        assert profile.d_theta == 2 * 5 + 2
-        eta_theta, eta_w, T = recommended_hyperparams(profile, PrivacyBudget(1.0, 1e-5), 500, 1.0, 50)
-        assert eta_theta > 0 and eta_w > 0 and T >= 1
+        def objective(vec):
+            params = ModelParams.from_vector(vec, l, 3)
+            penalty = sum(p_y * ermi_soft(params, sub, st) for p_y, sub, st in slices)
+            return mean_loss(params, ds.features, ds.labels) + lam * penalty
+
+        fd = central_diff_grad(objective, theta.as_vector())
+        gap = stationarity_gap(theta, ds, FermiConfig(lam, EQUALIZED_ODDS))
+        assert abs(gap - np.linalg.norm(fd)) / np.linalg.norm(fd) <= 1e-8
 
 
 class TestSgdaConfigValidation:
