@@ -209,6 +209,36 @@ class TestDpFermiTrain:
                 ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, NoiseScales.none()
             )
 
+    def test_mismatched_model_dimensions_rejected(self):
+        ds = separable(n=30, seed=6)
+        config = SgdaConfig(eta_theta=0.1, eta_w=0.1, T=5, m=10, box_radius=1.0)
+        for theta0 in (ModelParams.zeros(2, 4), ModelParams.zeros(3, 5)):
+            with pytest.raises(ValueError, match="model dimensions"):
+                dp_fermi_train(ds, theta0, FermiConfig(1.0), config, NoiseScales.none())
+
+    def test_initial_params_not_mutated(self):
+        # the loop updates the weights and bias views of one vector in place
+        ds = separable(n=60, seed=7)
+        rng = np.random.default_rng(12)
+        theta0 = ModelParams(rng.normal(size=(2, 5)), rng.normal(size=2))
+        before = theta0.as_vector()
+        config = SgdaConfig(eta_theta=0.1, eta_w=0.1, T=10, m=20, box_radius=1.0)
+        result = dp_fermi_train(ds, theta0, FermiConfig(1.0), config, NoiseScales(0.01, 0.01))
+        assert np.array_equal(theta0.as_vector(), before)
+        assert not np.array_equal(result.params.as_vector(), before)
+
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    def test_noise_free_saddle_converges(self, notion):
+        # noise-free descent-ascent approaches a stationary point of the
+        # envelope max_W F(theta, W), whose gradient stationarity_gap measures
+        ds = synth_dataset(SyntheticSpec(n=120, d_x=3, bias=0.6, seed=2))
+        fermi = FermiConfig(1.0, notion)
+        theta0 = ModelParams.zeros(ds.l, ds.d_x)
+        config = SgdaConfig(eta_theta=0.05, eta_w=0.5, T=500, m=ds.n, box_radius=5.0)
+        result = dp_fermi_train(ds, theta0, fermi, config, NoiseScales.none())
+        gap0 = stationarity_gap(theta0, ds, fermi)
+        assert stationarity_gap(result.params, ds, fermi) <= 0.05 * gap0
+
     def test_equalized_odds_variant_runs(self):
         ds = separable(n=200, seed=5, bias=0.6)
         config = SgdaConfig(eta_theta=0.02, eta_w=0.02, T=60, m=50, box_radius=1.0, seed=1)
