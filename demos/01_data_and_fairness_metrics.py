@@ -55,7 +55,7 @@ print(f"  hard ERMI:              {ermi_hard(constant, train.sensitive):.3f}")
 # the predicted distribution. At theta = 0 every sample gets the uniform
 # distribution, so predictions factorize from the groups exactly.
 theta0 = ModelParams.zeros(train.l, train.d_x)
-print(f"\nsoft ERMI at theta = 0: {ermi_soft(theta0, train, stats):.2e}")
+print(f"\nsoft ERMI at theta = 0: {ermi_soft(theta0, train):.2e}")
 
 # The conditional variant only penalizes dependence within label strata.
 preds = predict_label(theta0, train.features)

@@ -14,6 +14,7 @@ a closed form. This script verifies the pieces numerically.
 import numpy as np
 
 from fairdp import (
+    DEMOGRAPHIC_PARITY,
     ModelParams,
     SyntheticSpec,
     ermi_soft,
@@ -25,7 +26,8 @@ from fairdp import (
     sensitive_stats,
     synth_dataset,
 )
-from fairdp.fairness import mean_psi_terms, soft_distribution
+from fairdp.classifier import forward
+from fairdp.fairness import saddle_terms, strata
 
 rng = np.random.default_rng(1)
 ds = synth_dataset(SyntheticSpec(n=400, d_x=4, bias=0.6, noise_scale=1.0, seed=3))
@@ -41,19 +43,24 @@ print(f"dual gradient norm:     {np.linalg.norm(psi_grad_w(theta, w, x, s, stats
 print(f"model gradient norm:    {np.linalg.norm(psi_grad_theta(theta, w, x, s, stats)):.4f}")
 
 # Closed-form inner maximizer: batch gradient vanishes there, and plugging
-# it back in recovers the soft ERMI exactly.
+# it back in recovers the soft ERMI exactly. The batch terms come from the
+# kernels training runs: demographic parity is the single stratum of the
+# (C, k, l) layout that strata() sets up, so the dual is w_star[None].
 w_star = inner_max_closed_form(theta, ds)[0]  # the single demographic-parity stratum
-g_theta, g_w, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
+cells, inv_sqrt = strata(ds, DEMOGRAPHIC_PARITY)
+proba = forward(theta.weights, theta.bias, ds.features)  # class-major (l, n)
+_, g_w, value = saddle_terms(proba, w_star[None], inv_sqrt, cells)
 print(f"\nclosed-form maximizer entries:\n{np.round(w_star, 4)}")
 print(f"batch dual gradient at maximizer: {np.abs(g_w).max():.2e}  (should be ~0)")
 print(f"mean psi at maximizer:  {value:.10f}")
-print(f"soft ERMI directly:     {ermi_soft(theta, ds, stats):.10f}")
+print(f"soft ERMI directly:     {ermi_soft(theta, ds):.10f}")
 
 # Independent confirmation: projected gradient ascent from W = 0 converges
 # to the same maximizer. The batch moments are fixed in W, so the ascent
 # map is cheap to iterate.
-joint, marginal = soft_distribution(theta, ds, stats)
-coupling = 2.0 * stats.inv_sqrt[:, None] * joint.T
+joint = np.stack([proba[:, ds.sensitive == r].sum(axis=1) for r in range(1, ds.k + 1)]) / ds.n
+marginal = proba.mean(axis=1)
+coupling = 2.0 * stats.inv_sqrt[:, None] * joint
 w_ascent = np.zeros_like(w_star)
 eta = 1.0 / (2.0 * marginal.max())
 for _ in range(10_000):

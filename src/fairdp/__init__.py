@@ -5,7 +5,7 @@ toward (conditional) independence of sensitive attributes, with Gaussian
 noise calibrated so the training run is differentially private with
 respect to the sensitive data (or the full records). The pieces:
 
-- dataset: CSV ingestion, splits, group statistics, adjacency flips
+- dataset: CSV ingestion, splits, group statistics, minibatches
 - classifier: multinomial logistic model with exact Jacobians
 - fairness: ERMI estimators, the dual saddle terms, violation metrics
 - privacy: noise calibration, sensitivity bounds, the empirical audit
@@ -30,7 +30,6 @@ from .classifier import (
 from .dataset import (
     SensitiveStats,
     TabularDataset,
-    adjacent_sensitive,
     load_csv,
     minibatch,
     sensitive_stats,
@@ -49,7 +48,6 @@ from .fairness import (
     psi,
     psi_grad_theta,
     psi_grad_w,
-    soft_distribution,
 )
 from .harness import (
     ALL_FEATURES,
@@ -103,7 +101,6 @@ __all__ = [
     "TabularDataset",
     "TradeoffRecord",
     "TrainResult",
-    "adjacent_sensitive",
     "aggregate",
     "calibrate_all_features",
     "calibrate_sensitive_only",
@@ -139,7 +136,6 @@ __all__ = [
     "save_checkpoint",
     "sensitive_stats",
     "sensitivity_bounds",
-    "soft_distribution",
     "stationarity_gap",
     "synth_dataset",
     "train_test_split",

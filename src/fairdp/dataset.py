@@ -266,22 +266,3 @@ def minibatch(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={n}")
     return rng.integers(0, n, size=m)
 
-
-def adjacent_sensitive(ds: TabularDataset, i: int, s_new: int) -> TabularDataset:
-    """Copy of ds with sample i's sensitive attribute flipped to s_new.
-
-    Features and labels are shared bit-identically; only one sensitive entry
-    differs, which is the adjacency relation used by the sensitivity audit.
-    """
-    if not 0 <= i < ds.n:
-        raise ValueError(f"index {i} out of range 0..{ds.n - 1}")
-    if not 1 <= s_new <= ds.k:
-        raise ValueError(f"group {s_new} out of range 1..{ds.k}")
-    if s_new == ds.sensitive[i]:
-        raise ValueError("adjacent dataset must differ in the flipped entry")
-    old = int(ds.sensitive[i])
-    if np.count_nonzero(ds.sensitive == old) == 1:
-        raise DegenerateGroupError(f"flipping sample {i} would empty group {old}")
-    flipped = ds.sensitive.copy()
-    flipped[i] = s_new
-    return replace(ds, sensitive=flipped)

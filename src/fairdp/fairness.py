@@ -14,15 +14,19 @@ averaged psi over W recovers the soft-prediction ERMI exactly. That is
 what makes unbiased minibatch gradients (and hence private stochastic
 optimization) possible.
 
-Both fairness notions use one dual layout. The dual is a (C, k, l) array,
-one k x l block per conditioning stratum, with (C, k) group inverse square
-roots: demographic parity is the single stratum C = 1, and equalized odds
-conditions on the true label, C = l. strata() is the one place that maps a
-dataset and a notion to this layout: each sample's 0-based cell code
-stratum * k + group and the (C, k) statistics. The batch saddle terms
-(saddle_terms) and the closed-form inner maximum (inner_max_closed_form)
-work on it for both notions; psi, psi_grad_theta and psi_grad_w are the
-per-sample references for one k x l block.
+Every fairness quantity is computed on one layout: a (C, k, l) table with
+one k x l block per conditioning stratum. Demographic parity is the single
+stratum C = 1, and equalized odds conditions on the true label, C = l.
+strata() maps a dataset and a notion to each sample's 0-based cell code
+stratum * k + group and the (C, k) group inverse square roots. The hard
+metrics (ermi_hard, ermi_conditional, dp_violation, eo_violation) count
+predictions into such a table, ermi_soft sums class probabilities into it,
+and one estimator turns a table into ERMI, the label-conditional form being
+the p(y)-weighted sum over strata. The dual is a (C, k, l) array on the
+same layout: the batch saddle terms (saddle_terms) and the closed-form
+inner maximum (inner_max_closed_form) work on it for both notions; psi,
+psi_grad_theta and psi_grad_w are the per-sample references for one k x l
+block.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelParams, forward, mean_param_grad, predict_proba
-from .dataset import SensitiveStats, TabularDataset, sensitive_stats
+from .classifier import ModelParams, forward, predict_proba
+from .dataset import SensitiveStats, TabularDataset
 from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
@@ -59,7 +63,7 @@ class FermiConfig:
 def strata(
     ds: TabularDataset, notion: str = DEMOGRAPHIC_PARITY
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cell codes and group statistics of the (C, k, l) dual layout.
+    """Cell codes and group statistics of the (C, k, l) layout.
 
     Returns the 0-based (n,) codes stratum * k + (group - 1) and the (C, k)
     group inverse square roots within each stratum. Demographic parity has
@@ -69,34 +73,73 @@ def strata(
     group) cell is empty.
     """
     if notion == DEMOGRAPHIC_PARITY:
-        return ds.sensitive - 1, sensitive_stats(ds).inv_sqrt[None, :]
-    if notion != EQUALIZED_ODDS:
+        n_strata, cells = 1, ds.sensitive - 1
+    elif notion == EQUALIZED_ODDS:
+        n_strata, cells = ds.l, (ds.labels - 1) * ds.k + (ds.sensitive - 1)
+    else:
         raise ValueError(f"unknown fairness notion {notion!r}")
-    inv_sqrt = []
-    for y in range(1, ds.l + 1):
-        groups = ds.sensitive[ds.labels == y]
-        if groups.size == 0:
-            raise DegenerateConditionalError(f"label class {y} has no samples")
-        try:
-            inv_sqrt.append(SensitiveStats.from_groups(groups, ds.k).inv_sqrt)
-        except DegenerateGroupError as exc:
-            raise DegenerateConditionalError(f"within label class {y}: {exc}") from None
-    return (ds.labels - 1) * ds.k + (ds.sensitive - 1), np.stack(inv_sqrt)
+    counts = np.bincount(cells, minlength=n_strata * ds.k).reshape(n_strata, ds.k)
+    if counts.min() == 0:
+        c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
+        missing = (np.flatnonzero(counts[c] == 0) + 1).tolist()
+        message = f"sensitive group(s) {missing} have no samples"
+        if notion == DEMOGRAPHIC_PARITY:
+            raise DegenerateGroupError(message)
+        if not counts[c].any():
+            raise DegenerateConditionalError(f"label class {c + 1} has no samples")
+        raise DegenerateConditionalError(f"within label class {c + 1}: {message}")
+    return cells, (counts / counts.sum(axis=1, keepdims=True)) ** -0.5
 
 
-def _joint_from_codes(a: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Empirical joint distribution of two 1-based code vectors."""
-    flat = np.bincount((a - 1) * dim_b + (b - 1), minlength=dim_a * dim_b)
-    return flat.reshape(dim_a, dim_b) / a.shape[0]
+def _cell_sums(proba: np.ndarray, cells: np.ndarray, n_strata: int, k: int) -> np.ndarray:
+    """(C, k, l) sums of class-major probabilities (l, m) per cell code.
+
+    One bincount over the combined (class, cell) code; cells are 0-based.
+    """
+    l = proba.shape[0]
+    codes = cells + (n_strata * k * np.arange(l))[:, None]
+    flat = np.bincount(codes.ravel(), weights=proba.ravel(), minlength=l * n_strata * k)
+    return flat.reshape(l, n_strata * k).T.reshape(n_strata, k, l)
 
 
-def _ermi_from_joint(joint: np.ndarray) -> float:
-    """sum p(j,r)^2 / (p_j * p_r) - 1 with 0-probability cells contributing 0."""
-    p_rows = joint.sum(axis=1)
-    p_cols = joint.sum(axis=0)
-    mask = joint > 0
-    denom = np.outer(p_rows, p_cols)
-    return float((joint[mask] ** 2 / denom[mask]).sum() - 1.0)
+def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) -> np.ndarray:
+    """(C, k, l) counts of hard predictions per (stratum, group, class) cell.
+
+    Without y there is one stratum (C = 1); with y each label class is one
+    (C = l). k defaults to the largest group code and l to the largest
+    predicted (or true) class; codes outside 1..k and 1..l are rejected.
+    """
+    names = ("preds", "s") if y is None else ("preds", "s", "y")
+    codes = dict(zip(names, (np.asarray(c, dtype=np.int64) for c in (preds, s, y))))
+    preds, s = codes["preds"], codes["s"]
+    if preds.ndim != 1 or preds.size == 0 or any(c.shape != preds.shape for c in codes.values()):
+        listed = f"{', '.join(names[:-1])} and {names[-1]}"
+        raise ValueError(f"{listed} must be equal-length nonempty vectors")
+    k = int(s.max()) if k is None else k
+    l = int(max(preds.max(), codes.get("y", preds).max())) if l is None else l
+    for name, c in codes.items():
+        top = k if name == "s" else l
+        if c.min() < 1 or c.max() > top:
+            raise ValueError(f"{name} out of range 1..{top}")
+    n_strata, stratum = (l, codes["y"] - 1) if "y" in codes else (1, 0)
+    flat = np.bincount((stratum * k + s - 1) * l + preds - 1, minlength=n_strata * k * l)
+    return flat.reshape(n_strata, k, l)
+
+
+def _stratified_ermi(table: np.ndarray) -> float:
+    """sum_c (n_c / N) sum_{r,j} J^2 / (A_r B_j) - 1 over a (C, k, l) table.
+
+    J is a cell's mass, A_r and B_j are the group and class sums of its
+    stratum c, and n_c / N is the stratum's share of the total mass; empty
+    cells contribute 0. The inner sum is the stratum's ERMI plus one, which
+    does not depend on the stratum's scale, so counts and probability masses
+    give the same value.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    denom = table.sum(axis=2, keepdims=True) * table.sum(axis=1, keepdims=True)
+    ratios = np.divide(table * table, denom, out=np.zeros_like(table), where=table > 0)
+    mass = table.sum(axis=(1, 2))
+    return float(mass @ ratios.sum(axis=(1, 2)) / mass.sum() - 1.0)
 
 
 def ermi_hard(preds: np.ndarray, s: np.ndarray, k: int | None = None, l: int | None = None) -> float:
@@ -105,32 +148,25 @@ def ermi_hard(preds: np.ndarray, s: np.ndarray, k: int | None = None, l: int | N
     Every group in 1..k must be present; prediction classes may have zero
     marginals (those cells contribute nothing).
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
-    if preds.shape != s.shape or preds.ndim != 1 or preds.size == 0:
-        raise ValueError("preds and s must be equal-length nonempty vectors")
-    k = int(s.max()) if k is None else k
-    l = int(preds.max()) if l is None else l
-    counts = np.bincount(s - 1, minlength=k)
-    if counts.min() < 1:
+    table = _hard_table(preds, s, None, k, l)
+    if table.sum(axis=2).min() < 1:
         raise DegenerateGroupError("every sensitive group must appear at least once")
-    return _ermi_from_joint(_joint_from_codes(preds, s, l, k))
+    return _stratified_ermi(table)
 
 
-def soft_distribution(
-    theta: ModelParams, ds: TabularDataset, stats: SensitiveStats
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft joint p(j, r) = mean_i F_j(x_i) 1{s_i = r} and marginal p(j)."""
-    proba = forward(theta.weights, theta.bias, ds.features)  # (l, n)
-    return _cell_sums(proba, ds.sensitive - 1, stats.k) / ds.n, proba.mean(axis=1)
+def ermi_soft(
+    theta: ModelParams, ds: TabularDataset, notion: str = DEMOGRAPHIC_PARITY
+) -> float:
+    """ERMI of the randomized classifier that predicts j with probability F_j.
 
-
-def ermi_soft(theta: ModelParams, ds: TabularDataset, stats: SensitiveStats) -> float:
-    """ERMI of the randomized classifier that predicts j with probability F_j."""
-    joint, marginal = soft_distribution(theta, ds, stats)
-    mask = joint > 0
-    denom = marginal[:, None] * stats.probabilities[None, :]
-    return float((joint[mask] ** 2 / denom[mask]).sum() - 1.0)
+    The table holds the soft masses sum_i F_j(x_i) per cell of strata(ds,
+    notion). For equalized odds this is the label-conditional form
+    sum_y p(y) * ERMI_soft(slice y), the saddle value at the closed-form
+    inner maximum.
+    """
+    cells, inv_sqrt = strata(ds, notion)
+    proba = forward(theta.weights, theta.bias, ds.features)
+    return _stratified_ermi(_cell_sums(proba, cells, *inv_sqrt.shape))
 
 
 def ermi_conditional(
@@ -145,25 +181,14 @@ def ermi_conditional(
     Zero iff predictions are conditionally independent of the groups given
     the true label, i.e. iff equalized odds holds on this sample.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if not preds.shape == s.shape == y.shape or preds.size == 0:
-        raise ValueError("preds, s and y must be equal-length nonempty vectors")
-    k = int(s.max()) if k is None else k
-    l = int(max(preds.max(), y.max())) if l is None else l
-    total = 0.0
-    for label in np.unique(y):
-        mask = y == label
-        p_y = mask.mean()
-        s_y = s[mask]
-        if np.bincount(s_y - 1, minlength=k).min() < 1:
-            raise DegenerateConditionalError(
-                f"some sensitive group is absent within label class {label}"
-            )
-        joint = _joint_from_codes(preds[mask], s_y, l, k)
-        total += p_y * (_ermi_from_joint(joint) + 1.0)
-    return float(total - 1.0)
+    table = _hard_table(preds, s, y, k, l)
+    groups = table.sum(axis=2)  # (l, k) samples per (label, group)
+    absent = (groups.min(axis=1) == 0) & (groups.max(axis=1) > 0)
+    if absent.any():
+        raise DegenerateConditionalError(
+            f"some sensitive group is absent within label class {int(np.argmax(absent)) + 1}"
+        )
+    return _stratified_ermi(table)
 
 
 def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.ndarray:
@@ -208,24 +233,6 @@ def psi_grad_w(
     return grad
 
 
-def _psi_coeffs(w: np.ndarray, s: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """Coefficients c with psi = c . F - 1 for samples with group codes s."""
-    diag_quad = (w ** 2).sum(axis=0)  # (l,)
-    return -diag_quad[None, :] + 2.0 * inv_sqrt[s - 1, None] * w[s - 1, :]
-
-
-def _cell_sums(proba: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """(l, n_cells) sums of class-major probabilities (l, m) per cell code.
-
-    One bincount over the combined (class, cell) code; cells are 0-based.
-    """
-    l = proba.shape[0]
-    codes = cells + (n_cells * np.arange(l))[:, None]
-    return np.bincount(
-        codes.ravel(), weights=proba.ravel(), minlength=l * n_cells
-    ).reshape(l, n_cells)
-
-
 def saddle_terms(
     proba: np.ndarray, w: np.ndarray, inv_sqrt: np.ndarray, cells: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -253,7 +260,7 @@ def saddle_terms(
     # the logit gradient of c . F is diag(F) c - F (F . c)
     coeffs -= per_sample
     coeffs *= proba
-    joint = _cell_sums(proba, cells, n_strata * k).T.reshape(n_strata, k, l)
+    joint = _cell_sums(proba, cells, n_strata, k)
     marginal = joint.sum(axis=1, keepdims=True)
     grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
     return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
@@ -275,31 +282,22 @@ def psi_grad_theta(
     w = _check_dual(theta, w, stats)
     x = np.asarray(x, dtype=np.float64)
     probs = predict_proba(theta, x)
-    c = _psi_coeffs(w, np.array([s]), stats.inv_sqrt)[0]
+    c = -(w ** 2).sum(axis=0) + 2.0 * stats.inv_sqrt[s - 1] * w[s - 1]
     # J^T c without materializing J: a = (diag(F) - F F^T) c
     a = probs * c - probs * float(probs @ c)
     return np.concatenate([np.outer(a, x).ravel(), a])
 
 
-def mean_psi_terms(
-    theta: ModelParams,
-    w: np.ndarray,
-    features: np.ndarray,
-    s: np.ndarray,
-    stats: SensitiveStats,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Batch-averaged (theta-gradient, W-gradient, psi value) in one pass.
-
-    Equivalent to averaging the per-sample psi_grad_* functions; the
-    demographic-parity case of saddle_terms (a single stratum).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    proba = forward(theta.weights, theta.bias, features)
-    dlogits, grad_w, value = saddle_terms(
-        proba, w[None], stats.inv_sqrt[None], np.asarray(s, dtype=np.int64) - 1
-    )
-    return mean_param_grad(dlogits, features), grad_w[0], value
+def _inner_max(proba: np.ndarray, cells: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """Closed-form (C, k, l) maximizer from class-major probabilities of every sample."""
+    n_strata, k = inv_sqrt.shape
+    # joint[c, r, j] = p(j, r | c) and marginal[c, j] = p(j | c)
+    joint = _cell_sums(proba, cells, n_strata, k)
+    joint /= np.bincount(cells // k, minlength=n_strata)[:, None, None]
+    marginal = joint.sum(axis=1)
+    saturated = marginal.min(axis=1, keepdims=True) <= 0.0
+    marginal = np.where(saturated, marginal + MARGINAL_RIDGE, marginal)
+    return joint * inv_sqrt[:, :, None] / marginal[:, None, :]
 
 
 def inner_max_closed_form(
@@ -314,31 +312,17 @@ def inner_max_closed_form(
     division.
     """
     cells, inv_sqrt = strata(ds, notion)
-    n_strata, k = inv_sqrt.shape
-    proba = forward(theta.weights, theta.bias, ds.features)
-    sums = _cell_sums(proba, cells, n_strata * k).T.reshape(n_strata, k, theta.l)
-    # joint[c, r, j] = p(j, r | c) and marginal[c, j] = p(j | c)
-    joint = sums / np.bincount(cells // k, minlength=n_strata)[:, None, None]
-    marginal = joint.sum(axis=1)
-    saturated = marginal.min(axis=1, keepdims=True) <= 0.0
-    marginal = np.where(saturated, marginal + MARGINAL_RIDGE, marginal)
-    return joint * inv_sqrt[:, :, None] / marginal[:, None, :]
+    return _inner_max(forward(theta.weights, theta.bias, ds.features), cells, inv_sqrt)
 
 
 def dp_violation(preds: np.ndarray, s: np.ndarray, k: int | None = None) -> float:
     """Worst-case gap max_{j, r1, r2} |P[yhat=j | s=r1] - P[yhat=j | s=r2]|."""
-    preds = np.asarray(preds, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
-    if preds.shape != s.shape or preds.size == 0:
-        raise ValueError("preds and s must be equal-length nonempty vectors")
-    k = int(s.max()) if k is None else k
-    l = int(preds.max())
-    counts = np.bincount(s - 1, minlength=k).astype(float)
+    table = _hard_table(preds, s, None, k)[0]  # (k, l)
+    counts = table.sum(axis=1, keepdims=True)
     if counts.min() < 1:
         raise DegenerateGroupError("every sensitive group must appear at least once")
-    joint = _joint_from_codes(preds, s, l, k)  # rows: class, cols: group
-    conditionals = joint / (counts / preds.shape[0])[None, :]
-    return float((conditionals.max(axis=1) - conditionals.min(axis=1)).max())
+    rates = table / counts
+    return float((rates.max(axis=0) - rates.min(axis=0)).max())
 
 
 def eo_violation(
@@ -350,23 +334,15 @@ def eo_violation(
     P[yhat=j | s, y!=j] across groups and returns the largest absolute
     difference. Every (class, group) stratum on both sides must be nonempty.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if not preds.shape == s.shape == y.shape or preds.size == 0:
-        raise ValueError("preds, s and y must be equal-length nonempty vectors")
-    k = int(s.max()) if k is None else k
-    l = int(max(preds.max(), y.max())) if l is None else l
-    worst = 0.0
-    for j in range(1, l + 1):
-        for stratum in (y == j, y != j):
-            rates = np.empty(k)
-            for r in range(1, k + 1):
-                cell = stratum & (s == r)
-                if not cell.any():
-                    raise DegenerateConditionalError(
-                        f"empty stratum for class {j}, group {r}"
-                    )
-                rates[r - 1] = (preds[cell] == j).mean()
-            worst = max(worst, float(rates.max() - rates.min()))
-    return worst
+    table = _hard_table(preds, s, y, k, l)  # [y - 1, s - 1, yhat - 1]
+    classes = np.arange(table.shape[0])
+    hits = table[classes, :, classes]  # (l, k): yhat = j among y = j
+    sizes = table.sum(axis=2)  # (l, k): y = j
+    # (l, 2, k): the y = j and y != j sides of class j, per group
+    hits = np.stack([hits, table.sum(axis=0).T - hits], axis=1)
+    sizes = np.stack([sizes, sizes.sum(axis=0) - sizes], axis=1)
+    if sizes.min() == 0:
+        j, _, r = (int(v) + 1 for v in np.argwhere(sizes == 0)[0])
+        raise DegenerateConditionalError(f"empty stratum for class {j}, group {r}")
+    rates = hits / sizes
+    return float((rates.max(axis=2) - rates.min(axis=2)).max())

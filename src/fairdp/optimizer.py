@@ -47,7 +47,7 @@ from .classifier import (
 )
 from .dataset import TabularDataset, minibatch
 from .exceptions import DivergenceError
-from .fairness import FermiConfig, inner_max_closed_form, saddle_terms, strata
+from .fairness import FermiConfig, _inner_max, saddle_terms, strata
 from .privacy import NoiseScales, gaussian_noise
 
 LAST = "last"
@@ -225,6 +225,6 @@ def stationarity_gap(theta: ModelParams, ds: TabularDataset, fermi: FermiConfig)
     dlogits = loss_dlogits(proba, ds.labels)
     if fermi.lam > 0:
         cells, inv_sqrt = strata(ds, fermi.notion)
-        w_star = inner_max_closed_form(theta, ds, fermi.notion)
+        w_star = _inner_max(proba, cells, inv_sqrt)
         dlogits = dlogits + fermi.lam * saddle_terms(proba, w_star, inv_sqrt, cells)[0]
     return float(np.linalg.norm(mean_param_grad(dlogits, ds.features)))

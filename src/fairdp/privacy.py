@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelParams
-from .dataset import TabularDataset, sensitive_stats
+from .classifier import ModelParams, forward, mean_param_grad
+from .dataset import TabularDataset
 from .exceptions import CalibrationError
-from .fairness import mean_psi_terms
+from .fairness import saddle_terms, strata
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,13 @@ def empirical_sensitivity_audit(
 
     Each trial draws a batch of m distinct indices, flips the sensitive
     attribute of one batch member, and measures the l2 difference of the
-    batch-averaged saddle gradients between the two datasets. Batches use
-    distinct indices because the sensitivity bound is per person: a person
-    occurring twice in one batch would double their contribution. The group
-    inverse square roots are held at the original dataset's values, matching
-    the analysis that treats theta and W as fixed; flips that would empty a
-    group are skipped.
+    batch-averaged saddle gradients between the two datasets, as the
+    training kernels compute them on the demographic-parity layout of
+    strata (w is its one k x l block). Batches use distinct indices because
+    the sensitivity bound is per person: a person occurring twice in one
+    batch would double their contribution. The group inverse square roots
+    are held at the original dataset's values, matching the analysis that
+    treats theta and W as fixed; flips that would empty a group are skipped.
 
     Returns (max theta difference, max dual difference); tests compare these
     against sensitivity_bounds.
@@ -173,24 +174,28 @@ def empirical_sensitivity_audit(
         raise ValueError("trials must be positive")
     if not 1 <= m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
-    stats = sensitive_stats(ds)
+    cells, inv_sqrt = strata(ds)
+    counts = np.bincount(cells, minlength=ds.k)
+    w = np.asarray(w, dtype=np.float64)[None]
     max_dtheta = 0.0
     max_dw = 0.0
     for _ in range(trials):
         batch = rng.choice(ds.n, size=m, replace=False)
         i = int(batch[rng.integers(0, m)])
         old = int(ds.sensitive[i])
-        if stats.counts[old - 1] <= 1:
+        if counts[old - 1] <= 1:
             continue
         choices = [r for r in range(1, ds.k + 1) if r != old]
         s_new = int(choices[rng.integers(0, len(choices))])
 
-        feats = ds.features[batch]
-        s_batch = ds.sensitive[batch].copy()
-        g_theta, g_w, _ = mean_psi_terms(theta, w, feats, s_batch, stats)
-        s_batch[batch == i] = s_new
-        g_theta2, g_w2, _ = mean_psi_terms(theta, w, feats, s_batch, stats)
-
-        max_dtheta = max(max_dtheta, float(np.linalg.norm(g_theta2 - g_theta)))
+        # theta and the batch features are the same on both datasets
+        x = ds.features[batch]
+        proba = forward(theta.weights, theta.bias, x)
+        flipped = cells[batch]
+        flipped[batch == i] = s_new - 1
+        d_psi, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells[batch])
+        d_psi2, g_w2, _ = saddle_terms(proba, w, inv_sqrt, flipped)
+        g_theta_diff = mean_param_grad(d_psi2, x) - mean_param_grad(d_psi, x)
+        max_dtheta = max(max_dtheta, float(np.linalg.norm(g_theta_diff)))
         max_dw = max(max_dw, float(np.linalg.norm(g_w2 - g_w)))
     return max_dtheta, max_dw

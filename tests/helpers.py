@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 
+from fairdp.classifier import forward, mean_param_grad
 from fairdp.dataset import TabularDataset
 from fairdp.exceptions import EmptyDatasetError, ParseError, SchemaError
+from fairdp.fairness import saddle_terms
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -30,6 +32,17 @@ def central_diff_jac(f, x, out_dim, h=1e-5):
         step[i] = h
         jac[:, i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return jac
+
+
+def dp_saddle_terms(theta, w, features, s, stats):
+    """Batch-mean (theta gradient, dual gradient, psi value) of one k x l
+    demographic-parity block through the training kernels: one forward pass,
+    saddle_terms on the single stratum, then mean_param_grad."""
+    features = np.asarray(features, dtype=np.float64)
+    proba = forward(theta.weights, theta.bias, features)
+    cells = np.asarray(s, dtype=np.int64) - 1
+    d_psi, g_w, value = saddle_terms(proba, np.asarray(w)[None], stats.inv_sqrt[None], cells)
+    return mean_param_grad(d_psi, features), g_w[0], value
 
 
 def rel_error(approx, exact):

@@ -13,6 +13,7 @@ from scipy.stats import spearmanr
 
 from fairdp.classifier import (
     ModelParams,
+    forward,
     jacobian_proba,
     loss,
     loss_grad,
@@ -28,11 +29,10 @@ from fairdp.fairness import (
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
-    mean_psi_terms,
     psi,
     psi_grad_theta,
     psi_grad_w,
-    soft_distribution,
+    saddle_terms,
 )
 from fairdp.harness import (
     SENSITIVE_ONLY,
@@ -126,7 +126,10 @@ def _ascent_confirmation(theta, ds, stats, w_star, steps=10_000):
     moments are fixed in W, so iterating the gradient map is an independent
     route to the maximizer.
     """
-    joint, marginal = soft_distribution(theta, ds, stats)
+    probs = predict_proba(theta, ds.features)  # (n, l)
+    in_group = ds.sensitive[:, None] == np.arange(1, stats.k + 1)  # (n, k)
+    joint = probs.T @ in_group / ds.n  # (l, k) soft p(j, r)
+    marginal = probs.mean(axis=0)
     coupling = 2.0 * stats.inv_sqrt[:, None] * joint.T
     box = np.abs(w_star).max() * 2.0 + 1.0
     eta = 1.0 / (2.0 * marginal.max())
@@ -145,9 +148,10 @@ def test_criterion_2_minmax_identity():
         stats = sensitive_stats(ds)
         lam = float(rng.uniform(0.0, 2.5))
         w_star = inner_max_closed_form(theta, ds)[0]
-        _, _, psi_at_star = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
+        proba = forward(theta.weights, theta.bias, ds.features)
+        _, _, psi_at_star = saddle_terms(proba, w_star[None], stats.inv_sqrt[None], ds.sensitive - 1)
         max_f = mean_loss(theta, ds.features, ds.labels) + lam * psi_at_star
-        direct = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds, stats)
+        direct = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds)
         worst_gap = max(worst_gap, abs(max_f - direct))
         w_ascent = _ascent_confirmation(theta, ds, stats, w_star)
         worst_entry = max(worst_entry, np.abs(w_ascent - w_star).max())

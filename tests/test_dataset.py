@@ -8,7 +8,6 @@ from fairdp.dataset import (
     CHUNK_ROWS,
     SensitiveStats,
     TabularDataset,
-    adjacent_sensitive,
     load_csv,
     minibatch,
     sensitive_stats,
@@ -290,43 +289,7 @@ class TestMinibatch:
         assert np.all(np.abs(freq - 0.1) <= 3 * se)
 
 
-class TestAdjacent:
-    def test_single_difference(self):
-        ds = small_ds()
-        flipped = adjacent_sensitive(ds, 0, 2)
-        assert np.count_nonzero(flipped.sensitive != ds.sensitive) == 1
-        assert np.array_equal(flipped.features, ds.features)
-        assert np.array_equal(flipped.labels, ds.labels)
-
-    def test_same_group_rejected(self):
-        with pytest.raises(ValueError):
-            adjacent_sensitive(small_ds(), 0, 1)
-
-    def test_rho_recount(self):
-        flipped = adjacent_sensitive(small_ds(), 3, 1)
-        assert sensitive_stats(flipped).rho == pytest.approx(0.25)
-
-    def test_emptying_group_rejected(self):
-        ds = small_ds(s=(1, 1, 1, 2))
-        with pytest.raises(DegenerateGroupError):
-            adjacent_sensitive(ds, 3, 1)
-
-    def test_rho_moves_by_at_most_one_over_n(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(6, 30))
-            s = rng.integers(1, 4, n)
-            s[:3] = [1, 2, 3]  # keep every group nonempty
-            ds = TabularDataset.from_arrays(rng.normal(size=(n, 2)), [1, 2] * (n // 2) + [1] * (n % 2), s, l=2, k=3)
-            i = int(rng.integers(0, n))
-            options = [g for g in (1, 2, 3) if g != ds.sensitive[i]]
-            try:
-                flipped = adjacent_sensitive(ds, i, options[0])
-            except DegenerateGroupError:
-                continue
-            drho = abs(sensitive_stats(flipped).rho - sensitive_stats(ds).rho)
-            assert drho <= 1.0 / n + 1e-12
-
+class TestImmutability:
     def test_immutability(self):
         ds = small_ds()
         with pytest.raises(ValueError):

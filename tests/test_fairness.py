@@ -18,15 +18,13 @@ from fairdp.fairness import (
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
-    mean_psi_terms,
     psi,
     psi_grad_theta,
     psi_grad_w,
     saddle_terms,
-    soft_distribution,
     strata,
 )
-from helpers import central_diff_grad, rel_error
+from helpers import central_diff_grad, dp_saddle_terms, rel_error
 
 
 def brute_force_ermi(joint):
@@ -116,13 +114,13 @@ class TestErmiSoft:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng)
         theta = ModelParams.zeros(ds.l, ds.d_x)
-        assert ermi_soft(theta, ds, sensitive_stats(ds)) == pytest.approx(0.0, abs=1e-12)
+        assert ermi_soft(theta, ds) == pytest.approx(0.0, abs=1e-12)
 
     def test_feature_blind_model_factorizes(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n=16)
         theta = ModelParams(np.zeros((2, 3)), rng.normal(size=2))
-        assert ermi_soft(theta, ds, sensitive_stats(ds)) == pytest.approx(0.0, abs=1e-12)
+        assert ermi_soft(theta, ds) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(4)
@@ -141,14 +139,39 @@ class TestErmiSoft:
             for j in range(2)
             for r in range(2)
         ) - 1.0
-        assert ermi_soft(theta, ds, stats) == pytest.approx(expected, abs=1e-12)
+        assert ermi_soft(theta, ds) == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             ds = random_dataset(rng, n=int(rng.integers(6, 30)))
             theta = random_params(rng, 2, 3, scale=1.5)
-            assert ermi_soft(theta, ds, sensitive_stats(ds)) >= -1e-12
+            assert ermi_soft(theta, ds) >= -1e-12
+
+
+    def test_equalized_odds_is_label_weighted_sum_of_slices(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            l, k = (int(v) for v in rng.integers(2, 4, size=2))
+            ds = full_cell_dataset(rng, l, k)
+            theta = random_params(rng, l, 3, scale=1.5)
+            expected = sum(
+                (ds.labels == y).mean() * ermi_soft(theta, label_slice(ds, y))
+                for y in range(1, l + 1)
+            )
+            assert ermi_soft(theta, ds, EQUALIZED_ODDS) == pytest.approx(expected, abs=1e-9)
+
+    def test_equalized_odds_is_saddle_value_at_maximizer(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            l, k = (int(v) for v in rng.integers(2, 4, size=2))
+            ds = full_cell_dataset(rng, l, k)
+            theta = random_params(rng, l, 3, scale=1.5)
+            cells, inv_sqrt = strata(ds, EQUALIZED_ODDS)
+            proba = forward(theta.weights, theta.bias, ds.features)
+            w_star = inner_max_closed_form(theta, ds, EQUALIZED_ODDS)
+            _, _, value = saddle_terms(proba, w_star, inv_sqrt, cells)
+            assert ermi_soft(theta, ds, EQUALIZED_ODDS) == pytest.approx(value, abs=1e-9)
 
 
 class TestErmiConditional:
@@ -285,7 +308,7 @@ class TestPsiGradTheta:
 def ascent_oracle(theta, ds, stats, steps=10_000):
     """Projected gradient ascent on the batch-averaged psi."""
     w = np.zeros((stats.k, theta.l))
-    _, marginal = soft_distribution(theta, ds, stats)
+    marginal = predict_proba(theta, ds.features).mean(axis=0)
     eta = 1.0 / (2.0 * marginal.max())
     box = 10.0 / math.sqrt(stats.probabilities.min())
     for _ in range(steps):
@@ -316,7 +339,7 @@ class TestInnerMax:
             stats = sensitive_stats(ds)
             theta = random_params(rng, 2, 3)
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, grad_w, _ = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            _, grad_w, _ = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
             assert np.abs(grad_w).max() <= 1e-9
 
     def test_matches_ascent_oracle(self):
@@ -335,8 +358,8 @@ class TestInnerMax:
             stats = sensitive_stats(ds)
             theta = random_params(rng, 2, 3)
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, _, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
-            assert value == pytest.approx(ermi_soft(theta, ds, stats), abs=1e-9)
+            _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            assert value == pytest.approx(ermi_soft(theta, ds), abs=1e-9)
 
     def test_factorizing_model_gives_zero(self):
         rng = np.random.default_rng(18)
@@ -344,7 +367,7 @@ class TestInnerMax:
         stats = sensitive_stats(ds)
         theta = ModelParams(np.zeros((2, 3)), rng.normal(size=2))
         w_star = inner_max_closed_form(theta, ds)[0]
-        _, _, value = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
+        _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_marginal_gets_ridge(self):
@@ -390,9 +413,9 @@ class TestMinMaxIdentity:
             theta = random_params(rng, l, ds.d_x)
             lam = float(rng.uniform(0.0, 2.5))
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, _, best_psi = mean_psi_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            _, _, best_psi = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
             lhs = mean_loss(theta, ds.features, ds.labels) + lam * best_psi
-            rhs = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds, stats)
+            rhs = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds)
             assert abs(lhs - rhs) <= 1e-6
 
 
@@ -403,7 +426,7 @@ class TestGradientLinearity:
         stats = sensitive_stats(ds)
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        g_theta, g_w, value = mean_psi_terms(theta, w, ds.features, ds.sensitive, stats)
+        g_theta, g_w, value = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
         per_theta = np.mean(
             [
                 psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
@@ -436,19 +459,19 @@ class TestUnbiasedness:
         stats = sensitive_stats(ds)
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        full_theta, full_w, _ = mean_psi_terms(theta, w, ds.features, ds.sensitive, stats)
+        full_theta, full_w, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
         batches = list(itertools.combinations(range(6), 2))
         assert len(batches) == 15
         avg_theta = np.mean(
             [
-                mean_psi_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[0]
+                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[0]
                 for b in batches
             ],
             axis=0,
         )
         avg_w = np.mean(
             [
-                mean_psi_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[1]
+                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[1]
                 for b in batches
             ],
             axis=0,
@@ -464,7 +487,7 @@ class TestUnbiasedness:
         stats = sensitive_stats(ds)
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        full_theta, _, _ = mean_psi_terms(theta, w, ds.features, ds.sensitive, stats)
+        full_theta, _, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
         per_sample = np.stack(
             [
                 psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
@@ -513,9 +536,45 @@ class TestEoViolation:
         # P[pred=1 | s=1, y=1] = 1 vs P[pred=1 | s=2, y=1] = 0.5
         assert eo_violation(preds, s, y) == pytest.approx(0.5)
 
+    def test_gap_only_among_other_labels(self):
+        # P[pred=j | s, y=j] is 1/2 in every group, but among y != 1 group 1
+        # predicts class 1 half the time and group 2 never does
+        y = np.array([1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3])
+        s = np.array([1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2])
+        preds = np.array([1, 2, 1, 3, 2, 1, 2, 3, 3, 1, 3, 2])
+        assert eo_violation(preds, s, y) == pytest.approx(0.5)
+
     def test_empty_stratum(self):
         with pytest.raises(DegenerateConditionalError):
             eo_violation([1, 2, 1, 2], [1, 2, 1, 2], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "metric, args, message",
+    [
+        (ermi_hard, ([1, 2, 1, 2], [3, 1, 2, 1], 2, 2), r"^s out of range 1\.\.2$"),
+        (
+            ermi_conditional,
+            ([1, 2, 1, 2, 1, 2], [1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 3, 3], None, 2),
+            r"^y out of range 1\.\.2$",
+        ),
+        (dp_violation, ([1, 2, 1, 2], [1, 2, 3, 1], 2), r"^s out of range 1\.\.2$"),
+        (eo_violation, ([1, 2, 0, 1], [1, 2, 1, 2], [1, 1, 2, 2]), r"^preds out of range 1\.\.2$"),
+    ],
+    ids=["ermi_hard", "ermi_conditional", "dp_violation", "eo_violation"],
+)
+def test_hard_metrics_reject_out_of_range_codes(metric, args, message):
+    with pytest.raises(ValueError, match=message):
+        metric(*args)
+
+
+def full_cell_dataset(rng, l, k, per_cell=4, d_x=3):
+    """Every (label, group) cell holds per_cell samples, in shuffled order."""
+    codes = np.repeat(np.arange(l * k), per_cell)
+    rng.shuffle(codes)
+    return TabularDataset.from_arrays(
+        rng.normal(size=(codes.size, d_x)), codes // k + 1, codes % k + 1, l=l, k=k
+    )
 
 
 def label_stats(ds, y):
@@ -652,7 +711,7 @@ class TestEoPsiGrads:
         for label in (1, 2):
             sub = label_slice(ds, label)
             assert np.allclose(w_star[label - 1], inner_max_closed_form(theta, sub)[0], atol=1e-12)
-            expected += (ds.labels == label).mean() * ermi_soft(theta, sub, sensitive_stats(sub))
+            expected += (ds.labels == label).mean() * ermi_soft(theta, sub)
         proba = forward(theta.weights, theta.bias, ds.features)
         _, _, value = saddle_terms(proba, w_star, inv_sqrt, cells)
         assert value == pytest.approx(expected, abs=1e-9)

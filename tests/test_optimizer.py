@@ -375,12 +375,11 @@ class TestStationarityGap:
 
     def test_small_at_numeric_minimizer(self):
         ds = synth_dataset(SyntheticSpec(n=40, d_x=2, bias=0.7, noise_scale=1.0, seed=9))
-        stats = sensitive_stats(ds)
         lam = 0.1
 
         def objective(vec):
             params = ModelParams.from_vector(vec, 2, 2)
-            return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(ds=ds, theta=params, stats=stats)
+            return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(ds=ds, theta=params)
 
         result = minimize(objective, np.zeros(6), method="BFGS", options={"gtol": 1e-8, "maxiter": 2000})
         gap = stationarity_gap(ModelParams.from_vector(result.x, 2, 2), ds, FermiConfig(lam))
@@ -388,14 +387,13 @@ class TestStationarityGap:
 
     def test_matches_envelope_finite_differences(self):
         ds = synth_dataset(SyntheticSpec(n=30, d_x=2, bias=0.5, noise_scale=1.0, seed=10))
-        stats = sensitive_stats(ds)
         lam = 0.3
         rng = np.random.default_rng(1)
         theta = ModelParams(rng.normal(scale=0.5, size=(2, 2)), rng.normal(scale=0.5, size=2))
 
         def objective(vec):
             params = ModelParams.from_vector(vec, 2, 2)
-            return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(params, ds, stats)
+            return mean_loss(params, ds.features, ds.labels) + lam * ermi_soft(params, ds)
 
         fd = central_diff_grad(objective, theta.as_vector())
         gap = stationarity_gap(theta, ds, FermiConfig(lam))
@@ -413,11 +411,11 @@ class TestStationarityGap:
         for y in range(1, l + 1):
             mask = ds.labels == y
             sub = TabularDataset(ds.features[mask], ds.labels[mask], ds.sensitive[mask], l, k)
-            slices.append((mask.mean(), sub, sensitive_stats(sub)))
+            slices.append((mask.mean(), sub))
 
         def objective(vec):
             params = ModelParams.from_vector(vec, l, 3)
-            penalty = sum(p_y * ermi_soft(params, sub, st) for p_y, sub, st in slices)
+            penalty = sum(p_y * ermi_soft(params, sub) for p_y, sub in slices)
             return mean_loss(params, ds.features, ds.labels) + lam * penalty
 
         fd = central_diff_grad(objective, theta.as_vector())

@@ -6,7 +6,6 @@ import pytest
 from fairdp.classifier import ModelParams, proba_lipschitz_bound
 from fairdp.dataset import sensitive_stats
 from fairdp.exceptions import CalibrationError
-from fairdp.fairness import mean_psi_terms
 from fairdp.harness import SyntheticSpec, synth_dataset
 from fairdp.privacy import (
     NoiseScales,
@@ -18,6 +17,7 @@ from fairdp.privacy import (
     min_iterations,
     sensitivity_bounds,
 )
+from helpers import dp_saddle_terms
 
 BUDGET = PrivacyBudget(1.0, 1e-5)
 
@@ -168,8 +168,8 @@ class TestAudit:
         rng = np.random.default_rng(3)
         theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
         w = rng.uniform(-1, 1, size=(2, 2))
-        a = mean_psi_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
-        b = mean_psi_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
+        a = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
+        b = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_flip_outside_batch_leaves_gradient_unchanged(self):
@@ -181,8 +181,8 @@ class TestAudit:
         batch = np.arange(10)
         flipped = ds.sensitive.copy()
         flipped[20] = 3 - flipped[20]  # index 20 is outside the batch
-        a = mean_psi_terms(theta, w, ds.features[batch], ds.sensitive[batch], stats)
-        b = mean_psi_terms(theta, w, ds.features[batch], flipped[batch], stats)
+        a = dp_saddle_terms(theta, w, ds.features[batch], ds.sensitive[batch], stats)
+        b = dp_saddle_terms(theta, w, ds.features[batch], flipped[batch], stats)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_observed_never_exceeds_bound(self):
