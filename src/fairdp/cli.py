@@ -124,8 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clip(value: float) -> float | None:
+    """clip_theta from --clip: a finite value >= 0, where 0 turns clipping off."""
+    if not 0 <= value < math.inf:
+        raise ValueError("--clip must be finite and nonnegative")
+    return value if value > 0 else None
+
+
 def _cmd_train(args) -> int:
-    clip = args.clip if args.clip > 0 else None
+    clip = _clip(args.clip)
     require_clip_for_all_features(GRANULARITY_FLAGS[args.granularity], clip)
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     train, test = train_test_split(ds, 0.25, args.seed)
@@ -190,7 +197,7 @@ def _cmd_sweep(args) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
         box_radius=args.box_radius,
-        clip_theta=args.clip if args.clip > 0 else None,
+        clip_theta=_clip(args.clip),
         master_seed=args.seed,
         label_col=args.label_col,
         sensitive_col=args.sensitive_col,

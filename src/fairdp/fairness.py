@@ -31,6 +31,7 @@ block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class FermiConfig:
     notion: str = DEMOGRAPHIC_PARITY
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:  # also rejects NaN
+            raise ValueError("lam must be finite and nonnegative")
         if self.notion not in (DEMOGRAPHIC_PARITY, EQUALIZED_ODDS):
             raise ValueError(f"unknown fairness notion {self.notion!r}")
 
@@ -91,13 +92,19 @@ def strata(
     return cells, (counts / counts.sum(axis=1, keepdims=True)) ** -0.5
 
 
-def _cell_sums(proba: np.ndarray, cells: np.ndarray, n_strata: int, k: int) -> np.ndarray:
-    """(C, k, l) sums of class-major probabilities (l, m) per cell code.
+def _class_codes(cells: np.ndarray, l: int, n_cells: int) -> np.ndarray:
+    """(l, m) codes j * n_cells + cell of class j and each 0-based cell code:
+    the flat index of a class-major (l, C k) table."""
+    return cells + np.arange(0, l * n_cells, n_cells)[:, None]
 
-    One bincount over the combined (class, cell) code; cells are 0-based.
+
+def _cell_sums(proba: np.ndarray, codes: np.ndarray, n_strata: int, k: int) -> np.ndarray:
+    """(C, k, l) sums of class-major probabilities (l, m) per cell.
+
+    codes (l, m) are the _class_codes of the samples' cells; the sums are
+    one bincount over them.
     """
     l = proba.shape[0]
-    codes = cells + (n_strata * k * np.arange(l))[:, None]
     flat = np.bincount(codes.ravel(), weights=proba.ravel(), minlength=l * n_strata * k)
     return flat.reshape(l, n_strata * k).T.reshape(n_strata, k, l)
 
@@ -166,7 +173,8 @@ def ermi_soft(
     """
     cells, inv_sqrt = strata(ds, notion)
     proba = forward(theta.weights, theta.bias, ds.features)
-    return _stratified_ermi(_cell_sums(proba, cells, *inv_sqrt.shape))
+    codes = _class_codes(cells, ds.l, inv_sqrt.size)
+    return _stratified_ermi(_cell_sums(proba, codes, *inv_sqrt.shape))
 
 
 def ermi_conditional(
@@ -251,16 +259,18 @@ def saddle_terms(
     """
     n_strata, k, l = w.shape
     m = cells.shape[0]
-    blocks = w.reshape(n_strata * k, l)
-    # per-cell psi coefficients: -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c))
-    diag_quad = np.repeat((w * w).sum(axis=1), k, axis=0)
-    table = (2.0 * inv_sqrt.reshape(-1, 1) * blocks - diag_quad).T.copy()  # (l, C k)
-    coeffs = table.take(cells, axis=1)  # (l, m)
+    # one (class, cell) code per entry of proba, for the gather and the joints
+    codes = _class_codes(cells, l, n_strata * k)
+    # per-cell psi coefficients -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c)),
+    # flattened class-major like the codes
+    diag_quad = (w * w).sum(axis=1)
+    table = 2.0 * inv_sqrt[:, :, None] * w - diag_quad[:, None, :]
+    coeffs = table.transpose(2, 0, 1).ravel().take(codes)  # (l, m)
     per_sample = (proba * coeffs).sum(axis=0)  # c . F
     # the logit gradient of c . F is diag(F) c - F (F . c)
     coeffs -= per_sample
     coeffs *= proba
-    joint = _cell_sums(proba, cells, n_strata, k)
+    joint = _cell_sums(proba, codes, n_strata, k)
     marginal = joint.sum(axis=1, keepdims=True)
     grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
     return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
@@ -292,7 +302,8 @@ def _inner_max(proba: np.ndarray, cells: np.ndarray, inv_sqrt: np.ndarray) -> np
     """Closed-form (C, k, l) maximizer from class-major probabilities of every sample."""
     n_strata, k = inv_sqrt.shape
     # joint[c, r, j] = p(j, r | c) and marginal[c, j] = p(j | c)
-    joint = _cell_sums(proba, cells, n_strata, k)
+    codes = _class_codes(cells, proba.shape[0], n_strata * k)
+    joint = _cell_sums(proba, codes, n_strata, k)
     joint /= np.bincount(cells // k, minlength=n_strata)[:, None, None]
     marginal = joint.sum(axis=1)
     saturated = marginal.min(axis=1, keepdims=True) <= 0.0

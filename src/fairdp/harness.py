@@ -134,8 +134,8 @@ class ExperimentConfig:
     sensitive_col: str = "sensitive"
 
     def __post_init__(self):
-        if any(lam < 0 for lam in self.lambdas) or not self.lambdas:
-            raise ValueError("lambda values must be nonnegative and nonempty")
+        if not self.lambdas or not all(0 <= lam < math.inf for lam in self.lambdas):
+            raise ValueError("lambda values must be finite, nonnegative and nonempty")
         if any(eps <= 0 for eps in self.epsilons) or not self.epsilons:
             raise ValueError("epsilon values must be positive and nonempty")
         if self.trials < 1:

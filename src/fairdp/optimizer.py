@@ -22,8 +22,20 @@ notions share one dual layout, set up once per run by fairness.strata: a
 (C, k, l) array with (C, k) group inverse square roots, where demographic
 parity is the single stratum C = 1 and equalized odds has one stratum per
 label class, C = l. Each sample's cell code stratum * k + group is
-precomputed, so the joints are one bincount per step, and the final dual
-comes back as the raw (C, k, l) array.
+precomputed; saddle_terms turns the batch's codes into one (class, cell)
+code array per step, which serves both the gather of the per-cell psi
+coefficients and the one bincount of the joints. The final dual comes back
+as the raw (C, k, l) array.
+
+At lam = 0 every saddle term enters the update multiplied by zero, so the
+step skips them: no saddle_terms call, theta takes the plain loss step and
+W moves by projected noise alone, W <- Pi_box(W + eta_w * V_t). The draws
+are the same (batch, u_t, V_t), and adding 0 * x to a number leaves it as
+it is for any finite x (up to the sign of a zero), so params, dual and trace
+equal those of the full step; the trace records the cross-entropy as the
+objective and 0 as the dual gradient norm. The full step differs only where
+its saddle terms are not finite, which needs |W| above about 1e154: there
+it turns theta into NaN, although the lam = 0 objective does not depend on W.
 
 stationarity_gap measures how far a model is from a stationary point of the
 envelope max_W F(theta, W), using the closed-form inner maximum on the same
@@ -33,6 +45,7 @@ layout for both notions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +81,15 @@ class SgdaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta_theta <= 0 or self.eta_w <= 0:
-            raise ValueError("step sizes must be positive")
+        # 0 < v < inf also rejects NaN, which fails every comparison
+        if not (0 < self.eta_theta < math.inf and 0 < self.eta_w < math.inf):
+            raise ValueError("step sizes must be positive and finite")
         if self.T < 1 or self.m < 1:
             raise ValueError("T and m must be positive")
-        if self.box_radius <= 0:
-            raise ValueError("box_radius must be positive")
-        if self.clip_theta is not None and self.clip_theta <= 0:
-            raise ValueError("clip_theta must be positive when given")
+        if not 0 < self.box_radius < math.inf:
+            raise ValueError("box_radius must be positive and finite")
+        if self.clip_theta is not None and not 0 < self.clip_theta < math.inf:
+            raise ValueError("clip_theta must be positive and finite when given")
         if self.iterate_rule not in (LAST, UNIFORM_RANDOM):
             raise ValueError(f"unknown iterate rule {self.iterate_rule!r}")
 
@@ -94,12 +108,12 @@ def project_box(w: np.ndarray, radius: float) -> np.ndarray:
     """Entrywise clamp to [-radius, radius]."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return np.clip(w, -radius, radius)
+    return w.clip(-radius, radius)
 
 
 def _check_finite(arrays, iteration: int, what: str) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DivergenceError(iteration, what)
 
 
@@ -185,23 +199,24 @@ def dp_fermi_train(
             d_loss = loss_dlogits(
                 proba, labels, config.clip_theta, None if scale is None else scale.take(batch)
             )
-            d_psi, g_w, psi_val = saddle_terms(proba, w, inv_sqrt, cells.take(batch))
-            g_theta = mean_param_grad(d_loss + lam * d_psi, x)
+            if lam > 0:
+                d_psi, g_w, psi_val = saddle_terms(proba, w, inv_sqrt, cells.take(batch))
+                d_loss += lam * d_psi
+            g_theta = mean_param_grad(d_loss, x)
             u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
             v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
             theta -= config.eta_theta * (g_theta + noise_weight * u)
-            w = project_box(w + config.eta_w * (lam * g_w + v), config.box_radius)
+            if lam > 0:
+                v = lam * g_w + v
+            w = project_box(w + config.eta_w * v, config.box_radius)
             _check_finite((theta, w), t, "iterates")
             if t == chosen:
                 snapshot = theta.copy()
             if tracer.records is not None and t % tracer.every == 0:
-                tracer.log(
-                    t,
-                    mean_cross_entropy(proba, labels) + lam * psi_val,
-                    np.linalg.norm(g_theta),
-                    np.linalg.norm(lam * g_w),
-                    np.abs(w).max(),
-                )
+                objective, g_w_norm = mean_cross_entropy(proba, labels), 0.0
+                if lam > 0:
+                    objective, g_w_norm = objective + lam * psi_val, np.linalg.norm(lam * g_w)
+                tracer.log(t, objective, np.linalg.norm(g_theta), g_w_norm, np.abs(w).max())
     finally:
         tracer.close()
     return TrainResult(

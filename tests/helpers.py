@@ -1,15 +1,26 @@
-"""Shared independent oracles: central finite differences, error norms and
-the row-by-row CSV reader and writer the chunked ones are checked against."""
+"""Shared independent oracles: central finite differences, error norms, the
+row-by-row CSV reader and writer the chunked ones are checked against, and
+a training loop that computes the saddle terms at every step, which
+dp_fermi_train must match bit for bit."""
 
 import csv
 import math
 
 import numpy as np
 
-from fairdp.classifier import forward, mean_param_grad
-from fairdp.dataset import TabularDataset
-from fairdp.exceptions import EmptyDatasetError, ParseError, SchemaError
-from fairdp.fairness import saddle_terms
+from fairdp.classifier import (
+    ModelParams,
+    forward,
+    gradient_scale,
+    loss_dlogits,
+    mean_cross_entropy,
+    mean_param_grad,
+)
+from fairdp.dataset import TabularDataset, minibatch
+from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
+from fairdp.fairness import saddle_terms, strata
+from fairdp.optimizer import TrainResult, _pick_iterate, _TraceWriter
+from fairdp.privacy import gaussian_noise
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -117,3 +128,95 @@ def reference_write_csv(ds, path):
                 [f"{v:.10g}" for v in ds.features[i]]
                 + [int(ds.labels[i]), int(ds.sensitive[i])]
             )
+
+
+def reference_saddle_terms(proba, w, inv_sqrt, cells):
+    """saddle_terms written with an axis-1 gather of the per-cell
+    coefficients and a separate code array for the joints: the reference
+    saddle_terms must match bit for bit."""
+    n_strata, k, l = w.shape
+    m = cells.shape[0]
+    blocks = w.reshape(n_strata * k, l)
+    diag_quad = np.repeat((w * w).sum(axis=1), k, axis=0)
+    table = (2.0 * inv_sqrt.reshape(-1, 1) * blocks - diag_quad).T.copy()  # (l, C k)
+    coeffs = table.take(cells, axis=1)  # (l, m)
+    per_sample = (proba * coeffs).sum(axis=0)
+    coeffs -= per_sample
+    coeffs *= proba
+    codes = cells + (n_strata * k * np.arange(l))[:, None]
+    flat = np.bincount(codes.ravel(), weights=proba.ravel(), minlength=l * n_strata * k)
+    joint = flat.reshape(l, n_strata * k).T.reshape(n_strata, k, l)
+    marginal = joint.sum(axis=1, keepdims=True)
+    grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
+    return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
+
+
+def reference_train(
+    ds,
+    theta0,
+    fermi,
+    config,
+    noise,
+    rng=None,
+    trace_every=0,
+    trace_path=None,
+    noise_in_lambda_bracket=True,
+):
+    """dp_fermi_train without the lam = 0 shortcut: every step computes the
+    saddle terms (reference_saddle_terms) and scales them by lam, whatever
+    lam is."""
+    if config.m > ds.n:
+        raise ValueError(f"batch size {config.m} exceeds n={ds.n}")
+    if theta0.d_x != ds.d_x or theta0.l != ds.l:
+        raise ValueError("model dimensions do not match the dataset")
+    rng = np.random.default_rng(config.seed) if rng is None else rng
+    cells, inv_sqrt = strata(ds, fermi.notion)
+    scale = None if config.clip_theta is None else gradient_scale(ds.features)
+    w = np.zeros((inv_sqrt.shape[0], ds.k, ds.l))
+    theta = theta0.as_vector()
+    weights = theta[: ds.l * ds.d_x].reshape(ds.l, ds.d_x)
+    bias = theta[ds.l * ds.d_x :]
+    lam = fermi.lam
+    noise_weight = lam if noise_in_lambda_bracket else 1.0
+    chosen = _pick_iterate(rng, config.iterate_rule, config.T)
+    snapshot = theta.copy()
+    tracer = _TraceWriter(trace_every, trace_path)
+
+    try:
+        for t in range(1, config.T + 1):
+            batch = minibatch(ds.n, config.m, rng)
+            x = ds.features.take(batch, axis=0)
+            labels = ds.labels.take(batch)
+            try:
+                proba = forward(weights, bias, x)
+            except FloatingPointError:
+                raise DivergenceError(t, "logits") from None
+            d_loss = loss_dlogits(
+                proba, labels, config.clip_theta, None if scale is None else scale.take(batch)
+            )
+            d_psi, g_w, psi_val = reference_saddle_terms(proba, w, inv_sqrt, cells.take(batch))
+            g_theta = mean_param_grad(d_loss + lam * d_psi, x)
+            u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
+            v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
+            theta -= config.eta_theta * (g_theta + noise_weight * u)
+            w = np.clip(w + config.eta_w * (lam * g_w + v), -config.box_radius, config.box_radius)
+            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
+                raise DivergenceError(t, "iterates")
+            if t == chosen:
+                snapshot = theta.copy()
+            if tracer.records is not None and t % tracer.every == 0:
+                tracer.log(
+                    t,
+                    mean_cross_entropy(proba, labels) + lam * psi_val,
+                    np.linalg.norm(g_theta),
+                    np.linalg.norm(lam * g_w),
+                    np.abs(w).max(),
+                )
+    finally:
+        tracer.close()
+    return TrainResult(
+        params=ModelParams.from_vector(snapshot, ds.l, ds.d_x),
+        dual=w,
+        trace=tracer.records,
+        chosen_iterate=chosen,
+    )

@@ -173,6 +173,56 @@ class TestExitCodes:
         assert "requires loss-gradient clipping" in capsys.readouterr().err
 
 
+class TestHyperparameterValidation:
+    """Non-finite hyperparameters and a negative clip are configuration
+    errors (exit 2) before any training step, not silent defaults or
+    divergences."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--clip", "nan", "--clip must be finite and nonnegative"),
+            ("--clip", "inf", "--clip must be finite and nonnegative"),
+            ("--clip", "-1", "--clip must be finite and nonnegative"),
+            ("--eta-w", "inf", "step sizes must be positive and finite"),
+            ("--eta-theta", "nan", "step sizes must be positive and finite"),
+            ("--lambda", "nan", "lam must be finite and nonnegative"),
+            ("--lambda", "inf", "lam must be finite and nonnegative"),
+        ],
+    )
+    def test_train_rejects(self, synth_csv, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "model.json"
+        code = main(
+            [
+                "train", "--dataset", str(synth_csv), "--epsilon", "3", "--epochs", "5",
+                "--batch-size", "64", flag, value, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--clip", "nan"], "--clip must be finite and nonnegative"),
+            (["--lambda", "0", "nan"], "lambda values must be finite, nonnegative and nonempty"),
+        ],
+    )
+    def test_sweep_rejects(self, synth_csv, tmp_path, capsys, flags, message):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep", "--dataset", str(synth_csv), "--epsilon", "3", "--epochs", "5",
+                "--batch-size", "64", *flags, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_writes_deterministic_csv(self, synth_csv, tmp_path):
         args = [

@@ -722,6 +722,11 @@ class TestFermiConfig:
         with pytest.raises(ValueError):
             FermiConfig(-0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            FermiConfig(lam)
+
     def test_unknown_notion_rejected(self):
         with pytest.raises(ValueError):
             FermiConfig(1.0, "parity_of_some_kind")

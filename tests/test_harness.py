@@ -144,6 +144,12 @@ class TestRunSweep:
         assert [rec.status for rec in records] == ["diverged", "diverged"]
         assert all(math.isnan(rec.test_error) for rec in records)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected_before_any_cell(self, lam):
+        # the config rejects it up front, so earlier lambdas are not trained first
+        with pytest.raises(ValueError, match="finite"):
+            cheap_config(lambdas=(0.0, lam))
+
     def test_all_features_privacy_requires_clip(self):
         with pytest.raises(CalibrationError):
             cheap_config(granularity=ALL_FEATURES, clip_theta=None)

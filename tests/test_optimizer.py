@@ -32,7 +32,7 @@ from fairdp.optimizer import (
     stationarity_gap,
 )
 from fairdp.privacy import NoiseScales
-from helpers import central_diff_grad, rel_error
+from helpers import central_diff_grad, reference_train, rel_error
 
 
 def small_config(**kw):
@@ -193,11 +193,12 @@ class TestDpFermiTrain:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_reports_iteration(self):
+        # the dual stays in its finite box, so the theta step has to overflow
         ds = separable(n=60, seed=5)
-        config = SgdaConfig(eta_theta=0.1, eta_w=1e308, T=20, m=10, box_radius=np.inf, seed=0)
+        config = SgdaConfig(eta_theta=1e308, eta_w=0.1, T=20, m=10, box_radius=1.0, seed=0)
         with pytest.raises(DivergenceError, match="non-finite iterates") as err:
             dp_fermi_train(
-                ds, ModelParams.zeros(2, 5), FermiConfig(0.0), config, NoiseScales(0.0, 100.0)
+                ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, NoiseScales(100.0, 0.0)
             )
         assert err.value.iteration == 1
 
@@ -364,6 +365,79 @@ class TestFusedStep:
         )
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    @pytest.mark.parametrize("lam, expected", [(0.0, 0), (1.0, 7)])
+    def test_saddle_terms_only_when_lambda_positive(self, notion, lam, expected, monkeypatch):
+        calls = []
+        original = optimizer.saddle_terms
+
+        def counting_saddle_terms(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(optimizer, "saddle_terms", counting_saddle_terms)
+        ds = separable(n=100, seed=13, bias=0.5)
+        config = SgdaConfig(
+            eta_theta=0.02, eta_w=0.02, T=7, m=25, box_radius=1.0, clip_theta=1.0, seed=3
+        )
+        dp_fermi_train(
+            ds, ModelParams.zeros(2, 5), FermiConfig(lam, notion), config, NoiseScales(0.01, 0.01)
+        )
+        assert len(calls) == expected
+
+
+class TestAgainstReferenceLoop:
+    """dp_fermi_train against reference_train, which computes and scales the
+    saddle terms at every step: params, dual, trace and chosen iterate must
+    agree bit for bit, including at lam = 0, where dp_fermi_train skips them."""
+
+    @staticmethod
+    def assert_same(ds, fermi, config, noise, tmp_path, **kw):
+        runs = []
+        for name, train in (("fused", dp_fermi_train), ("reference", reference_train)):
+            path = tmp_path / f"{name}.jsonl"
+            result = train(
+                ds, ModelParams.zeros(ds.l, ds.d_x), fermi, config, noise,
+                trace_every=3, trace_path=path, **kw,
+            )
+            runs.append((result, path.read_bytes()))
+        (fused, fused_log), (ref, ref_log) = runs
+        assert fused.params.as_vector().tobytes() == ref.params.as_vector().tobytes()
+        assert fused.dual.tobytes() == ref.dual.tobytes()
+        assert repr(fused.trace) == repr(ref.trace)
+        assert fused_log == ref_log
+        assert fused.chosen_iterate == ref.chosen_iterate
+
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    def test_matches_reference(self, notion, lam, clip, tmp_path):
+        ds = synth_dataset(SyntheticSpec(n=150, d_x=4, k=3, l=3, bias=0.6, seed=21))
+        config = SgdaConfig(
+            eta_theta=0.1, eta_w=0.5, T=40, m=32, box_radius=0.5, clip_theta=clip, seed=5
+        )
+        noise = NoiseScales(0.02, 0.05)
+        self.assert_same(ds, FermiConfig(lam, notion), config, noise, tmp_path)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_matches_reference_with_uniform_random_iterate(self, lam, tmp_path):
+        ds = separable(n=100, seed=4, bias=0.6)
+        config = SgdaConfig(
+            eta_theta=0.05, eta_w=0.05, T=30, m=25, box_radius=1.0,
+            iterate_rule=UNIFORM_RANDOM, seed=11,
+        )
+        noise = NoiseScales(0.01, 0.01)
+        self.assert_same(ds, FermiConfig(lam, EQUALIZED_ODDS), config, noise, tmp_path)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_matches_reference_with_noise_outside_bracket(self, lam, tmp_path):
+        ds = separable(n=100, seed=6, bias=0.4)
+        config = SgdaConfig(eta_theta=0.02, eta_w=0.02, T=30, m=25, box_radius=1.0, seed=8)
+        noise = NoiseScales(0.05, 0.05)
+        self.assert_same(
+            ds, FermiConfig(lam), config, noise, tmp_path, noise_in_lambda_bracket=False
+        )
+
 
 class TestStationarityGap:
     def test_lambda_zero_is_loss_grad_norm(self):
@@ -435,3 +509,10 @@ class TestSgdaConfigValidation:
             small_config(iterate_rule="best")
         with pytest.raises(ValueError):
             small_config(clip_theta=0.0)
+
+    @pytest.mark.parametrize("field", ["eta_theta", "eta_w", "box_radius", "clip_theta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        # NaN fails every comparison, so a bare "<= 0" check would let it through
+        with pytest.raises(ValueError, match="finite"):
+            small_config(**{field: value})
