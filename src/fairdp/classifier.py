@@ -7,6 +7,10 @@ gradients through the features to a mean parameter gradient. The training
 step calls them directly; the batch helpers (mean_loss, mean_loss_grad) are
 thin wrappers over them, and the per-sample functions (loss, loss_grad,
 jacobian_proba) are the exact references they are tested against.
+The three kernels follow numpy's `out=` convention: given a buffer, they
+write their result into it and return it, with the same arithmetic in
+the same order as the allocating call, so the two agree bit for bit. The
+training step passes the buffers of its per-run workspace.
 Parameter vectors are flattened as concat(weights row-major, bias).
 """
 
@@ -68,15 +72,18 @@ class ModelParams:
         return np.concatenate([self.weights.ravel(), self.bias])
 
 
-def forward(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+def forward(
+    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Class-major softmax probabilities of the rows of x.
 
     weights (l, d_x), bias (l,) and a batch x (m, d_x) give an (l, m) array
     whose column i is F(x_i, theta). The class axis comes first so the max
     and sum reductions of the softmax run across contiguous rows. Raises
-    FloatingPointError if a logit is not finite.
+    FloatingPointError if a logit is not finite. Given a C-contiguous (l, m)
+    float64 `out`, the probabilities are written into it and it is returned.
     """
-    logits = weights @ x.T
+    logits = np.matmul(weights, x.T, out=out)
     logits += bias[:, None]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
@@ -160,24 +167,39 @@ def loss_dlogits(
     labels: np.ndarray,
     clip: float | None = None,
     scale: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample cross-entropy gradients in the logits, class-major (l, m).
 
     Column i is F(x_i) - onehot(y_i). With `clip`, each column is rescaled
     so that the sample's full gradient norm, its column norm times
-    scale[i] = gradient_scale(x_i), is at most `clip`.
+    scale[i] = gradient_scale(x_i), is at most `clip`. An (l, m) float64
+    `out` receives the gradients and is returned.
     """
-    dlogits = proba - (labels == np.arange(1, proba.shape[0] + 1)[:, None])
+    onehot = labels == np.arange(1, proba.shape[0] + 1)[:, None]
+    dlogits = np.subtract(proba, onehot, out=out)
     if clip is not None:
         norms = np.sqrt((dlogits * dlogits).sum(axis=0)) * scale
         dlogits *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))
     return dlogits
 
 
-def mean_param_grad(dlogits: np.ndarray, x: np.ndarray) -> np.ndarray:
+def mean_param_grad(
+    dlogits: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Batch mean of per-sample parameter gradients from class-major logit
-    gradients (l, m): flattened as concat(weights row-major, bias)."""
-    return np.concatenate([(dlogits @ x).ravel(), dlogits.sum(axis=1)]) / x.shape[0]
+    gradients (l, m): flattened as concat(weights row-major, bias).
+
+    The weight and bias parts are written straight into their slices of
+    the flat vector, which is `out` if given (contiguous float64, length
+    l * d_x + l).
+    """
+    l, d_x = dlogits.shape[0], x.shape[1]
+    out = np.empty(l * d_x + l) if out is None else out
+    np.matmul(dlogits, x, out=out[: l * d_x].reshape(l, d_x))
+    dlogits.sum(axis=1, out=out[l * d_x :])
+    out /= x.shape[0]
+    return out
 
 
 def mean_loss_grad(

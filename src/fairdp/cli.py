@@ -246,6 +246,8 @@ def _cmd_audit(args) -> int:
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     if args.box_radius <= 0:
         raise ValueError("box_radius must be positive")
+    if not math.isfinite(args.box_radius):
+        raise ValueError("box_radius must be finite")
     rng = np.random.default_rng(args.seed)
     theta = ModelParams(
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)

@@ -92,21 +92,24 @@ def strata(
     return cells, (counts / counts.sum(axis=1, keepdims=True)) ** -0.5
 
 
-def _class_codes(cells: np.ndarray, l: int, n_cells: int) -> np.ndarray:
-    """(l, m) codes j * n_cells + cell of class j and each 0-based cell code:
-    the flat index of a class-major (l, C k) table."""
-    return cells + np.arange(0, l * n_cells, n_cells)[:, None]
+def _table_codes(cells: np.ndarray, l: int) -> np.ndarray:
+    """(l, m) flat indices cell * l + j into a (C, k, l) table.
+
+    Entry (j, i) addresses class j in the cell of sample i, so the codes
+    line up with class-major (l, m) probabilities.
+    """
+    return cells * l + np.arange(l)[:, None]
 
 
 def _cell_sums(proba: np.ndarray, codes: np.ndarray, n_strata: int, k: int) -> np.ndarray:
     """(C, k, l) sums of class-major probabilities (l, m) per cell.
 
-    codes (l, m) are the _class_codes of the samples' cells; the sums are
+    codes (l, m) are the _table_codes of the samples' cells; the sums are
     one bincount over them.
     """
     l = proba.shape[0]
-    flat = np.bincount(codes.ravel(), weights=proba.ravel(), minlength=l * n_strata * k)
-    return flat.reshape(l, n_strata * k).T.reshape(n_strata, k, l)
+    flat = np.bincount(codes.ravel(), weights=proba.ravel(), minlength=n_strata * k * l)
+    return flat.reshape(n_strata, k, l)
 
 
 def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) -> np.ndarray:
@@ -173,8 +176,7 @@ def ermi_soft(
     """
     cells, inv_sqrt = strata(ds, notion)
     proba = forward(theta.weights, theta.bias, ds.features)
-    codes = _class_codes(cells, ds.l, inv_sqrt.size)
-    return _stratified_ermi(_cell_sums(proba, codes, *inv_sqrt.shape))
+    return _stratified_ermi(_cell_sums(proba, _table_codes(cells, ds.l), *inv_sqrt.shape))
 
 
 def ermi_conditional(
@@ -242,8 +244,15 @@ def psi_grad_w(
 
 
 def saddle_terms(
-    proba: np.ndarray, w: np.ndarray, inv_sqrt: np.ndarray, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+    proba: np.ndarray,
+    w: np.ndarray,
+    inv_sqrt: np.ndarray,
+    cells: np.ndarray | None,
+    out: np.ndarray | None = None,
+    *,
+    codes: np.ndarray | None = None,
+    value: bool = True,
+) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Batch saddle terms for both fairness notions in one dual layout.
 
     The dual w is (C, k, l): one k x l block per conditioning stratum, with
@@ -255,17 +264,22 @@ def saddle_terms(
     Returns the per-sample logit gradients of psi (l, m), to be chained
     through the features with mean_param_grad; the batch-mean dual gradient
     (C, k, l), where each block sums its own samples and divides by the full
-    batch size; and the batch-mean psi value.
+    batch size; and the batch-mean psi value, or None with value=False.
+    An (l, m) float64 `out` receives the logit gradients and is returned in
+    their place. A caller that already holds the batch's (l, m) table codes
+    (_table_codes of its cells) passes them as `codes` and None for cells.
     """
     n_strata, k, l = w.shape
-    m = cells.shape[0]
-    # one (class, cell) code per entry of proba, for the gather and the joints
-    codes = _class_codes(cells, l, n_strata * k)
-    # per-cell psi coefficients -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c)),
-    # flattened class-major like the codes
+    m = proba.shape[1]
+    # one flat (cell, class) index per entry of proba, for the gather and the joints
+    codes = _table_codes(cells, l) if codes is None else codes
+    # per-cell psi coefficients -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c))
     diag_quad = (w * w).sum(axis=1)
     table = 2.0 * inv_sqrt[:, :, None] * w - diag_quad[:, None, :]
-    coeffs = table.transpose(2, 0, 1).ravel().take(codes)  # (l, m)
+    # every code indexes the flat table (an out-of-range one would also
+    # break the bincount below), and mode="clip" lets take write straight
+    # into `out`, where mode="raise" copies through a temporary
+    coeffs = table.ravel().take(codes, out=out, mode="clip")  # (l, m)
     per_sample = (proba * coeffs).sum(axis=0)  # c . F
     # the logit gradient of c . F is diag(F) c - F (F . c)
     coeffs -= per_sample
@@ -273,7 +287,7 @@ def saddle_terms(
     joint = _cell_sums(proba, codes, n_strata, k)
     marginal = joint.sum(axis=1, keepdims=True)
     grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
-    return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
+    return coeffs, grad_w, float(per_sample.sum() / m - 1.0) if value else None
 
 
 def psi_grad_theta(
@@ -302,8 +316,7 @@ def _inner_max(proba: np.ndarray, cells: np.ndarray, inv_sqrt: np.ndarray) -> np
     """Closed-form (C, k, l) maximizer from class-major probabilities of every sample."""
     n_strata, k = inv_sqrt.shape
     # joint[c, r, j] = p(j, r | c) and marginal[c, j] = p(j | c)
-    codes = _class_codes(cells, proba.shape[0], n_strata * k)
-    joint = _cell_sums(proba, codes, n_strata, k)
+    joint = _cell_sums(proba, _table_codes(cells, proba.shape[0]), n_strata, k)
     joint /= np.bincount(cells // k, minlength=n_strata)[:, None, None]
     marginal = joint.sum(axis=1)
     saturated = marginal.min(axis=1, keepdims=True) <= 0.0

@@ -41,14 +41,14 @@ from .fairness import saddle_terms, strata
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(epsilon, delta) pair; requires epsilon <= 2 ln(1/delta)."""
+    """(epsilon, delta) pair; requires a finite epsilon <= 2 ln(1/delta)."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise CalibrationError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # also rejects NaN
+            raise CalibrationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise CalibrationError("delta must lie in (0, 1)")
         if self.epsilon > 2.0 * math.log(1.0 / self.delta):
@@ -86,6 +86,16 @@ class SensitivityBounds:
     delta_w: float
 
 
+def _check_calibration_inputs(rho: float, L_theta: float, D: float) -> None:
+    """Reject a group floor outside (0, 1] and a non-finite or nonpositive
+    Lipschitz constant or box radius, naming the parameter."""
+    if not 0.0 < rho <= 1.0:
+        raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
+    for name, value in (("Lipschitz constant L_theta", L_theta), ("box radius D", D)):
+        if not 0.0 < value < math.inf:
+            raise CalibrationError(f"{name} must be positive and finite, got {value}")
+
+
 def _base(budget: PrivacyBudget, T: int, n: int) -> float:
     if T < 1 or n < 1:
         raise ValueError("T and n must be positive")
@@ -96,8 +106,7 @@ def calibrate_sensitive_only(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's sensitive attribute."""
-    if not 0.0 < rho <= 1.0:
-        raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
+    _check_calibration_inputs(rho, L_theta, D)
     base = _base(budget, T, n)
     return NoiseScales(
         sigma_theta_sq=16.0 * L_theta ** 2 * D ** 2 * base / rho,
@@ -109,8 +118,7 @@ def calibrate_all_features(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float, l: int
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's entire record."""
-    if not 0.0 < rho <= 1.0:
-        raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
+    _check_calibration_inputs(rho, L_theta, D)
     base = _base(budget, T, n)
     return NoiseScales(
         sigma_theta_sq=64.0 * L_theta ** 2 * D ** 2 * base / rho
@@ -121,15 +129,17 @@ def calibrate_all_features(
 
 def min_iterations(n: int, m: int, epsilon: float) -> int:
     """Smallest iteration count the calibration requires: ceil((n sqrt(eps) / 2m)^2)."""
-    if n < 1 or m < 1 or epsilon <= 0:
-        raise ValueError("n, m and epsilon must be positive")
+    if n < 1 or m < 1 or not 0.0 < epsilon < math.inf:
+        raise ValueError("n and m must be positive and epsilon positive and finite")
     value = n * n * epsilon / (4.0 * m * m)
     return max(1, math.ceil(value - 1e-9 * max(value, 1.0)))
 
 
 def sensitivity_bounds(D: float, L_theta: float, m: int, rho: float) -> SensitivityBounds:
     """Worst-case l2 change of the batch-averaged saddle gradients."""
-    if D <= 0 or L_theta <= 0 or m < 1 or not 0.0 < rho <= 1.0:
+    # `not x > 0` also rejects NaN; an infinite L_theta (saturated features)
+    # gives an infinite bound
+    if not (D > 0 and L_theta > 0) or m < 1 or not 0.0 < rho <= 1.0:
         raise ValueError("D, L_theta, m must be positive and rho in (0, 1]")
     return SensitivityBounds(
         delta_theta=math.sqrt(8.0 * D ** 2 * L_theta ** 2 / (m ** 2 * rho)),

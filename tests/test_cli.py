@@ -223,6 +223,65 @@ class TestHyperparameterValidation:
         assert not out.exists()
 
 
+class TestNonFinitePrivacyParameters:
+    """NaN and infinite privacy parameters exit 2 with an error line that
+    names the parameter, on every command that calibrates noise."""
+
+    ARGV = {
+        "train": ["train", "--dataset", "{csv}", "--epochs", "5", "--batch-size", "64",
+                  "--out", "{out}"],
+        "sweep": ["sweep", "--dataset", "{csv}", "--epochs", "5", "--batch-size", "64",
+                  "--out", "{out}"],
+        "calibrate": ["calibrate", "--n", "2000", "--batch-size", "100", "--rho", "0.4",
+                      "--epochs", "20", "--out", "{out}"],
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            (["--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+            (["--epsilon", "3", "--delta", "nan"], "delta must lie in (0, 1)"),
+            (["--epsilon", "3", "--box-radius", "nan"],
+             "box radius D must be positive and finite, got nan"),
+            (["--epsilon", "3", "--box-radius", "inf"],
+             "box radius D must be positive and finite, got inf"),
+        ],
+    )
+    def test_exit_2_naming_the_parameter(
+        self, synth_csv, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "out"
+        argv = [a.format(csv=synth_csv, out=out) for a in self.ARGV[command]]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--rho", "rho must lie in (0, 1], got {}"),
+            ("--l-theta", "Lipschitz constant L_theta must be positive and finite, got {}"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_calibrate_rejects_group_floor_and_lipschitz_constant(
+        self, tmp_path, capsys, flag, message, value
+    ):
+        argv = [a.format(out=tmp_path / "out") for a in self.ARGV["calibrate"]]
+        argv += ["--epsilon", "3", flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(value)}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_audit_rejects_non_finite_box_radius(self, synth_csv, capsys, value):
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: box_radius must be finite\n"
+
+
 class TestSweep:
     def test_sweep_writes_deterministic_csv(self, synth_csv, tmp_path):
         args = [

@@ -61,6 +61,12 @@ class TestProjectBox:
         with pytest.raises(ValueError):
             project_box(np.zeros((2, 2)), 0.0)
 
+    def test_out(self):
+        w = np.array([[-3.0, 0.5], [2.5, -0.25]])
+        out = np.full_like(w, np.nan)
+        assert project_box(w, 1.0, out=out) is out
+        assert out.tobytes() == project_box(w, 1.0).tobytes()
+
 
 def separable(n=400, seed=0, bias=0.0):
     return synth_dataset(SyntheticSpec(n=n, d_x=5, bias=bias, noise_scale=0.5, seed=seed))
@@ -292,6 +298,96 @@ def random_instance(rng, l, k, d_x=3, n=40):
     return TabularDataset(rng.normal(size=(n, d_x)), labels, groups, l, k)
 
 
+class TestKernelsWithOut:
+    """The step's kernels write into the buffers they are given: each returns
+    its buffer, holding bit for bit what the allocating call returns."""
+
+    @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
+    @pytest.mark.parametrize("clip", [None, 0.3])
+    def test_match_the_allocating_calls(self, notion, clip):
+        rng = np.random.default_rng(31)
+        ds = synth_dataset(SyntheticSpec(n=200, d_x=4, k=3, l=3, bias=0.6, seed=8))
+        batch = minibatch(ds.n, 64, rng)
+        x, labels = ds.features[batch], ds.labels[batch]
+        weights, bias = rng.normal(size=(ds.l, ds.d_x)), rng.normal(size=ds.l)
+        scale = None if clip is None else classifier.gradient_scale(x)
+        cells, inv_sqrt = fairness.strata(ds, notion)
+        cells = cells[batch]
+        codes = fairness._table_codes(cells, ds.l)
+        w = rng.uniform(-1.0, 1.0, size=(*inv_sqrt.shape, ds.l))
+
+        def check(expected, call):
+            out = np.full_like(expected, np.nan)  # every entry must be written
+            assert call(out) is out
+            assert out.tobytes() == expected.tobytes()
+
+        proba = classifier.forward(weights, bias, x)
+        check(proba, lambda out: classifier.forward(weights, bias, x, out=out))
+        d_loss = classifier.loss_dlogits(proba, labels, clip, scale)
+        check(d_loss, lambda out: classifier.loss_dlogits(proba, labels, clip, scale, out=out))
+        d_psi, g_w, value = fairness.saddle_terms(proba, w, inv_sqrt, cells)
+        for given, kw in (
+            (cells, {}),
+            (None, {"codes": codes}),
+            (None, {"codes": codes, "value": False}),
+        ):
+            out = np.full_like(d_psi, np.nan)
+            got = fairness.saddle_terms(proba, w, inv_sqrt, given, out=out, **kw)
+            assert got[0] is out
+            assert out.tobytes() == d_psi.tobytes()
+            assert got[1].tobytes() == g_w.tobytes()
+            assert got[2] == value if kw.get("value", True) else got[2] is None
+        d_theta = d_loss + d_psi
+        check(
+            classifier.mean_param_grad(d_theta, x),
+            lambda out: classifier.mean_param_grad(d_theta, x, out=out),
+        )
+
+
+class TestRunIsolation:
+    def test_runs_share_no_state(self):
+        # each call builds its own workspace: DP on narrow arrays, EO on wide
+        # ones, then DP twice more each match a run of their own bit for bit,
+        # and none writes into the dataset or the initial parameters
+        narrow = synth_dataset(SyntheticSpec(n=500, d_x=5, k=2, l=2, bias=0.9, seed=2))
+        wide = synth_dataset(SyntheticSpec(n=800, d_x=40, k=4, l=5, bias=0.5, seed=3))
+        rng = np.random.default_rng(5)
+        cases = {}
+        for name, ds, notion, m, rule in (
+            ("dp", narrow, DEMOGRAPHIC_PARITY, 128, LAST),
+            ("eo", wide, EQUALIZED_ODDS, 256, UNIFORM_RANDOM),
+        ):
+            theta0 = ModelParams(
+                rng.normal(scale=0.1, size=(ds.l, ds.d_x)), rng.normal(scale=0.1, size=ds.l)
+            )
+            config = SgdaConfig(
+                eta_theta=0.05, eta_w=0.05, T=30, m=m, box_radius=1.0, clip_theta=1.0,
+                iterate_rule=rule, seed=len(cases),
+            )
+            cases[name] = (ds, theta0, FermiConfig(2.0, notion), config)
+        inputs = {
+            name: [ds.features.copy(), ds.labels.copy(), ds.sensitive.copy(), theta0.as_vector()]
+            for name, (ds, theta0, _, _) in cases.items()
+        }
+
+        def run(name):
+            result = dp_fermi_train(*cases[name], NoiseScales(0.01, 0.02), trace_every=4)
+            return (
+                result.params.as_vector().tobytes(),
+                result.dual.tobytes(),
+                repr(result.trace),
+                result.chosen_iterate,
+            )
+
+        solo = {name: run(name) for name in cases}
+        for name in ("dp", "eo", "dp", "dp"):
+            assert run(name) == solo[name]
+        for name, (ds, theta0, _, _) in cases.items():
+            now = [ds.features, ds.labels, ds.sensitive, theta0.as_vector()]
+            for before, after in zip(inputs[name], now):
+                assert before.tobytes() == after.tobytes()
+
+
 class TestFusedStep:
     """The fused class-major step against the per-sample reference functions."""
 
@@ -350,9 +446,9 @@ class TestFusedStep:
         calls = []
         original = classifier.forward
 
-        def counting_forward(*args):
+        def counting_forward(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         for module in (classifier, fairness, optimizer):
             monkeypatch.setattr(module, "forward", counting_forward)
@@ -371,9 +467,9 @@ class TestFusedStep:
         calls = []
         original = optimizer.saddle_terms
 
-        def counting_saddle_terms(*args):
+        def counting_saddle_terms(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "saddle_terms", counting_saddle_terms)
         ds = separable(n=100, seed=13, bias=0.5)

@@ -41,6 +41,56 @@ class TestBudget:
             PrivacyBudget(0.0, 1e-5)
 
 
+class TestNonFiniteParameters:
+    """NaN and infinite privacy parameters are rejected up front, by an error
+    that names the parameter, instead of failing inside the closed forms."""
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_budget_rejects_epsilon(self, epsilon):
+        with pytest.raises(CalibrationError) as info:
+            PrivacyBudget(epsilon, 1e-5)
+        assert str(info.value) == f"epsilon must be positive and finite, got {epsilon}"
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_budget_rejects_delta(self, delta):
+        with pytest.raises(CalibrationError, match="delta must lie in"):
+            PrivacyBudget(1.0, delta)
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [
+            lambda rho, L, D: calibrate_sensitive_only(BUDGET, 400, 2000, rho, L, D),
+            lambda rho, L, D: calibrate_all_features(BUDGET, 400, 2000, rho, L, D, l=2),
+        ],
+        ids=["sensitive_only", "all_features"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            (0, "rho must lie in (0, 1], got {}"),
+            (1, "Lipschitz constant L_theta must be positive and finite, got {}"),
+            (2, "box radius D must be positive and finite, got {}"),
+        ],
+    )
+    def test_calibration_names_the_parameter(self, calibrate, value, position, message):
+        args = [0.4, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(CalibrationError) as info:
+            calibrate(*args)
+        assert str(info.value) == message.format(value)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_min_iterations_rejects_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon positive and finite"):
+            min_iterations(1000, 100, epsilon)
+
+    @pytest.mark.parametrize("D, L", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_sensitivity_bounds_reject_nan(self, D, L):
+        with pytest.raises(ValueError, match="must be positive"):
+            sensitivity_bounds(D, L, 10, 0.5)
+
+
 class TestSensitiveOnly:
     def test_reference_value(self):
         noise = calibrate_sensitive_only(BUDGET, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0)
