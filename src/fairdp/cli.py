@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, sweep, calibrate, audit-sensitivity, evaluate, synth.
+train and sweep map their flags to one harness.ExperimentConfig (a train run
+is a sweep of one cell) and set each run up through harness.plan_run, so
+they validate the same flags the same way.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (including a model whose
 logits overflow on the data it is evaluated on), 3 divergence in a train run.
@@ -34,11 +37,12 @@ from .harness import (
     calibrate_for_run,
     emit_csv,
     evaluate_metrics,
-    require_clip_for_all_features,
+    load_experiment_dataset,
+    plan_run,
     run_sweep,
     synth_dataset,
 )
-from .optimizer import SgdaConfig, dp_fermi_train
+from .optimizer import dp_fermi_train
 from .privacy import empirical_sensitivity_audit, sensitivity_bounds
 
 NOTIONS = {"dp": DEMOGRAPHIC_PARITY, "eo": EQUALIZED_ODDS}
@@ -131,43 +135,41 @@ def _clip(value: float) -> float | None:
     return value if value > 0 else None
 
 
-def _cmd_train(args) -> int:
-    clip = _clip(args.clip)
-    require_clip_for_all_features(GRANULARITY_FLAGS[args.granularity], clip)
-    ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
-    train, test = train_test_split(ds, 0.25, args.seed)
-    m = min(args.batch_size, train.n)
-    T = args.epochs * math.ceil(train.n / m)
-    noise = calibrate_for_run(
-        GRANULARITY_FLAGS[args.granularity],
-        args.epsilon,
-        args.delta,
-        T,
-        train.n,
-        m,
-        sensitive_stats(train).rho,
-        proba_lipschitz_bound(train.features),
-        args.box_radius,
-        train.l,
-    )
-    config = SgdaConfig(
+def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig:
+    """The ExperimentConfig of the train and sweep flags."""
+    return ExperimentConfig(
+        dataset=args.dataset,
+        notion=NOTIONS[args.notion],
+        lambdas=tuple(lambdas),
+        epsilons=tuple(epsilons),
+        delta=args.delta,
+        trials=trials,
+        granularity=GRANULARITY_FLAGS[args.granularity],
         eta_theta=args.eta_theta,
         eta_w=args.eta_w,
-        T=T,
-        m=m,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
         box_radius=args.box_radius,
-        clip_theta=clip,
-        seed=args.seed,
+        clip_theta=_clip(args.clip),
+        master_seed=args.seed,
+        label_col=args.label_col,
+        sensitive_col=args.sensitive_col,
     )
-    result = dp_fermi_train(
-        train,
-        ModelParams.zeros(train.l, train.d_x),
-        FermiConfig(args.lam, NOTIONS[args.notion]),
-        config,
-        noise,
-    )
+
+
+def _cmd_train(args) -> int:
+    # before the config, so a bad --lambda gets FermiConfig's one-value message
+    fermi = FermiConfig(args.lam, NOTIONS[args.notion])
+    config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
+    ds = load_experiment_dataset(config)
+    train, test = train_test_split(ds, config.test_fraction, config.master_seed)
+    sgda, noise = plan_run(config, train, args.epsilon)
+    result = dp_fermi_train(train, ModelParams.zeros(train.l, train.d_x), fermi, sgda, noise)
     metrics = evaluate_metrics(result.params, test)
-    print(f"T={T} m={m} sigma_theta_sq={noise.sigma_theta_sq:.6g} sigma_w_sq={noise.sigma_w_sq:.6g}")
+    print(
+        f"T={sgda.T} m={sgda.m} sigma_theta_sq={noise.sigma_theta_sq:.6g} "
+        f"sigma_w_sq={noise.sigma_w_sq:.6g}"
+    )
     for name, value in metrics.items():
         print(f"{name}={value:.6g}")
     if args.out:
@@ -184,30 +186,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig(
-        dataset=args.dataset,
-        notion=NOTIONS[args.notion],
-        lambdas=tuple(args.lam),
-        epsilons=tuple(args.epsilon),
-        delta=args.delta,
-        trials=args.trials,
-        granularity=GRANULARITY_FLAGS[args.granularity],
-        eta_theta=args.eta_theta,
-        eta_w=args.eta_w,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        box_radius=args.box_radius,
-        clip_theta=_clip(args.clip),
-        master_seed=args.seed,
-        label_col=args.label_col,
-        sensitive_col=args.sensitive_col,
-    )
+    config = _experiment_config(args, args.epsilon, args.lam, args.trials)
     emit_csv(run_sweep(config), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
+    if args.epochs < 1 or args.batch_size < 1:
+        raise ValueError("epochs and batch_size must be positive")
     m = args.batch_size
     T = args.epochs * math.ceil(args.n / m)
     rows = []

@@ -1,5 +1,9 @@
 """Experiment orchestration: synthetic data, sweeps over (epsilon, lambda,
 seed) grids, multi-seed aggregation, and CSV emission of tradeoff tables.
+
+An ExperimentConfig describes every run, a single `fairdp train` as well as
+a sweep; plan_run is the one place that turns it into a run's SgdaConfig
+and calibrated noise.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .fairness import (
     eo_violation,
     ermi_hard,
 )
-from .optimizer import LAST, SgdaConfig, dp_fermi_train
+from .optimizer import SgdaConfig, dp_fermi_train
 from .privacy import (
     NoiseScales,
     PrivacyBudget,
@@ -99,20 +103,9 @@ def synth_dataset(spec: SyntheticSpec) -> TabularDataset:
     return TabularDataset(features, y, s, spec.l, spec.k)
 
 
-def require_clip_for_all_features(granularity: str, clip_theta: float | None) -> None:
-    """Reject all-features privacy without loss-gradient clipping.
-
-    A person's whole record enters the loss gradient, which is bounded only
-    by the per-sample clip; without it the all-features calibration does
-    not hold. Raises CalibrationError.
-    """
-    if granularity == ALL_FEATURES and clip_theta is None:
-        raise CalibrationError("all-features privacy requires loss-gradient clipping")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a dataset source, a fairness notion, and the run grid."""
+    """A dataset source, a fairness notion, the run grid and its hyperparameters."""
 
     dataset: str | SyntheticSpec
     notion: str = DEMOGRAPHIC_PARITY
@@ -127,7 +120,6 @@ class ExperimentConfig:
     batch_size: int = 1024
     box_radius: float = 1.0
     clip_theta: float | None = 1.0
-    iterate_rule: str = LAST
     master_seed: int = 0
     test_fraction: float = 0.25
     label_col: str = "label"
@@ -136,8 +128,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.lambdas or not all(0 <= lam < math.inf for lam in self.lambdas):
             raise ValueError("lambda values must be finite, nonnegative and nonempty")
-        if any(eps <= 0 for eps in self.epsilons) or not self.epsilons:
-            raise ValueError("epsilon values must be positive and nonempty")
+        if not self.epsilons:
+            raise ValueError("epsilon values must be nonempty")
+        for eps in self.epsilons:
+            if not 0 < eps < math.inf:  # also rejects NaN
+                raise ValueError(f"epsilon must be positive and finite, got {eps}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.granularity not in GRANULARITIES:
@@ -146,7 +141,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown fairness notion {self.notion!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        require_clip_for_all_features(self.granularity, self.clip_theta)
+        # only the per-sample clip bounds a whole record's loss gradient
+        if self.granularity == ALL_FEATURES and self.clip_theta is None:
+            raise CalibrationError("all-features privacy requires loss-gradient clipping")
 
 
 @dataclass(frozen=True)
@@ -242,6 +239,45 @@ def calibrate_for_run(
     return calibrate_all_features(budget, T, n, rho, L_theta, D, l)
 
 
+def plan_run(
+    config: ExperimentConfig, train: TabularDataset, epsilon: float
+) -> tuple[SgdaConfig, NoiseScales]:
+    """The SgdaConfig and noise of one run of `config` on `train` at `epsilon`.
+
+    The batch is capped at the training set, m = min(batch_size, n), and a
+    run is T = epochs * ceil(n / m) steps. The noise is calibrated at the
+    split's group floor rho and probability-map Lipschitz bound. Raises
+    CalibrationError if T is below the iteration floor.
+    """
+    m = min(config.batch_size, train.n)
+    T = config.epochs * math.ceil(train.n / m)
+    noise = calibrate_for_run(
+        config.granularity,
+        epsilon,
+        config.delta,
+        T,
+        train.n,
+        m,
+        sensitive_stats(train).rho,
+        proba_lipschitz_bound(train.features),
+        config.box_radius,
+        train.l,
+    )
+    sgda = SgdaConfig(
+        eta_theta=config.eta_theta,
+        eta_w=config.eta_w,
+        T=T,
+        m=m,
+        box_radius=config.box_radius,
+        clip_theta=config.clip_theta,
+        seed=config.master_seed,
+    )
+    return sgda, noise
+
+
+_DIVERGED_METRICS = dict.fromkeys(("error", "dp_violation", "eo_violation", "ermi_hard"), math.nan)
+
+
 def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     """Train and evaluate every (epsilon, lambda, trial) cell of the grid.
 
@@ -251,81 +287,46 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     """
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
-    m = min(config.batch_size, train.n)
-    T = config.epochs * math.ceil(train.n / m)
-    rho = sensitive_stats(train).rho
-    L_theta = proba_lipschitz_bound(train.features)
     dataset_id = _dataset_id(config)
     theta0 = ModelParams.zeros(train.l, train.d_x)
 
     records = []
     for e_idx, epsilon in enumerate(config.epsilons):
-        noise = calibrate_for_run(
-            config.granularity,
-            epsilon,
-            config.delta,
-            T,
-            train.n,
-            m,
-            rho,
-            L_theta,
-            config.box_radius,
-            train.l,
-        )
+        sgda, noise = plan_run(config, train, epsilon)
         for l_idx, lam in enumerate(config.lambdas):
             fermi = FermiConfig(lam, config.notion)
             for trial in range(config.trials):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((config.master_seed, e_idx, l_idx, trial))
                 )
-                sgda = SgdaConfig(
-                    eta_theta=config.eta_theta,
-                    eta_w=config.eta_w,
-                    T=T,
-                    m=m,
-                    box_radius=config.box_radius,
-                    clip_theta=config.clip_theta,
-                    iterate_rule=config.iterate_rule,
-                )
-                base = dict(
-                    dataset_id=dataset_id,
-                    seed=trial,
-                    epsilon=epsilon,
-                    delta=config.delta,
-                    lam=lam,
-                    notion=config.notion,
-                    T=T,
-                    m=m,
-                    sigma_theta_sq=noise.sigma_theta_sq,
-                    sigma_w_sq=noise.sigma_w_sq,
-                )
                 try:
                     result = dp_fermi_train(train, theta0, fermi, sgda, noise, rng)
                     train_metrics = evaluate_metrics(result.params, train)
                     test_metrics = evaluate_metrics(result.params, test)
-                    records.append(
-                        TradeoffRecord(
-                            **base,
-                            train_error=train_metrics["error"],
-                            test_error=test_metrics["error"],
-                            dp_violation=test_metrics["dp_violation"],
-                            eo_violation=test_metrics["eo_violation"],
-                            ermi_hard=test_metrics["ermi_hard"],
-                            status="ok",
-                        )
-                    )
+                    status = "ok"
                 except DivergenceError:
-                    records.append(
-                        TradeoffRecord(
-                            **base,
-                            train_error=math.nan,
-                            test_error=math.nan,
-                            dp_violation=math.nan,
-                            eo_violation=math.nan,
-                            ermi_hard=math.nan,
-                            status="diverged",
-                        )
+                    train_metrics = test_metrics = _DIVERGED_METRICS
+                    status = "diverged"
+                records.append(
+                    TradeoffRecord(
+                        dataset_id=dataset_id,
+                        seed=trial,
+                        epsilon=epsilon,
+                        delta=config.delta,
+                        lam=lam,
+                        notion=config.notion,
+                        T=sgda.T,
+                        m=sgda.m,
+                        sigma_theta_sq=noise.sigma_theta_sq,
+                        sigma_w_sq=noise.sigma_w_sq,
+                        train_error=train_metrics["error"],
+                        test_error=test_metrics["error"],
+                        dp_violation=test_metrics["dp_violation"],
+                        eo_violation=test_metrics["eo_violation"],
+                        ermi_hard=test_metrics["ermi_hard"],
+                        status=status,
                     )
+                )
     return records
 
 

@@ -90,6 +90,15 @@ class TestCalibrate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
+    def test_zero_batch_size_or_epochs_is_config_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "table.csv"
+        argv = ["calibrate", "--epsilon", "1", "--n", "2000", "--batch-size", "100",
+                "--rho", "0.4", "--epochs", "20", flag, "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: epochs and batch_size must be positive\n"
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_train_then_evaluate(self, synth_csv, tmp_path, capsys):
@@ -221,6 +230,34 @@ class TestHyperparameterValidation:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestTrainAndSweepShareValidation:
+    """train and sweep build one ExperimentConfig, so the same bad flags
+    fail both before any data is read, with the same error line."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--batch-size", "0"], "epochs and batch_size must be positive"),
+            (["--epochs", "0"], "epochs and batch_size must be positive"),
+            (["--granularity", "none", "--epsilon", "nan"],
+             "epsilon must be positive and finite, got nan"),
+            (["--granularity", "none", "--epsilon", "-1"],
+             "epsilon must be positive and finite, got -1.0"),
+            (["--granularity", "all", "--clip", "0"],
+             "all-features privacy requires loss-gradient clipping"),
+        ],
+    )
+    def test_same_error_line(self, synth_csv, tmp_path, capsys, flags, message):
+        for command in ("train", "sweep"):
+            out = tmp_path / f"{command}.out"
+            argv = [command, "--dataset", str(synth_csv), "--epochs", "5",
+                    "--batch-size", "64", *flags, "--out", str(out)]
+            assert main(argv) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists()
 
 
 class TestNonFinitePrivacyParameters:

@@ -4,8 +4,8 @@ import statistics
 import numpy as np
 import pytest
 
-from fairdp.classifier import ModelParams
-from fairdp.dataset import train_test_split
+from fairdp.classifier import ModelParams, proba_lipschitz_bound
+from fairdp.dataset import sensitive_stats, train_test_split
 from fairdp.exceptions import CalibrationError
 from fairdp.fairness import FermiConfig
 from fairdp.harness import (
@@ -19,6 +19,8 @@ from fairdp.harness import (
     calibrate_for_run,
     emit_csv,
     evaluate_metrics,
+    load_experiment_dataset,
+    plan_run,
     run_sweep,
     synth_dataset,
 )
@@ -150,6 +152,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="finite"):
             cheap_config(lambdas=(0.0, lam))
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    def test_epsilon_must_be_positive_and_finite_without_privacy(self, epsilon):
+        # no calibration reads epsilon at granularity none, so the config must
+        message = f"^epsilon must be positive and finite, got {epsilon}$"
+        with pytest.raises(ValueError, match=message):
+            cheap_config(epsilons=(1.0, epsilon))
+
     def test_all_features_privacy_requires_clip(self):
         with pytest.raises(CalibrationError):
             cheap_config(granularity=ALL_FEATURES, clip_theta=None)
@@ -158,6 +167,60 @@ class TestRunSweep:
     def test_deterministic_records(self):
         config = cheap_config(lambdas=(0.0, 1.0), trials=2)
         assert run_sweep(config) == run_sweep(config)
+
+
+def split_of(config):
+    ds = load_experiment_dataset(config)
+    return train_test_split(ds, config.test_fraction, config.master_seed)[0]
+
+
+class TestPlanRun:
+    def test_batch_capped_at_training_set(self):
+        config = cheap_config(batch_size=10_000, epochs=3)
+        train = split_of(config)
+        sgda, _ = plan_run(config, train, 1.0)
+        assert sgda.m == train.n == 90
+        assert sgda.T == 3
+
+    @pytest.mark.parametrize("batch_size, batches", [(7, 13), (30, 3), (40, 3), (89, 2), (90, 1)])
+    def test_iterations_are_epochs_times_batches_per_epoch(self, batch_size, batches):
+        config = cheap_config(batch_size=batch_size, epochs=4)
+        train = split_of(config)
+        assert batches == math.ceil(train.n / batch_size)
+        sgda, _ = plan_run(config, train, 1.0)
+        assert (sgda.m, sgda.T) == (batch_size, 4 * batches)
+
+    @pytest.mark.parametrize("granularity", [SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY])
+    def test_noise_is_calibrated_at_the_split(self, granularity):
+        config = cheap_config(
+            granularity=granularity, epochs=3, box_radius=2.0, clip_theta=0.5, delta=1e-4
+        )
+        train = split_of(config)
+        sgda, noise = plan_run(config, train, 3.0)
+        expected = calibrate_for_run(
+            granularity, 3.0, 1e-4, sgda.T, train.n, sgda.m, sensitive_stats(train).rho,
+            proba_lipschitz_bound(train.features), 2.0, train.l,
+        )
+        assert noise == expected
+        assert (noise.sigma_w_sq > 0) == (granularity != NO_PRIVACY)
+        assert sgda == SgdaConfig(
+            eta_theta=0.02, eta_w=0.02, T=sgda.T, m=30, box_radius=2.0, clip_theta=0.5, seed=5
+        )
+
+    def test_sweep_records_follow_the_plan(self):
+        config = cheap_config(
+            granularity=SENSITIVE_ONLY, epsilons=(1.0, 3.0), lambdas=(0.0, 1.0), trials=2,
+            epochs=3, clip_theta=1.0,
+        )
+        records = run_sweep(config)
+        assert len(records) == 8
+        train = split_of(config)
+        for rec in records:
+            sgda, noise = plan_run(config, train, rec.epsilon)
+            assert (rec.T, rec.m, rec.sigma_theta_sq, rec.sigma_w_sq) == (
+                sgda.T, sgda.m, noise.sigma_theta_sq, noise.sigma_w_sq
+            )
+        assert records[0].sigma_w_sq > records[-1].sigma_w_sq > 0
 
 
 def toy_records():
