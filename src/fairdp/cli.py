@@ -195,6 +195,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.epochs < 1 or args.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
+    if args.n < 1:
+        raise ValueError(f"n must be positive, got {args.n}")
     m = args.batch_size
     T = args.epochs * math.ceil(args.n / m)
     rows = []

@@ -133,6 +133,8 @@ class ExperimentConfig:
         for eps in self.epsilons:
             if not 0 < eps < math.inf:  # also rejects NaN
                 raise ValueError(f"epsilon must be positive and finite, got {eps}")
+        if not 0.0 < self.delta < 1.0:  # also rejects NaN, as PrivacyBudget does
+            raise CalibrationError("delta must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.granularity not in GRANULARITIES:

@@ -99,6 +99,16 @@ class TestCalibrate:
         assert capsys.readouterr().err == "error: epochs and batch_size must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("granularity", ["none", "sensitive", "all"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_config_error(self, tmp_path, capsys, granularity, n):
+        out = tmp_path / "table.csv"
+        argv = ["calibrate", "--granularity", granularity, "--epsilon", "1", "--n", n,
+                "--batch-size", "100", "--rho", "0.4", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: n must be positive, got {n}\n"
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_train_then_evaluate(self, synth_csv, tmp_path, capsys):
@@ -248,6 +258,9 @@ class TestTrainAndSweepShareValidation:
              "epsilon must be positive and finite, got -1.0"),
             (["--granularity", "all", "--clip", "0"],
              "all-features privacy requires loss-gradient clipping"),
+            (["--granularity", "none", "--delta", "nan"], "delta must lie in (0, 1)"),
+            (["--granularity", "none", "--delta", "7"], "delta must lie in (0, 1)"),
+            (["--granularity", "none", "--delta", "0"], "delta must lie in (0, 1)"),
         ],
     )
     def test_same_error_line(self, synth_csv, tmp_path, capsys, flags, message):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fairdp import dataset
+from fairdp import cli, dataset
 from fairdp.dataset import (
     CHUNK_ROWS,
     SensitiveStats,
@@ -104,9 +104,11 @@ def _valid_rows(n, first_new_label=None):
     return rows
 
 
-def _past_first_chunk(bad_row, bad_text):
+def _past_first_chunk(*edits):
+    """Valid rows into the second chunk, with each (row, text) edit applied."""
     rows = _valid_rows(CHUNK_ROWS + 5)
-    rows[bad_row] = bad_text
+    for row, text in edits:
+        rows[row] = text
     return "x,y,lab,grp\n" + "".join(rows)
 
 
@@ -115,6 +117,7 @@ UNREADABLE = '"' + "z" * 200_000 + '",a,m\n'  # longer than csv's field size lim
 LOAD_CSV_CORPUS = {
     "plain": "x,y,lab,grp\n1,2,a,m\n3,4,b,f\n5,6,a,f\n",
     "blank_line": "x,lab,grp\n1,a,m\n\n2,b,f\n",
+    "blank_lines": "x,lab,grp\n1,a,m\n2,b,f\n\n\r\n3,a,f\n",
     "crlf": "x,lab,grp\r\n1,a,m\r\n2,b,f\r\n",
     "cr_only": "x,lab,grp\r1,a,m\r2,b,f\r",
     "quoted_comma": 'x,lab,grp\n1,"a,b",m\n2,c,f\n',
@@ -133,13 +136,46 @@ LOAD_CSV_CORPUS = {
     "bad_cell_before_short_row": "x,y,lab,grp\n1,2,a,m\n3,?,b,f\n4,a,m\n",
     "codes_across_chunks": "x,y,lab,grp\n"
     + "".join(_valid_rows(2 * CHUNK_ROWS + 7, first_new_label=CHUNK_ROWS + 1)),
-    "bad_cell_past_first_chunk": _past_first_chunk(CHUNK_ROWS + 3, "1,oops,a,m\n"),
-    "short_row_past_first_chunk": _past_first_chunk(CHUNK_ROWS + 4, "1,a,m\n"),
+    "bad_cell_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 3, "1,oops,a,m\n")),
+    "short_row_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 4, "1,a,m\n")),
     "unreadable_row": "x,lab,grp\n1,a,m\n2,b,f\n" + UNREADABLE,
     "unreadable_row_after_bad_cell": "x,lab,grp\n1,a,m\nbad,b,f\n" + UNREADABLE,
     "no_feature_columns": "lab,grp\na,m\nb,f\n",
     "header_only": "x,lab,grp\n",
     "empty_file": "",
+    # cases where np.loadtxt and csv.reader could read a chunk differently
+    "quote_in_label_only": 'x,lab,grp\n1,"a",m\n2,b",f\n3,a,f\n',
+    "quoted_cell_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 3, '"1.5",2,"a",m\n')),
+    "quoted_newline_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 3, '1,2,"a\nb",m\n')),
+    "bad_row_after_quoted_newline": _past_first_chunk(
+        (CHUNK_ROWS + 2, '1,2,"a\nb",m\n'), (CHUNK_ROWS + 4, "1,oops,a,m\n")
+    ),
+    "blank_line_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 2, "\n")),
+    "whitespace_only_line": "x,lab,grp\n1,a,m\n \t \n2,b,f\n",
+    "hash_feature_cell": "x,lab,grp\n1,a,m\n#2,b,f\n",
+    "hash_label_first_cell": "lab,x,grp\n#,1,m\nb,2,f\n",
+    "nul_in_label": "x,lab,grp\n1,a\x00b,m\n2,b,f\n",
+    "nul_in_feature": "x,lab,grp\n1,a,m\n2\x00,b,f\n",
+    "no_final_newline": "x,lab,grp\n1,a,m\n2,b,f",
+    "label_column_first": "lab,x,grp,y\na,1,m,2\nb,3,f,4\na,5,f,6\n",
+    "crlf_past_first_chunk": "x,y,lab,grp\r\n"
+    + "".join(row.replace("\n", "\r\n") for row in _valid_rows(CHUNK_ROWS + 7)),
+    "tiny_signed_zero_17_digits": "x,y,lab,grp\n1e-320,-0.0,a,m\n"
+    "0.10000000000000001,-1.2345678901234567e-300,b,f\n4.9406564584124654e-324,0,a,f\n",
+    "plus_nan": "x,lab,grp\n1,a,m\n+nan,b,f\n",
+    "infinity": "x,lab,grp\nInfinity,a,m\n2,b,f\n",
+    "unquoted_cell_over_field_limit": "x,lab,grp\n1,a,m\n2," + "z" * 200_000 + ",f\n",
+    "long_line_short_cells": "x,lab,grp\n1" + " " * 70_000 + ",a" + " " * 70_000 + ",m\n2,b,f\n",
+    "undecodable_bytes_past_first_chunk": _past_first_chunk((CHUNK_ROWS + 3, "1,2,a,@\n"))
+    .encode("utf-8")
+    .replace(b"@", b"\xff"),
+    # ~20-byte rows put both bad rows in one CHUNK_ROWS read but different
+    # 8 KB decode blocks, so the read fails after passing the bad cell
+    "bad_cell_before_undecodable_bytes": b"x,lab,grp\n"
+    + b"".join(b"%d.0000000000001,a,m\n" % i for i in range(100))
+    + b"oops,b,f\n"
+    + b"".join(b"%d.0000000000001,b,f\n" % i for i in range(800))
+    + b"\xff,a,m\n1,a,f\n",
 }
 
 
@@ -167,11 +203,13 @@ def _load_outcome(load, path):
 class TestLoadCsvMatchesReference:
     """The chunked loader against the row-by-row reference loader."""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("chunk_rows", [2, CHUNK_ROWS])
     @pytest.mark.parametrize("name", sorted(LOAD_CSV_CORPUS))
     def test_identical_outcome(self, name, chunk_rows, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
-        path.write_bytes(LOAD_CSV_CORPUS[name].encode("utf-8"))
+        text = LOAD_CSV_CORPUS[name]
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         expected = _load_outcome(reference_load_csv, path)
         monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
         assert _load_outcome(load_csv, path) == expected
@@ -182,6 +220,46 @@ class TestLoadCsvMatchesReference:
         with pytest.raises(ParseError) as info:
             load_csv(path, "lab", "grp")
         assert info.value.row == CHUNK_ROWS + 3
+
+
+class TestLoadtxtPath:
+    """Plain numeric chunks never reach csv.reader."""
+
+    @staticmethod
+    def _guard_csv_rows(monkeypatch):
+        """Make csv.reader raise on any row after the header."""
+        real_reader = dataset.csv.reader
+        seen = []
+
+        def header_only_reader(lines):
+            for row in real_reader(lines):
+                if seen:
+                    raise AssertionError(f"csv.reader parsed data row {row}")
+                seen.append(row)
+                yield row
+
+        monkeypatch.setattr(dataset.csv, "reader", header_only_reader)
+
+    def test_synth_csv_skips_csv_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        argv = ["synth", "--n", "3000", "--d-x", "4", "--k", "3", "--seed", "2", "--out", path]
+        assert cli.main([str(a) for a in argv]) == 0
+        expected = reference_load_csv(path, "label", "sensitive")
+        self._guard_csv_rows(monkeypatch)
+        ds = load_csv(path, "label", "sensitive")
+        assert ds.features.tobytes() == expected.features.tobytes()
+        assert ds.labels.tolist() == expected.labels.tolist()
+        assert ds.sensitive.tolist() == expected.sensitive.tolist()
+        assert (ds.label_names, ds.sensitive_names) == (
+            expected.label_names,
+            expected.sensitive_names,
+        )
+
+    def test_guard_sees_a_quoted_chunk(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "d.csv", LOAD_CSV_CORPUS["quoted_cell_past_first_chunk"])
+        self._guard_csv_rows(monkeypatch)
+        with pytest.raises(AssertionError, match="csv.reader parsed data row"):
+            load_csv(path, "lab", "grp")
 
 
 class TestSplit:
