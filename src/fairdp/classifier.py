@@ -24,6 +24,8 @@ import numpy as np
 # Probabilities below this are clamped inside loss() so a saturated wrong
 # prediction yields a large finite loss; gradients use the analytic form.
 PROB_FLOOR = 1e-30
+# Rows squared at a time by proba_lipschitz_bound.
+LIPSCHITZ_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,14 @@ def proba_lipschitz_bound(features: np.ndarray) -> float:
     probability map used by noise calibration and the sensitivity audit.
     """
     features = np.asarray(features, dtype=np.float64)
-    return float(0.5 * np.sqrt((features ** 2).sum(axis=-1).max() + 1.0))
+    rows = features.reshape(-1, features.shape[-1])
+    # squared in row blocks rather than all at once; each row's sum, and so
+    # the max, has the same bits
+    sq_norms = [
+        (rows[i : i + LIPSCHITZ_BLOCK_ROWS] ** 2).sum(axis=-1).max()
+        for i in range(0, rows.shape[0], LIPSCHITZ_BLOCK_ROWS)
+    ]
+    return float(0.5 * np.sqrt(np.max(sq_norms) + 1.0))
 
 
 def save_checkpoint(theta: ModelParams, path, metadata: dict | None = None) -> None:

@@ -16,6 +16,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from .dataset import CHUNK_ROWS, load_csv, sensitive_stats, train_test_split
+from .dataset import CHUNK_ROWS, TabularDataset, load_csv, sensitive_stats, train_test_split
 from .exceptions import DivergenceError, FairdpError
 from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig
 from .harness import (
@@ -257,9 +258,27 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
+def _labels_by_name(ds: TabularDataset, names, l: int) -> TabularDataset:
+    """ds with its labels encoded through a checkpoint's label names, as
+    l classes. Sensitive codes stay: every evaluated metric is invariant to
+    relabelling the groups."""
+    if len(names) != l:
+        raise ValueError(f"checkpoint has {len(names)} label names for l={l} classes")
+    codes = {name: code for code, name in enumerate(names, 1)}
+    for name in ds.label_names:
+        if name not in codes:
+            raise ValueError(f"label {name!r} is not one of the checkpoint's labels {list(names)}")
+    recode = np.array([0] + [codes[name] for name in ds.label_names])
+    labels = recode[ds.labels]
+    labels.setflags(write=False)
+    return replace(ds, labels=labels, l=l, label_names=tuple(names))
+
+
 def _cmd_evaluate(args) -> int:
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
-    theta, _ = load_checkpoint(args.checkpoint)
+    theta, metadata = load_checkpoint(args.checkpoint)
+    if metadata.get("label_names"):
+        ds = _labels_by_name(ds, metadata["label_names"], theta.l)
     for name, value in evaluate_metrics(theta, ds).items():
         print(f"{name}={value:.6g}")
     return 0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from operator import itemgetter
@@ -26,14 +27,43 @@ CHUNK_ROWS = 1024  # CSV lines parsed per chunk by load_csv and rows written per
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
+    """a as a read-only dtype array: a itself when nothing can write to it,
+    otherwise a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
+def _read_only(a: np.ndarray) -> bool:
+    """True if neither a nor any array it views is writeable and the chain
+    ends in an array that owns its memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _frozen(*arrays) -> None:
+    """Mark freshly built arrays read-only, so TabularDataset takes them
+    without a copy."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class TabularDataset:
-    """Immutable feature matrix plus 1-based label and sensitive codes."""
+    """Immutable feature matrix plus 1-based label and sensitive codes.
+
+    The dataset owns read-only arrays. An input array is taken as it is
+    when nothing can write to it: it has the right dtype, it is read-only,
+    and so is every array it is a view of, down to the one that owns the
+    memory. Any other input, a writeable array in particular, is copied, so
+    changing it later leaves the dataset unchanged. The shape, finiteness
+    and code-range checks run either way.
+    """
 
     features: np.ndarray  # (n, d_x) float64
     labels: np.ndarray  # (n,) int64, values in 1..l
@@ -91,12 +121,10 @@ class TabularDataset:
     def subset(self, idx) -> "TabularDataset":
         """Row subset keeping the declared l, k and the encoding metadata."""
         idx = np.asarray(idx)
-        return replace(
-            self,
-            features=self.features[idx],
-            labels=self.labels[idx],
-            sensitive=self.sensitive[idx],
-        )
+        # fancy indexing copies, so the rows share no memory with self
+        features, labels, sensitive = self.features[idx], self.labels[idx], self.sensitive[idx]
+        _frozen(features, labels, sensitive)
+        return replace(self, features=features, labels=labels, sensitive=sensitive)
 
 
 @dataclass(frozen=True)
@@ -155,6 +183,12 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     with its message and row, are the same whichever path a chunk takes;
     error rows are absolute 0-based data-row indices (the header is not
     counted).
+
+    Both paths write each chunk straight into the dataset's arrays. They
+    are allocated once, for the file size over the first chunk's mean line
+    length plus headroom, grow only if the rows outrun that estimate, and
+    are cut to the rows read and marked read-only at the end, so the
+    dataset takes them without a copy: the data is held once.
     """
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
@@ -176,48 +210,47 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
 
         label_codes: dict[str, int] = {}
         sens_codes: dict[str, int] = {}
-        features, labels, sensitive = [], [], []
+        lines, error = _read_chunk(fh)
+        columns = _Columns(_row_estimate(os.fstat(fh.fileno()).st_size, lines), len(feat_idx))
         start = 0
-        rest = fh
-        while True:
-            lines = []
-            try:
-                lines.extend(islice(fh, CHUNK_ROWS))
-            except UnicodeDecodeError as exc:
-                # csv.reader sees the lines read so far, then the same error
-                rest = _raising(exc)
+        while error is None:
+            stop = start + len(lines)
+            columns.reserve(stop)
+            table = _loadtxt_chunk(lines, row_dtype, feat_idx, columns.features[start:stop])
+            if table is None:
                 break
-            chunk = _loadtxt_chunk(lines, row_dtype, feat_idx)
-            if chunk is None:
-                break
-            table, block = chunk
-            features.append(block)
-            labels.append(_encode(table[str(label_idx)].tolist(), label_codes))
-            sensitive.append(_encode(table[str(sens_idx)].tolist(), sens_codes))
-            start += len(lines)
+            columns.labels[start:stop] = _encode(table[str(label_idx)].tolist(), label_codes)
+            columns.sensitive[start:stop] = _encode(table[str(sens_idx)].tolist(), sens_codes)
+            start = stop
+            lines, error = _read_chunk(fh)
 
-        reader = csv.reader(chain(lines, rest))
+        # csv.reader sees the lines read so far, then the same decode error
+        reader = csv.reader(chain(lines, fh if error is None else _raising(error)))
         while True:
             rows = []
             try:
                 rows.extend(islice(reader, CHUNK_ROWS))
             except (csv.Error, ValueError):
                 # a bad row read before the unreadable one reports first
-                _parse_features(rows, start, header, feat_idx)
+                scratch = np.empty((len(rows), len(feat_idx)))
+                _parse_features(rows, start, header, feat_idx, scratch)
                 raise
             if not rows:
                 break
-            features.append(_feature_block(rows, start, header, feat_idx))
-            labels.append(_encode(map(itemgetter(label_idx), rows), label_codes))
-            sensitive.append(_encode(map(itemgetter(sens_idx), rows), sens_codes))
-            start += len(rows)
+            stop = start + len(rows)
+            columns.reserve(stop)
+            _feature_block(rows, start, header, feat_idx, columns.features[start:stop])
+            columns.labels[start:stop] = _encode(map(itemgetter(label_idx), rows), label_codes)
+            columns.sensitive[start:stop] = _encode(map(itemgetter(sens_idx), rows), sens_codes)
+            start = stop
 
-    if not features:
+    if not start:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
+    columns.finish(start)
     return TabularDataset(
-        features=np.concatenate(features),
-        labels=np.concatenate(labels),
-        sensitive=np.concatenate(sensitive),
+        features=columns.features,
+        labels=columns.labels,
+        sensitive=columns.sensitive,
         l=len(label_codes),
         k=len(sens_codes),
         label_names=tuple(label_codes),
@@ -226,19 +259,69 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     )
 
 
+def _read_chunk(fh) -> tuple[list[str], UnicodeDecodeError | None]:
+    """The next CHUNK_ROWS lines of fh, and the decode error that cut them
+    short (None if there was none)."""
+    lines = []
+    try:
+        lines.extend(islice(fh, CHUNK_ROWS))
+    except UnicodeDecodeError as exc:
+        return lines, exc
+    return lines, None
+
+
+def _row_estimate(size: int, lines) -> int:
+    """Rows to allocate for a file of `size` bytes whose first data lines
+    are `lines`: the size over their mean length, plus a sixteenth and one
+    chunk of headroom. The header and multi-byte characters only raise it."""
+    chars = sum(map(len, lines))
+    rows = size * len(lines) // chars if chars else 0
+    return rows + rows // 16 + CHUNK_ROWS
+
+
+class _Columns:
+    """The feature, label and sensitive arrays load_csv writes each chunk
+    into. They are sized once from the row estimate, grow by half only when
+    the rows outrun it, and are cut to the rows read at the end; no view of
+    them may be held across a resize."""
+
+    def __init__(self, rows: int, d: int):
+        self.features = np.empty((rows, d))
+        self.labels = np.empty(rows, np.int64)
+        self.sensitive = np.empty(rows, np.int64)
+
+    def reserve(self, rows: int) -> None:
+        """Room for at least `rows` rows."""
+        capacity = self.labels.shape[0]
+        if rows > capacity:
+            self._resize(max(rows, capacity + capacity // 2))
+
+    def finish(self, rows: int) -> None:
+        """Cut the arrays to `rows` rows and mark them read-only."""
+        self._resize(rows)
+        _frozen(self.features, self.labels, self.sensitive)
+
+    def _resize(self, rows: int) -> None:
+        # in place: realloc keeps the rows written so far (C order) and
+        # shrinking frees the tail without a copy
+        self.features.resize((rows, self.features.shape[1]))
+        self.labels.resize(rows)
+        self.sensitive.resize(rows)
+
+
 def _raising(exc):
     """An iterator whose first next() raises exc."""
     raise exc
     yield
 
 
-def _loadtxt_chunk(lines, row_dtype, feat_idx) -> tuple[np.ndarray, np.ndarray] | None:
-    """A chunk's structured rows, one per line, and its (rows, features)
-    float64 block; None if the chunk needs csv.reader: it is empty, has a
-    quote or NUL character (csv quoting, and csv's NUL error before Python
-    3.11), a line that may hold a cell over csv's field size limit, a cell
-    loadtxt cannot convert, another count of rows than lines or a
-    non-finite feature."""
+def _loadtxt_chunk(lines, row_dtype, feat_idx, out) -> np.ndarray | None:
+    """A chunk's structured rows, one per line, with its features written
+    into out, (rows, features) float64; None, with out partly written, if
+    the chunk needs csv.reader: it is empty, has a quote or NUL character
+    (csv quoting, and csv's NUL error before Python 3.11), a line that may
+    hold a cell over csv's field size limit, a cell loadtxt cannot convert,
+    another count of rows than lines or a non-finite feature."""
     # checked line by line: joining a chunk into one string costs cli-ingest
     # about 6 MB of peak RSS in heap fragmentation
     if (
@@ -256,14 +339,14 @@ def _loadtxt_chunk(lines, row_dtype, feat_idx) -> tuple[np.ndarray, np.ndarray] 
         return None
     if table.shape != (len(lines),):
         return None
-    block = np.empty((len(lines), len(feat_idx)))
     for j, i in enumerate(feat_idx):
-        block[:, j] = table[str(i)]
-    return (table, block) if np.isfinite(block).all() else None
+        out[:, j] = table[str(i)]
+    return table if np.isfinite(out).all() else None
 
 
-def _feature_block(rows, start, header, feat_idx) -> np.ndarray:
-    """(len(rows), len(feat_idx)) float64 features of one chunk of CSV rows."""
+def _feature_block(rows, start, header, feat_idx, out) -> None:
+    """Write the features of one chunk of CSV rows into out, (len(rows),
+    len(feat_idx)) float64."""
     if set(map(len, rows)) == {len(header)}:
         if len(feat_idx) > 1:
             cells = chain.from_iterable(map(itemgetter(*feat_idx), rows))
@@ -275,13 +358,14 @@ def _feature_block(rows, start, header, feat_idx) -> np.ndarray:
             pass
         else:
             if np.isfinite(block).all():
-                return block.reshape(len(rows), len(feat_idx))
-    return _parse_features(rows, start, header, feat_idx)
+                out[...] = block.reshape(len(rows), len(feat_idx))
+                return
+    _parse_features(rows, start, header, feat_idx, out)
 
 
-def _parse_features(rows, start, header, feat_idx) -> np.ndarray:
-    """Cell-by-cell conversion that raises the first bad row's ParseError."""
-    block = np.empty((len(rows), len(feat_idx)))
+def _parse_features(rows, start, header, feat_idx, out) -> None:
+    """Cell-by-cell conversion into out that raises the first bad row's
+    ParseError."""
     for row_i, row in enumerate(rows, start):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
@@ -297,8 +381,7 @@ def _parse_features(rows, start, header, feat_idx) -> np.ndarray:
                 raise ParseError(
                     f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
                 )
-            block[row_i - start, j] = value
-    return block
+            out[row_i - start, j] = value
 
 
 def _encode(cells, codes: dict[str, int]) -> np.ndarray:

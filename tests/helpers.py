@@ -1,7 +1,9 @@
 """Shared independent oracles: central finite differences, error norms, the
-row-by-row CSV reader and writer the chunked ones are checked against, and
-a training loop that computes the saddle terms at every step, which
-dp_fermi_train must match bit for bit."""
+row-by-row CSV reader and writer the chunked ones are checked against, a
+training loop that computes the saddle terms at every step, which
+dp_fermi_train must match bit for bit, and the whole-array forms of
+synth_dataset and proba_lipschitz_bound, which their in-place and blocked
+forms must match bit for bit."""
 
 import csv
 import math
@@ -19,6 +21,7 @@ from fairdp.classifier import (
 from fairdp.dataset import TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
 from fairdp.fairness import saddle_terms, strata
+from fairdp.harness import _class_means
 from fairdp.optimizer import TrainResult, _pick_iterate, _TraceWriter
 from fairdp.privacy import gaussian_noise
 
@@ -60,6 +63,27 @@ def rel_error(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(np.linalg.norm(exact), 1e-12)
     return np.linalg.norm(np.asarray(approx) - exact) / denom
+
+
+def reference_synth_dataset(spec):
+    """synth_dataset with its features built as one whole-array expression."""
+    rng = np.random.default_rng(spec.seed)
+    s = rng.integers(1, spec.k + 1, size=spec.n)
+    y = rng.integers(1, spec.l + 1, size=spec.n)
+    preferred = ((s - 1) % spec.l) + 1
+    flip_prob = spec.bias * (s - 1) / (spec.k - 1)
+    y = np.where(rng.random(spec.n) < flip_prob, preferred, y)
+    features = _class_means(spec.l, spec.d_x)[y - 1] + spec.noise_scale * rng.standard_normal(
+        (spec.n, spec.d_x)
+    )
+    features[:, -1] += 2.0 * (2.0 * (s - 1) / (spec.k - 1) - 1.0)  # group offset in [-2, 2]
+    return TabularDataset(features, y, s, spec.l, spec.k)
+
+
+def reference_proba_lipschitz_bound(features):
+    """proba_lipschitz_bound squaring all rows at once."""
+    features = np.asarray(features, dtype=np.float64)
+    return float(0.5 * np.sqrt((features ** 2).sum(axis=-1).max() + 1.0))
 
 
 def reference_load_csv(path, label_col, sensitive_col):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fairdp.classifier import (
+    LIPSCHITZ_BLOCK_ROWS,
     ModelParams,
     jacobian_proba,
     load_checkpoint,
@@ -19,7 +20,12 @@ from fairdp.classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from helpers import central_diff_grad, central_diff_jac, rel_error
+from helpers import (
+    central_diff_grad,
+    central_diff_jac,
+    reference_proba_lipschitz_bound,
+    rel_error,
+)
 
 
 def random_params(rng, l, d_x, scale=1.0):
@@ -197,6 +203,23 @@ class TestBatchHelpers:
             theta = random_params(rng, 3, 4, scale=2.0)
             i = int(rng.integers(0, 30))
             assert np.linalg.norm(jacobian_proba(theta, X[i])) <= bound + 1e-12
+
+
+    @pytest.mark.parametrize("n", [1, LIPSCHITZ_BLOCK_ROWS, 3 * LIPSCHITZ_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("d_x", [1, 5, 10, 130])
+    def test_lipschitz_bound_matches_the_whole_array_form_bit_for_bit(self, n, d_x):
+        rng = np.random.default_rng(n * d_x)
+        X = rng.standard_normal((n, d_x)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        for features in (X, np.asfortranarray(X), X[::2], X[:, ::-1], X[0]):
+            want = reference_proba_lipschitz_bound(features)
+            assert proba_lipschitz_bound(features) == want
+
+    def test_lipschitz_bound_keeps_nan_and_empty_behaviour(self):
+        X = np.ones((2 * LIPSCHITZ_BLOCK_ROWS, 3))
+        X[LIPSCHITZ_BLOCK_ROWS + 1, 2] = np.nan
+        assert np.isnan(proba_lipschitz_bound(X))
+        with pytest.raises(ValueError, match="zero-size array"):
+            proba_lipschitz_bound(np.empty((0, 3)))
 
 
 class TestCheckpoint:

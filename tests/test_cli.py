@@ -11,7 +11,7 @@ from fairdp import cli
 from fairdp.classifier import ModelParams, save_checkpoint
 from fairdp.cli import main
 from fairdp.dataset import CHUNK_ROWS, load_csv
-from fairdp.harness import SyntheticSpec, synth_dataset
+from fairdp.harness import SyntheticSpec, evaluate_metrics, synth_dataset
 from fairdp.privacy import SensitivityBounds, sensitivity_bounds
 from helpers import reference_write_csv
 
@@ -138,6 +138,68 @@ class TestTrainEvaluate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestEvaluateLabelNames:
+    """evaluate encodes labels through the checkpoint's label names."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("evaluate")
+        data, ckpt = tmp / "data.csv", tmp / "model.json"
+        argv = ["synth", "--n", "3000", "--d-x", "5", "--bias", "0.6", "--seed", "1",
+                "--out", data]
+        assert main([str(a) for a in argv]) == 0
+        argv = ["train", "--dataset", data, "--epsilon", "3", "--lambda", "1", "--epochs", "20",
+                "--batch-size", "256", "--seed", "1", "--out", ckpt]
+        assert main([str(a) for a in argv]) == 0
+        header, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        # move the first row whose label differs from the first row's to the
+        # top, so first-appearance order swaps the two label codes
+        label = [row.split(",")[-2] for row in rows]
+        moved = next(i for i in range(len(rows)) if label[i] != label[0])
+        reordered = tmp / "reordered.csv"
+        reordered.write_text(
+            header + rows[moved] + "".join(rows[:moved] + rows[moved + 1 :]), encoding="utf-8"
+        )
+        return data, reordered, ckpt
+
+    @staticmethod
+    def _evaluate(capsys, data, ckpt):
+        code = main(["evaluate", "--dataset", str(data), "--checkpoint", str(ckpt)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_reordered_rows_give_the_same_metrics(self, trained, capsys):
+        data, reordered, ckpt = trained
+        code, expected, _ = self._evaluate(capsys, data, ckpt)
+        assert code == 0
+        assert float(expected.split()[0].removeprefix("error=")) < 0.1
+        assert self._evaluate(capsys, reordered, ckpt) == (0, expected, "")
+
+    def test_unknown_label_is_config_error_naming_it(self, trained, tmp_path, capsys):
+        data, _, ckpt = trained
+        header, first, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = first.split(",")
+        cells[-2] = "maybe"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + ",".join(cells) + "".join(rows), encoding="utf-8")
+        code, out, err = self._evaluate(capsys, bad, ckpt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: label 'maybe' is not one of the checkpoint's labels")
+
+    def test_checkpoint_without_names_uses_first_appearance(self, trained, tmp_path, capsys):
+        _, reordered, ckpt = trained
+        payload = json.loads(ckpt.read_text(encoding="utf-8"))
+        payload["metadata"] = {}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(payload), encoding="utf-8")
+        theta = ModelParams(
+            np.reshape(payload["weights"], (payload["l"], payload["d_x"])), payload["bias"]
+        )
+        metrics = evaluate_metrics(theta, load_csv(reordered, "label", "sensitive"))
+        expected = "".join(f"{name}={value:.6g}\n" for name, value in metrics.items())
+        assert self._evaluate(capsys, reordered, bare) == (0, expected, "")
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from fairdp.exceptions import (
     ParseError,
     SchemaError,
 )
+from fairdp.harness import SyntheticSpec, synth_dataset
 from helpers import reference_load_csv
 
 
@@ -260,6 +261,116 @@ class TestLoadtxtPath:
         self._guard_csv_rows(monkeypatch)
         with pytest.raises(AssertionError, match="csv.reader parsed data row"):
             load_csv(path, "lab", "grp")
+
+
+class TestDirectAssembly:
+    """load_csv writes every chunk into arrays sized from an estimate."""
+
+    @staticmethod
+    def _rows(n, quoted):
+        """n rows whose first CHUNK_ROWS carry long zero-padded numerals, so
+        the file outruns the row estimate taken from them."""
+        rows = []
+        for i in range(n):
+            x = f"{i * 0.25:.20f}" if i < CHUNK_ROWS else f"{i * 0.25:g}"
+            lab = f'"{"ab"[i % 2]}"' if quoted else "ab"[i % 2]
+            rows.append(f"{x},{-i},{lab},{'mf'[i // 3 % 2]}\n")
+        return rows
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "csv_reader"])
+    def test_file_longer_than_the_estimate(self, quoted, tmp_path):
+        rows = self._rows(5 * CHUNK_ROWS + 7, quoted)
+        path = write_csv(tmp_path / "d.csv", "x,y,lab,grp\n" + "".join(rows))
+        estimate = dataset._row_estimate(path.stat().st_size, rows[:CHUNK_ROWS])
+        assert estimate < len(rows)
+        assert _load_outcome(load_csv, path) == _load_outcome(reference_load_csv, path)
+
+    def test_quoted_file_goes_to_csv_reader(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "d.csv", "x,y,lab,grp\n" + "".join(self._rows(3000, True)))
+        expected = _load_outcome(reference_load_csv, path)
+        parsed = []
+        real_chunk = dataset._loadtxt_chunk
+
+        def spy(*args):
+            table = real_chunk(*args)
+            parsed.append(table is not None)
+            return table
+
+        monkeypatch.setattr(dataset, "_loadtxt_chunk", spy)
+        assert _load_outcome(load_csv, path) == expected
+        assert parsed == [False]  # the first chunk hands the whole file to csv.reader
+
+    def test_arrays_are_cut_to_the_rows_read(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x,y,lab,grp\n" + "".join(self._rows(300, False)))
+        ds = load_csv(path, "lab", "grp")
+        for a in (ds.features, ds.labels, ds.sensitive):
+            assert a.shape[0] == 300
+            assert a.base is None and a.flags.owndata
+
+
+class TestOwnership:
+    """A dataset holds read-only arrays nothing else can write to."""
+
+    def test_writeable_inputs_are_copied(self):
+        rng = np.random.default_rng(0)
+        x, y, s = rng.normal(size=(4, 2)), np.array([1, 2, 1, 2]), np.array([1, 1, 2, 2])
+        ds = TabularDataset(x, y, s, l=2, k=2)
+        before = (ds.features.copy(), ds.labels.copy(), ds.sensitive.copy())
+        x[0, 0], y[0], s[0] = 99.0, 2, 2
+        for kept, a in zip(before, (ds.features, ds.labels, ds.sensitive)):
+            assert np.array_equal(kept, a)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        base = np.random.default_rng(0).normal(size=(4, 2))
+        view = base[:]
+        view.setflags(write=False)
+        ds = TabularDataset(view, np.array([1, 2, 1, 2]), np.array([1, 1, 2, 2]), l=2, k=2)
+        assert not np.shares_memory(ds.features, base)
+        base[0, 0] = 99.0
+        assert ds.features[0, 0] != 99.0
+
+    def test_read_only_arrays_are_taken_without_a_copy(self):
+        x = np.random.default_rng(0).normal(size=(4, 2))
+        y, s = np.array([1, 2, 1, 2]), np.array([1, 1, 2, 2])
+        for a in (x, y, s):
+            a.setflags(write=False)
+        ds = TabularDataset(x, y, s, l=2, k=2)
+        assert ds.features is x and ds.labels is y and ds.sensitive is s
+
+    def test_checks_still_run_on_arrays_taken_as_they_are(self):
+        x = np.array([[0.0], [np.inf]])
+        y, s = np.array([1, 3]), np.array([1, 2])
+        for a in (x, y, s):
+            a.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            TabularDataset(x, np.array([1, 2]), s, l=2, k=2)
+        with pytest.raises(ValueError, match="labels out of range"):
+            TabularDataset(np.zeros((2, 1)), y, s, l=2, k=2)
+
+    def test_built_datasets_are_read_only(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x1,x2,lab,grp\n1,2,a,m\n3,4,b,f\n5,6,a,m\n")
+        built = [
+            load_csv(path, "lab", "grp"),
+            synth_dataset(SyntheticSpec(n=50, d_x=3, seed=1)),
+            small_ds().subset([0, 2, 3]),
+        ]
+        for ds in built:
+            for a in (ds.features, ds.labels, ds.sensitive):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1
+
+    def test_subset_shares_no_memory_with_its_parent(self):
+        ds = synth_dataset(SyntheticSpec(n=50, d_x=3, seed=1))
+        for idx in (np.arange(10, 30), np.arange(50) % 2 == 0):
+            sub = ds.subset(idx)
+            for part, whole in (
+                (sub.features, ds.features),
+                (sub.labels, ds.labels),
+                (sub.sensitive, ds.sensitive),
+            ):
+                assert not np.shares_memory(part, whole)
+                assert np.array_equal(part, whole[idx])
 
 
 class TestSplit:

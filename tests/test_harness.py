@@ -12,6 +12,7 @@ from fairdp.harness import (
     ALL_FEATURES,
     NO_PRIVACY,
     SENSITIVE_ONLY,
+    SYNTH_BLOCK_ROWS,
     ExperimentConfig,
     SyntheticSpec,
     TradeoffRecord,
@@ -26,6 +27,7 @@ from fairdp.harness import (
 )
 from fairdp.optimizer import SgdaConfig, dp_fermi_train
 from fairdp.privacy import NoiseScales
+from helpers import reference_synth_dataset
 
 
 def cheap_config(**kw):
@@ -48,6 +50,22 @@ def cheap_config(**kw):
 
 
 class TestSyntheticData:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n=1, d_x=1, seed=0),
+            SyntheticSpec(n=50, d_x=4, bias=0.3, noise_scale=0.7, seed=9),
+            SyntheticSpec(n=SYNTH_BLOCK_ROWS, d_x=3, k=3, l=4, bias=0.5, seed=2),
+            SyntheticSpec(n=3 * SYNTH_BLOCK_ROWS + 5, d_x=10, k=3, l=3, bias=0.5, seed=2),
+            SyntheticSpec(n=9000, d_x=2, k=4, l=5, noise_scale=3.3, seed=5),
+        ],
+    )
+    def test_matches_the_whole_array_expression_bit_for_bit(self, spec):
+        got, want = synth_dataset(spec), reference_synth_dataset(spec)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.sensitive, want.sensitive)
+
     def test_deterministic(self):
         spec = SyntheticSpec(n=50, d_x=4, bias=0.3, noise_scale=1.0, seed=9)
         a, b = synth_dataset(spec), synth_dataset(spec)
