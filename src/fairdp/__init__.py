@@ -6,7 +6,7 @@ noise calibrated so the training run is differentially private with
 respect to the sensitive data (or the full records). The pieces:
 
 - dataset: CSV ingestion, splits, group statistics, minibatches
-- classifier: multinomial logistic model with exact Jacobians
+- classifier: multinomial logistic model and its class-major batch kernels
 - fairness: ERMI estimators, the dual saddle terms, violation metrics
 - privacy: noise calibration, sensitivity bounds, the empirical audit
 - optimizer: noisy projected stochastic gradient descent-ascent
@@ -16,12 +16,7 @@ respect to the sensitive data (or the full records). The pieces:
 from . import exceptions
 from .classifier import (
     ModelParams,
-    jacobian_proba,
     load_checkpoint,
-    loss,
-    loss_grad,
-    mean_loss,
-    mean_loss_grad,
     predict_label,
     predict_proba,
     proba_lipschitz_bound,
@@ -45,9 +40,6 @@ from .fairness import (
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
-    psi,
-    psi_grad_theta,
-    psi_grad_w,
 )
 from .harness import (
     ALL_FEATURES,
@@ -72,11 +64,9 @@ from .optimizer import (
 from .privacy import (
     NoiseScales,
     PrivacyBudget,
-    SensitivityBounds,
     calibrate_all_features,
     calibrate_sensitive_only,
     empirical_sensitivity_audit,
-    gaussian_noise,
     min_iterations,
     sensitivity_bounds,
 )
@@ -95,7 +85,6 @@ __all__ = [
     "PrivacyBudget",
     "SENSITIVE_ONLY",
     "SensitiveStats",
-    "SensitivityBounds",
     "SgdaConfig",
     "SyntheticSpec",
     "TabularDataset",
@@ -114,24 +103,15 @@ __all__ = [
     "ermi_soft",
     "evaluate_metrics",
     "exceptions",
-    "gaussian_noise",
     "inner_max_closed_form",
-    "jacobian_proba",
     "load_checkpoint",
     "load_csv",
-    "loss",
-    "loss_grad",
-    "mean_loss",
-    "mean_loss_grad",
     "min_iterations",
     "minibatch",
     "predict_label",
     "predict_proba",
     "proba_lipschitz_bound",
     "project_box",
-    "psi",
-    "psi_grad_theta",
-    "psi_grad_w",
     "run_sweep",
     "save_checkpoint",
     "sensitive_stats",

@@ -1,12 +1,10 @@
-"""Multinomial logistic model: probabilities, cross-entropy, and Jacobians.
+"""Multinomial logistic model: probabilities, cross-entropy gradients, checkpoints.
 
 The batch kernels work class-major: `forward` returns an (l, m) array of
 probabilities, `loss_dlogits` turns it into per-sample logit gradients
 (clipped on request), and `mean_param_grad` chains any such (l, m) logit
 gradients through the features to a mean parameter gradient. The training
-step calls them directly; the batch helpers (mean_loss, mean_loss_grad) are
-thin wrappers over them, and the per-sample functions (loss, loss_grad,
-jacobian_proba) are the exact references they are tested against.
+step, the stationarity gap and the sensitivity audit run on them.
 The three kernels follow numpy's `out=` convention: given a buffer, they
 write their result into it and return it, with the same arithmetic in
 the same order as the allocating call, so the two agree bit for bit. The
@@ -21,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Probabilities below this are clamped inside loss() so a saturated wrong
-# prediction yields a large finite loss; gradients use the analytic form.
+from .exceptions import CheckpointError
+
+# Probabilities below this are clamped by mean_cross_entropy, so a saturated
+# wrong prediction yields a large finite loss; gradients use the analytic form.
 PROB_FLOOR = 1e-30
 # Rows squared at a time by proba_lipschitz_bound.
 LIPSCHITZ_BLOCK_ROWS = 4096
@@ -115,47 +115,10 @@ def predict_label(theta: ModelParams, x: np.ndarray):
     return labels if labels.ndim else int(labels)
 
 
-def loss(theta: ModelParams, x: np.ndarray, y: int) -> float:
-    """Cross-entropy -log F_y(x, theta), capped at -log(PROB_FLOOR)."""
-    if not 1 <= y <= theta.l:
-        raise ValueError(f"label {y} out of range 1..{theta.l}")
-    p = predict_proba(theta, x)[y - 1]
-    return float(-np.log(max(p, PROB_FLOOR)))
-
-
-def loss_grad(theta: ModelParams, x: np.ndarray, y: int) -> np.ndarray:
-    """Exact gradient of loss() in the flattened parameter vector."""
-    if not 1 <= y <= theta.l:
-        raise ValueError(f"label {y} out of range 1..{theta.l}")
-    x = np.asarray(x, dtype=np.float64)
-    dlogits = predict_proba(theta, x)
-    dlogits[y - 1] -= 1.0
-    return np.concatenate([np.outer(dlogits, x).ravel(), dlogits])
-
-
-def jacobian_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
-    """(l, d_theta) matrix whose row j is the gradient of F_j(x, theta).
-
-    Rows sum to zero because the probabilities sum to one.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    probs = predict_proba(theta, x)
-    # dF/dlogits = diag(F) - F F^T, then chain through logits = Wx + b
-    a = np.diag(probs) - np.outer(probs, probs)
-    weight_part = a[:, :, None] * x[None, None, :]
-    return np.concatenate([weight_part.reshape(theta.l, -1), a], axis=1)
-
-
 def mean_cross_entropy(proba: np.ndarray, labels: np.ndarray) -> float:
     """Average -log F_y over class-major probabilities (l, m) and labels in 1..l."""
     picked = proba[labels - 1, np.arange(labels.shape[0])]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
-
-
-def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
-    """Average cross-entropy over a sample set."""
-    features = np.asarray(features, dtype=np.float64)
-    return mean_cross_entropy(forward(theta.weights, theta.bias, features), np.asarray(labels))
 
 
 def gradient_scale(features: np.ndarray) -> np.ndarray:
@@ -204,25 +167,8 @@ def mean_param_grad(
     return out
 
 
-def mean_loss_grad(
-    theta: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    clip: float | None = None,
-) -> np.ndarray:
-    """Batch-averaged loss gradient, with optional per-sample l2 clipping.
-
-    Clipping rescales each sample's gradient to norm at most `clip` before
-    averaging; the per-sample norm is ||F - onehot(y)|| * sqrt(||x||^2 + 1).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    proba = forward(theta.weights, theta.bias, features)
-    scale = None if clip is None else gradient_scale(features)
-    return mean_param_grad(loss_dlogits(proba, np.asarray(labels), clip, scale), features)
-
-
 def proba_lipschitz_bound(features: np.ndarray) -> float:
-    """Upper bound on ||jacobian_proba||_F over the given feature rows.
+    """Upper bound on the Frobenius norm of dF(x, theta)/dtheta over the rows.
 
     ||diag(F) - F F^T||_F <= 1/2 on the simplex, so the Jacobian norm is at
     most 0.5 * sqrt(max ||x||^2 + 1). This is the Lipschitz constant of the
@@ -253,11 +199,35 @@ def save_checkpoint(theta: ModelParams, path, metadata: dict | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """The model and metadata of a save_checkpoint file. CheckpointError
+    names the first field that is missing or malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    l, d_x = int(payload["l"]), int(payload["d_x"])
-    theta = ModelParams(
-        np.array(payload["weights"], dtype=np.float64).reshape(l, d_x),
-        np.array(payload["bias"], dtype=np.float64),
-    )
-    return theta, payload.get("metadata", {})
+    if not isinstance(payload, dict):
+        raise CheckpointError("checkpoint must be a JSON object")
+    if missing := [name for name in ("l", "d_x", "weights", "bias") if name not in payload]:
+        raise CheckpointError(f"checkpoint has no {missing[0]!r} field")
+    l, d_x = payload["l"], payload["d_x"]
+    if not (type(l) is type(d_x) is int and l > 0 and d_x > 0):
+        raise CheckpointError("checkpoint fields 'l' and 'd_x' must be positive integers")
+    weights = _numbers(payload, "weights", l * d_x).reshape(l, d_x)
+    theta = ModelParams(weights, _numbers(payload, "bias", l))
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise CheckpointError("checkpoint field 'metadata' must be a JSON object")
+    names = metadata.get("label_names") or []
+    strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
+    if not (strings and len(set(names)) == len(names) in (0, l)):
+        raise CheckpointError(f"checkpoint field 'label_names' must list {l} distinct names")
+    return theta, metadata
+
+
+def _numbers(payload: dict, name: str, size: int) -> np.ndarray:
+    """payload[name] as a float64 vector of the given size."""
+    try:
+        value = np.array(payload[name], dtype=np.float64)
+        if value.shape == (size,):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise CheckpointError(f"checkpoint field {name!r} must hold {size} numbers")

@@ -16,7 +16,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from .dataset import CHUNK_ROWS, TabularDataset, load_csv, sensitive_stats, train_test_split
+from .dataset import CHUNK_ROWS, _read_csv, load_csv, sensitive_stats, train_test_split
 from .exceptions import DivergenceError, FairdpError
 from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig
 from .harness import (
@@ -40,6 +39,7 @@ from .harness import (
     evaluate_metrics,
     load_experiment_dataset,
     plan_run,
+    run_length,
     run_sweep,
     synth_dataset,
 )
@@ -194,12 +194,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.epochs < 1 or args.batch_size < 1:
-        raise ValueError("epochs and batch_size must be positive")
-    if args.n < 1:
-        raise ValueError(f"n must be positive, got {args.n}")
-    m = args.batch_size
-    T = args.epochs * math.ceil(args.n / m)
+    m, T = run_length(args.n, args.batch_size, args.epochs)
     rows = []
     for epsilon in args.epsilon:
         noise = calibrate_for_run(
@@ -258,27 +253,13 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
-def _labels_by_name(ds: TabularDataset, names, l: int) -> TabularDataset:
-    """ds with its labels encoded through a checkpoint's label names, as
-    l classes. Sensitive codes stay: every evaluated metric is invariant to
-    relabelling the groups."""
-    if len(names) != l:
-        raise ValueError(f"checkpoint has {len(names)} label names for l={l} classes")
-    codes = {name: code for code, name in enumerate(names, 1)}
-    for name in ds.label_names:
-        if name not in codes:
-            raise ValueError(f"label {name!r} is not one of the checkpoint's labels {list(names)}")
-    recode = np.array([0] + [codes[name] for name in ds.label_names])
-    labels = recode[ds.labels]
-    labels.setflags(write=False)
-    return replace(ds, labels=labels, l=l, label_names=tuple(names))
-
-
 def _cmd_evaluate(args) -> int:
-    ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     theta, metadata = load_checkpoint(args.checkpoint)
-    if metadata.get("label_names"):
-        ds = _labels_by_name(ds, metadata["label_names"], theta.l)
+    names = metadata.get("label_names") or []
+    ds = _read_csv(args.dataset, args.label_col, args.sensitive_col, names)
+    if ds.l > len(names) > 0:
+        label = ds.label_names[len(names)]
+        raise ValueError(f"label {label!r} is not one of the checkpoint's labels {names}")
     for name, value in evaluate_metrics(theta, ds).items():
         print(f"{name}={value:.6g}")
     return 0

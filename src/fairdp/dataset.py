@@ -190,6 +190,12 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     are cut to the rows read and marked read-only at the end, so the
     dataset takes them without a copy: the data is held once.
     """
+    return _read_csv(path, label_col, sensitive_col, ())
+
+
+def _read_csv(path, label_col: str, sensitive_col: str, label_names) -> TabularDataset:
+    """load_csv with the codes 1..len(label_names) held for label_names, present
+    or not, and the next codes for the labels they do not name."""
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -208,7 +214,7 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
             [(str(i), np.float64 if i in feat_idx else object) for i in range(len(header))]
         )
 
-        label_codes: dict[str, int] = {}
+        label_codes = {name: code for code, name in enumerate(label_names, 1)}
         sens_codes: dict[str, int] = {}
         lines, error = _read_chunk(fh)
         columns = _Columns(_row_estimate(os.fstat(fh.fileno()).st_size, lines), len(feat_idx))

@@ -37,6 +37,10 @@ class DegenerateConditionalError(FairdpError):
     """A required (label, group) conditional cell is empty."""
 
 
+class CheckpointError(FairdpError):
+    """A checkpoint file lacks a field or holds a malformed one."""
+
+
 class CalibrationError(FairdpError):
     """Privacy parameters violate the calibration preconditions."""
 

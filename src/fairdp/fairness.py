@@ -24,9 +24,7 @@ predictions into such a table, ermi_soft sums class probabilities into it,
 and one estimator turns a table into ERMI, the label-conditional form being
 the p(y)-weighted sum over strata. The dual is a (C, k, l) array on the
 same layout: the batch saddle terms (saddle_terms) and the closed-form
-inner maximum (inner_max_closed_form) work on it for both notions; psi,
-psi_grad_theta and psi_grad_w are the per-sample references for one k x l
-block.
+inner maximum (inner_max_closed_form) work on it for both notions.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelParams, forward, predict_proba
-from .dataset import SensitiveStats, TabularDataset
+from .classifier import ModelParams, forward
+from .dataset import TabularDataset
 from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
@@ -201,48 +199,6 @@ def ermi_conditional(
     return _stratified_ermi(table)
 
 
-def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (stats.k, theta.l):
-        raise ValueError(f"dual must be {(stats.k, theta.l)}, got {w.shape}")
-    return w
-
-
-def psi(
-    theta: ModelParams,
-    w: np.ndarray,
-    x: np.ndarray,
-    s: int,
-    stats: SensitiveStats,
-) -> float:
-    """Per-sample saddle value.
-
-    psi = -Tr(W diag(F) W^T) + 2 Tr(W^T P_S^{-1/2} B) - 1 with
-    B[r, j] = 1{s = r} F_j(x, theta); strongly concave in W, and the batch
-    maximum over W of the averaged psi equals the soft ERMI.
-    """
-    w = _check_dual(theta, w, stats)
-    probs = predict_proba(theta, x)
-    quad = float((w ** 2).sum(axis=0) @ probs)
-    coupling = float(w[s - 1] @ probs) * stats.inv_sqrt[s - 1]
-    return -quad + 2.0 * coupling - 1.0
-
-
-def psi_grad_w(
-    theta: ModelParams,
-    w: np.ndarray,
-    x: np.ndarray,
-    s: int,
-    stats: SensitiveStats,
-) -> np.ndarray:
-    """Exact dual gradient -2 W diag(F) + 2 P_S^{-1/2} B."""
-    w = _check_dual(theta, w, stats)
-    probs = predict_proba(theta, x)
-    grad = -2.0 * w * probs[None, :]
-    grad[s - 1] += 2.0 * stats.inv_sqrt[s - 1] * probs
-    return grad
-
-
 def saddle_terms(
     proba: np.ndarray,
     w: np.ndarray,
@@ -288,28 +244,6 @@ def saddle_terms(
     marginal = joint.sum(axis=1, keepdims=True)
     grad_w = (2.0 / m) * (inv_sqrt[:, :, None] * joint - w * marginal)
     return coeffs, grad_w, float(per_sample.sum() / m - 1.0) if value else None
-
-
-def psi_grad_theta(
-    theta: ModelParams,
-    w: np.ndarray,
-    x: np.ndarray,
-    s: int,
-    stats: SensitiveStats,
-) -> np.ndarray:
-    """Model gradient of psi, chained through the probability Jacobian.
-
-    psi depends on theta only through F, linearly: psi = sum_j c_j F_j - 1
-    with c_j = -(W^T W)_{jj} + 2 W[s, j] / sqrt(p_S(s)), so the gradient is
-    J^T c where J is jacobian_proba.
-    """
-    w = _check_dual(theta, w, stats)
-    x = np.asarray(x, dtype=np.float64)
-    probs = predict_proba(theta, x)
-    c = -(w ** 2).sum(axis=0) + 2.0 * stats.inv_sqrt[s - 1] * w[s - 1]
-    # J^T c without materializing J: a = (diag(F) - F F^T) c
-    a = probs * c - probs * float(probs @ c)
-    return np.concatenate([np.outer(a, x).ravel(), a])
 
 
 def _inner_max(proba: np.ndarray, cells: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:

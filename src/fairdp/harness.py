@@ -249,18 +249,26 @@ def calibrate_for_run(
     return calibrate_all_features(budget, T, n, rho, L_theta, D, l)
 
 
+def run_length(n: int, batch_size: int, epochs: int) -> tuple[int, int]:
+    """Batch size m = min(batch_size, n) and steps T = epochs * ceil(n / m)."""
+    if epochs < 1 or batch_size < 1:
+        raise ValueError("epochs and batch_size must be positive")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    m = min(batch_size, n)
+    return m, epochs * math.ceil(n / m)
+
+
 def plan_run(
     config: ExperimentConfig, train: TabularDataset, epsilon: float
 ) -> tuple[SgdaConfig, NoiseScales]:
     """The SgdaConfig and noise of one run of `config` on `train` at `epsilon`.
 
-    The batch is capped at the training set, m = min(batch_size, n), and a
-    run is T = epochs * ceil(n / m) steps. The noise is calibrated at the
-    split's group floor rho and probability-map Lipschitz bound. Raises
+    m and T come from run_length. The noise is calibrated at the split's
+    group floor rho and probability-map Lipschitz bound. Raises
     CalibrationError if T is below the iteration floor.
     """
-    m = min(config.batch_size, train.n)
-    T = config.epochs * math.ceil(train.n / m)
+    m, T = run_length(train.n, config.batch_size, config.epochs)
     noise = calibrate_for_run(
         config.granularity,
         epsilon,

@@ -125,8 +125,8 @@ class TrainResult:
 
 
 def project_box(w: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Entrywise clamp to [-radius, radius], into `out` if given."""
-    if radius <= 0:
+    """Entrywise clamp to [-radius, radius] (inf allowed, NaN not), into `out` if given."""
+    if not radius > 0:
         raise ValueError("radius must be positive")
     return w.clip(-radius, radius, out=out)
 

@@ -1,9 +1,13 @@
 """Shared independent oracles: central finite differences, error norms, the
 row-by-row CSV reader and writer the chunked ones are checked against, a
 training loop that computes the saddle terms at every step, which
-dp_fermi_train must match bit for bit, and the whole-array forms of
+dp_fermi_train must match bit for bit, the whole-array forms of
 synth_dataset and proba_lipschitz_bound, which their in-place and blocked
-forms must match bit for bit."""
+forms must match bit for bit, and the per-sample references for the
+class-major batch kernels: the cross-entropy loss, its gradient and the
+probability Jacobian of one sample (loss, loss_grad, jacobian_proba, and
+mean_loss over a sample set), and one sample's saddle value psi and its
+exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block."""
 
 import csv
 import math
@@ -11,14 +15,16 @@ import math
 import numpy as np
 
 from fairdp.classifier import (
+    PROB_FLOOR,
     ModelParams,
     forward,
     gradient_scale,
     loss_dlogits,
     mean_cross_entropy,
     mean_param_grad,
+    predict_proba,
 )
-from fairdp.dataset import TabularDataset, minibatch
+from fairdp.dataset import SensitiveStats, TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
@@ -244,3 +250,104 @@ def reference_train(
         trace=tracer.records,
         chosen_iterate=chosen,
     )
+
+
+def loss(theta: ModelParams, x: np.ndarray, y: int) -> float:
+    """Cross-entropy -log F_y(x, theta), capped at -log(PROB_FLOOR)."""
+    if not 1 <= y <= theta.l:
+        raise ValueError(f"label {y} out of range 1..{theta.l}")
+    p = predict_proba(theta, x)[y - 1]
+    return float(-np.log(max(p, PROB_FLOOR)))
+
+
+def loss_grad(theta: ModelParams, x: np.ndarray, y: int) -> np.ndarray:
+    """Exact gradient of loss() in the flattened parameter vector."""
+    if not 1 <= y <= theta.l:
+        raise ValueError(f"label {y} out of range 1..{theta.l}")
+    x = np.asarray(x, dtype=np.float64)
+    dlogits = predict_proba(theta, x)
+    dlogits[y - 1] -= 1.0
+    return np.concatenate([np.outer(dlogits, x).ravel(), dlogits])
+
+
+def jacobian_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
+    """(l, d_theta) matrix whose row j is the gradient of F_j(x, theta).
+
+    Rows sum to zero because the probabilities sum to one.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    probs = predict_proba(theta, x)
+    # dF/dlogits = diag(F) - F F^T, then chain through logits = Wx + b
+    a = np.diag(probs) - np.outer(probs, probs)
+    weight_part = a[:, :, None] * x[None, None, :]
+    return np.concatenate([weight_part.reshape(theta.l, -1), a], axis=1)
+
+
+def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
+    """Average cross-entropy over a sample set."""
+    features = np.asarray(features, dtype=np.float64)
+    return mean_cross_entropy(forward(theta.weights, theta.bias, features), np.asarray(labels))
+
+
+def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (stats.k, theta.l):
+        raise ValueError(f"dual must be {(stats.k, theta.l)}, got {w.shape}")
+    return w
+
+
+def psi(
+    theta: ModelParams,
+    w: np.ndarray,
+    x: np.ndarray,
+    s: int,
+    stats: SensitiveStats,
+) -> float:
+    """Per-sample saddle value.
+
+    psi = -Tr(W diag(F) W^T) + 2 Tr(W^T P_S^{-1/2} B) - 1 with
+    B[r, j] = 1{s = r} F_j(x, theta); strongly concave in W, and the batch
+    maximum over W of the averaged psi equals the soft ERMI.
+    """
+    w = _check_dual(theta, w, stats)
+    probs = predict_proba(theta, x)
+    quad = float((w ** 2).sum(axis=0) @ probs)
+    coupling = float(w[s - 1] @ probs) * stats.inv_sqrt[s - 1]
+    return -quad + 2.0 * coupling - 1.0
+
+
+def psi_grad_w(
+    theta: ModelParams,
+    w: np.ndarray,
+    x: np.ndarray,
+    s: int,
+    stats: SensitiveStats,
+) -> np.ndarray:
+    """Exact dual gradient -2 W diag(F) + 2 P_S^{-1/2} B."""
+    w = _check_dual(theta, w, stats)
+    probs = predict_proba(theta, x)
+    grad = -2.0 * w * probs[None, :]
+    grad[s - 1] += 2.0 * stats.inv_sqrt[s - 1] * probs
+    return grad
+
+
+def psi_grad_theta(
+    theta: ModelParams,
+    w: np.ndarray,
+    x: np.ndarray,
+    s: int,
+    stats: SensitiveStats,
+) -> np.ndarray:
+    """Model gradient of psi, chained through the probability Jacobian.
+
+    psi depends on theta only through F, linearly: psi = sum_j c_j F_j - 1
+    with c_j = -(W^T W)_{jj} + 2 W[s, j] / sqrt(p_S(s)), so the gradient is
+    J^T c where J is jacobian_proba.
+    """
+    w = _check_dual(theta, w, stats)
+    x = np.asarray(x, dtype=np.float64)
+    probs = predict_proba(theta, x)
+    c = -(w ** 2).sum(axis=0) + 2.0 * stats.inv_sqrt[s - 1] * w[s - 1]
+    # J^T c without materializing J: a = (diag(F) - F F^T) c
+    a = probs * c - probs * float(probs @ c)
+    return np.concatenate([np.outer(a, x).ravel(), a])

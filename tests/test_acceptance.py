@@ -14,10 +14,6 @@ from scipy.stats import spearmanr
 from fairdp.classifier import (
     ModelParams,
     forward,
-    jacobian_proba,
-    loss,
-    loss_grad,
-    mean_loss,
     predict_label,
     predict_proba,
     proba_lipschitz_bound,
@@ -29,9 +25,6 @@ from fairdp.fairness import (
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
-    psi,
-    psi_grad_theta,
-    psi_grad_w,
     saddle_terms,
 )
 from fairdp.harness import (
@@ -53,7 +46,18 @@ from fairdp.privacy import (
     min_iterations,
     sensitivity_bounds,
 )
-from helpers import central_diff_grad, central_diff_jac, rel_error
+from helpers import (
+    central_diff_grad,
+    central_diff_jac,
+    jacobian_proba,
+    loss,
+    loss_grad,
+    mean_loss,
+    psi,
+    psi_grad_theta,
+    psi_grad_w,
+    rel_error,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):

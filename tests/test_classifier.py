@@ -9,12 +9,11 @@ from hypothesis.extra.numpy import arrays
 from fairdp.classifier import (
     LIPSCHITZ_BLOCK_ROWS,
     ModelParams,
-    jacobian_proba,
+    forward,
+    gradient_scale,
     load_checkpoint,
-    loss,
-    loss_grad,
-    mean_loss,
-    mean_loss_grad,
+    loss_dlogits,
+    mean_param_grad,
     predict_label,
     predict_proba,
     proba_lipschitz_bound,
@@ -23,6 +22,10 @@ from fairdp.classifier import (
 from helpers import (
     central_diff_grad,
     central_diff_jac,
+    jacobian_proba,
+    loss,
+    loss_grad,
+    mean_loss,
     reference_proba_lipschitz_bound,
     rel_error,
 )
@@ -163,13 +166,14 @@ class TestJacobian:
 
 
 class TestBatchHelpers:
-    def test_mean_loss_grad_matches_per_sample(self):
+    def test_kernel_mean_grad_matches_per_sample(self):
         rng = np.random.default_rng(11)
         theta = random_params(rng, 3, 4)
         X = rng.normal(size=(9, 4))
         y = rng.integers(1, 4, 9)
         stacked = np.mean([loss_grad(theta, X[i], int(y[i])) for i in range(9)], axis=0)
-        assert np.allclose(mean_loss_grad(theta, X, y), stacked, atol=1e-12)
+        proba = forward(theta.weights, theta.bias, X)
+        assert np.allclose(mean_param_grad(loss_dlogits(proba, y), X), stacked, atol=1e-12)
 
     def test_mean_loss_matches_per_sample(self):
         rng = np.random.default_rng(12)
@@ -190,9 +194,9 @@ class TestBatchHelpers:
             * loss_grad(theta, X[i], int(y[i]))
             for i in range(5)
         ]
-        assert np.allclose(
-            mean_loss_grad(theta, X, y, clip=clip), np.mean(clipped, axis=0), atol=1e-12
-        )
+        proba = forward(theta.weights, theta.bias, X)
+        dlogits = loss_dlogits(proba, y, clip, gradient_scale(X))
+        assert np.allclose(mean_param_grad(dlogits, X), np.mean(clipped, axis=0), atol=1e-12)
 
     def test_lipschitz_bound_dominates_probes(self):
         rng = np.random.default_rng(14)

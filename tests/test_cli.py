@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from fairdp import cli
-from fairdp.classifier import ModelParams, save_checkpoint
+from fairdp.classifier import ModelParams, load_checkpoint, predict_label, save_checkpoint
 from fairdp.cli import main
 from fairdp.dataset import CHUNK_ROWS, load_csv
-from fairdp.harness import SyntheticSpec, evaluate_metrics, synth_dataset
+from fairdp.harness import (
+    ExperimentConfig,
+    SyntheticSpec,
+    evaluate_metrics,
+    plan_run,
+    synth_dataset,
+)
 from fairdp.privacy import SensitivityBounds, sensitivity_bounds
 from helpers import reference_write_csv
 
@@ -98,6 +104,20 @@ class TestCalibrate:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: epochs and batch_size must be positive\n"
         assert not out.exists()
+
+    def test_batch_size_is_capped_at_n_as_in_train(self, capsys):
+        argv = ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "1000",
+                "--rho", "0.4", "--epochs", "20"]
+        assert main(argv) == 0
+        header, line = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        # the m and T a train run on 100 rows would use
+        train = synth_dataset(SyntheticSpec(n=100, d_x=2, seed=0))
+        config = ExperimentConfig(dataset="unused.csv", batch_size=1000, epochs=20)
+        sgda, _ = plan_run(config, train, 1.0)
+        assert (row["m"], row["T"]) == (str(sgda.m), str(sgda.T)) == ("100", "20")
+        bound = sensitivity_bounds(1.0, 1.0, 100, 0.4).delta_theta
+        assert float(row["delta_theta"]) == pytest.approx(bound, rel=1e-5)
 
     @pytest.mark.parametrize("granularity", ["none", "sensitive", "all"])
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -188,6 +208,39 @@ class TestEvaluateLabelNames:
         assert (code, out) == (2, "")
         assert err.startswith("error: label 'maybe' is not one of the checkpoint's labels")
 
+    @staticmethod
+    def _filtered(data, path, column, value):
+        """data's header and the rows whose `column` (-2 label, -1 group) is value."""
+        header, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [row for row in rows if row.rstrip().split(",")[column] == value]
+        path.write_text(header + "".join(kept), encoding="utf-8")
+        return path, len(kept)
+
+    def test_csv_with_one_label_class(self, trained, tmp_path, capsys):
+        data, _, ckpt = trained
+        one_label, n = self._filtered(data, tmp_path / "one_label.csv", -2, "2")
+        assert 0 < n < 3000
+        code, out, err = self._evaluate(capsys, one_label, ckpt)
+        assert (code, err) == (0, "")
+        metrics = dict(line.split("=") for line in out.splitlines())
+        assert list(metrics) == ["error", "dp_violation", "ermi_hard", "eo_violation"]
+        assert metrics["eo_violation"] == "nan"
+        # the error is the share of those rows not predicted as label "2"
+        theta, metadata = load_checkpoint(ckpt)
+        ds = load_csv(data, "label", "sensitive")
+        rows = np.array(ds.label_names)[ds.labels - 1] == "2"
+        preds = predict_label(theta, ds.features[rows])
+        expected = (preds != metadata["label_names"].index("2") + 1).mean()
+        assert float(metrics["error"]) == pytest.approx(expected, rel=1e-5)
+
+    def test_csv_with_one_group_is_config_error(self, trained, tmp_path, capsys):
+        data, _, ckpt = trained
+        one_group, n = self._filtered(data, tmp_path / "one_group.csv", -1, "1")
+        assert 0 < n < 3000
+        code, out, err = self._evaluate(capsys, one_group, ckpt)
+        assert (code, out) == (2, "")
+        assert err == "error: need at least two sensitive groups, got k=1\n"
+
     def test_checkpoint_without_names_uses_first_appearance(self, trained, tmp_path, capsys):
         _, reordered, ckpt = trained
         payload = json.loads(ckpt.read_text(encoding="utf-8"))
@@ -200,6 +253,70 @@ class TestEvaluateLabelNames:
         metrics = evaluate_metrics(theta, load_csv(reordered, "label", "sensitive"))
         expected = "".join(f"{name}={value:.6g}\n" for name, value in metrics.items())
         assert self._evaluate(capsys, reordered, bare) == (0, expected, "")
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint that lacks a field or holds a malformed one exits 2 with
+    one error line naming the field."""
+
+    @staticmethod
+    def _payload():
+        theta = ModelParams(np.arange(8.0).reshape(2, 4) / 10, np.array([0.1, -0.1]))
+        return {"l": 2, "d_x": 4, "weights": theta.weights.ravel().tolist(),
+                "bias": theta.bias.tolist(), "metadata": {"label_names": ["1", "2"]}}
+
+    def _evaluate(self, synth_csv, tmp_path, capsys, payload):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(synth_csv), "--checkpoint", str(ckpt)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        return out.err
+
+    def test_well_formed_payload_evaluates(self, synth_csv, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(self._payload()), encoding="utf-8")
+        assert main(["evaluate", "--dataset", str(synth_csv), "--checkpoint", str(ckpt)]) == 0
+
+    def test_empty_object(self, synth_csv, tmp_path, capsys):
+        err = self._evaluate(synth_csv, tmp_path, capsys, {})
+        assert err == "error: checkpoint has no 'l' field\n"
+
+    def test_not_an_object(self, synth_csv, tmp_path, capsys):
+        err = self._evaluate(synth_csv, tmp_path, capsys, [1, 2])
+        assert err == "error: checkpoint must be a JSON object\n"
+
+    def test_missing_bias(self, synth_csv, tmp_path, capsys):
+        payload = self._payload()
+        del payload["bias"]
+        err = self._evaluate(synth_csv, tmp_path, capsys, payload)
+        assert err == "error: checkpoint has no 'bias' field\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("l", "2", "checkpoint fields 'l' and 'd_x' must be positive integers"),
+            ("d_x", 0, "checkpoint fields 'l' and 'd_x' must be positive integers"),
+            ("l", True, "checkpoint fields 'l' and 'd_x' must be positive integers"),
+            ("weights", [0.0] * 7, "checkpoint field 'weights' must hold 8 numbers"),
+            ("weights", [[0.0] * 4] * 2, "checkpoint field 'weights' must hold 8 numbers"),
+            ("weights", ["a"] * 8, "checkpoint field 'weights' must hold 8 numbers"),
+            ("bias", {"a": 1}, "checkpoint field 'bias' must hold 2 numbers"),
+            ("bias", None, "checkpoint field 'bias' must hold 2 numbers"),
+            ("metadata", [], "checkpoint field 'metadata' must be a JSON object"),
+        ],
+    )
+    def test_malformed_field(self, synth_csv, tmp_path, capsys, field, value, message):
+        payload = self._payload()
+        payload[field] = value
+        assert self._evaluate(synth_csv, tmp_path, capsys, payload) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("names", [["1"], ["1", "1"], ["1", 2], "12", 5, [["1"], ["2"]]])
+    def test_malformed_label_names(self, synth_csv, tmp_path, capsys, names):
+        payload = self._payload()
+        payload["metadata"]["label_names"] = names
+        err = self._evaluate(synth_csv, tmp_path, capsys, payload)
+        assert err == "error: checkpoint field 'label_names' must list 2 distinct names\n"
 
 
 class TestExitCodes:

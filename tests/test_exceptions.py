@@ -11,6 +11,7 @@ INSTANCES = [
     ex.EmptyDatasetError("no rows"),
     ex.DegenerateGroupError("group 2 is empty"),
     ex.DegenerateConditionalError("cell (1, 2) is empty"),
+    ex.CheckpointError("checkpoint has no 'l' field"),
     ex.CalibrationError("epsilon too large"),
     ex.DivergenceError(12, "logits"),
     ex.DivergenceError(3),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fairdp.classifier import ModelParams, forward, mean_loss, mean_param_grad, predict_proba
+from fairdp.classifier import ModelParams, forward, mean_param_grad, predict_proba
 from fairdp.dataset import SensitiveStats, TabularDataset, sensitive_stats
 from fairdp.exceptions import DegenerateConditionalError, DegenerateGroupError
 from fairdp.fairness import (
@@ -18,13 +18,18 @@ from fairdp.fairness import (
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
-    psi,
-    psi_grad_theta,
-    psi_grad_w,
     saddle_terms,
     strata,
 )
-from helpers import central_diff_grad, dp_saddle_terms, rel_error
+from helpers import (
+    central_diff_grad,
+    dp_saddle_terms,
+    mean_loss,
+    psi,
+    psi_grad_theta,
+    psi_grad_w,
+    rel_error,
+)
 
 
 def brute_force_ermi(joint):

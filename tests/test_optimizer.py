@@ -7,9 +7,9 @@ from scipy.optimize import minimize
 from fairdp import classifier, fairness, optimizer
 from fairdp.classifier import (
     ModelParams,
-    loss_grad,
-    mean_loss,
-    mean_loss_grad,
+    forward,
+    loss_dlogits,
+    mean_param_grad,
     predict_label,
 )
 from fairdp.dataset import SensitiveStats, TabularDataset, minibatch, sensitive_stats
@@ -19,8 +19,6 @@ from fairdp.fairness import (
     EQUALIZED_ODDS,
     FermiConfig,
     ermi_soft,
-    psi_grad_theta,
-    psi_grad_w,
 )
 from fairdp.harness import SyntheticSpec, synth_dataset
 from fairdp.optimizer import (
@@ -32,7 +30,21 @@ from fairdp.optimizer import (
     stationarity_gap,
 )
 from fairdp.privacy import NoiseScales
-from helpers import central_diff_grad, reference_train, rel_error
+from helpers import (
+    central_diff_grad,
+    loss_grad,
+    mean_loss,
+    psi_grad_theta,
+    psi_grad_w,
+    reference_train,
+    rel_error,
+)
+
+
+def batch_loss_grad(params, x, labels):
+    """Batch-mean loss gradient through the training kernels."""
+    proba = forward(params.weights, params.bias, x)
+    return mean_param_grad(loss_dlogits(proba, labels), x)
 
 
 def small_config(**kw):
@@ -61,6 +73,14 @@ class TestProjectBox:
         with pytest.raises(ValueError):
             project_box(np.zeros((2, 2)), 0.0)
 
+    def test_nan_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_box(np.array([0.5, -2.0]), np.nan)
+
+    def test_infinite_radius_changes_nothing(self):
+        w = np.array([0.5, -2.0, 1e308])
+        assert np.array_equal(project_box(w, np.inf), w)
+
     def test_out(self):
         w = np.array([[-3.0, 0.5], [2.5, -0.25]])
         out = np.full_like(w, np.nan)
@@ -85,7 +105,7 @@ class TestDpFermiTrain:
         for _ in range(60):
             batch = minibatch(ds.n, 30, rng)
             params = ModelParams.from_vector(theta, ds.l, ds.d_x)
-            theta = theta - 0.05 * mean_loss_grad(params, ds.features[batch], ds.labels[batch])
+            theta = theta - 0.05 * batch_loss_grad(params, ds.features[batch], ds.labels[batch])
         assert np.array_equal(result.params.as_vector(), theta)
 
     def test_lambda_zero_with_noise_matches_reference_loop(self):
@@ -107,7 +127,7 @@ class TestDpFermiTrain:
         for _ in range(25):
             batch = minibatch(ds.n, 20, rng)
             params = ModelParams.from_vector(theta, ds.l, ds.d_x)
-            g_loss = mean_loss_grad(params, ds.features[batch], ds.labels[batch])
+            g_loss = batch_loss_grad(params, ds.features[batch], ds.labels[batch])
             u = rng.normal(0.0, np.sqrt(sigma_theta_sq), size=theta.size)
             v = rng.normal(0.0, np.sqrt(sigma_w_sq), size=w.size).reshape(w.shape)
             theta = theta - 0.05 * (g_loss + 0.0 * u)
@@ -132,7 +152,7 @@ class TestDpFermiTrain:
         for _ in range(25):
             batch = minibatch(ds.n, 20, rng)
             params = ModelParams.from_vector(theta, ds.l, ds.d_x)
-            g_loss = mean_loss_grad(params, ds.features[batch], ds.labels[batch])
+            g_loss = batch_loss_grad(params, ds.features[batch], ds.labels[batch])
             u = rng.normal(0.0, np.sqrt(sigma_theta_sq), size=theta.size)
             v = rng.normal(0.0, np.sqrt(sigma_w_sq), size=w.size).reshape(w.shape)
             theta = theta - 0.05 * (g_loss + 0.0 * u)
@@ -540,7 +560,7 @@ class TestStationarityGap:
         ds = separable(n=80, seed=8)
         rng = np.random.default_rng(0)
         theta = ModelParams(rng.normal(size=(2, 5)), rng.normal(size=2))
-        expected = np.linalg.norm(mean_loss_grad(theta, ds.features, ds.labels))
+        expected = np.linalg.norm(batch_loss_grad(theta, ds.features, ds.labels))
         assert stationarity_gap(theta, ds, FermiConfig(0.0)) == pytest.approx(expected)
 
     def test_small_at_numeric_minimizer(self):
