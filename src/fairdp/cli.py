@@ -16,6 +16,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -214,16 +215,15 @@ def _cmd_calibrate(args) -> int:
             [epsilon, args.delta, T, args.n, m, args.rho,
              noise.sigma_theta_sq, noise.sigma_w_sq, bounds.delta_theta, bounds.delta_w]
         )
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(
-        ["epsilon", "delta", "T", "n", "m", "rho",
-         "sigma_theta_sq", "sigma_w_sq", "delta_theta", "delta_w"]
-    )
-    for row in rows:
-        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
-    if args.out:
-        out.close()
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["epsilon", "delta", "T", "n", "m", "rho",
+             "sigma_theta_sq", "sigma_w_sq", "delta_theta", "delta_w"]
+        )
+        for row in rows:
+            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
     return 0
 
 
@@ -260,6 +260,8 @@ def _cmd_evaluate(args) -> int:
     if ds.l > len(names) > 0:
         label = ds.label_names[len(names)]
         raise ValueError(f"label {label!r} is not one of the checkpoint's labels {names}")
+    if ds.l != theta.l:  # only possible without label names
+        raise ValueError(f"the checkpoint has {theta.l} label classes, the dataset {ds.l}")
     for name, value in evaluate_metrics(theta, ds).items():
         print(f"{name}={value:.6g}")
     return 0

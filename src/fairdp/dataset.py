@@ -309,10 +309,11 @@ class _Columns:
 
     def _resize(self, rows: int) -> None:
         # in place: realloc keeps the rows written so far (C order) and
-        # shrinking frees the tail without a copy
-        self.features.resize((rows, self.features.shape[1]))
-        self.labels.resize(rows)
-        self.sensitive.resize(rows)
+        # shrinking frees the tail without a copy; no view is held across a
+        # resize, so refcheck is off (a profiler's own reference trips it)
+        self.features.resize((rows, self.features.shape[1]), refcheck=False)
+        self.labels.resize(rows, refcheck=False)
+        self.sensitive.resize(rows, refcheck=False)
 
 
 def _raising(exc):

@@ -24,7 +24,8 @@ predictions into such a table, ermi_soft sums class probabilities into it,
 and one estimator turns a table into ERMI, the label-conditional form being
 the p(y)-weighted sum over strata. The dual is a (C, k, l) array on the
 same layout: the batch saddle terms (saddle_terms) and the closed-form
-inner maximum (inner_max_closed_form) work on it for both notions.
+inner maximum (inner_max_closed_form) work on it for both notions. Callers
+pass cell codes; only this module builds the flat table indices cell * l + j.
 """
 
 from __future__ import annotations
@@ -203,10 +204,9 @@ def saddle_terms(
     proba: np.ndarray,
     w: np.ndarray,
     inv_sqrt: np.ndarray,
-    cells: np.ndarray | None,
+    cells: np.ndarray,
     out: np.ndarray | None = None,
     *,
-    codes: np.ndarray | None = None,
     value: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, float | None]:
     """Batch saddle terms for both fairness notions in one dual layout.
@@ -221,14 +221,13 @@ def saddle_terms(
     through the features with mean_param_grad; the batch-mean dual gradient
     (C, k, l), where each block sums its own samples and divides by the full
     batch size; and the batch-mean psi value, or None with value=False.
-    An (l, m) float64 `out` receives the logit gradients and is returned in
-    their place. A caller that already holds the batch's (l, m) table codes
-    (_table_codes of its cells) passes them as `codes` and None for cells.
+    cells holds the batch's (m,) cell codes. An (l, m) float64 `out`
+    receives the logit gradients and is returned in their place.
     """
     n_strata, k, l = w.shape
     m = proba.shape[1]
     # one flat (cell, class) index per entry of proba, for the gather and the joints
-    codes = _table_codes(cells, l) if codes is None else codes
+    codes = _table_codes(cells, l)
     # per-cell psi coefficients -diag(W_c^T W_c) + 2 W_c[r] / sqrt(p(r | c))
     diag_quad = (w * w).sum(axis=1)
     table = 2.0 * inv_sqrt[:, :, None] * w - diag_quad[:, None, :]

@@ -22,21 +22,18 @@ notions share one dual layout, set up once per run by fairness.strata: a
 (C, k, l) array with (C, k) group inverse square roots, where demographic
 parity is the single stratum C = 1 and equalized odds has one stratum per
 label class, C = l. Each sample's cell code stratum * k + group is
-precomputed; the step turns the batch's cells into one (l, m) array of
-flat indices cell * l + j into a (C, k, l) table, which saddle_terms uses
-both for the gather of the per-cell psi coefficients and for the one
-bincount of the joints. The final dual comes back as the raw (C, k, l)
-array.
+precomputed; the step passes the batch's cells to saddle_terms, and only
+fairness builds table codes from them. The final dual comes back as the
+raw (C, k, l) array.
 
 Each dp_fermi_train call builds one workspace, and every step writes its
 batch-sized results into it through the kernels' numpy-style out=
 arguments instead of allocating them: the gathered batch (x, labels, clip
-scale, cell codes scaled by l), the (l, m) probabilities, loss gradient,
-psi logit gradient and table indices, and the flat theta gradient. The
-cell codes scaled by l and the (l, 1) class column are built once with it.
-A step still allocates the minibatch indices, the noise draws, the
-kernels' (m,) reductions and (l, m) boolean masks, and one (l, m) product
-inside saddle_terms. theta and W share one flat buffer, so both are
+scale, cell codes), the (l, m) probabilities, loss gradient and psi logit
+gradient, and the flat theta gradient. A step still allocates the
+minibatch indices, the noise draws, the kernels' (m,) reductions and
+(l, m) boolean masks, and saddle_terms' (l, m) table indices and one
+(l, m) product. theta and W share one flat buffer, so both are
 updated in place and one finiteness check covers them. The gathers use
 take(..., out=, mode="clip"): minibatch indices are in range by
 construction, and with out= numpy's default mode="raise" copies through a
@@ -175,7 +172,7 @@ def dp_fermi_train(
     """Fairness-regularized private training loop.
 
     Sets up the cell codes and group statistics once (fairness.strata),
-    starts the (C, k, l) dual at zero, builds the step's workspace, and
+    sets the (C, k, l) dual to zero, builds the step's workspace, and
     runs T noisy descent-ascent steps on minibatches drawn uniformly with
     replacement. The inputs are only read.
     Per-sample clipping, when configured, applies to the loss gradient only;
@@ -203,16 +200,12 @@ def dp_fermi_train(
     chosen = _pick_iterate(rng, config.iterate_rule, config.T)
     snapshot = theta.copy()
     tracer = _TraceWriter(trace_every, trace_path)
-    # the saddle terms' table codes cell * l + j (fairness._table_codes)
-    # are split into a per-sample start and the class column
-    starts, classes = cells * l, np.arange(l)[:, None]
-    # the rest of the per-run workspace, which every step writes into: the
-    # gathered batch, the (l, m) class-major arrays and the flat theta gradient
+    # the per-run workspace, which every step writes into: the gathered
+    # batch, the (l, m) class-major arrays and the flat theta gradient
     x = np.empty((m, ds.d_x))
-    labels, starts_b = np.empty(m, ds.labels.dtype), np.empty(m, starts.dtype)
+    labels, cells_b = np.empty(m, ds.labels.dtype), np.empty(m, cells.dtype)
     scale_b = None if scale is None else np.empty(m)
     proba, d_loss, d_psi = np.empty((l, m)), np.empty((l, m)), np.empty((l, m))
-    codes = np.empty((l, m), starts.dtype)
     g_theta = np.empty(d_theta)
 
     try:
@@ -232,10 +225,9 @@ def dp_fermi_train(
             loss_dlogits(proba, labels, config.clip_theta, scale_b, out=d_loss)
             tracing = tracer.records is not None and t % tracer.every == 0
             if lam > 0:
-                starts.take(batch, out=starts_b, mode="clip")
-                np.add(starts_b, classes, out=codes)
+                cells.take(batch, out=cells_b, mode="clip")
                 _, g_w, psi_val = saddle_terms(
-                    proba, w, inv_sqrt, cells=None, out=d_psi, codes=codes, value=tracing
+                    proba, w, inv_sqrt, cells_b, out=d_psi, value=tracing
                 )
                 d_psi *= lam
                 d_loss += d_psi

@@ -119,6 +119,8 @@ def calibrate_all_features(
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's entire record."""
     _check_calibration_inputs(rho, L_theta, D)
+    if l < 2:
+        raise CalibrationError(f"need at least two label classes, got l={l}")
     base = _base(budget, T, n)
     return NoiseScales(
         sigma_theta_sq=64.0 * L_theta ** 2 * D ** 2 * base / rho

@@ -129,6 +129,34 @@ class TestCalibrate:
         assert capsys.readouterr().err == f"error: n must be positive, got {n}\n"
         assert not out.exists()
 
+    ALL_FEATURES = ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "10",
+                    "--rho", "0.4", "--epochs", "20", "--granularity", "all"]
+
+    @pytest.mark.parametrize("labels", ["1", "0", "-5"])
+    def test_labels_below_two_is_config_error(self, capsys, labels):
+        assert main([*self.ALL_FEATURES, "--labels", labels]) == 2
+        out = capsys.readouterr()
+        expected = f"error: need at least two label classes, got l={labels}\n"
+        assert (out.out, out.err) == ("", expected)
+
+    def test_two_labels_table(self, capsysbinary):
+        assert main([*self.ALL_FEATURES, "--labels", "2"]) == 0
+        assert capsysbinary.readouterr().out == (
+            b"epsilon,delta,T,n,m,rho,sigma_theta_sq,sigma_w_sq,delta_theta,delta_w\r\n"
+            b"1,1e-05,200,100,10,0.4,66.3145,25.789,0.447214,0.447214\r\n"
+        )
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary):
+        argv = ["calibrate", "--epsilon", "0.5", "1", "3", "--n", "2000", "--batch-size", "100",
+                "--rho", "0.4", "--epochs", "20"]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert stdout.count(b"\r\n") == 4
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == stdout
+
 
 class TestTrainEvaluate:
     def test_train_then_evaluate(self, synth_csv, tmp_path, capsys):
@@ -253,6 +281,19 @@ class TestEvaluateLabelNames:
         metrics = evaluate_metrics(theta, load_csv(reordered, "label", "sensitive"))
         expected = "".join(f"{name}={value:.6g}\n" for name, value in metrics.items())
         assert self._evaluate(capsys, reordered, bare) == (0, expected, "")
+
+    @pytest.mark.parametrize("model_l, data_l", [(3, 2), (2, 3)])
+    def test_unnamed_checkpoint_with_another_label_count(self, model_l, data_l, tmp_path, capsys):
+        data, bare = tmp_path / "data.csv", tmp_path / "bare.json"
+        argv = ["synth", "--n", "600", "--d-x", "3", "--l", data_l, "--seed", "1", "--out", data]
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        payload = {"l": model_l, "d_x": 3, "weights": [0] * (3 * model_l),
+                   "bias": [0] * (model_l - 1) + [5]}
+        bare.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = self._evaluate(capsys, data, bare)
+        assert (code, out) == (2, "")
+        assert err == f"error: the checkpoint has {model_l} label classes, the dataset {data_l}\n"
 
 
 class TestMalformedCheckpoint:

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -180,10 +184,10 @@ LOAD_CSV_CORPUS = {
 }
 
 
-def _load_outcome(load, path):
+def _load_outcome(load, path, columns=("lab", "grp")):
     """Everything observable about a load: the dataset or the exception."""
     try:
-        ds = load(path, "lab", "grp")
+        ds = load(path, *columns)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
     return (
@@ -306,6 +310,67 @@ class TestDirectAssembly:
         for a in (ds.features, ds.labels, ds.sensitive):
             assert a.shape[0] == 300
             assert a.base is None and a.flags.owndata
+
+
+def _test_file(kind, tmp_path):
+    """A CSV of the given kind and its (label, sensitive) column names:
+    a `fairdp synth` file, whose arrays are cut to the rows read ("synth");
+    a file that outruns its row estimate, so the arrays grow ("grows"); or
+    a LOAD_CSV_CORPUS entry."""
+    path = tmp_path / "d.csv"
+    if kind == "synth":
+        argv = ["synth", "--n", "3000", "--d-x", "4", "--k", "3", "--seed", "2", "--out", path]
+        assert cli.main([str(a) for a in argv]) == 0
+        return path, ("label", "sensitive")
+    if kind == "grows":
+        rows = TestDirectAssembly._rows(5 * CHUNK_ROWS + 7, False)
+        return write_csv(path, "x,y,lab,grp\n" + "".join(rows)), ("lab", "grp")
+    return write_csv(path, LOAD_CSV_CORPUS[kind]), ("lab", "grp")
+
+
+class TestLoadUnderHooks:
+    """A profile or trace hook, as cProfile, coverage and pdb install, holds
+    references of its own; load_csv returns the same dataset under it."""
+
+    @pytest.mark.parametrize("hook", ["profile", "trace"])
+    @pytest.mark.parametrize("kind", ["synth", "grows"])
+    def test_same_dataset(self, hook, kind, tmp_path, capsys):
+        path, columns = _test_file(kind, tmp_path)
+        expected = _load_outcome(load_csv, path, columns)
+        assert isinstance(expected[0], tuple)  # a dataset, not an error
+        previous = getattr(sys, f"get{hook}")()
+        getattr(sys, f"set{hook}")(lambda *args: None)
+        try:
+            got = _load_outcome(load_csv, path, columns)
+        finally:
+            getattr(sys, f"set{hook}")(previous)
+        assert got == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestLoadFromFifo:
+    """load_csv streams its input: a FIFO, which has no size and cannot be
+    read twice, gives the dataset of the regular file on both parse paths."""
+
+    @pytest.mark.parametrize("kind", ["synth", "quoted_cell_past_first_chunk"])
+    def test_same_dataset_as_the_file(self, kind, tmp_path, capsys):
+        path, columns = _test_file(kind, tmp_path)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(path.read_bytes())
+            except BrokenPipeError:  # the reader stopped early; the assert below fails
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = _load_outcome(load_csv, fifo, columns)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == _load_outcome(load_csv, path, columns)
 
 
 class TestOwnership:

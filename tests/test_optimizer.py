@@ -333,7 +333,6 @@ class TestKernelsWithOut:
         scale = None if clip is None else classifier.gradient_scale(x)
         cells, inv_sqrt = fairness.strata(ds, notion)
         cells = cells[batch]
-        codes = fairness._table_codes(cells, ds.l)
         w = rng.uniform(-1.0, 1.0, size=(*inv_sqrt.shape, ds.l))
 
         def check(expected, call):
@@ -346,13 +345,9 @@ class TestKernelsWithOut:
         d_loss = classifier.loss_dlogits(proba, labels, clip, scale)
         check(d_loss, lambda out: classifier.loss_dlogits(proba, labels, clip, scale, out=out))
         d_psi, g_w, value = fairness.saddle_terms(proba, w, inv_sqrt, cells)
-        for given, kw in (
-            (cells, {}),
-            (None, {"codes": codes}),
-            (None, {"codes": codes, "value": False}),
-        ):
+        for kw in ({}, {"value": False}):
             out = np.full_like(d_psi, np.nan)
-            got = fairness.saddle_terms(proba, w, inv_sqrt, given, out=out, **kw)
+            got = fairness.saddle_terms(proba, w, inv_sqrt, cells, out=out, **kw)
             assert got[0] is out
             assert out.tobytes() == d_psi.tobytes()
             assert got[1].tobytes() == g_w.tobytes()
