@@ -12,7 +12,6 @@ import math
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -177,18 +176,17 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     and every feature is finite. The first chunk that fails any of these
     hands its lines and the rest of the file to csv.reader, the only path
     for quoted cells, blank rows and the numerals only float() accepts
-    ("1_0", non-ASCII digits). There each chunk's feature cells go through
-    one float() pass, and a chunk that fails is re-scanned cell by cell to
-    raise the ParseError of its first bad row. The dataset, and any error
-    with its message and row, are the same whichever path a chunk takes;
-    error rows are absolute 0-based data-row indices (the header is not
-    counted).
+    ("1_0", non-ASCII digits). There each row is converted cell by cell as
+    it is read, so the first bad row in the file raises its ParseError. The
+    dataset, and any error with its message and row, are the same whichever
+    path a row takes; error rows are absolute 0-based data-row indices (the
+    header is not counted).
 
-    Both paths write each chunk straight into the dataset's arrays. They
-    are allocated once, for the file size over the first chunk's mean line
-    length plus headroom, grow only if the rows outrun that estimate, and
-    are cut to the rows read and marked read-only at the end, so the
-    dataset takes them without a copy: the data is held once.
+    Both paths write straight into the dataset's arrays. They are allocated
+    once, for the file size over the first chunk's mean line length plus
+    headroom, grow only if the rows outrun that estimate, and are cut to the
+    rows read and marked read-only at the end, so the dataset takes them
+    without a copy: the data is held once.
     """
     return _read_csv(path, label_col, sensitive_col, ())
 
@@ -231,24 +229,14 @@ def _read_csv(path, label_col: str, sensitive_col: str, label_names) -> TabularD
             lines, error = _read_chunk(fh)
 
         # csv.reader sees the lines read so far, then the same decode error
-        reader = csv.reader(chain(lines, fh if error is None else _raising(error)))
-        while True:
-            rows = []
-            try:
-                rows.extend(islice(reader, CHUNK_ROWS))
-            except (csv.Error, ValueError):
-                # a bad row read before the unreadable one reports first
-                scratch = np.empty((len(rows), len(feat_idx)))
-                _parse_features(rows, start, header, feat_idx, scratch)
-                raise
-            if not rows:
-                break
-            stop = start + len(rows)
-            columns.reserve(stop)
-            _feature_block(rows, start, header, feat_idx, columns.features[start:stop])
-            columns.labels[start:stop] = _encode(map(itemgetter(label_idx), rows), label_codes)
-            columns.sensitive[start:stop] = _encode(map(itemgetter(sens_idx), rows), sens_codes)
-            start = stop
+        for row in csv.reader(chain(lines, fh if error is None else _raising(error))):
+            columns.reserve(start + 1)
+            _parse_row(row, start, header, feat_idx, columns.features[start])
+            label = row[label_idx].strip()
+            columns.labels[start] = label_codes.setdefault(label, len(label_codes) + 1)
+            group = row[sens_idx].strip()
+            columns.sensitive[start] = sens_codes.setdefault(group, len(sens_codes) + 1)
+            start += 1
 
     if not start:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
@@ -286,10 +274,10 @@ def _row_estimate(size: int, lines) -> int:
 
 
 class _Columns:
-    """The feature, label and sensitive arrays load_csv writes each chunk
-    into. They are sized once from the row estimate, grow by half only when
-    the rows outrun it, and are cut to the rows read at the end; no view of
-    them may be held across a resize."""
+    """The feature, label and sensitive arrays load_csv writes its chunks
+    and rows into. They are sized once from the row estimate, grow by half
+    only when the rows outrun it, and are cut to the rows read at the end;
+    no view of them may be held across a resize."""
 
     def __init__(self, rows: int, d: int):
         self.features = np.empty((rows, d))
@@ -351,44 +339,24 @@ def _loadtxt_chunk(lines, row_dtype, feat_idx, out) -> np.ndarray | None:
     return table if np.isfinite(out).all() else None
 
 
-def _feature_block(rows, start, header, feat_idx, out) -> None:
-    """Write the features of one chunk of CSV rows into out, (len(rows),
-    len(feat_idx)) float64."""
-    if set(map(len, rows)) == {len(header)}:
-        if len(feat_idx) > 1:
-            cells = chain.from_iterable(map(itemgetter(*feat_idx), rows))
-        else:
-            cells = map(itemgetter(*feat_idx), rows) if feat_idx else ()
+def _parse_row(row, row_i, header, feat_idx, out) -> None:
+    """Convert one CSV row's feature cells into out, (len(feat_idx),)
+    float64, or raise the row's ParseError."""
+    if len(row) != len(header):
+        raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
+    for j, col_i in enumerate(feat_idx):
+        cell = row[col_i].strip()
         try:
-            block = np.fromiter(map(float, cells), np.float64, len(rows) * len(feat_idx))
+            value = float(cell)
         except ValueError:
-            pass
-        else:
-            if np.isfinite(block).all():
-                out[...] = block.reshape(len(rows), len(feat_idx))
-                return
-    _parse_features(rows, start, header, feat_idx, out)
-
-
-def _parse_features(rows, start, header, feat_idx, out) -> None:
-    """Cell-by-cell conversion into out that raises the first bad row's
-    ParseError."""
-    for row_i, row in enumerate(rows, start):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
-        for j, col_i in enumerate(feat_idx):
-            cell = row[col_i].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
-                )
-            out[row_i - start, j] = value
+            raise ParseError(
+                f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(
+                f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
+            )
+        out[j] = value
 
 
 def _encode(cells, codes: dict[str, int]) -> np.ndarray:

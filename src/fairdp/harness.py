@@ -74,8 +74,8 @@ class SyntheticSpec:
             raise ValueError("need k >= 2 and l >= 2")
         if not 0.0 <= self.bias <= 1.0:
             raise ValueError("bias must lie in [0, 1]")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be positive and finite")
 
     @property
     def dataset_id(self) -> str:

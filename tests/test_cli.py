@@ -62,6 +62,14 @@ class TestSynth:
         reference_write_csv(ds, tmp_path / "reference.csv")
         assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_noise_scale_must_be_positive_and_finite(self, value, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        argv = ["synth", "--n", "10", "--noise-scale", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: noise_scale must be positive and finite\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_reference_row(self, capsys):

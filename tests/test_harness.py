@@ -93,6 +93,11 @@ class TestSyntheticData:
         with pytest.raises(ValueError):
             SyntheticSpec(n=10, d_x=3, bias=1.5)
 
+    @pytest.mark.parametrize("noise_scale", [0.0, -1.0, math.nan, math.inf])
+    def test_noise_scale_must_be_positive_and_finite(self, noise_scale):
+        with pytest.raises(ValueError, match="^noise_scale must be positive and finite$"):
+            SyntheticSpec(n=10, d_x=3, noise_scale=noise_scale)
+
     @staticmethod
     def _unregularized_violation(bias, seed):
         ds = synth_dataset(SyntheticSpec(n=2000, d_x=5, bias=bias, noise_scale=1.0, seed=seed))

@@ -6,6 +6,7 @@ reads). Holding a second full copy of the data, as a chunk list plus its
 concatenation or a defensive copy in the dataset does, exceeds every bound.
 """
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -45,8 +46,23 @@ def synth_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def quoted_csv(synth_csv):
+    """The synth CSV with every cell quoted, which only csv.reader parses."""
+    path = synth_csv.with_name("quoted.csv")
+    with open(synth_csv, newline="") as src, open(path, "w", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+    return path
+
+
 def test_load_csv_holds_the_data_once(synth_csv):
     ds, peak = traced_peak(load_csv, synth_csv, "label", "sensitive")
+    assert ds.n == N
+    assert peak <= 1.6 * data_bytes(ds)
+
+
+def test_load_csv_holds_quoted_data_once(quoted_csv):
+    ds, peak = traced_peak(load_csv, quoted_csv, "label", "sensitive")
     assert ds.n == N
     assert peak <= 1.6 * data_bytes(ds)
 
