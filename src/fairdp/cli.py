@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (including a model whose
 logits overflow on the data it is evaluated on), 3 divergence in a train run.
 Runs execute sequentially, so results are deterministic for a fixed seed.
+train --seed S seeds its run with S, not with sweep's first cell (S, 0, 0, 0).
 """
 
 from __future__ import annotations

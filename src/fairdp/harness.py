@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
-from .dataset import TabularDataset, load_csv, sensitive_stats, train_test_split
+from .dataset import TabularDataset, _frozen, load_csv, sensitive_stats, train_test_split
 from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
 from .fairness import (
     DEMOGRAPHIC_PARITY,
@@ -26,7 +26,7 @@ from .fairness import (
     eo_violation,
     ermi_hard,
 )
-from .optimizer import SgdaConfig, dp_fermi_train
+from .optimizer import SgdaConfig, _check_seed, dp_fermi_train
 from .privacy import (
     NoiseScales,
     PrivacyBudget,
@@ -76,6 +76,7 @@ class SyntheticSpec:
             raise ValueError("bias must lie in [0, 1]")
         if not 0.0 < self.noise_scale < math.inf:
             raise ValueError("noise_scale must be positive and finite")
+        _check_seed("seed", self.seed)
 
     @property
     def dataset_id(self) -> str:
@@ -101,13 +102,16 @@ def synth_dataset(spec: SyntheticSpec) -> TabularDataset:
     # swapped, the same bits, and the means gathered a block of rows at a
     # time, so no (n, d_x) temporary is made
     features = rng.standard_normal((spec.n, spec.d_x))
-    features *= spec.noise_scale
+    try:  # adding means and offsets of size 2 or less cannot overflow
+        with np.errstate(over="raise"):
+            features *= spec.noise_scale
+    except FloatingPointError:
+        raise ValueError(f"noise_scale={spec.noise_scale} overflows the features") from None
     means = _class_means(spec.l, spec.d_x)
     for i in range(0, spec.n, SYNTH_BLOCK_ROWS):
         features[i : i + SYNTH_BLOCK_ROWS] += means[y[i : i + SYNTH_BLOCK_ROWS] - 1]
     features[:, -1] += 2.0 * (2.0 * (s - 1) / (spec.k - 1) - 1.0)  # group offset in [-2, 2]
-    for a in (features, y, s):
-        a.setflags(write=False)  # so the dataset takes them without a copy
+    _frozen(features, y, s)
     return TabularDataset(features, y, s, spec.l, spec.k)
 
 
@@ -154,6 +158,7 @@ class ExperimentConfig:
         # only the per-sample clip bounds a whole record's loss gradient
         if self.granularity == ALL_FEATURES and self.clip_theta is None:
             raise CalibrationError("all-features privacy requires loss-gradient clipping")
+        _check_seed("master_seed", self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -299,8 +304,8 @@ _DIVERGED_METRICS = dict.fromkeys(("error", "dp_violation", "eo_violation", "erm
 def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     """Train and evaluate every (epsilon, lambda, trial) cell of the grid.
 
-    Each cell owns a random stream derived deterministically from
-    (master_seed, epsilon index, lambda index, trial). Diverged runs are
+    Each cell's SgdaConfig.seed is the tuple (master_seed, epsilon index,
+    lambda index, trial), so every cell owns its own stream. Diverged runs are
     recorded with status "diverged" and NaN metrics rather than dropped.
     """
     ds = load_experiment_dataset(config)
@@ -314,11 +319,9 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
         for l_idx, lam in enumerate(config.lambdas):
             fermi = FermiConfig(lam, config.notion)
             for trial in range(config.trials):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((config.master_seed, e_idx, l_idx, trial))
-                )
+                cell = replace(sgda, seed=(config.master_seed, e_idx, l_idx, trial))
                 try:
-                    result = dp_fermi_train(train, theta0, fermi, sgda, noise, rng)
+                    result = dp_fermi_train(train, theta0, fermi, cell, noise)
                     train_metrics = evaluate_metrics(result.params, train)
                     test_metrics = evaluate_metrics(result.params, test)
                     status = "ok"

@@ -8,10 +8,9 @@ on cross-entropy plus lam times the per-sample saddle terms:
     W     <- Pi_box(W + eta_w * (lam * mean grad_W psi + V_t))
 
 with u_t ~ N(0, sigma_theta^2 I) and V_t entrywise N(0, sigma_w^2). The
-theta noise sits inside the lam bracket, so the injected noise is
-effectively lam * u_t; set noise_in_lambda_bracket=False to add u_t
-unscaled instead. Everything is deterministic given the seed: per
-iteration the batch is drawn first, then u_t, then V_t.
+theta noise sits inside the lam bracket, so the injected noise is lam * u_t.
+SgdaConfig.seed, passed as is to np.random.default_rng, is the run's only
+seed: per iteration the batch is drawn first, then u_t, then V_t.
 
 Each step is one fused pass in class-major (l, m) layout. The class
 probabilities of the batch are computed once (classifier.forward) and feed
@@ -84,9 +83,15 @@ LAST = "last"
 UNIFORM_RANDOM = "uniform_random"
 
 
+def _check_seed(name: str, seed) -> None:
+    """Raise ValueError naming `name` unless seed is a non-negative int."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SgdaConfig:
-    """Step sizes, iteration budget, batch size and dual box for one run."""
+    """Step sizes, iteration budget, batch size, dual box and seed of one run."""
 
     eta_theta: float
     eta_w: float
@@ -95,7 +100,7 @@ class SgdaConfig:
     box_radius: float
     clip_theta: float | None = None
     iterate_rule: str = LAST
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         # 0 < v < inf also rejects NaN, which fails every comparison
@@ -109,6 +114,8 @@ class SgdaConfig:
             raise ValueError("clip_theta must be positive and finite when given")
         if self.iterate_rule not in (LAST, UNIFORM_RANDOM):
             raise ValueError(f"unknown iterate rule {self.iterate_rule!r}")
+        for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
+            _check_seed("seed", part)
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,8 @@ def dp_fermi_train(
     fermi: FermiConfig,
     config: SgdaConfig,
     noise: NoiseScales,
-    rng: np.random.Generator | None = None,
     trace_every: int = 0,
     trace_path=None,
-    noise_in_lambda_bracket: bool = True,
 ) -> TrainResult:
     """Fairness-regularized private training loop.
 
@@ -185,7 +190,7 @@ def dp_fermi_train(
         raise ValueError(f"batch size {config.m} exceeds n={ds.n}")
     if theta0.d_x != ds.d_x or theta0.l != ds.l:
         raise ValueError("model dimensions do not match the dataset")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
+    rng = np.random.default_rng(config.seed)
     cells, inv_sqrt = strata(ds, fermi.notion)
     scale = None if config.clip_theta is None else gradient_scale(ds.features)
     m, l, d_theta = config.m, ds.l, theta0.d_theta
@@ -196,9 +201,7 @@ def dp_fermi_train(
     theta[:] = theta0.as_vector()
     weights, bias = theta[: l * ds.d_x].reshape(l, ds.d_x), theta[l * ds.d_x :]
     lam = fermi.lam
-    noise_weight = lam if noise_in_lambda_bracket else 1.0
     chosen = _pick_iterate(rng, config.iterate_rule, config.T)
-    snapshot = theta.copy()
     tracer = _TraceWriter(trace_every, trace_path)
     # the per-run workspace, which every step writes into: the gathered
     # batch, the (l, m) class-major arrays and the flat theta gradient
@@ -211,9 +214,6 @@ def dp_fermi_train(
     try:
         for t in range(1, config.T + 1):
             batch = minibatch(ds.n, m, rng)
-            # minibatch indices are in range by construction; mode="clip"
-            # lets take write straight into the buffer, where mode="raise"
-            # copies through a temporary
             ds.features.take(batch, axis=0, out=x, mode="clip")
             ds.labels.take(batch, out=labels, mode="clip")
             if scale is not None:
@@ -234,8 +234,8 @@ def dp_fermi_train(
             mean_param_grad(d_loss, x, out=g_theta)
             u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
             v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
-            # theta <- theta - eta_theta * (g_theta + noise_weight * u)
-            u *= noise_weight
+            # theta <- theta - eta_theta * (g_theta + lam * u)
+            u *= lam
             u += g_theta
             u *= config.eta_theta
             theta -= u

@@ -65,12 +65,7 @@ class NoiseScales:
     sigma_w_sq: float
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.sigma_theta_sq)
-            and math.isfinite(self.sigma_w_sq)
-            and self.sigma_theta_sq >= 0
-            and self.sigma_w_sq >= 0
-        ):
+        if not (0 <= self.sigma_theta_sq < math.inf and 0 <= self.sigma_w_sq < math.inf):
             raise ValueError("noise variances must be finite and nonnegative")
 
     @classmethod

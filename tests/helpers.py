@@ -187,10 +187,8 @@ def reference_train(
     fermi,
     config,
     noise,
-    rng=None,
     trace_every=0,
     trace_path=None,
-    noise_in_lambda_bracket=True,
 ):
     """dp_fermi_train without the lam = 0 shortcut: every step computes the
     saddle terms (reference_saddle_terms) and scales them by lam, whatever
@@ -199,7 +197,7 @@ def reference_train(
         raise ValueError(f"batch size {config.m} exceeds n={ds.n}")
     if theta0.d_x != ds.d_x or theta0.l != ds.l:
         raise ValueError("model dimensions do not match the dataset")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
+    rng = np.random.default_rng(config.seed)
     cells, inv_sqrt = strata(ds, fermi.notion)
     scale = None if config.clip_theta is None else gradient_scale(ds.features)
     w = np.zeros((inv_sqrt.shape[0], ds.k, ds.l))
@@ -207,7 +205,6 @@ def reference_train(
     weights = theta[: ds.l * ds.d_x].reshape(ds.l, ds.d_x)
     bias = theta[ds.l * ds.d_x :]
     lam = fermi.lam
-    noise_weight = lam if noise_in_lambda_bracket else 1.0
     chosen = _pick_iterate(rng, config.iterate_rule, config.T)
     snapshot = theta.copy()
     tracer = _TraceWriter(trace_every, trace_path)
@@ -228,7 +225,7 @@ def reference_train(
             g_theta = mean_param_grad(d_loss + lam * d_psi, x)
             u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
             v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
-            theta -= config.eta_theta * (g_theta + noise_weight * u)
+            theta -= config.eta_theta * (g_theta + lam * u)
             w = np.clip(w + config.eta_w * (lam * g_w + v), -config.box_radius, config.box_radius)
             if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
                 raise DivergenceError(t, "iterates")

@@ -70,6 +70,19 @@ class TestSynth:
         assert capsys.readouterr().err == "error: noise_scale must be positive and finite\n"
         assert not out.exists()
 
+    def test_noise_scale_that_overflows_is_config_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        argv = ["synth", "--n", "10", "--noise-scale", "1e308", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: noise_scale=1e+308 overflows the features\n"
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--n", "10", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_reference_row(self, capsys):
@@ -489,6 +502,7 @@ class TestTrainAndSweepShareValidation:
             (["--granularity", "none", "--delta", "nan"], "delta must lie in (0, 1)"),
             (["--granularity", "none", "--delta", "7"], "delta must lie in (0, 1)"),
             (["--granularity", "none", "--delta", "0"], "delta must lie in (0, 1)"),
+            (["--seed", "-1"], "master_seed must be a non-negative integer, got -1"),
         ],
     )
     def test_same_error_line(self, synth_csv, tmp_path, capsys, flags, message):

@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from fairdp import harness
 from fairdp.classifier import ModelParams, proba_lipschitz_bound
 from fairdp.dataset import sensitive_stats, train_test_split
 from fairdp.exceptions import CalibrationError
@@ -98,6 +99,19 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="^noise_scale must be positive and finite$"):
             SyntheticSpec(n=10, d_x=3, noise_scale=noise_scale)
 
+    def test_noise_scale_that_overflows_the_features_is_named(self):
+        # finite, but noise_scale * z overflows for |z| > 1.8
+        spec = SyntheticSpec(n=10, d_x=5, noise_scale=1e308)
+        with pytest.raises(ValueError, match=r"^noise_scale=1e\+308 overflows the features$"):
+            synth_dataset(spec)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, (1, 2)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            SyntheticSpec(n=10, d_x=3, seed=seed)
+        with pytest.raises(ValueError, match="^master_seed must be a non-negative integer, got "):
+            cheap_config(master_seed=seed)
+
     @staticmethod
     def _unregularized_violation(bias, seed):
         ds = synth_dataset(SyntheticSpec(n=2000, d_x=5, bias=bias, noise_scale=1.0, seed=seed))
@@ -142,13 +156,13 @@ class TestRunSweep:
         train, test = train_test_split(ds, 0.25, config.master_seed)
         m = min(config.batch_size, train.n)
         T = config.epochs * math.ceil(train.n / m)
-        rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, 0, 0, 0)))
         sgda = SgdaConfig(
-            eta_theta=config.eta_theta, eta_w=config.eta_w, T=T, m=m, box_radius=1.0
+            eta_theta=config.eta_theta, eta_w=config.eta_w, T=T, m=m, box_radius=1.0,
+            seed=(config.master_seed, 0, 0, 0),
         )
         result = dp_fermi_train(
             train, ModelParams.zeros(train.l, train.d_x), FermiConfig(0.0), sgda,
-            NoiseScales.none(), rng,
+            NoiseScales.none(),
         )
         metrics = evaluate_metrics(result.params, test)
         assert record.test_error == pytest.approx(metrics["error"], abs=1e-12)
@@ -190,6 +204,48 @@ class TestRunSweep:
     def test_deterministic_records(self):
         config = cheap_config(lambdas=(0.0, 1.0), trials=2)
         assert run_sweep(config) == run_sweep(config)
+
+    def test_each_cell_is_seeded_with_its_grid_indices(self, monkeypatch):
+        # cell (e, l, t) of the grid is one dp_fermi_train run whose only
+        # seed is SgdaConfig.seed = (master_seed, e, l, t)
+        config = cheap_config(
+            granularity=SENSITIVE_ONLY, epsilons=(1.0, 2.0), lambdas=(0.0, 1.5), trials=2
+        )
+        params = []
+
+        def recording_train(*args, **kwargs):
+            result = dp_fermi_train(*args, **kwargs)
+            params.append(result.params.as_vector().tobytes())
+            return result
+
+        monkeypatch.setattr(harness, "dp_fermi_train", recording_train)
+        records = run_sweep(config)
+        assert len(records) == len(params) == 8
+        ds = synth_dataset(config.dataset)
+        train, test = train_test_split(ds, config.test_fraction, config.master_seed)
+        cells = [(e, l, t) for e in range(2) for l in range(2) for t in range(2)]
+        for (e, l, t), record, swept in zip(cells, records, params):
+            sgda, noise = plan_run(config, train, config.epsilons[e])
+            cell = SgdaConfig(
+                eta_theta=config.eta_theta, eta_w=config.eta_w, T=sgda.T, m=sgda.m,
+                box_radius=config.box_radius, clip_theta=config.clip_theta,
+                seed=(config.master_seed, e, l, t),
+            )
+            result = dp_fermi_train(
+                train, ModelParams.zeros(train.l, train.d_x), FermiConfig(config.lambdas[l]),
+                cell, noise,
+            )
+            assert result.params.as_vector().tobytes() == swept
+            train_metrics = evaluate_metrics(result.params, train)
+            test_metrics = evaluate_metrics(result.params, test)
+            assert (record.epsilon, record.lam, record.seed) == (
+                config.epsilons[e], config.lambdas[l], t
+            )
+            assert record.train_error == train_metrics["error"]
+            assert record.test_error == test_metrics["error"]
+            for name in ("dp_violation", "eo_violation", "ermi_hard"):
+                assert repr(getattr(record, name)) == repr(test_metrics[name])
+        assert len(set(params)) == 8
 
 
 def split_of(config):

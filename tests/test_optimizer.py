@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -192,27 +193,29 @@ class TestDpFermiTrain:
         assert np.array_equal(a.params.as_vector(), b.params.as_vector())
         assert np.array_equal(a.dual, b.dual)
 
-    def test_uniform_random_iterate_rule(self):
+    def test_uniform_random_iterate_rule(self, monkeypatch):
         # the chosen iterate is drawn first, so the returned model is the one
-        # a LAST run of T = chosen steps reaches from the stream after it
+        # a LAST run of T = chosen steps reaches after making the same draw
         ds = separable(n=100, seed=4, bias=0.6)
         fermi = FermiConfig(1.0, EQUALIZED_ODDS)
         noise = NoiseScales(0.01, 0.01)
-        base = dict(eta_theta=0.05, eta_w=0.05, m=25, box_radius=1.0, clip_theta=1.0)
+        base = dict(eta_theta=0.05, eta_w=0.05, m=25, box_radius=1.0, clip_theta=1.0, seed=11)
         config = SgdaConfig(T=30, iterate_rule=UNIFORM_RANDOM, **base)
-        result = dp_fermi_train(
-            ds, ModelParams.zeros(2, 5), fermi, config, noise, rng=np.random.default_rng(11)
-        )
+        result = dp_fermi_train(ds, ModelParams.zeros(2, 5), fermi, config, noise)
         assert 1 <= result.chosen_iterate < 30
-        rng = np.random.default_rng(11)
-        assert int(rng.integers(1, 31)) == result.chosen_iterate
+        assert int(np.random.default_rng(11).integers(1, 31)) == result.chosen_iterate
+
+        def draw_then_last(rng, rule, T):
+            rng.integers(1, 31)
+            return T
+
+        monkeypatch.setattr(optimizer, "_pick_iterate", draw_then_last)
         last = dp_fermi_train(
             ds,
             ModelParams.zeros(2, 5),
             fermi,
             SgdaConfig(T=result.chosen_iterate, iterate_rule=LAST, **base),
             noise,
-            rng=rng,
         )
         assert last.chosen_iterate == result.chosen_iterate
         assert np.array_equal(result.params.as_vector(), last.params.as_vector())
@@ -278,17 +281,6 @@ class TestDpFermiTrain:
         )
         assert result.dual.shape == (2, 2, 2)
         assert np.abs(result.dual).max() <= 1.0 + 1e-12
-
-    def test_noise_placement_flag_changes_trajectory(self):
-        ds = separable(n=100, seed=6, bias=0.4)
-        config = SgdaConfig(eta_theta=0.02, eta_w=0.02, T=30, m=25, box_radius=1.0, seed=8)
-        noise = NoiseScales(0.05, 0.0)
-        lam_half = FermiConfig(0.5)
-        inside = dp_fermi_train(ds, ModelParams.zeros(2, 5), lam_half, config, noise)
-        outside = dp_fermi_train(
-            ds, ModelParams.zeros(2, 5), lam_half, config, noise, noise_in_lambda_bracket=False
-        )
-        assert not np.array_equal(inside.params.as_vector(), outside.params.as_vector())
 
     def test_trace_stream(self, tmp_path):
         ds = separable(n=100, seed=7)
@@ -503,13 +495,13 @@ class TestAgainstReferenceLoop:
     agree bit for bit, including at lam = 0, where dp_fermi_train skips them."""
 
     @staticmethod
-    def assert_same(ds, fermi, config, noise, tmp_path, **kw):
+    def assert_same(ds, fermi, config, noise, tmp_path):
         runs = []
         for name, train in (("fused", dp_fermi_train), ("reference", reference_train)):
             path = tmp_path / f"{name}.jsonl"
             result = train(
                 ds, ModelParams.zeros(ds.l, ds.d_x), fermi, config, noise,
-                trace_every=3, trace_path=path, **kw,
+                trace_every=3, trace_path=path,
             )
             runs.append((result, path.read_bytes()))
         (fused, fused_log), (ref, ref_log) = runs
@@ -539,15 +531,6 @@ class TestAgainstReferenceLoop:
         )
         noise = NoiseScales(0.01, 0.01)
         self.assert_same(ds, FermiConfig(lam, EQUALIZED_ODDS), config, noise, tmp_path)
-
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_matches_reference_with_noise_outside_bracket(self, lam, tmp_path):
-        ds = separable(n=100, seed=6, bias=0.4)
-        config = SgdaConfig(eta_theta=0.02, eta_w=0.02, T=30, m=25, box_radius=1.0, seed=8)
-        noise = NoiseScales(0.05, 0.05)
-        self.assert_same(
-            ds, FermiConfig(lam), config, noise, tmp_path, noise_in_lambda_bracket=False
-        )
 
 
 class TestStationarityGap:
@@ -627,3 +610,10 @@ class TestSgdaConfigValidation:
         # NaN fails every comparison, so a bare "<= 0" check would let it through
         with pytest.raises(ValueError, match="finite"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", (5, -1), (5, 0.5), None])
+    def test_rejects_negative_and_non_integer_seeds(self, seed):
+        part = seed[1] if isinstance(seed, tuple) else seed
+        message = f"seed must be a non-negative integer, got {part!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(seed=seed)
