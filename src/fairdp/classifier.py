@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _frozen_array
 from .exceptions import CheckpointError
 
 # Probabilities below this are clamped by mean_cross_entropy, so a saturated
@@ -30,20 +31,23 @@ LIPSCHITZ_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Weights (l, d_x) and bias (l,) of a softmax-linear classifier."""
+    """Weights (l, d_x) and bias (l,) of a softmax-linear classifier.
+
+    Held by TabularDataset's rule: a read-only float64 input that owns its
+    memory is kept as it is, any other is stored as a read-only copy, so
+    later writes to a writeable input do not reach the model.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        bias = np.array(self.bias, dtype=np.float64)
+        weights = _frozen_array(self.weights, np.float64)
+        bias = _frozen_array(self.bias, np.float64)
         if weights.ndim != 2 or bias.ndim != 1 or weights.shape[0] != bias.shape[0]:
             raise ValueError("weights must be (l, d_x) with a matching length-l bias")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
             raise ValueError("model parameters must be finite")
-        weights.setflags(write=False)
-        bias.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", bias)
 

@@ -45,7 +45,7 @@ from .harness import (
     run_sweep,
     synth_dataset,
 )
-from .optimizer import dp_fermi_train
+from .optimizer import _check_seed, dp_fermi_train
 from .privacy import empirical_sensitivity_audit, sensitivity_bounds
 
 NOTIONS = {"dp": DEMOGRAPHIC_PARITY, "eo": EQUALIZED_ODDS}
@@ -166,6 +166,7 @@ def _cmd_train(args) -> int:
     config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
+    del ds  # the split keeps the name tuples; the whole file need not outlive it
     sgda, noise = plan_run(config, train, args.epsilon)
     result = dp_fermi_train(train, ModelParams.zeros(train.l, train.d_x), fermi, sgda, noise)
     metrics = evaluate_metrics(result.params, test)
@@ -180,9 +181,9 @@ def _cmd_train(args) -> int:
             result.params,
             args.out,
             metadata={
-                "label_names": list(ds.label_names or []),
-                "sensitive_names": list(ds.sensitive_names or []),
-                "feature_names": list(ds.feature_names or []),
+                "label_names": list(train.label_names or []),
+                "sensitive_names": list(train.sensitive_names or []),
+                "feature_names": list(train.feature_names or []),
             },
         )
     return 0
@@ -229,6 +230,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _check_seed("seed", args.seed)
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     if args.box_radius <= 0:
         raise ValueError("box_radius must be positive")

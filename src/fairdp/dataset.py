@@ -26,23 +26,14 @@ CHUNK_ROWS = 1024  # CSV lines parsed per chunk by load_csv and rows written per
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
-    """a as a read-only dtype array: a itself when nothing can write to it,
-    otherwise a read-only copy."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
+    """a itself if it is a read-only dtype array that owns its memory,
+    otherwise a read-only dtype copy of it. A view is always copied."""
+    owned = isinstance(a, np.ndarray) and a.base is None
+    if owned and a.dtype == dtype and not a.flags.writeable:
         return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-def _read_only(a: np.ndarray) -> bool:
-    """True if neither a nor any array it views is writeable and the chain
-    ends in an array that owns its memory."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
 
 
 def _frozen(*arrays) -> None:
@@ -56,12 +47,12 @@ def _frozen(*arrays) -> None:
 class TabularDataset:
     """Immutable feature matrix plus 1-based label and sensitive codes.
 
-    The dataset owns read-only arrays. An input array is taken as it is
-    when nothing can write to it: it has the right dtype, it is read-only,
-    and so is every array it is a view of, down to the one that owns the
-    memory. Any other input, a writeable array in particular, is copied, so
-    changing it later leaves the dataset unchanged. The shape, finiteness
-    and code-range checks run either way.
+    The dataset owns read-only arrays. An input array is kept as it is
+    when it has the right dtype, is read-only and owns its memory
+    (`a.base is None`); any other input, a view or a writeable array, is
+    stored as a read-only copy, so changing it later leaves the dataset
+    unchanged. SensitiveStats and ModelParams hold their arrays by the same
+    rule. The shape, finiteness and code-range checks run either way.
     """
 
     features: np.ndarray  # (n, d_x) float64

@@ -322,11 +322,12 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
                 cell = replace(sgda, seed=(config.master_seed, e_idx, l_idx, trial))
                 try:
                     result = dp_fermi_train(train, theta0, fermi, cell, noise)
-                    train_metrics = evaluate_metrics(result.params, train)
+                    train_preds = predict_label(result.params, train.features)
+                    train_error = float((train_preds != train.labels).mean())
                     test_metrics = evaluate_metrics(result.params, test)
                     status = "ok"
                 except DivergenceError:
-                    train_metrics = test_metrics = _DIVERGED_METRICS
+                    train_error, test_metrics = math.nan, _DIVERGED_METRICS
                     status = "diverged"
                 records.append(
                     TradeoffRecord(
@@ -340,7 +341,7 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
                         m=sgda.m,
                         sigma_theta_sq=noise.sigma_theta_sq,
                         sigma_w_sq=noise.sigma_w_sq,
-                        train_error=train_metrics["error"],
+                        train_error=train_error,
                         test_error=test_metrics["error"],
                         dp_violation=test_metrics["dp_violation"],
                         eo_violation=test_metrics["eo_violation"],

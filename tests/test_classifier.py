@@ -246,6 +246,27 @@ class TestCheckpoint:
         assert len(payload["weights"]) == 6
 
 
+class TestOwnership:
+    """ModelParams holds its arrays by TabularDataset's rule."""
+
+    def test_read_only_owner_is_taken_as_it_is(self):
+        rng = np.random.default_rng(3)
+        weights, bias = rng.normal(size=(2, 3)), rng.normal(size=2)
+        for a in (weights, bias):
+            a.setflags(write=False)
+        theta = ModelParams(weights, bias)
+        assert theta.weights is weights and theta.bias is bias
+
+    def test_writeable_input_is_copied(self):
+        rng = np.random.default_rng(3)
+        weights, bias = rng.normal(size=(2, 3)), rng.normal(size=2)
+        theta = ModelParams(weights, bias)
+        kept = theta.as_vector()
+        weights[0, 0], bias[0] = 99.0, 99.0
+        assert np.array_equal(theta.as_vector(), kept)
+        assert not (theta.weights.flags.writeable or theta.bias.flags.writeable)
+
+
 class TestVectorRoundTrip:
     def test_from_vector_inverts_as_vector(self):
         rng = np.random.default_rng(4)

@@ -649,3 +649,8 @@ class TestAudit:
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", "0"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: box_radius must be positive\n"
+
+    def test_negative_seed_is_config_error_naming_it(self, synth_csv, capsys):
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"

@@ -394,6 +394,14 @@ class TestOwnership:
         base[0, 0] = 99.0
         assert ds.features[0, 0] != 99.0
 
+    def test_read_only_view_of_a_read_only_owner_is_copied(self):
+        base = np.random.default_rng(0).normal(size=(4, 2))
+        base.setflags(write=False)
+        view = base[:]
+        ds = TabularDataset(view, np.array([1, 2, 1, 2]), np.array([1, 1, 2, 2]), l=2, k=2)
+        assert ds.features is not view and not np.shares_memory(ds.features, base)
+        assert np.array_equal(ds.features, base) and not ds.features.flags.writeable
+
     def test_read_only_arrays_are_taken_without_a_copy(self):
         x = np.random.default_rng(0).normal(size=(4, 2))
         y, s = np.array([1, 2, 1, 2]), np.array([1, 1, 2, 2])
