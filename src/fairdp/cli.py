@@ -3,10 +3,14 @@
 Subcommands: train, sweep, calibrate, audit-sensitivity, evaluate, synth.
 train and sweep map their flags to one harness.ExperimentConfig (a train run
 is a sweep of one cell) and set each run up through harness.plan_run, so
-they validate the same flags the same way.
+they validate the same flags the same way: --lambda and --notion through
+fairness.FermiConfig, --epsilon and --delta through privacy.PrivacyBudget
+(as calibrate does, at every granularity). epsilon <= 2 ln(1/delta) is the
+closed forms' rule (privacy._base), so only runs that calibrate noise check it.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (including a model whose
-logits overflow on the data it is evaluated on), 3 divergence in a train run.
+logits overflow on the data it is evaluated on and parameters whose noise or
+sensitivity formulas overflow), 3 divergence in a train run.
 Runs execute sequentially, so results are deterministic for a fixed seed.
 train --seed S seeds its run with S, not with sweep's first cell (S, 0, 0, 0).
 """
@@ -161,9 +165,8 @@ def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig
 
 
 def _cmd_train(args) -> int:
-    # before the config, so a bad --lambda gets FermiConfig's one-value message
-    fermi = FermiConfig(args.lam, NOTIONS[args.notion])
     config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
+    fermi = FermiConfig(args.lam, config.notion)
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
     del ds  # the split keeps the name tuples; the whole file need not outlive it
@@ -241,12 +244,13 @@ def _cmd_audit(args) -> int:
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)
     )
     w = rng.uniform(-args.box_radius, args.box_radius, size=(ds.k, ds.l))
-    observed_theta, observed_w = empirical_sensitivity_audit(
-        theta, w, ds, args.trials, args.batch_size, rng
-    )
+    # the bounds first: a box radius whose bound overflows fails before the audit
     L_theta = proba_lipschitz_bound(ds.features)
     rho = sensitive_stats(ds).rho
     bounds = sensitivity_bounds(args.box_radius, L_theta, args.batch_size, rho)
+    observed_theta, observed_w = empirical_sensitivity_audit(
+        theta, w, ds, args.trials, args.batch_size, rng
+    )
     print(f"observed_delta_theta={observed_theta:.6g} bound={bounds.delta_theta:.6g}")
     print(f"observed_delta_w={observed_w:.6g} bound={bounds.delta_w:.6g}")
     ulp = np.finfo(np.float64).eps
@@ -265,6 +269,8 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"label {label!r} is not one of the checkpoint's labels {names}")
     if ds.l != theta.l:  # only possible without label names
         raise ValueError(f"the checkpoint has {theta.l} label classes, the dataset {ds.l}")
+    if ds.d_x != theta.d_x:
+        raise ValueError(f"the checkpoint has {theta.d_x} features, the dataset {ds.d_x}")
     for name, value in evaluate_metrics(theta, ds).items():
         print(f"{name}={value:.6g}")
     return 0
@@ -317,7 +323,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FairdpError, ValueError, OSError, FloatingPointError) as exc:
+    except (FairdpError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,7 +153,7 @@ def sensitive_stats(ds: TabularDataset) -> SensitiveStats:
 
 
 def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
-    """Load a UTF-8 header CSV into a dataset.
+    """Load a UTF-8 header CSV into a dataset; a leading byte-order mark is skipped.
 
     One label column and one sensitive column are taken by name; every other
     column must be numeric and becomes a feature. Missing values are a hard
@@ -187,7 +187,7 @@ def _read_csv(path, label_col: str, sensitive_col: str, label_names) -> TabularD
     or not, and the next codes for the labels they do not name."""
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

@@ -18,14 +18,7 @@ import numpy as np
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
 from .dataset import TabularDataset, _frozen, load_csv, sensitive_stats, train_test_split
 from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
-from .fairness import (
-    DEMOGRAPHIC_PARITY,
-    EQUALIZED_ODDS,
-    FermiConfig,
-    dp_violation,
-    eo_violation,
-    ermi_hard,
-)
+from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
 from .optimizer import SgdaConfig, _check_seed, dp_fermi_train
 from .privacy import (
     NoiseScales,
@@ -138,21 +131,17 @@ class ExperimentConfig:
     sensitive_col: str = "sensitive"
 
     def __post_init__(self):
-        if not self.lambdas or not all(0 <= lam < math.inf for lam in self.lambdas):
-            raise ValueError("lambda values must be finite, nonnegative and nonempty")
-        if not self.epsilons:
-            raise ValueError("epsilon values must be nonempty")
+        if not self.lambdas or not self.epsilons:
+            raise ValueError("lambda and epsilon values must be nonempty")
+        # each value is checked by the object a run builds from it
+        for lam in self.lambdas:
+            FermiConfig(lam, self.notion)
         for eps in self.epsilons:
-            if not 0 < eps < math.inf:  # also rejects NaN
-                raise ValueError(f"epsilon must be positive and finite, got {eps}")
-        if not 0.0 < self.delta < 1.0:  # also rejects NaN, as PrivacyBudget does
-            raise CalibrationError("delta must lie in (0, 1)")
+            PrivacyBudget(eps, self.delta)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if self.notion not in (DEMOGRAPHIC_PARITY, EQUALIZED_ODDS):
-            raise ValueError(f"unknown fairness notion {self.notion!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         # only the per-sample clip bounds a whole record's loss gradient
@@ -238,20 +227,22 @@ def calibrate_for_run(
 ) -> NoiseScales:
     """Noise for one run at the requested privacy granularity.
 
-    Raises CalibrationError if T is below the iteration floor the closed
-    forms require.
+    Checks the budget at every granularity. Raises CalibrationError if T is
+    below the closed forms' iteration floor, after their epsilon cap check.
     """
+    budget = PrivacyBudget(epsilon, delta)
     if granularity == NO_PRIVACY:
         return NoiseScales.none()
-    budget = PrivacyBudget(epsilon, delta)
+    if granularity == SENSITIVE_ONLY:
+        noise = calibrate_sensitive_only(budget, T, n, rho, L_theta, D)
+    else:
+        noise = calibrate_all_features(budget, T, n, rho, L_theta, D, l)
     floor = min_iterations(n, m, epsilon)
     if T < floor:
         raise CalibrationError(
             f"T={T} is below the required minimum {floor} for n={n}, m={m}, eps={epsilon}"
         )
-    if granularity == SENSITIVE_ONLY:
-        return calibrate_sensitive_only(budget, T, n, rho, L_theta, D)
-    return calibrate_all_features(budget, T, n, rho, L_theta, D, l)
+    return noise
 
 
 def run_length(n: int, batch_size: int, epochs: int) -> tuple[int, int]:

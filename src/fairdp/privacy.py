@@ -13,7 +13,8 @@ floor rho, dual box radius D and probability-map Lipschitz constant L:
       sigma_theta^2 = 64 L^2 D^2 T ln(1/delta) / (eps^2 n^2 rho)
                       + 32 D^4 L^2 l^2 T ln(1/delta) / (eps^2 n^2)
 
-valid when eps <= 2 ln(1/delta) and T >= (n sqrt(eps) / (2m))^2. The
+valid when eps <= 2 ln(1/delta), which both check (in _base), and
+T >= (n sqrt(eps) / (2m))^2, the min_iterations floor the harness checks. The
 underlying per-update l2 sensitivities across datasets differing in one
 person's sensitive attribute are
 
@@ -41,7 +42,8 @@ from .fairness import saddle_terms, strata
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(epsilon, delta) pair; requires a finite epsilon <= 2 ln(1/delta)."""
+    """(epsilon, delta) pair: a positive finite epsilon and delta in (0, 1).
+    The closed forms add epsilon <= 2 ln(1/delta), in _base."""
 
     epsilon: float
     delta: float
@@ -51,10 +53,6 @@ class PrivacyBudget:
             raise CalibrationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise CalibrationError("delta must lie in (0, 1)")
-        if self.epsilon > 2.0 * math.log(1.0 / self.delta):
-            raise CalibrationError(
-                f"epsilon={self.epsilon} exceeds 2 ln(1/delta)={2 * math.log(1 / self.delta):.4f}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,9 @@ def _check_calibration_inputs(rho: float, L_theta: float, D: float) -> None:
 
 
 def _base(budget: PrivacyBudget, T: int, n: int) -> float:
+    cap = 2.0 * math.log(1.0 / budget.delta)
+    if budget.epsilon > cap:
+        raise CalibrationError(f"epsilon={budget.epsilon} exceeds 2 ln(1/delta)={cap:.4f}")
     if T < 1 or n < 1:
         raise ValueError("T and n must be positive")
     return T * math.log(1.0 / budget.delta) / (budget.epsilon ** 2 * n ** 2)
@@ -101,8 +102,8 @@ def calibrate_sensitive_only(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's sensitive attribute."""
-    _check_calibration_inputs(rho, L_theta, D)
     base = _base(budget, T, n)
+    _check_calibration_inputs(rho, L_theta, D)
     return NoiseScales(
         sigma_theta_sq=16.0 * L_theta ** 2 * D ** 2 * base / rho,
         sigma_w_sq=16.0 * base / rho,
@@ -113,10 +114,10 @@ def calibrate_all_features(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float, l: int
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's entire record."""
+    base = _base(budget, T, n)
     _check_calibration_inputs(rho, L_theta, D)
     if l < 2:
         raise CalibrationError(f"need at least two label classes, got l={l}")
-    base = _base(budget, T, n)
     return NoiseScales(
         sigma_theta_sq=64.0 * L_theta ** 2 * D ** 2 * base / rho
         + 32.0 * D ** 4 * L_theta ** 2 * l ** 2 * base,

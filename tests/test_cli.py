@@ -117,6 +117,31 @@ class TestCalibrate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            (["--epsilon", "-1"], "epsilon must be positive and finite, got -1.0"),
+            (["--epsilon", "1", "--delta", "nan"], "delta must lie in (0, 1)"),
+            (["--epsilon", "1", "--delta", "7"], "delta must lie in (0, 1)"),
+        ],
+    )
+    def test_budget_is_checked_without_privacy(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "table.csv"
+        argv = ["calibrate", "--granularity", "none", *flags, "--n", "2000",
+                "--batch-size", "100", "--rho", "0.4", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("granularity", ["sensitive", "all"])
+    def test_epsilon_cap_is_reported_before_the_iteration_floor(self, capsys, granularity):
+        # T = 200 is far below the floor for eps = 100, which also breaks the cap
+        argv = ["calibrate", "--granularity", granularity, "--epsilon", "100", "--n", "2000",
+                "--batch-size", "10", "--rho", "0.4", "--epochs", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: epsilon=100.0 exceeds 2 ln(1/delta)=23.0259\n"
+
     @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
     def test_zero_batch_size_or_epochs_is_config_error(self, tmp_path, capsys, flag):
         out = tmp_path / "table.csv"
@@ -316,6 +341,15 @@ class TestEvaluateLabelNames:
         assert (code, out) == (2, "")
         assert err == f"error: the checkpoint has {model_l} label classes, the dataset {data_l}\n"
 
+    def test_checkpoint_with_another_feature_count(self, trained, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        argv = ["synth", "--n", "600", "--d-x", "4", "--seed", "1", "--out", data]
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        code, out, err = self._evaluate(capsys, data, trained[2])
+        assert (code, out) == (2, "")
+        assert err == "error: the checkpoint has 5 features, the dataset 4\n"
+
 
 class TestMalformedCheckpoint:
     """A checkpoint that lacks a field or holds a malformed one exits 2 with
@@ -433,6 +467,35 @@ class TestExitCodes:
         assert "requires loss-gradient clipping" in capsys.readouterr().err
 
 
+class TestOverflow:
+    """Finite parameters whose noise or sensitivity formulas overflow are
+    configuration errors (exit 2) with one error line, not tracebacks."""
+
+    CALIBRATE = ["calibrate", "--epsilon", "1", "--n", "2000", "--batch-size", "100",
+                 "--rho", "0.4", "--epochs", "20"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--dataset", "{csv}", "--epochs", "5", "--batch-size", "64",
+             "--box-radius", "1e200"],
+            [*CALIBRATE, "--box-radius", "1e308"],
+            [*CALIBRATE, "--l-theta", "1e200"],
+            [*CALIBRATE, "--granularity", "all", "--box-radius", "1e200"],
+            ["audit-sensitivity", "--dataset", "{csv}", "--box-radius", "1e300"],
+            ["audit-sensitivity", "--dataset", "{csv}", "--box-radius", "1e308"],
+        ],
+        ids=["train", "calibrate_box_radius", "calibrate_l_theta", "calibrate_all",
+             "audit_1e300", "audit_1e308"],
+    )
+    def test_exits_2_with_one_error_line(self, synth_csv, capsys, argv):
+        assert main([a.format(csv=synth_csv) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 class TestHyperparameterValidation:
     """Non-finite hyperparameters and a negative clip are configuration
     errors (exit 2) before any training step, not silent defaults or
@@ -467,7 +530,7 @@ class TestHyperparameterValidation:
         "flags, message",
         [
             (["--clip", "nan"], "--clip must be finite and nonnegative"),
-            (["--lambda", "0", "nan"], "lambda values must be finite, nonnegative and nonempty"),
+            (["--lambda", "0", "nan"], "lam must be finite and nonnegative"),
         ],
     )
     def test_sweep_rejects(self, synth_csv, tmp_path, capsys, flags, message):
@@ -503,6 +566,7 @@ class TestTrainAndSweepShareValidation:
             (["--granularity", "none", "--delta", "7"], "delta must lie in (0, 1)"),
             (["--granularity", "none", "--delta", "0"], "delta must lie in (0, 1)"),
             (["--seed", "-1"], "master_seed must be a non-negative integer, got -1"),
+            (["--lambda", "nan"], "lam must be finite and nonnegative"),
         ],
     )
     def test_same_error_line(self, synth_csv, tmp_path, capsys, flags, message):

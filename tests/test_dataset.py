@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import sys
 import threading
@@ -310,6 +312,32 @@ class TestDirectAssembly:
         for a in (ds.features, ds.labels, ds.sensitive):
             assert a.shape[0] == 300
             assert a.base is None and a.flags.owndata
+
+
+class TestByteOrderMark:
+    """A file that starts with a byte-order mark (Excel's "CSV UTF-8") loads
+    as the same file without it, on the loadtxt and csv.reader paths."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header", [["x", "y", "lab", "grp"], ["lab", "x", "y", "grp"]],
+                             ids=["feature_first", "label_first"])
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                             ids=["loadtxt", "csv_reader"])
+    def test_loads_as_the_file_without_it(self, tmp_path, header, quoting):
+        text = io.StringIO()
+        writer = csv.writer(text, quoting=quoting)
+        writer.writerow(header)
+        for i in range(50):
+            cells = {"x": i * 0.5, "y": -i, "lab": "ab"[i % 2], "grp": "mf"[i // 3 % 2]}
+            writer.writerow([cells[name] for name in header])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text.getvalue(), encoding="utf-8")
+        marked.write_text(text.getvalue(), encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        expected = _load_outcome(load_csv, plain)
+        assert expected[0] == (50, 2)  # a dataset, not an error
+        assert expected[-1] == ("x", "y")  # feature names
+        assert _load_outcome(load_csv, marked) == expected
 
 
 def _test_file(kind, tmp_path):

@@ -191,9 +191,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
     def test_epsilon_must_be_positive_and_finite_without_privacy(self, epsilon):
-        # no calibration reads epsilon at granularity none, so the config must
+        # no calibration reads epsilon at granularity none, so the config's
+        # PrivacyBudget must
         message = f"^epsilon must be positive and finite, got {epsilon}$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(CalibrationError, match=message):
             cheap_config(epsilons=(1.0, epsilon))
 
     def test_all_features_privacy_requires_clip(self):
@@ -412,3 +413,12 @@ class TestCalibrateForRun:
     def test_iteration_floor(self):
         with pytest.raises(CalibrationError):
             calibrate_for_run(SENSITIVE_ONLY, 1.0, 1e-5, 10, 1000, 10, 0.5, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("epsilon, delta", [(math.nan, 1e-5), (-1.0, 1e-5), (1.0, 7.0)])
+    def test_none_granularity_checks_the_budget(self, epsilon, delta):
+        with pytest.raises(CalibrationError):
+            calibrate_for_run(NO_PRIVACY, epsilon, delta, 10, 100, 10, 0.5, 1.0, 1.0, 2)
+
+    def test_none_granularity_has_no_epsilon_cap(self):
+        noise = calibrate_for_run(NO_PRIVACY, 100.0, 1e-5, 10, 100, 10, 0.5, 1.0, 1.0, 2)
+        assert noise == NoiseScales.none()

@@ -26,9 +26,20 @@ class TestBudget:
     def test_valid(self):
         PrivacyBudget(9.0, 1e-5)  # 9 <= 2 ln(1e5) ~ 23.0
 
-    def test_epsilon_above_cap(self):
-        with pytest.raises(CalibrationError):
-            PrivacyBudget(24.0, 1e-5)
+    @pytest.mark.parametrize(
+        "calibrate",
+        [
+            lambda b: calibrate_sensitive_only(b, 400, 2000, 0.4, 1.0, 1.0),
+            lambda b: calibrate_all_features(b, 400, 2000, 0.4, 1.0, 1.0, l=2),
+        ],
+        ids=["sensitive_only", "all_features"],
+    )
+    def test_epsilon_above_cap(self, calibrate):
+        # the budget holds any positive epsilon; the closed forms own the cap
+        budget = PrivacyBudget(24.0, 1e-5)
+        with pytest.raises(CalibrationError) as info:
+            calibrate(budget)
+        assert str(info.value) == "epsilon=24.0 exceeds 2 ln(1/delta)=23.0259"
 
     def test_bad_delta(self):
         with pytest.raises(CalibrationError):
