@@ -11,6 +11,7 @@ audit hammers those bounds with random adjacent-dataset pairs.
 import numpy as np
 
 from fairdp import (
+    SENSITIVE_ONLY,
     ModelParams,
     PrivacyBudget,
     SyntheticSpec,
@@ -20,7 +21,7 @@ from fairdp import (
     min_iterations,
     proba_lipschitz_bound,
     sensitive_stats,
-    sensitivity_bounds,
+    sensitivities,
     synth_dataset,
 )
 
@@ -51,7 +52,7 @@ w = rng.uniform(-D, D, size=(ds.k, ds.l))
 print("\n   m   observed d_theta   bound d_theta   observed d_w   bound d_w")
 for batch in (5, 10, 50):
     obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=500, m=batch, rng=rng)
-    bound = sensitivity_bounds(D, L, batch, stats.rho)
+    bound = sensitivities(SENSITIVE_ONLY, D, L, batch, stats.rho)
     print(
         f"{batch:4d}   {obs_theta:16.4f}   {bound.delta_theta:13.4f}"
         f"   {obs_w:12.4f}   {bound.delta_w:9.4f}"

@@ -8,7 +8,7 @@ respect to the sensitive data (or the full records). The pieces:
 - dataset: CSV ingestion, splits, group statistics, minibatches
 - classifier: multinomial logistic model and its class-major batch kernels
 - fairness: ERMI estimators, the dual saddle terms, violation metrics
-- privacy: noise calibration, sensitivity bounds, the empirical audit
+- privacy: noise calibration (sigma = z * Delta), sensitivities, the empirical audit
 - optimizer: noisy projected stochastic gradient descent-ascent
 - harness: synthetic data, sweeps, aggregation, CSV emission
 """
@@ -68,7 +68,7 @@ from .privacy import (
     calibrate_sensitive_only,
     empirical_sensitivity_audit,
     min_iterations,
-    sensitivity_bounds,
+    sensitivities,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +115,7 @@ __all__ = [
     "run_sweep",
     "save_checkpoint",
     "sensitive_stats",
-    "sensitivity_bounds",
+    "sensitivities",
     "stationarity_gap",
     "synth_dataset",
     "train_test_split",

@@ -6,11 +6,11 @@ is a sweep of one cell) and set each run up through harness.plan_run, so
 they validate the same flags the same way: --lambda and --notion through
 fairness.FermiConfig, --epsilon and --delta through privacy.PrivacyBudget
 (as calibrate does, at every granularity). epsilon <= 2 ln(1/delta) is the
-closed forms' rule (privacy._base), so only runs that calibrate noise check it.
+rule of privacy.noise_multiplier, so only runs that calibrate noise check it.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
-above its closed-form bound), 2 configuration error (including a model whose
-logits overflow on the data it is evaluated on and parameters whose noise or
-sensitivity formulas overflow), 3 divergence in a train run.
+above its closed-form bound), 2 configuration error (also logits that
+overflow on the evaluated data, overflowing noise or sensitivity formulas
+and an audit --box-radius too large for a verdict), 3 train divergence.
 Runs execute sequentially, so results are deterministic for a fixed seed.
 train --seed S seeds its run with S, not with sweep's first cell (S, 0, 0, 0).
 """
@@ -50,7 +50,7 @@ from .harness import (
     synth_dataset,
 )
 from .optimizer import _check_seed, dp_fermi_train
-from .privacy import empirical_sensitivity_audit, sensitivity_bounds
+from .privacy import SensitivityBounds, empirical_sensitivity_audit, sensitivities
 
 NOTIONS = {"dp": DEMOGRAPHIC_PARITY, "eo": EQUALIZED_ODDS}
 GRANULARITY_FLAGS = {"sensitive": SENSITIVE_ONLY, "all": ALL_FEATURES, "none": NO_PRIVACY}
@@ -58,7 +58,9 @@ GRANULARITY_FLAGS = {"sensitive": SENSITIVE_ONLY, "all": ALL_FEATURES, "none": N
 # each a sum of m per-sample terms of size up to about 1/sqrt(rho) + D. Where
 # a batch attains a bound exactly, rounding can put the observed value about
 # m (1 + D) units in the last place above it; AUDIT_ULPS of those are allowed.
+# An allowance above AUDIT_MAX_SLACK of the bound would hide real excesses.
 AUDIT_ULPS = 4
+AUDIT_MAX_SLACK = 1e-6
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
@@ -204,18 +206,10 @@ def _cmd_calibrate(args) -> int:
     rows = []
     for epsilon in args.epsilon:
         noise = calibrate_for_run(
-            GRANULARITY_FLAGS[args.granularity],
-            epsilon,
-            args.delta,
-            T,
-            args.n,
-            m,
-            args.rho,
-            args.l_theta,
-            args.box_radius,
-            args.labels,
+            GRANULARITY_FLAGS[args.granularity], epsilon, args.delta, T, args.n, m,
+            args.rho, args.l_theta, args.box_radius, args.labels,
         )
-        bounds = sensitivity_bounds(args.box_radius, args.l_theta, m, args.rho)
+        bounds = sensitivities(SENSITIVE_ONLY, args.box_radius, args.l_theta, m, args.rho)
         rows.append(
             [epsilon, args.delta, T, args.n, m, args.rho,
              noise.sigma_theta_sq, noise.sigma_w_sq, bounds.delta_theta, bounds.delta_w]
@@ -239,23 +233,27 @@ def _cmd_audit(args) -> int:
         raise ValueError("box_radius must be positive")
     if not math.isfinite(args.box_radius):
         raise ValueError("box_radius must be finite")
+    m, D = args.batch_size, args.box_radius
+    slack = AUDIT_ULPS * np.finfo(np.float64).eps * m * (1.0 + D)
+    if slack > AUDIT_MAX_SLACK:
+        raise ValueError(f"--box-radius {D:g} is too large for the audit to give a verdict")
     rng = np.random.default_rng(args.seed)
     theta = ModelParams(
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)
     )
-    w = rng.uniform(-args.box_radius, args.box_radius, size=(ds.k, ds.l))
-    # the bounds first: a box radius whose bound overflows fails before the audit
-    L_theta = proba_lipschitz_bound(ds.features)
-    rho = sensitive_stats(ds).rho
-    bounds = sensitivity_bounds(args.box_radius, L_theta, args.batch_size, rho)
-    observed_theta, observed_w = empirical_sensitivity_audit(
-        theta, w, ds, args.trials, args.batch_size, rng
-    )
+    w = rng.uniform(-D, D, size=(ds.k, ds.l))
+    # the bounds first, so a bad batch size fails before the audit; features
+    # whose squared norm overflows make L_theta, and the theta bound, infinite
+    L_theta, rho = proba_lipschitz_bound(ds.features), sensitive_stats(ds).rho
+    finite = L_theta < math.inf
+    bounds = sensitivities(SENSITIVE_ONLY, D, L_theta if finite else 1.0, m, rho)
+    bounds = bounds if finite else SensitivityBounds(math.inf, bounds.delta_w_sq)
+    observed_theta, observed_w = empirical_sensitivity_audit(theta, w, ds, args.trials, m, rng)
     print(f"observed_delta_theta={observed_theta:.6g} bound={bounds.delta_theta:.6g}")
     print(f"observed_delta_w={observed_w:.6g} bound={bounds.delta_w:.6g}")
-    ulp = np.finfo(np.float64).eps
-    slack = 1.0 + AUDIT_ULPS * ulp * args.batch_size * (1.0 + args.box_radius)
-    ok = observed_theta <= bounds.delta_theta * slack and observed_w <= bounds.delta_w * slack
+    # a NaN or infinite observation fails, even against an infinite bound
+    pairs = ((observed_theta, bounds.delta_theta), (observed_w, bounds.delta_w))
+    ok = all(math.isfinite(seen) and seen <= bound * (1.0 + slack) for seen, bound in pairs)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

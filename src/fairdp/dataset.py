@@ -52,7 +52,9 @@ class TabularDataset:
     (`a.base is None`); any other input, a view or a writeable array, is
     stored as a read-only copy, so changing it later leaves the dataset
     unchanged. SensitiveStats and ModelParams hold their arrays by the same
-    rule. The shape, finiteness and code-range checks run either way.
+    rule. The shape, finiteness and code-range checks run either way. A
+    caller that keeps an array it handed over and calls setflags(write=True)
+    on it can still change the dataset.
     """
 
     features: np.ndarray  # (n, d_x) float64

@@ -20,18 +20,18 @@ from .dataset import TabularDataset, _frozen, load_csv, sensitive_stats, train_t
 from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
 from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
 from .optimizer import SgdaConfig, _check_seed, dp_fermi_train
-from .privacy import (
+from .privacy import (  # the granularities are re-exported here
+    ALL_FEATURES,
+    GRANULARITIES,
+    NO_PRIVACY,
+    SENSITIVE_ONLY,
     NoiseScales,
     PrivacyBudget,
-    calibrate_all_features,
-    calibrate_sensitive_only,
     min_iterations,
+    noise_multiplier,
+    sensitivities,
 )
 
-SENSITIVE_ONLY = "sensitive_only"
-ALL_FEATURES = "all_features"
-NO_PRIVACY = "none"
-GRANULARITIES = (SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY)
 SYNTH_BLOCK_ROWS = 4096  # rows per class-mean gather in synth_dataset
 
 
@@ -225,18 +225,16 @@ def calibrate_for_run(
     D: float,
     l: int,
 ) -> NoiseScales:
-    """Noise for one run at the requested privacy granularity.
+    """Noise sigma = z * Delta for one run at the requested privacy granularity.
 
     Checks the budget at every granularity. Raises CalibrationError if T is
-    below the closed forms' iteration floor, after their epsilon cap check.
+    below the iteration floor, after the epsilon cap and sensitivity checks.
     """
     budget = PrivacyBudget(epsilon, delta)
     if granularity == NO_PRIVACY:
         return NoiseScales.none()
-    if granularity == SENSITIVE_ONLY:
-        noise = calibrate_sensitive_only(budget, T, n, rho, L_theta, D)
-    else:
-        noise = calibrate_all_features(budget, T, n, rho, L_theta, D, l)
+    z = noise_multiplier(budget, T, n, m)
+    noise = NoiseScales.calibrated(z, sensitivities(granularity, D, L_theta, m, rho, l))
     floor = min_iterations(n, m, epsilon)
     if T < floor:
         raise CalibrationError(

@@ -1,30 +1,20 @@
 """Gaussian noise calibration and sensitivity analysis for private training.
 
-Closed-form variances (taken with equality, i.e. the least noise the
-analysis permits) for T iterations on n samples with batch size m, group
-floor rho, dual box radius D and probability-map Lipschitz constant L:
+Every release gets noise sigma = z * Delta, the least the analysis permits.
+For T iterations on n samples with batch size m, noise_multiplier gives
+z = (m / (n eps)) sqrt(2 T ln(1/delta)), valid when eps <= 2 ln(1/delta),
+which it checks, and T >= (n sqrt(eps) / (2m))^2, the min_iterations floor
+the harness checks. Delta is the l2 sensitivity of a batch-averaged saddle
+gradient to one person (sensitivities), for group floor rho, dual box
+radius D, probability-map Lipschitz constant L and l label classes:
 
-  sensitive attributes only:
-      sigma_w^2     = 16 T ln(1/delta) / (eps^2 n^2 rho)
-      sigma_theta^2 = 16 L^2 D^2 T ln(1/delta) / (eps^2 n^2 rho)
+    granularity      Delta_w^2                Delta_theta^2
+    sensitive only   8 / (m^2 rho)            8 L^2 D^2 / (m^2 rho)
+    all features     16 (1/rho + D^2) / m^2   (32 L^2 D^2 / rho + 16 D^4 L^2 l^2) / m^2
 
-  all features:
-      sigma_w^2     = 32 T ln(1/delta) / (eps^2 n^2) * (1/rho + D^2)
-      sigma_theta^2 = 64 L^2 D^2 T ln(1/delta) / (eps^2 n^2 rho)
-                      + 32 D^4 L^2 l^2 T ln(1/delta) / (eps^2 n^2)
-
-valid when eps <= 2 ln(1/delta), which both check (in _base), and
-T >= (n sqrt(eps) / (2m))^2, the min_iterations floor the harness checks. The
-underlying per-update l2 sensitivities across datasets differing in one
-person's sensitive attribute are
-
-      Delta_theta^2 <= 8 D^2 L^2 / (m^2 rho),   Delta_w^2 <= 8 / (m^2 rho).
-
-Composition across iterations is delegated entirely to these closed forms;
-no separate accountant is implemented. Note that the group frequencies
-P_S (and rho itself) are computed from the sensitive data without noise,
-mirroring the training procedure's own preprocessing step; treat them as
-public quantities when interpreting the guarantee.
+m cancels in sigma. This closed form composes the T iterations; there is no
+separate accountant. The group frequencies P_S and rho come from the
+sensitive data without noise; treat them as public in the guarantee.
 """
 
 from __future__ import annotations
@@ -39,11 +29,15 @@ from .dataset import TabularDataset
 from .exceptions import CalibrationError
 from .fairness import saddle_terms, strata
 
+SENSITIVE_ONLY = "sensitive_only"
+ALL_FEATURES = "all_features"
+NO_PRIVACY = "none"
+GRANULARITIES = (SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY)
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """(epsilon, delta) pair: a positive finite epsilon and delta in (0, 1).
-    The closed forms add epsilon <= 2 ln(1/delta), in _base."""
+    """A positive finite epsilon and a delta in (0, 1)."""
 
     epsilon: float
     delta: float
@@ -53,6 +47,16 @@ class PrivacyBudget:
             raise CalibrationError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise CalibrationError("delta must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class SensitivityBounds:
+    """Squared l2 sensitivity bounds of the batch-averaged saddle gradients."""
+
+    delta_theta_sq: float
+    delta_w_sq: float
+    delta_theta = property(lambda self: math.sqrt(self.delta_theta_sq))
+    delta_w = property(lambda self: math.sqrt(self.delta_w_sq))
 
 
 @dataclass(frozen=True)
@@ -70,59 +74,68 @@ class NoiseScales:
     def none(cls) -> "NoiseScales":
         return cls(0.0, 0.0)
 
-
-@dataclass(frozen=True)
-class SensitivityBounds:
-    """l2 sensitivity bounds of the batch-averaged saddle gradients."""
-
-    delta_theta: float
-    delta_w: float
+    @classmethod
+    def calibrated(cls, z: float, bounds: SensitivityBounds) -> "NoiseScales":
+        """sigma = z * Delta on each channel, as z^2 times the unrooted Delta^2."""
+        return cls(z * z * bounds.delta_theta_sq, z * z * bounds.delta_w_sq)
 
 
-def _check_calibration_inputs(rho: float, L_theta: float, D: float) -> None:
-    """Reject a group floor outside (0, 1] and a non-finite or nonpositive
-    Lipschitz constant or box radius, naming the parameter."""
-    if not 0.0 < rho <= 1.0:
-        raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
-    for name, value in (("Lipschitz constant L_theta", L_theta), ("box radius D", D)):
-        if not 0.0 < value < math.inf:
-            raise CalibrationError(f"{name} must be positive and finite, got {value}")
-
-
-def _base(budget: PrivacyBudget, T: int, n: int) -> float:
+def noise_multiplier(budget: PrivacyBudget, T: int, n: int, m: int) -> float:
+    """z = (m / (n eps)) sqrt(2 T ln(1/delta)), for eps <= 2 ln(1/delta)."""
     cap = 2.0 * math.log(1.0 / budget.delta)
     if budget.epsilon > cap:
         raise CalibrationError(f"epsilon={budget.epsilon} exceeds 2 ln(1/delta)={cap:.4f}")
-    if T < 1 or n < 1:
-        raise ValueError("T and n must be positive")
-    return T * math.log(1.0 / budget.delta) / (budget.epsilon ** 2 * n ** 2)
+    if T < 1 or n < 1 or m < 1:
+        raise ValueError("T, n and m must be positive")
+    return math.sqrt(T * m * m * cap / (n * n * budget.epsilon ** 2))
+
+
+def _squares(granularity: str, D: float, L: float, m: int, rho: float, l) -> tuple[float, float]:
+    """(Delta_theta^2, Delta_w^2), the table in the module docstring."""
+    ld2, m2 = L * L * D * D, m * m
+    if granularity == SENSITIVE_ONLY:
+        return 8.0 * ld2 / (m2 * rho), 8.0 / (m2 * rho)
+    return (32.0 * ld2 / rho + 16.0 * ld2 * D * D * l * l) / m2, 16.0 * (1.0 / rho + D * D) / m2
+
+
+def sensitivities(
+    granularity: str, D: float, L_theta: float, m: int, rho: float, l: int | None = None
+) -> SensitivityBounds:
+    """Worst-case l2 change of the batch-averaged saddle gradients when one
+    person's sensitive attribute or record changes (l: ALL_FEATURES only)."""
+    if granularity not in (SENSITIVE_ONLY, ALL_FEATURES):
+        raise ValueError(f"granularity must be {SENSITIVE_ONLY!r} or {ALL_FEATURES!r}")
+    if not 0.0 < rho <= 1.0:
+        raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
+    named = (("Lipschitz constant L_theta", L_theta), ("box radius D", D), ("batch size m", m))
+    for name, value in named:
+        if not 0.0 < value < math.inf:
+            raise CalibrationError(f"{name} must be positive and finite, got {value}")
+    if granularity == ALL_FEATURES and (l is None or l < 2):
+        raise CalibrationError(f"need at least two label classes, got l={l}")
+    squares = _squares(granularity, D, L_theta, m, rho, l)
+    if math.isinf(max(squares)):
+        # rho is named if the bounds overflow even at L_theta = D = 1, D if at L_theta = 1
+        at_unit = [math.isinf(max(_squares(granularity, d, 1.0, m, rho, l))) for d in (1.0, D)]
+        name, value = ("rho", rho) if at_unit[0] else named[1] if at_unit[1] else named[0]
+        raise CalibrationError(f"{name}={value} overflows the sensitivity bounds")
+    return SensitivityBounds(*squares)
 
 
 def calibrate_sensitive_only(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's sensitive attribute."""
-    base = _base(budget, T, n)
-    _check_calibration_inputs(rho, L_theta, D)
-    return NoiseScales(
-        sigma_theta_sq=16.0 * L_theta ** 2 * D ** 2 * base / rho,
-        sigma_w_sq=16.0 * base / rho,
-    )
+    z = noise_multiplier(budget, T, n, 1)  # m cancels in z * Delta
+    return NoiseScales.calibrated(z, sensitivities(SENSITIVE_ONLY, D, L_theta, 1, rho))
 
 
 def calibrate_all_features(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float, l: int
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's entire record."""
-    base = _base(budget, T, n)
-    _check_calibration_inputs(rho, L_theta, D)
-    if l < 2:
-        raise CalibrationError(f"need at least two label classes, got l={l}")
-    return NoiseScales(
-        sigma_theta_sq=64.0 * L_theta ** 2 * D ** 2 * base / rho
-        + 32.0 * D ** 4 * L_theta ** 2 * l ** 2 * base,
-        sigma_w_sq=32.0 * base * (1.0 / rho + D ** 2),
-    )
+    z = noise_multiplier(budget, T, n, 1)  # m cancels in z * Delta
+    return NoiseScales.calibrated(z, sensitivities(ALL_FEATURES, D, L_theta, 1, rho, l))
 
 
 def min_iterations(n: int, m: int, epsilon: float) -> int:
@@ -131,18 +144,6 @@ def min_iterations(n: int, m: int, epsilon: float) -> int:
         raise ValueError("n and m must be positive and epsilon positive and finite")
     value = n * n * epsilon / (4.0 * m * m)
     return max(1, math.ceil(value - 1e-9 * max(value, 1.0)))
-
-
-def sensitivity_bounds(D: float, L_theta: float, m: int, rho: float) -> SensitivityBounds:
-    """Worst-case l2 change of the batch-averaged saddle gradients."""
-    # `not x > 0` also rejects NaN; an infinite L_theta (saturated features)
-    # gives an infinite bound
-    if not (D > 0 and L_theta > 0) or m < 1 or not 0.0 < rho <= 1.0:
-        raise ValueError("D, L_theta, m must be positive and rho in (0, 1]")
-    return SensitivityBounds(
-        delta_theta=math.sqrt(8.0 * D ** 2 * L_theta ** 2 / (m ** 2 * rho)),
-        delta_w=math.sqrt(8.0 / (m ** 2 * rho)),
-    )
 
 
 def gaussian_noise(rng: np.random.Generator, sigma_sq: float, dim: int) -> np.ndarray:
@@ -174,9 +175,8 @@ def empirical_sensitivity_audit(
     batch would double their contribution. The group inverse square roots
     are held at the original dataset's values, matching the analysis that
     treats theta and W as fixed; flips that would empty a group are skipped.
-
-    Returns (max theta difference, max dual difference); tests compare these
-    against sensitivity_bounds.
+    Returns the largest theta and dual differences, NaN if any difference is
+    NaN; tests compare them with sensitivities(SENSITIVE_ONLY, ...).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -185,8 +185,7 @@ def empirical_sensitivity_audit(
     cells, inv_sqrt = strata(ds)
     counts = np.bincount(cells, minlength=ds.k)
     w = np.asarray(w, dtype=np.float64)[None]
-    max_dtheta = 0.0
-    max_dw = 0.0
+    max_dtheta = max_dw = 0.0
     for _ in range(trials):
         batch = rng.choice(ds.n, size=m, replace=False)
         i = int(batch[rng.integers(0, m)])
@@ -204,6 +203,6 @@ def empirical_sensitivity_audit(
         d_psi, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells[batch])
         d_psi2, g_w2, _ = saddle_terms(proba, w, inv_sqrt, flipped)
         g_theta_diff = mean_param_grad(d_psi2, x) - mean_param_grad(d_psi, x)
-        max_dtheta = max(max_dtheta, float(np.linalg.norm(g_theta_diff)))
-        max_dw = max(max_dw, float(np.linalg.norm(g_w2 - g_w)))
-    return max_dtheta, max_dw
+        max_dtheta = np.maximum(max_dtheta, np.linalg.norm(g_theta_diff))
+        max_dw = np.maximum(max_dw, np.linalg.norm(g_w2 - g_w))
+    return float(max_dtheta), float(max_dw)

@@ -6,8 +6,10 @@ synth_dataset and proba_lipschitz_bound, which their in-place and blocked
 forms must match bit for bit, and the per-sample references for the
 class-major batch kernels: the cross-entropy loss, its gradient and the
 probability Jacobian of one sample (loss, loss_grad, jacobian_proba, and
-mean_loss over a sample set), and one sample's saddle value psi and its
-exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block."""
+mean_loss over a sample set), one sample's saddle value psi and its
+exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block, and
+the four closed-form noise variances written out term by term, which the
+one noise rule sigma = z * Delta must reproduce."""
 
 import csv
 import math
@@ -29,7 +31,7 @@ from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, Sc
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
 from fairdp.optimizer import TrainResult, _pick_iterate, _TraceWriter
-from fairdp.privacy import gaussian_noise
+from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -63,6 +65,19 @@ def dp_saddle_terms(theta, w, features, s, stats):
     cells = np.asarray(s, dtype=np.int64) - 1
     d_psi, g_w, value = saddle_terms(proba, np.asarray(w)[None], stats.inv_sqrt[None], cells)
     return mean_param_grad(d_psi, features), g_w[0], value
+
+
+def reference_noise_variances(granularity, budget, T, n, rho, L_theta, D, l):
+    """The closed-form (sigma_theta^2, sigma_w^2), each spelled out as one
+    expression in base = T ln(1/delta) / (eps^2 n^2) rather than as z^2 Delta^2."""
+    base = T * math.log(1.0 / budget.delta) / (budget.epsilon ** 2 * n ** 2)
+    if granularity == SENSITIVE_ONLY:
+        return 16.0 * L_theta ** 2 * D ** 2 * base / rho, 16.0 * base / rho
+    assert granularity == ALL_FEATURES
+    return (
+        64.0 * L_theta ** 2 * D ** 2 * base / rho + 32.0 * D ** 4 * L_theta ** 2 * l ** 2 * base,
+        32.0 * base * (1.0 / rho + D ** 2),
+    )
 
 
 def rel_error(approx, exact):

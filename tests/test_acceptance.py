@@ -44,7 +44,7 @@ from fairdp.privacy import (
     calibrate_sensitive_only,
     empirical_sensitivity_audit,
     min_iterations,
-    sensitivity_bounds,
+    sensitivities,
 )
 from helpers import (
     central_diff_grad,
@@ -239,7 +239,7 @@ def test_criterion_4_sensitivity_soundness():
         )
         w = rng.uniform(-D, D, size=(ds.k, ds.l))
         obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=400, m=m, rng=rng)
-        bound = sensitivity_bounds(D, L, m, stats.rho)
+        bound = sensitivities(SENSITIVE_ONLY, D, L, m, stats.rho)
         ok &= obs_theta <= bound.delta_theta and obs_w <= bound.delta_w
         details.append(
             f"m={m}: {obs_theta:.4f}<={bound.delta_theta:.4f}, {obs_w:.4f}<={bound.delta_w:.4f}"

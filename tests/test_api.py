@@ -48,7 +48,7 @@ PUBLIC = [
     "run_sweep",
     "save_checkpoint",
     "sensitive_stats",
-    "sensitivity_bounds",
+    "sensitivities",
     "stationarity_gap",
     "synth_dataset",
     "train_test_split",

@@ -18,7 +18,7 @@ from fairdp.harness import (
     plan_run,
     synth_dataset,
 )
-from fairdp.privacy import SensitivityBounds, sensitivity_bounds
+from fairdp.privacy import SENSITIVE_ONLY, SensitivityBounds, sensitivities
 from helpers import reference_write_csv
 
 
@@ -162,7 +162,7 @@ class TestCalibrate:
         config = ExperimentConfig(dataset="unused.csv", batch_size=1000, epochs=20)
         sgda, _ = plan_run(config, train, 1.0)
         assert (row["m"], row["T"]) == (str(sgda.m), str(sgda.T)) == ("100", "20")
-        bound = sensitivity_bounds(1.0, 1.0, 100, 0.4).delta_theta
+        bound = sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 100, 0.4).delta_theta
         assert float(row["delta_theta"]) == pytest.approx(bound, rel=1e-5)
 
     @pytest.mark.parametrize("granularity", ["none", "sensitive", "all"])
@@ -631,6 +631,24 @@ class TestNonFinitePrivacyParameters:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message.format(value)}\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("train", ["--box-radius", "1e200"], "box radius D=1e+200"),
+            ("calibrate", ["--l-theta", "1e200"], "Lipschitz constant L_theta=1e+200"),
+            ("calibrate", ["--granularity", "all", "--box-radius", "1e100"], "box radius D=1e+100"),
+        ],
+    )
+    def test_overflow_names_the_parameter(
+        self, synth_csv, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "out"
+        argv = [a.format(csv=synth_csv, out=out) for a in self.ARGV[command]]
+        assert main(argv + ["--epsilon", "3", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message} overflows the sensitivity bounds\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_audit_rejects_non_finite_box_radius(self, synth_csv, capsys, value):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", value]
@@ -700,10 +718,38 @@ class TestAudit:
 
     def test_observed_above_bound_fails_with_exit_1(self, saturated_csv, monkeypatch, capsys):
         def shrunk(*args):
-            bounds = sensitivity_bounds(*args)
-            return SensitivityBounds(bounds.delta_theta, bounds.delta_w * (1.0 - 1e-9))
+            bounds = sensitivities(*args)
+            return SensitivityBounds(bounds.delta_theta_sq, bounds.delta_w_sq * (1.0 - 1e-9) ** 2)
 
-        monkeypatch.setattr(cli, "sensitivity_bounds", shrunk)
+        monkeypatch.setattr(cli, "sensitivities", shrunk)
+        argv = ["audit-sensitivity", "--dataset", str(saturated_csv), "--trials", "200",
+                "--batch-size", "10", "--seed", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.endswith("FAIL\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("box_radius", ["1e150", "1e154"])
+    def test_box_radius_too_large_for_a_verdict_is_config_error(
+        self, synth_csv, capsys, box_radius
+    ):
+        # the rounding allowance 4 ulp m (1 + D) of the bound would swallow any
+        # excess here: at 1e150 an observed 4e134 used to PASS against 0.42
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--trials", "200",
+                "--box-radius", box_radius]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: --box-radius {float(box_radius):g} is too large for the audit to give "
+            "a verdict\n"
+        )
+
+    @pytest.mark.parametrize("observed", [(float("nan"), 0.0), (0.0, float("nan")),
+                                          (float("inf"), 0.0)])
+    def test_non_finite_observation_fails(self, saturated_csv, monkeypatch, capsys, observed):
+        # the theta bound is infinite on saturated features, so only the
+        # finiteness check can fail an infinite theta observation
+        monkeypatch.setattr(cli, "empirical_sensitivity_audit", lambda *args: observed)
         argv = ["audit-sensitivity", "--dataset", str(saturated_csv), "--trials", "200",
                 "--batch-size", "10", "--seed", "0"]
         assert main(argv) == 1

@@ -6,8 +6,10 @@ import pytest
 from fairdp.classifier import ModelParams, proba_lipschitz_bound
 from fairdp.dataset import sensitive_stats
 from fairdp.exceptions import CalibrationError
-from fairdp.harness import SyntheticSpec, synth_dataset
+from fairdp.harness import SyntheticSpec, calibrate_for_run, synth_dataset
 from fairdp.privacy import (
+    ALL_FEATURES,
+    SENSITIVE_ONLY,
     NoiseScales,
     PrivacyBudget,
     calibrate_all_features,
@@ -15,9 +17,10 @@ from fairdp.privacy import (
     empirical_sensitivity_audit,
     gaussian_noise,
     min_iterations,
-    sensitivity_bounds,
+    noise_multiplier,
+    sensitivities,
 )
-from helpers import dp_saddle_terms
+from helpers import dp_saddle_terms, reference_noise_variances
 
 BUDGET = PrivacyBudget(1.0, 1e-5)
 
@@ -97,9 +100,46 @@ class TestNonFiniteParameters:
             min_iterations(1000, 100, epsilon)
 
     @pytest.mark.parametrize("D, L", [(math.nan, 1.0), (1.0, math.nan)])
-    def test_sensitivity_bounds_reject_nan(self, D, L):
-        with pytest.raises(ValueError, match="must be positive"):
-            sensitivity_bounds(D, L, 10, 0.5)
+    def test_sensitivities_reject_nan(self, D, L):
+        with pytest.raises(CalibrationError, match="must be positive"):
+            sensitivities(SENSITIVE_ONLY, D, L, 10, 0.5)
+
+    @pytest.mark.parametrize(
+        "granularity, D, L, message",
+        [
+            (SENSITIVE_ONLY, 1e200, 1.0, "box radius D=1e+200"),
+            (SENSITIVE_ONLY, 1.0, 1e200, "Lipschitz constant L_theta=1e+200"),
+            (ALL_FEATURES, 1e100, 1.0, "box radius D=1e+100"),
+            (ALL_FEATURES, 1.0, 1e200, "Lipschitz constant L_theta=1e+200"),
+            # D^2 alone is finite, so the Lipschitz constant is named
+            (SENSITIVE_ONLY, 1e100, 1e100, "Lipschitz constant L_theta=1e+100"),
+        ],
+    )
+    def test_overflow_names_the_parameter(self, granularity, D, L, message):
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(granularity, D, L, 10, 0.5, l=2)
+        assert str(info.value) == f"{message} overflows the sensitivity bounds"
+
+    def test_overflow_from_a_subnormal_group_floor_names_rho(self):
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 10, 5e-324)
+        assert str(info.value) == "rho=5e-324 overflows the sensitivity bounds"
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_sensitivities_reject_batch_size(self, m):
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(SENSITIVE_ONLY, 1.0, 1.0, m, 0.5)
+        assert str(info.value) == f"batch size m must be positive and finite, got {m}"
+
+    @pytest.mark.parametrize("l", [None, 1])
+    def test_all_features_needs_two_labels(self, l):
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(ALL_FEATURES, 1.0, 1.0, 10, 0.5, l=l)
+        assert str(info.value) == f"need at least two label classes, got l={l}"
+
+    def test_no_privacy_has_no_sensitivities(self):
+        with pytest.raises(ValueError, match="granularity must be"):
+            sensitivities("none", 1.0, 1.0, 10, 0.5)
 
 
 class TestSensitiveOnly:
@@ -178,21 +218,80 @@ class TestMinIterations:
         assert min_iterations(1001, 100, 1.0) == 26  # 25.05... -> 26
 
 
-class TestSensitivityBounds:
+class TestSensitivities:
     def test_reference_value(self):
-        b = sensitivity_bounds(D=1.0, L_theta=1.0, m=10, rho=0.5)
+        b = sensitivities(SENSITIVE_ONLY, D=1.0, L_theta=1.0, m=10, rho=0.5)
         assert b.delta_theta == pytest.approx(0.4)
         assert b.delta_w == pytest.approx(0.4)
 
     def test_doubling_m_halves(self):
-        a = sensitivity_bounds(1.0, 1.0, 10, 0.5)
-        b = sensitivity_bounds(1.0, 1.0, 20, 0.5)
+        a = sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 10, 0.5)
+        b = sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 20, 0.5)
         assert b.delta_theta == pytest.approx(a.delta_theta / 2)
         assert b.delta_w == pytest.approx(a.delta_w / 2)
 
     def test_unit_everything(self):
-        b = sensitivity_bounds(1.0, 1.0, 1, 1.0)
+        b = sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 1, 1.0)
         assert b.delta_theta == pytest.approx(math.sqrt(8.0))
+
+    def test_all_features_reference_value(self):
+        # Delta_w^2 = 16 (1/rho + D^2) / m^2 = 16 (4 + 4) / 100 and
+        # Delta_theta^2 = (32 L^2 D^2 / rho + 16 D^4 L^2 l^2) / m^2 = (128 + 576) / 100
+        b = sensitivities(ALL_FEATURES, D=2.0, L_theta=0.5, m=10, rho=0.25, l=3)
+        assert b.delta_w == pytest.approx(math.sqrt(1.28), rel=1e-12)
+        assert b.delta_theta == pytest.approx(math.sqrt(7.04), rel=1e-12)
+
+
+class TestNoiseMultiplier:
+    def test_reference_value(self):
+        z = noise_multiplier(BUDGET, T=400, n=2000, m=100)
+        assert z == pytest.approx(100 / 2000 * math.sqrt(2 * 400 * math.log(1e5)), rel=1e-15)
+
+    def test_proportional_to_batch_size(self):
+        a = noise_multiplier(BUDGET, 400, 2000, 100)
+        assert noise_multiplier(BUDGET, 400, 2000, 200) == pytest.approx(2 * a, rel=1e-15)
+
+    def test_owns_the_epsilon_cap(self):
+        with pytest.raises(CalibrationError) as info:
+            noise_multiplier(PrivacyBudget(24.0, 1e-5), 400, 2000, 100)
+        assert str(info.value) == "epsilon=24.0 exceeds 2 ln(1/delta)=23.0259"
+
+    @pytest.mark.parametrize("T, n, m", [(0, 2000, 100), (400, 0, 100), (400, 2000, 0)])
+    def test_rejects_nonpositive_counts(self, T, n, m):
+        with pytest.raises(ValueError, match="must be positive"):
+            noise_multiplier(BUDGET, T, n, m)
+
+
+class TestNoiseRule:
+    """calibrate_for_run's sigma^2 = z^2 Delta^2 reproduces the closed forms
+    spelled out as single expressions, to within 1e-15 relative."""
+
+    @pytest.mark.parametrize("granularity", [SENSITIVE_ONLY, ALL_FEATURES])
+    def test_matches_the_spelled_out_closed_forms(self, granularity):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            n = int(rng.integers(10, 10**6))
+            m = int(rng.integers(1, n + 1))
+            delta = float(10.0 ** rng.uniform(-9, -1))
+            epsilon = float(rng.uniform(0.005, 1.0)) * 2 * math.log(1 / delta)
+            T = min_iterations(n, m, epsilon) + int(rng.integers(0, 1000))
+            rho = float(rng.uniform(1e-3, 1.0))
+            L, D = (float(v) for v in np.exp(rng.uniform(-3, 5, size=2)))
+            l = int(rng.integers(2, 20))
+            noise = calibrate_for_run(granularity, epsilon, delta, T, n, m, rho, L, D, l)
+            budget = PrivacyBudget(epsilon, delta)
+            ref = reference_noise_variances(granularity, budget, T, n, rho, L, D, l)
+            got = (noise.sigma_theta_sq, noise.sigma_w_sq)
+            for value, expected in zip(got, ref):
+                assert abs(value - expected) <= 1e-15 * expected, (n, m, epsilon, T, rho, L, D, l)
+
+    def test_closed_forms_are_the_rule_at_any_batch_size(self):
+        # m cancels in z * Delta; T = 10**6 clears the floor at m = 1
+        for m in (1, 7, 100, 2000):
+            run = calibrate_for_run(ALL_FEATURES, 1.0, 1e-5, 10**6, 2000, m, 0.4, 1.5, 2.0, 3)
+            closed = calibrate_all_features(BUDGET, 10**6, 2000, 0.4, 1.5, 2.0, l=3)
+            assert run.sigma_theta_sq == pytest.approx(closed.sigma_theta_sq, rel=1e-15)
+            assert run.sigma_w_sq == pytest.approx(closed.sigma_w_sq, rel=1e-15)
 
 
 class TestGaussianNoise:
@@ -255,9 +354,20 @@ class TestAudit:
         w = rng.uniform(-D, D, size=(2, 2))
         L = proba_lipschitz_bound(ds.features)
         obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=300, m=10, rng=rng)
-        bounds = sensitivity_bounds(D, L, 10, stats.rho)
+        bounds = sensitivities(SENSITIVE_ONLY, D, L, 10, stats.rho)
         assert 0.0 < obs_theta <= bounds.delta_theta
         assert 0.0 < obs_w <= bounds.delta_w
+
+    def test_nan_difference_is_kept(self):
+        # a dual this large overflows the saddle terms; max() would drop the NaN
+        ds = audit_dataset()
+        rng = np.random.default_rng(3)
+        theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
+        w = rng.uniform(-1e300, 1e300, size=(2, 2))
+        with np.errstate(all="ignore"):
+            obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=50, m=10, rng=rng)
+        assert math.isnan(obs_theta)
+        assert obs_w == math.inf
 
     def test_bad_arguments(self):
         ds = audit_dataset()
