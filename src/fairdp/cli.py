@@ -3,10 +3,11 @@
 Subcommands: train, sweep, calibrate, audit-sensitivity, evaluate, synth.
 train and sweep map their flags to one harness.ExperimentConfig (a train run
 is a sweep of one cell) and set each run up through harness.plan_run, so
-they validate the same flags the same way: --lambda and --notion through
-fairness.FermiConfig, --epsilon and --delta through privacy.PrivacyBudget
-(as calibrate does, at every granularity). epsilon <= 2 ln(1/delta) is the
-rule of privacy.noise_multiplier, so only runs that calibrate noise check it.
+they validate the same flags the same way before reading any data: --lambda
+and --notion in fairness.FermiConfig, --epsilon and --delta in
+privacy.PrivacyBudget (as calibrate does), the step sizes, --box-radius and
+--clip (0 turns it off) in optimizer.SgdaConfig. epsilon <= 2 ln(1/delta) is
+checked only where noise is calibrated, by privacy.noise_multiplier.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
 overflow on the evaluated data, overflowing noise or sensitivity formulas
@@ -137,13 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _clip(value: float) -> float | None:
-    """clip_theta from --clip: a finite value >= 0, where 0 turns clipping off."""
-    if not 0 <= value < math.inf:
-        raise ValueError("--clip must be finite and nonnegative")
-    return value if value > 0 else None
-
-
 def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig:
     """The ExperimentConfig of the train and sweep flags."""
     return ExperimentConfig(
@@ -159,7 +153,7 @@ def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig
         epochs=args.epochs,
         batch_size=args.batch_size,
         box_radius=args.box_radius,
-        clip_theta=_clip(args.clip),
+        clip_theta=args.clip or None,  # --clip 0 turns clipping off
         master_seed=args.seed,
         label_col=args.label_col,
         sensitive_col=args.sensitive_col,
@@ -229,11 +223,13 @@ def _cmd_calibrate(args) -> int:
 def _cmd_audit(args) -> int:
     _check_seed("seed", args.seed)
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
-    if args.box_radius <= 0:
-        raise ValueError("box_radius must be positive")
-    if not math.isfinite(args.box_radius):
-        raise ValueError("box_radius must be finite")
     m, D = args.batch_size, args.box_radius
+    # the bounds first, so a bad box radius or batch size fails before the audit;
+    # features whose squared norm overflows make L_theta, and the theta bound, infinite
+    L_theta, rho = proba_lipschitz_bound(ds.features), sensitive_stats(ds).rho
+    finite = L_theta < math.inf
+    bounds = sensitivities(SENSITIVE_ONLY, D, L_theta if finite else 1.0, m, rho)
+    bounds = bounds if finite else SensitivityBounds(math.inf, bounds.delta_w_sq)
     slack = AUDIT_ULPS * np.finfo(np.float64).eps * m * (1.0 + D)
     if slack > AUDIT_MAX_SLACK:
         raise ValueError(f"--box-radius {D:g} is too large for the audit to give a verdict")
@@ -242,12 +238,6 @@ def _cmd_audit(args) -> int:
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)
     )
     w = rng.uniform(-D, D, size=(ds.k, ds.l))
-    # the bounds first, so a bad batch size fails before the audit; features
-    # whose squared norm overflows make L_theta, and the theta bound, infinite
-    L_theta, rho = proba_lipschitz_bound(ds.features), sensitive_stats(ds).rho
-    finite = L_theta < math.inf
-    bounds = sensitivities(SENSITIVE_ONLY, D, L_theta if finite else 1.0, m, rho)
-    bounds = bounds if finite else SensitivityBounds(math.inf, bounds.delta_w_sq)
     observed_theta, observed_w = empirical_sensitivity_audit(theta, w, ds, args.trials, m, rng)
     print(f"observed_delta_theta={observed_theta:.6g} bound={bounds.delta_theta:.6g}")
     print(f"observed_delta_w={observed_w:.6g} bound={bounds.delta_w:.6g}")

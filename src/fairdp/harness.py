@@ -148,6 +148,14 @@ class ExperimentConfig:
         if self.granularity == ALL_FEATURES and self.clip_theta is None:
             raise CalibrationError("all-features privacy requires loss-gradient clipping")
         _check_seed("master_seed", self.master_seed)
+        self.sgda(self.epochs, self.batch_size)  # plan_run sets T and m per split
+
+    def sgda(self, T: int, m: int) -> SgdaConfig:
+        """The SgdaConfig of a run of T steps with batch size m."""
+        return SgdaConfig(
+            self.eta_theta, self.eta_w, T, m, self.box_radius, self.clip_theta,
+            seed=self.master_seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,7 @@ def run_length(n: int, batch_size: int, epochs: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     m = min(batch_size, n)
-    return m, epochs * math.ceil(n / m)
+    return m, epochs * -(-n // m)  # ceil(n / m) in ints, which cannot overflow
 
 
 def plan_run(
@@ -264,27 +272,10 @@ def plan_run(
     """
     m, T = run_length(train.n, config.batch_size, config.epochs)
     noise = calibrate_for_run(
-        config.granularity,
-        epsilon,
-        config.delta,
-        T,
-        train.n,
-        m,
-        sensitive_stats(train).rho,
-        proba_lipschitz_bound(train.features),
-        config.box_radius,
-        train.l,
+        config.granularity, epsilon, config.delta, T, train.n, m, sensitive_stats(train).rho,
+        proba_lipschitz_bound(train.features), config.box_radius, train.l,
     )
-    sgda = SgdaConfig(
-        eta_theta=config.eta_theta,
-        eta_w=config.eta_w,
-        T=T,
-        m=m,
-        box_radius=config.box_radius,
-        clip_theta=config.clip_theta,
-        seed=config.master_seed,
-    )
-    return sgda, noise
+    return config.sgda(T, m), noise
 
 
 _DIVERGED_METRICS = dict.fromkeys(("error", "dp_violation", "eo_violation", "ermi_hard"), math.nan)

@@ -61,7 +61,6 @@ layout for both notions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +76,7 @@ from .classifier import (
 from .dataset import TabularDataset, minibatch
 from .exceptions import DivergenceError
 from .fairness import FermiConfig, _inner_max, saddle_terms, strata
-from .privacy import NoiseScales, gaussian_noise
+from .privacy import NoiseScales, _check_positive_finite, gaussian_noise
 
 LAST = "last"
 UNIFORM_RANDOM = "uniform_random"
@@ -103,15 +102,13 @@ class SgdaConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        # 0 < v < inf also rejects NaN, which fails every comparison
-        if not (0 < self.eta_theta < math.inf and 0 < self.eta_w < math.inf):
-            raise ValueError("step sizes must be positive and finite")
+        _check_positive_finite("eta_theta", self.eta_theta)
+        _check_positive_finite("eta_w", self.eta_w)
         if self.T < 1 or self.m < 1:
             raise ValueError("T and m must be positive")
-        if not 0 < self.box_radius < math.inf:
-            raise ValueError("box_radius must be positive and finite")
-        if self.clip_theta is not None and not 0 < self.clip_theta < math.inf:
-            raise ValueError("clip_theta must be positive and finite when given")
+        _check_positive_finite("box radius D", self.box_radius)  # as in sensitivities
+        if self.clip_theta is not None:
+            _check_positive_finite("clip_theta", self.clip_theta)
         if self.iterate_rule not in (LAST, UNIFORM_RANDOM):
             raise ValueError(f"unknown iterate rule {self.iterate_rule!r}")
         for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):

@@ -20,6 +20,7 @@ sensitive data without noise; treat them as public in the guarantee.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ NO_PRIVACY = "none"
 GRANULARITIES = (SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY)
 
 
+def _check_positive_finite(name: str, value, error: type[Exception] = ValueError) -> None:
+    if not 0.0 < value < math.inf:  # also rejects NaN, which fails every comparison
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """A positive finite epsilon and a delta in (0, 1)."""
@@ -43,8 +49,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:  # also rejects NaN
-            raise CalibrationError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_positive_finite("epsilon", self.epsilon, CalibrationError)
         if not 0.0 < self.delta < 1.0:
             raise CalibrationError("delta must lie in (0, 1)")
 
@@ -87,15 +92,27 @@ def noise_multiplier(budget: PrivacyBudget, T: int, n: int, m: int) -> float:
         raise CalibrationError(f"epsilon={budget.epsilon} exceeds 2 ln(1/delta)={cap:.4f}")
     if T < 1 or n < 1 or m < 1:
         raise ValueError("T, n and m must be positive")
-    return math.sqrt(T * m * m * cap / (n * n * budget.epsilon ** 2))
+    try:
+        z = math.sqrt(T * m * m * cap / (n * n * budget.epsilon ** 2))
+    except OverflowError:  # n * n or T * m * m is an int too large for a float
+        name = "n" if n * n > sys.float_info.max else "iteration count T"
+        raise CalibrationError(f"{name} overflows the noise multiplier") from None
+    except ZeroDivisionError:  # epsilon ** 2 underflows to 0
+        z = math.inf
+    if z < math.inf:
+        return z
+    raise CalibrationError(f"epsilon={budget.epsilon} is too small for the noise multiplier")
 
 
 def _squares(granularity: str, D: float, L: float, m: int, rho: float, l) -> tuple[float, float]:
-    """(Delta_theta^2, Delta_w^2), the table in the module docstring."""
+    """(Delta_theta^2, Delta_w^2), the table in the module docstring; inf on overflow."""
     ld2, m2 = L * L * D * D, m * m
-    if granularity == SENSITIVE_ONLY:
-        return 8.0 * ld2 / (m2 * rho), 8.0 / (m2 * rho)
-    return (32.0 * ld2 / rho + 16.0 * ld2 * D * D * l * l) / m2, 16.0 * (1.0 / rho + D * D) / m2
+    try:
+        if granularity == SENSITIVE_ONLY:
+            return 8.0 * ld2 / (m2 * rho), 8.0 / (m2 * rho)
+        return (32.0 * ld2 / rho + 16.0 * ld2 * D * D * l * l) / m2, 16.0 * (1.0 / rho + D * D) / m2
+    except OverflowError:  # m * m or l is an int too large for a float
+        return math.inf, math.inf
 
 
 def sensitivities(
@@ -109,16 +126,20 @@ def sensitivities(
         raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
     named = (("Lipschitz constant L_theta", L_theta), ("box radius D", D), ("batch size m", m))
     for name, value in named:
-        if not 0.0 < value < math.inf:
-            raise CalibrationError(f"{name} must be positive and finite, got {value}")
+        _check_positive_finite(name, value, CalibrationError)
     if granularity == ALL_FEATURES and (l is None or l < 2):
         raise CalibrationError(f"need at least two label classes, got l={l}")
     squares = _squares(granularity, D, L_theta, m, rho, l)
     if math.isinf(max(squares)):
-        # rho is named if the bounds overflow even at L_theta = D = 1, D if at L_theta = 1
-        at_unit = [math.isinf(max(_squares(granularity, d, 1.0, m, rho, l))) for d in (1.0, D)]
-        name, value = ("rho", rho) if at_unit[0] else named[1] if at_unit[1] else named[0]
-        raise CalibrationError(f"{name}={value} overflows the sensitivity bounds")
+        # name the first of m, rho, l, D that overflows the bounds when they
+        # take their values in turn, the rest held at 1 (l at 2), else L_theta;
+        # the ints m and l are not echoed, as they may have hundreds of digits
+        steps = [("batch size m", 1.0, 1.0, m, 1.0, 2), (f"rho={rho}", 1.0, 1.0, m, rho, 2),
+                 ("number of label classes l", 1.0, 1.0, m, rho, l),
+                 (f"box radius D={D}", D, 1.0, m, rho, l)]
+        culprit = (s[0] for s in steps if math.isinf(max(_squares(granularity, *s[1:]))))
+        name = next(culprit, f"Lipschitz constant L_theta={L_theta}")
+        raise CalibrationError(f"{name} overflows the sensitivity bounds")
     return SensitivityBounds(*squares)
 
 

@@ -495,21 +495,45 @@ class TestOverflow:
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "1e-300"], "epsilon=1e-300 is too small for the noise multiplier"),
+            (["--epsilon", "1e-160"], "epsilon=1e-160 is too small for the noise multiplier"),
+            (["--epochs", "1" + "0" * 319], "iteration count T overflows the noise multiplier"),
+            (["--granularity", "all", "--labels", "1" + "0" * 399],
+             "number of label classes l overflows the sensitivity bounds"),
+            (["--n", "1" + "0" * 399], "n overflows the noise multiplier"),
+        ],
+        ids=["epsilon_1e-300", "epsilon_1e-160", "epochs_320_digits", "labels_400_digits",
+             "n_400_digits"],
+    )
+    def test_error_line_names_the_parameter(self, capsys, flags, message):
+        # epsilon ** 2 underflows, and T * m * m, n * n and l are ints too
+        # large for a float
+        argv = ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "10",
+                "--rho", "0.4", *flags]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
 
 class TestHyperparameterValidation:
     """Non-finite hyperparameters and a negative clip are configuration
-    errors (exit 2) before any training step, not silent defaults or
-    divergences."""
+    errors (exit 2) before any data is read, not silent defaults or
+    divergences; the error line names the parameter and its value."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--clip", "nan", "--clip must be finite and nonnegative"),
-            ("--clip", "inf", "--clip must be finite and nonnegative"),
-            ("--clip", "-1", "--clip must be finite and nonnegative"),
-            ("--eta-w", "inf", "step sizes must be positive and finite"),
-            ("--eta-theta", "nan", "step sizes must be positive and finite"),
+            ("--clip", "nan", "clip_theta must be positive and finite, got nan"),
+            ("--clip", "inf", "clip_theta must be positive and finite, got inf"),
+            ("--clip", "-1", "clip_theta must be positive and finite, got -1.0"),
+            ("--eta-w", "inf", "eta_w must be positive and finite, got inf"),
+            ("--eta-theta", "nan", "eta_theta must be positive and finite, got nan"),
             ("--lambda", "nan", "lam must be finite and nonnegative"),
             ("--lambda", "inf", "lam must be finite and nonnegative"),
         ],
@@ -529,7 +553,7 @@ class TestHyperparameterValidation:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--clip", "nan"], "--clip must be finite and nonnegative"),
+            (["--clip", "nan"], "clip_theta must be positive and finite, got nan"),
             (["--lambda", "0", "nan"], "lam must be finite and nonnegative"),
         ],
     )
@@ -577,6 +601,45 @@ class TestTrainAndSweepShareValidation:
             assert main(argv) == 2, command
             assert capsys.readouterr().err == f"error: {message}\n", command
             assert not out.exists()
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("granularity", ["sensitive", "all", "none"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--eta-theta", "nan"], "eta_theta must be positive and finite, got nan"),
+            (["--eta-w", "0"], "eta_w must be positive and finite, got 0.0"),
+            (["--box-radius", "nan"], "box radius D must be positive and finite, got nan"),
+            (["--box-radius", "-1"], "box radius D must be positive and finite, got -1.0"),
+            (["--box-radius", "inf"], "box radius D must be positive and finite, got inf"),
+            (["--clip", "-1"], "clip_theta must be positive and finite, got -1.0"),
+            (["--clip", "nan"], "clip_theta must be positive and finite, got nan"),
+            (["--clip", "inf"], "clip_theta must be positive and finite, got inf"),
+        ],
+    )
+    def test_step_sizes_box_radius_and_clip_are_checked_first(
+        self, tmp_path, capsys, granularity, flags, message
+    ):
+        # the dataset does not exist, so a check made after reading it would
+        # print the missing file instead
+        for command in ("train", "sweep"):
+            out = tmp_path / f"{command}.out"
+            argv = [command, "--dataset", str(tmp_path / "missing.csv"), "--granularity",
+                    granularity, *flags, "--out", str(out)]
+            assert main(argv) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_audit_prints_the_box_radius_line_of_train(self, synth_csv, tmp_path, capsys, value):
+        argv = ["train", "--dataset", str(tmp_path / "missing.csv"), "--box-radius", value]
+        assert main(argv) == 2
+        line = capsys.readouterr().err
+        assert line == f"error: box radius D must be positive and finite, got {float(value)}\n"
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line
 
 
 class TestNonFinitePrivacyParameters:
@@ -653,7 +716,9 @@ class TestNonFinitePrivacyParameters:
     def test_audit_rejects_non_finite_box_radius(self, synth_csv, capsys, value):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", value]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: box_radius must be finite\n"
+        assert capsys.readouterr().err == (
+            f"error: box radius D must be positive and finite, got {value}\n"
+        )
 
 
 class TestSweep:
@@ -733,16 +798,18 @@ class TestAudit:
         self, synth_csv, capsys, box_radius
     ):
         # the rounding allowance 4 ulp m (1 + D) of the bound would swallow any
-        # excess here: at 1e150 an observed 4e134 used to PASS against 0.42
+        # excess here: at 1e150 an observed 4e134 used to PASS against 0.42;
+        # the bounds are computed first, and at 1e154 they overflow themselves
+        messages = {
+            "1e150": "--box-radius 1e+150 is too large for the audit to give a verdict",
+            "1e154": "box radius D=1e+154 overflows the sensitivity bounds",
+        }
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--trials", "200",
                 "--box-radius", box_radius]
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (
-            f"error: --box-radius {float(box_radius):g} is too large for the audit to give "
-            "a verdict\n"
-        )
+        assert out.err == f"error: {messages[box_radius]}\n"
 
     @pytest.mark.parametrize("observed", [(float("nan"), 0.0), (0.0, float("nan")),
                                           (float("inf"), 0.0)])
@@ -758,7 +825,9 @@ class TestAudit:
     def test_zero_box_radius_is_config_error(self, synth_csv, capsys):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", "0"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: box_radius must be positive\n"
+        assert capsys.readouterr().err == (
+            "error: box radius D must be positive and finite, got 0.0\n"
+        )
 
     def test_negative_seed_is_config_error_naming_it(self, synth_csv, capsys):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--seed", "-1"]

@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -197,6 +198,20 @@ class TestRunSweep:
         with pytest.raises(CalibrationError, match=message):
             cheap_config(epsilons=(1.0, epsilon))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("eta_theta", "eta_theta must be positive and finite, got nan"),
+            ("eta_w", "eta_w must be positive and finite, got nan"),
+            ("box_radius", "box radius D must be positive and finite, got nan"),
+            ("clip_theta", "clip_theta must be positive and finite, got nan"),
+        ],
+    )
+    def test_sgda_values_rejected_before_any_data_is_read(self, field, message):
+        # the config builds an SgdaConfig from its own fields; the file is never opened
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(dataset="does-not-exist.csv", **{field: math.nan})
+
     def test_all_features_privacy_requires_clip(self):
         with pytest.raises(CalibrationError):
             cheap_config(granularity=ALL_FEATURES, clip_theta=None)
@@ -269,6 +284,11 @@ class TestPlanRun:
         assert batches == math.ceil(train.n / batch_size)
         sgda, _ = plan_run(config, train, 1.0)
         assert (sgda.m, sgda.T) == (batch_size, 4 * batches)
+
+    def test_run_length_counts_batches_in_ints(self):
+        # n / m as a float would overflow here, and lose digits beyond 2^53
+        assert harness.run_length(10 ** 400, 10, 2) == (10, 2 * 10 ** 399)
+        assert harness.run_length(2 ** 53 + 1, 1, 1) == (1, 2 ** 53 + 1)
 
     @pytest.mark.parametrize("granularity", [SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY])
     def test_noise_is_calibrated_at_the_split(self, granularity):

@@ -611,6 +611,18 @@ class TestSgdaConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [("eta_theta", "eta_theta"), ("eta_w", "eta_w"), ("box_radius", "box radius D"),
+         ("clip_theta", "clip_theta")],
+    )
+    @pytest.mark.parametrize("value", [np.nan, -1.0, 0.0])
+    def test_names_the_parameter_and_its_value(self, field, name, value):
+        # the box radius line is the one privacy.sensitivities prints
+        message = f"{name} must be positive and finite, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", (5, -1), (5, 0.5), None])
     def test_rejects_negative_and_non_integer_seeds(self, seed):
         part = seed[1] if isinstance(seed, tuple) else seed

@@ -120,6 +120,23 @@ class TestNonFiniteParameters:
             sensitivities(granularity, D, L, 10, 0.5, l=2)
         assert str(info.value) == f"{message} overflows the sensitivity bounds"
 
+    @pytest.mark.parametrize(
+        "granularity, m, l, message",
+        [
+            # l * l overflows, or l itself is an int too large for a float
+            (ALL_FEATURES, 10, 10 ** 200, "number of label classes l"),
+            (ALL_FEATURES, 10, 10 ** 400, "number of label classes l"),
+            # m * m is an int too large for a float
+            (SENSITIVE_ONLY, 10 ** 200, None, "batch size m"),
+            (ALL_FEATURES, 10 ** 200, 2, "batch size m"),
+        ],
+        ids=["l_10**200", "l_10**400", "m_10**200_sensitive", "m_10**200_all"],
+    )
+    def test_overflow_names_an_integer_parameter(self, granularity, m, l, message):
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(granularity, 1.0, 1.0, m, 0.5, l)
+        assert str(info.value) == f"{message} overflows the sensitivity bounds"
+
     def test_overflow_from_a_subnormal_group_floor_names_rho(self):
         with pytest.raises(CalibrationError) as info:
             sensitivities(SENSITIVE_ONLY, 1.0, 1.0, 10, 5e-324)
@@ -260,6 +277,23 @@ class TestNoiseMultiplier:
     def test_rejects_nonpositive_counts(self, T, n, m):
         with pytest.raises(ValueError, match="must be positive"):
             noise_multiplier(BUDGET, T, n, m)
+
+    @pytest.mark.parametrize(
+        "epsilon, T, n, message",
+        [
+            # epsilon ** 2 underflows to 0, and to a subnormal that overflows z
+            (1e-300, 400, 2000, "epsilon=1e-300 is too small for the noise multiplier"),
+            (1e-160, 400, 2000, "epsilon=1e-160 is too small for the noise multiplier"),
+            # T * m * m and n * n are ints too large for a float
+            (1.0, 10 ** 320, 2000, "iteration count T overflows the noise multiplier"),
+            (1.0, 400, 10 ** 200, "n overflows the noise multiplier"),
+        ],
+        ids=["epsilon_1e-300", "epsilon_1e-160", "T_10**320", "n_10**200"],
+    )
+    def test_overflow_names_the_parameter(self, epsilon, T, n, message):
+        with pytest.raises(CalibrationError) as info:
+            noise_multiplier(PrivacyBudget(epsilon, 1e-5), T, n, 100)
+        assert str(info.value) == message
 
 
 class TestNoiseRule:
