@@ -14,7 +14,6 @@ from fairdp import (
     SyntheticSpec,
     dp_violation,
     eo_violation,
-    ermi_conditional,
     ermi_hard,
     ermi_soft,
     predict_label,
@@ -57,9 +56,10 @@ print(f"  hard ERMI:              {ermi_hard(constant, train.sensitive):.3f}")
 theta0 = ModelParams.zeros(train.l, train.d_x)
 print(f"\nsoft ERMI at theta = 0: {ermi_soft(theta0, train):.2e}")
 
-# The conditional variant only penalizes dependence within label strata.
+# Given the true labels, ermi_hard is the conditional variant, which only
+# penalizes dependence within label strata.
 preds = predict_label(theta0, train.features)
 print(
     "conditional ERMI of uniform-model argmax predictions: "
-    f"{ermi_conditional(preds, train.sensitive, train.labels, k=train.k, l=train.l):.2e}"
+    f"{ermi_hard(preds, train.sensitive, train.labels, k=train.k, l=train.l):.2e}"
 )

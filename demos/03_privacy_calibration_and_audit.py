@@ -18,12 +18,11 @@ from fairdp import (
     calibrate_all_features,
     calibrate_sensitive_only,
     empirical_sensitivity_audit,
-    min_iterations,
     proba_lipschitz_bound,
     sensitive_stats,
-    sensitivities,
     synth_dataset,
 )
+from fairdp.privacy import min_iterations, sensitivities
 
 ds = synth_dataset(SyntheticSpec(n=2000, d_x=4, bias=0.5, noise_scale=1.0, seed=5))
 stats = sensitive_stats(ds)

@@ -26,7 +26,6 @@ from .dataset import (
     SensitiveStats,
     TabularDataset,
     load_csv,
-    minibatch,
     sensitive_stats,
     train_test_split,
 )
@@ -36,7 +35,6 @@ from .fairness import (
     FermiConfig,
     dp_violation,
     eo_violation,
-    ermi_conditional,
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
@@ -58,7 +56,6 @@ from .optimizer import (
     SgdaConfig,
     TrainResult,
     dp_fermi_train,
-    project_box,
     stationarity_gap,
 )
 from .privacy import (
@@ -67,8 +64,6 @@ from .privacy import (
     calibrate_all_features,
     calibrate_sensitive_only,
     empirical_sensitivity_audit,
-    min_iterations,
-    sensitivities,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +93,6 @@ __all__ = [
     "emit_csv",
     "empirical_sensitivity_audit",
     "eo_violation",
-    "ermi_conditional",
     "ermi_hard",
     "ermi_soft",
     "evaluate_metrics",
@@ -106,16 +100,12 @@ __all__ = [
     "inner_max_closed_form",
     "load_checkpoint",
     "load_csv",
-    "min_iterations",
-    "minibatch",
     "predict_label",
     "predict_proba",
     "proba_lipschitz_bound",
-    "project_box",
     "run_sweep",
     "save_checkpoint",
     "sensitive_stats",
-    "sensitivities",
     "stationarity_gap",
     "synth_dataset",
     "train_test_split",

@@ -19,7 +19,7 @@ one k x l block per conditioning stratum. Demographic parity is the single
 stratum C = 1, and equalized odds conditions on the true label, C = l.
 strata() maps a dataset and a notion to each sample's 0-based cell code
 stratum * k + group and the (C, k) group inverse square roots. The hard
-metrics (ermi_hard, ermi_conditional, dp_violation, eo_violation) count
+metrics (ermi_hard, given y or not, dp_violation, eo_violation) count
 predictions into such a table, ermi_soft sums class probabilities into it,
 and one estimator turns a table into ERMI, the label-conditional form being
 the p(y)-weighted sum over strata. The dual is a (C, k, l) array on the
@@ -151,15 +151,27 @@ def _stratified_ermi(table: np.ndarray) -> float:
     return float(mass @ ratios.sum(axis=(1, 2)) / mass.sum() - 1.0)
 
 
-def ermi_hard(preds: np.ndarray, s: np.ndarray, k: int | None = None, l: int | None = None) -> float:
+def ermi_hard(
+    preds: np.ndarray, s: np.ndarray, y=None, k: int | None = None, l: int | None = None
+) -> float:
     """ERMI of realized (hard) predictions against sensitive groups.
 
-    Every group in 1..k must be present; prediction classes may have zero
-    marginals (those cells contribute nothing).
+    Without y the table has one stratum; with y it is the label-conditional
+    form sum_y p(y) * ERMI(preds; s | Y = y), zero iff predictions are
+    conditionally independent of the groups given the true label, i.e. iff
+    equalized odds holds on this sample. Every group in 1..k must appear in
+    every nonempty stratum; prediction classes may have zero marginals
+    (those cells contribute nothing).
     """
-    table = _hard_table(preds, s, None, k, l)
-    if table.sum(axis=2).min() < 1:
-        raise DegenerateGroupError("every sensitive group must appear at least once")
+    table = _hard_table(preds, s, y, k, l)
+    groups = table.sum(axis=2)  # (C, k) samples per (stratum, group)
+    absent = (groups.min(axis=1) == 0) & (groups.max(axis=1) > 0)
+    if absent.any():
+        if y is None:
+            raise DegenerateGroupError("every sensitive group must appear at least once")
+        raise DegenerateConditionalError(
+            f"some sensitive group is absent within label class {int(np.argmax(absent)) + 1}"
+        )
     return _stratified_ermi(table)
 
 
@@ -176,28 +188,6 @@ def ermi_soft(
     cells, inv_sqrt = strata(ds, notion)
     proba = forward(theta.weights, theta.bias, ds.features)
     return _stratified_ermi(_cell_sums(proba, _table_codes(cells, ds.l), *inv_sqrt.shape))
-
-
-def ermi_conditional(
-    preds: np.ndarray,
-    s: np.ndarray,
-    y: np.ndarray,
-    k: int | None = None,
-    l: int | None = None,
-) -> float:
-    """Label-conditional ERMI: sum_y p(y) * ERMI(preds; s | Y = y).
-
-    Zero iff predictions are conditionally independent of the groups given
-    the true label, i.e. iff equalized odds holds on this sample.
-    """
-    table = _hard_table(preds, s, y, k, l)
-    groups = table.sum(axis=2)  # (l, k) samples per (label, group)
-    absent = (groups.min(axis=1) == 0) & (groups.max(axis=1) > 0)
-    if absent.any():
-        raise DegenerateConditionalError(
-            f"some sensitive group is absent within label class {int(np.argmax(absent)) + 1}"
-        )
-    return _stratified_ermi(table)
 
 
 def saddle_terms(

@@ -27,9 +27,8 @@ from .privacy import (  # the granularities are re-exported here
     SENSITIVE_ONLY,
     NoiseScales,
     PrivacyBudget,
+    calibrate,
     min_iterations,
-    noise_multiplier,
-    sensitivities,
 )
 
 SYNTH_BLOCK_ROWS = 4096  # rows per class-mean gather in synth_dataset
@@ -241,8 +240,7 @@ def calibrate_for_run(
     budget = PrivacyBudget(epsilon, delta)
     if granularity == NO_PRIVACY:
         return NoiseScales.none()
-    z = noise_multiplier(budget, T, n, m)
-    noise = NoiseScales.calibrated(z, sensitivities(granularity, D, L_theta, m, rho, l))
+    noise = calibrate(granularity, budget, T, n, m, rho, L_theta, D, l)
     floor = min_iterations(n, m, epsilon)
     if T < floor:
         raise CalibrationError(

@@ -7,7 +7,8 @@ on cross-entropy plus lam times the per-sample saddle terms:
                                   + lam * (mean grad_theta psi + u_t))
     W     <- Pi_box(W + eta_w * (lam * mean grad_W psi + V_t))
 
-with u_t ~ N(0, sigma_theta^2 I) and V_t entrywise N(0, sigma_w^2). The
+with u_t ~ N(0, sigma_theta^2 I) and V_t entrywise N(0, sigma_w^2); Pi_box
+clips each entry of W to [-D, D], D = SgdaConfig.box_radius, in place. The
 theta noise sits inside the lam bracket, so the injected noise is lam * u_t.
 SgdaConfig.seed, passed as is to np.random.default_rng, is the run's only
 seed: per iteration the batch is drawn first, then u_t, then V_t.
@@ -125,13 +126,6 @@ class TrainResult:
     chosen_iterate: int
 
 
-def project_box(w: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Entrywise clamp to [-radius, radius] (inf allowed, NaN not), into `out` if given."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    return w.clip(-radius, radius, out=out)
-
-
 class _TraceWriter:
     def __init__(self, every: int, path):
         self.every = every
@@ -242,7 +236,7 @@ def dp_fermi_train(
                 v += g_w
             v *= config.eta_w
             v += w
-            project_box(v, config.box_radius, out=w)
+            v.clip(-config.box_radius, config.box_radius, out=w)
             if not np.isfinite(iterate).all():
                 raise DivergenceError(t, "iterates")
             if t == chosen:

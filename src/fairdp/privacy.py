@@ -12,9 +12,10 @@ radius D, probability-map Lipschitz constant L and l label classes:
     sensitive only   8 / (m^2 rho)            8 L^2 D^2 / (m^2 rho)
     all features     16 (1/rho + D^2) / m^2   (32 L^2 D^2 / rho + 16 D^4 L^2 l^2) / m^2
 
-m cancels in sigma. This closed form composes the T iterations; there is no
-separate accountant. The group frequencies P_S and rho come from the
-sensitive data without noise; treat them as public in the guarantee.
+calibrate returns sigma^2 = z^2 Delta^2 per channel; m cancels. This closed
+form composes the T iterations; there is no separate accountant. The group
+frequencies P_S and rho come from the sensitive data without noise; treat
+them as public in the guarantee.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ class NoiseScales:
     def none(cls) -> "NoiseScales":
         return cls(0.0, 0.0)
 
-    @classmethod
-    def calibrated(cls, z: float, bounds: SensitivityBounds) -> "NoiseScales":
-        """sigma = z * Delta on each channel, as z^2 times the unrooted Delta^2."""
-        return cls(z * z * bounds.delta_theta_sq, z * z * bounds.delta_w_sq)
-
 
 def noise_multiplier(budget: PrivacyBudget, T: int, n: int, m: int) -> float:
     """z = (m / (n eps)) sqrt(2 T ln(1/delta)), for eps <= 2 ln(1/delta)."""
@@ -143,27 +139,43 @@ def sensitivities(
     return SensitivityBounds(*squares)
 
 
+def calibrate(
+    granularity: str, budget: PrivacyBudget, T: int, n: int, m: int,
+    rho: float, L_theta: float, D: float, l: int | None = None,
+) -> NoiseScales:
+    """sigma = z * Delta on each channel, as z^2 times the unrooted Delta^2."""
+    z = noise_multiplier(budget, T, n, m)
+    bounds = sensitivities(granularity, D, L_theta, m, rho, l)
+    variances = z * z * bounds.delta_theta_sq, z * z * bounds.delta_w_sq
+    if max(variances) == math.inf:  # z and Delta are finite, but not always their product
+        raise CalibrationError(
+            f"epsilon={budget.epsilon} with box radius D={D} overflows the noise variances"
+        )
+    return NoiseScales(*variances)
+
+
 def calibrate_sensitive_only(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's sensitive attribute."""
-    z = noise_multiplier(budget, T, n, 1)  # m cancels in z * Delta
-    return NoiseScales.calibrated(z, sensitivities(SENSITIVE_ONLY, D, L_theta, 1, rho))
+    return calibrate(SENSITIVE_ONLY, budget, T, n, 1, rho, L_theta, D)  # m cancels
 
 
 def calibrate_all_features(
     budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float, l: int
 ) -> NoiseScales:
     """Least noise making T updates private w.r.t. one person's entire record."""
-    z = noise_multiplier(budget, T, n, 1)  # m cancels in z * Delta
-    return NoiseScales.calibrated(z, sensitivities(ALL_FEATURES, D, L_theta, 1, rho, l))
+    return calibrate(ALL_FEATURES, budget, T, n, 1, rho, L_theta, D, l)  # m cancels
 
 
 def min_iterations(n: int, m: int, epsilon: float) -> int:
     """Smallest iteration count the calibration requires: ceil((n sqrt(eps) / 2m)^2)."""
     if n < 1 or m < 1 or not 0.0 < epsilon < math.inf:
         raise ValueError("n and m must be positive and epsilon positive and finite")
-    value = n * n * epsilon / (4.0 * m * m)
+    # n * n may be an int too large for a float, or overflow once scaled by epsilon
+    value = n * n * epsilon / (4.0 * m * m) if n * n <= sys.float_info.max else math.inf
+    if value == math.inf:
+        raise CalibrationError("n overflows the iteration floor")
     return max(1, math.ceil(value - 1e-9 * max(value, 1.0)))
 
 

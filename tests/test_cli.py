@@ -505,13 +505,16 @@ class TestOverflow:
             (["--granularity", "all", "--labels", "1" + "0" * 399],
              "number of label classes l overflows the sensitivity bounds"),
             (["--n", "1" + "0" * 399], "n overflows the noise multiplier"),
+            (["--n", "1" + "0" * 154, "--epsilon", "20"], "n overflows the iteration floor"),
+            (["--epsilon", "1e-152", "--box-radius", "1e3"],
+             "epsilon=1e-152 with box radius D=1000.0 overflows the noise variances"),
         ],
         ids=["epsilon_1e-300", "epsilon_1e-160", "epochs_320_digits", "labels_400_digits",
-             "n_400_digits"],
+             "n_400_digits", "n_155_digits", "epsilon_1e-152"],
     )
     def test_error_line_names_the_parameter(self, capsys, flags, message):
-        # epsilon ** 2 underflows, and T * m * m, n * n and l are ints too
-        # large for a float
+        # epsilon ** 2 underflows; T * m * m, n * n and l are ints too large
+        # for a float; n * n * epsilon and z^2 Delta^2 overflow
         argv = ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "10",
                 "--rho", "0.4", *flags]
         assert main(argv) == 2

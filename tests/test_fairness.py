@@ -14,7 +14,6 @@ from fairdp.fairness import (
     FermiConfig,
     dp_violation,
     eo_violation,
-    ermi_conditional,
     ermi_hard,
     ermi_soft,
     inner_max_closed_form,
@@ -70,7 +69,7 @@ class TestErmiHard:
         assert ermi_hard([1, 1, 1, 1], [1, 2, 1, 2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_absent_group_rejected(self):
-        with pytest.raises(DegenerateGroupError):
+        with pytest.raises(DegenerateGroupError, match="^every sensitive group must appear"):
             ermi_hard([1, 2, 1, 2], [1, 1, 1, 1], k=2)
 
     def test_matches_brute_force_on_random_tables(self):
@@ -180,28 +179,31 @@ class TestErmiSoft:
 
 
 class TestErmiConditional:
+    """ermi_hard given the true labels: the label-conditional form."""
+
     def test_independent_within_labels(self):
         y = [1, 1, 1, 1, 2, 2, 2, 2]
         s = [1, 1, 2, 2, 1, 1, 2, 2]
         preds = [1, 2, 1, 2, 1, 2, 1, 2]
-        assert ermi_conditional(preds, s, y) == pytest.approx(0.0, abs=1e-12)
+        assert ermi_hard(preds, s, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_group_equals_pred_within_labels(self):
         y = [1, 1, 1, 1, 2, 2, 2, 2]
         s = [1, 1, 2, 2, 1, 1, 2, 2]
-        assert ermi_conditional(s, s, y) == pytest.approx(1.0, abs=1e-12)
+        assert ermi_hard(s, s, y) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_label_reduces_to_hard(self):
         preds = [1, 2, 2, 1, 2]
         s = [1, 2, 1, 2, 2]
         y = [1, 1, 1, 1, 1]
-        assert ermi_conditional(preds, s, y) == pytest.approx(
+        assert ermi_hard(preds, s, y) == pytest.approx(
             ermi_hard(preds, s), abs=1e-12
         )
 
     def test_empty_conditional_cell(self):
-        with pytest.raises(DegenerateConditionalError):
-            ermi_conditional([1, 2, 1, 2], [1, 1, 2, 2], [1, 1, 2, 2])
+        with pytest.raises(DegenerateConditionalError) as info:
+            ermi_hard([1, 2, 1, 2], [1, 1, 2, 2], [1, 1, 2, 2])
+        assert str(info.value) == "some sensitive group is absent within label class 1"
 
 
 def one_sample_maximizer(theta, x, s, stats):
@@ -557,16 +559,16 @@ class TestEoViolation:
 @pytest.mark.parametrize(
     "metric, args, message",
     [
-        (ermi_hard, ([1, 2, 1, 2], [3, 1, 2, 1], 2, 2), r"^s out of range 1\.\.2$"),
+        (ermi_hard, ([1, 2, 1, 2], [3, 1, 2, 1], None, 2, 2), r"^s out of range 1\.\.2$"),
         (
-            ermi_conditional,
+            ermi_hard,
             ([1, 2, 1, 2, 1, 2], [1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 3, 3], None, 2),
             r"^y out of range 1\.\.2$",
         ),
         (dp_violation, ([1, 2, 1, 2], [1, 2, 3, 1], 2), r"^s out of range 1\.\.2$"),
         (eo_violation, ([1, 2, 0, 1], [1, 2, 1, 2], [1, 1, 2, 2]), r"^preds out of range 1\.\.2$"),
     ],
-    ids=["ermi_hard", "ermi_conditional", "dp_violation", "eo_violation"],
+    ids=["ermi_hard", "ermi_hard_given_y", "dp_violation", "eo_violation"],
 )
 def test_hard_metrics_reject_out_of_range_codes(metric, args, message):
     with pytest.raises(ValueError, match=message):

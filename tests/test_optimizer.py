@@ -27,7 +27,6 @@ from fairdp.optimizer import (
     UNIFORM_RANDOM,
     SgdaConfig,
     dp_fermi_train,
-    project_box,
     stationarity_gap,
 )
 from fairdp.privacy import NoiseScales
@@ -52,41 +51,6 @@ def small_config(**kw):
     base = dict(eta_theta=0.1, eta_w=0.1, T=50, m=1, box_radius=5.0, seed=0)
     base.update(kw)
     return SgdaConfig(**base)
-
-
-class TestProjectBox:
-    def test_inside_unchanged(self):
-        w = np.array([[0.5, -1.9], [1.0, 0.0]])
-        assert np.array_equal(project_box(w, 2.0), w)
-
-    def test_clamps(self):
-        assert project_box(np.array([[3.5]]), 2.0)[0, 0] == 2.0
-        assert project_box(np.array([[-3.5]]), 2.0)[0, 0] == -2.0
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            w = rng.normal(scale=3.0, size=(3, 4))
-            once = project_box(w, 1.5)
-            assert np.array_equal(project_box(once, 1.5), once)
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            project_box(np.zeros((2, 2)), 0.0)
-
-    def test_nan_radius_is_rejected(self):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            project_box(np.array([0.5, -2.0]), np.nan)
-
-    def test_infinite_radius_changes_nothing(self):
-        w = np.array([0.5, -2.0, 1e308])
-        assert np.array_equal(project_box(w, np.inf), w)
-
-    def test_out(self):
-        w = np.array([[-3.0, 0.5], [2.5, -0.25]])
-        out = np.full_like(w, np.nan)
-        assert project_box(w, 1.0, out=out) is out
-        assert out.tobytes() == project_box(w, 1.0).tobytes()
 
 
 def separable(n=400, seed=0, bias=0.0):

@@ -234,6 +234,13 @@ class TestMinIterations:
     def test_rounds_up(self):
         assert min_iterations(1001, 100, 1.0) == 26  # 25.05... -> 26
 
+    @pytest.mark.parametrize("n", [10 ** 154, 10 ** 200], ids=["scaled_by_epsilon", "n_squared"])
+    def test_overflow_names_n(self, n):
+        # n * n * epsilon is inf at 10**154, and n * n an int too large for a float at 10**200
+        with pytest.raises(CalibrationError) as info:
+            min_iterations(n, 10, 20.0)
+        assert str(info.value) == "n overflows the iteration floor"
+
 
 class TestSensitivities:
     def test_reference_value(self):
@@ -318,6 +325,23 @@ class TestNoiseRule:
             got = (noise.sigma_theta_sq, noise.sigma_w_sq)
             for value, expected in zip(got, ref):
                 assert abs(value - expected) <= 1e-15 * expected, (n, m, epsilon, T, rho, L, D, l)
+
+    @pytest.mark.parametrize(
+        "calibrate",
+        [
+            lambda b: calibrate_for_run(SENSITIVE_ONLY, b.epsilon, b.delta, 2000, 100, 10, 0.4,
+                                        1.0, 1e3, 2),
+            lambda b: calibrate_sensitive_only(b, 2000, 100, 0.4, 1.0, 1e3),
+            lambda b: calibrate_all_features(b, 2000, 100, 0.4, 1.0, 1e3, l=2),
+        ],
+        ids=["calibrate_for_run", "sensitive_only", "all_features"],
+    )
+    def test_overflow_names_epsilon_and_the_box_radius(self, calibrate):
+        # z and every Delta are finite, but z^2 Delta^2 is not
+        with pytest.raises(CalibrationError) as info:
+            calibrate(PrivacyBudget(1e-152, 1e-5))
+        message = "epsilon=1e-152 with box radius D=1000.0 overflows the noise variances"
+        assert str(info.value) == message
 
     def test_closed_forms_are_the_rule_at_any_batch_size(self):
         # m cancels in z * Delta; T = 10**6 clears the floor at m = 1
