@@ -219,10 +219,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise CheckpointError("checkpoint field 'metadata' must be a JSON object")
-    names = metadata.get("label_names") or []
-    strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
-    if not (strings and len(set(names)) == len(names) in (0, l)):
-        raise CheckpointError(f"checkpoint field 'label_names' must list {l} distinct names")
+    for field, count in (("label_names", l), ("feature_names", d_x)):
+        names = metadata.get(field) or []
+        strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
+        if not (strings and len(set(names)) == len(names) in (0, count)):
+            raise CheckpointError(f"checkpoint field {field!r} must list {count} distinct names")
     return theta, metadata
 
 

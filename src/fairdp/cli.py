@@ -6,8 +6,10 @@ is a sweep of one cell) and set each run up through harness.plan_run, so
 they validate the same flags the same way before reading any data: --lambda
 and --notion in fairness.FermiConfig, --epsilon and --delta in
 privacy.PrivacyBudget (as calibrate does), the step sizes, --box-radius and
---clip (0 turns it off) in optimizer.SgdaConfig. epsilon <= 2 ln(1/delta) is
-checked only where noise is calibrated, by privacy.noise_multiplier.
+--clip (0 turns it off) in optimizer.SgdaConfig, then --out, whose directory
+must exist. epsilon <= 2 ln(1/delta) is checked only where noise is
+calibrated, by privacy.noise_multiplier. evaluate reads the columns a
+checkpoint names, features and labels, by name.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
 overflow on the evaluated data, overflowing noise or sensitivity formulas
@@ -21,8 +23,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -160,9 +162,22 @@ def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig
     )
 
 
+def _check_out(path) -> None:
+    """Fail before a run, not after it, if its --out cannot be written: the
+    directory must exist and path must not be one."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {path}: {directory} is not a directory")
+
+
 def _cmd_train(args) -> int:
     config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
     fermi = FermiConfig(args.lam, config.notion)
+    _check_out(args.out)
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
     del ds  # the split keeps the name tuples; the whole file need not outlive it
@@ -190,6 +205,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _experiment_config(args, args.epsilon, args.lam, args.trials)
+    _check_out(args.out)
     emit_csv(run_sweep(config), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -204,19 +220,12 @@ def _cmd_calibrate(args) -> int:
             args.rho, args.l_theta, args.box_radius, args.labels,
         )
         bounds = sensitivities(SENSITIVE_ONLY, args.box_radius, args.l_theta, m, args.rho)
-        rows.append(
-            [epsilon, args.delta, T, args.n, m, args.rho,
-             noise.sigma_theta_sq, noise.sigma_w_sq, bounds.delta_theta, bounds.delta_w]
-        )
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
-    with out as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epsilon", "delta", "T", "n", "m", "rho",
-             "sigma_theta_sq", "sigma_w_sq", "delta_theta", "delta_w"]
-        )
-        for row in rows:
-            writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+        rows.append(dict(
+            epsilon=epsilon, delta=args.delta, T=T, n=args.n, m=m, rho=args.rho,
+            sigma_theta_sq=noise.sigma_theta_sq, sigma_w_sq=noise.sigma_w_sq,
+            delta_theta=bounds.delta_theta, delta_w=bounds.delta_w,
+        ))
+    emit_csv(rows, args.out)
     return 0
 
 
@@ -251,13 +260,14 @@ def _cmd_audit(args) -> int:
 def _cmd_evaluate(args) -> int:
     theta, metadata = load_checkpoint(args.checkpoint)
     names = metadata.get("label_names") or []
-    ds = _read_csv(args.dataset, args.label_col, args.sensitive_col, names)
+    features = metadata.get("feature_names") or []
+    ds = _read_csv(args.dataset, args.label_col, args.sensitive_col, names, features)
     if ds.l > len(names) > 0:
         label = ds.label_names[len(names)]
         raise ValueError(f"label {label!r} is not one of the checkpoint's labels {names}")
     if ds.l != theta.l:  # only possible without label names
         raise ValueError(f"the checkpoint has {theta.l} label classes, the dataset {ds.l}")
-    if ds.d_x != theta.d_x:
+    if ds.d_x != theta.d_x:  # only possible without feature names
         raise ValueError(f"the checkpoint has {theta.d_x} features, the dataset {ds.d_x}")
     for name, value in evaluate_metrics(theta, ds).items():
         print(f"{name}={value:.6g}")

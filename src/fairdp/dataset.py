@@ -99,17 +99,6 @@ class TabularDataset:
     def d_x(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def from_arrays(cls, features, labels, sensitive, l=None, k=None) -> "TabularDataset":
-        """Build a dataset from raw arrays, inferring l and k when omitted."""
-        labels = np.asarray(labels, dtype=np.int64)
-        sensitive = np.asarray(sensitive, dtype=np.int64)
-        if l is None:
-            l = int(labels.max()) if labels.size else 0
-        if k is None:
-            k = int(sensitive.max()) if sensitive.size else 0
-        return cls(np.asarray(features, dtype=np.float64), labels, sensitive, int(l), int(k))
-
     def subset(self, idx) -> "TabularDataset":
         """Row subset keeping the declared l, k and the encoding metadata."""
         idx = np.asarray(idx)
@@ -184,9 +173,13 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     return _read_csv(path, label_col, sensitive_col, ())
 
 
-def _read_csv(path, label_col: str, sensitive_col: str, label_names) -> TabularDataset:
-    """load_csv with the codes 1..len(label_names) held for label_names, present
-    or not, and the next codes for the labels they do not name."""
+def _read_csv(
+    path, label_col: str, sensitive_col: str, label_names, feature_names=()
+) -> TabularDataset:
+    """load_csv for a checkpoint's names: the codes 1..len(label_names) are
+    held for label_names, present or not, and the next codes go to the
+    labels they do not name; with feature_names, the feature columns must be
+    exactly those names, and they are read in that order."""
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -201,6 +194,14 @@ def _read_csv(path, label_col: str, sensitive_col: str, label_names) -> TabularD
         label_idx = header.index(label_col)
         sens_idx = header.index(sensitive_col)
         feat_idx = [i for i in range(len(header)) if i not in (label_idx, sens_idx)]
+        if feature_names:
+            found = [header[i] for i in feat_idx]
+            if sorted(found) != sorted(feature_names):
+                raise SchemaError(
+                    f"feature columns {found} are not the checkpoint's features "
+                    f"{list(feature_names)}"
+                )
+            feat_idx = [header.index(name) for name in feature_names]
         row_dtype = np.dtype(
             [(str(i), np.float64 if i in feat_idx else object) for i in range(len(header))]
         )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -359,7 +361,9 @@ def _format_cell(value) -> str:
 
 
 def emit_csv(rows, path) -> None:
-    """Write records or aggregate rows with a fixed column order.
+    """Write records, aggregate rows or the dict rows of `fairdp calibrate`'s
+    table with a fixed column order, to the file at path, or to standard
+    output when path is None.
 
     Reals carry 6 significant digits; a header line is always present, so
     an empty record list produces a header-only file.
@@ -371,7 +375,8 @@ def emit_csv(rows, path) -> None:
     else:
         columns = RECORD_COLUMNS
         dicts = [{name: getattr(rec, name) for name in columns} for rec in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    out = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+    with out as fh:
         writer = csv.writer(fh)
         header = ["lambda" if c == "lam" else c for c in columns]
         writer.writerow(header)

@@ -75,7 +75,7 @@ def random_instance(rng):
     rng.shuffle(s)
     y = np.resize(np.arange(1, l + 1), n)
     rng.shuffle(y)
-    ds = TabularDataset.from_arrays(rng.normal(size=(n, d_x)), y, s, l=l, k=k)
+    ds = TabularDataset(rng.normal(size=(n, d_x)), y, s, l=l, k=k)
     theta = ModelParams(rng.normal(scale=0.6, size=(l, d_x)), rng.normal(scale=0.6, size=l))
     return ds, theta
 

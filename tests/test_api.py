@@ -97,9 +97,15 @@ def test_internals_stay_importable_from_their_module(module, name):
 
 
 @pytest.mark.parametrize(
-    "module, name", [(optimizer, "project_box"), (fairness, "ermi_conditional")]
+    "module, name",
+    [
+        (optimizer, "project_box"),
+        (fairness, "ermi_conditional"),
+        (dataset.TabularDataset, "from_arrays"),
+    ],
 )
 def test_folded_helpers_are_gone(module, name):
-    # the step clips W in place, and ermi_hard takes an optional y
+    # the step clips W in place, ermi_hard takes an optional y, and a
+    # dataset has one constructor, which takes l and k
     assert not hasattr(module, name)
     assert not hasattr(fairdp, name)

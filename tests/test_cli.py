@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -235,7 +236,8 @@ class TestTrainEvaluate:
 
 
 class TestEvaluateLabelNames:
-    """evaluate encodes labels through the checkpoint's label names."""
+    """evaluate encodes labels through the checkpoint's label names and
+    reads features by the checkpoint's feature names."""
 
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
@@ -342,13 +344,57 @@ class TestEvaluateLabelNames:
         assert err == f"error: the checkpoint has {model_l} label classes, the dataset {data_l}\n"
 
     def test_checkpoint_with_another_feature_count(self, trained, tmp_path, capsys):
-        data = tmp_path / "data.csv"
+        # without feature names only the count can be checked
+        data, unnamed = tmp_path / "data.csv", tmp_path / "unnamed.json"
         argv = ["synth", "--n", "600", "--d-x", "4", "--seed", "1", "--out", data]
         assert main([str(a) for a in argv]) == 0
         capsys.readouterr()
-        code, out, err = self._evaluate(capsys, data, trained[2])
+        payload = json.loads(trained[2].read_text(encoding="utf-8"))
+        del payload["metadata"]["feature_names"]
+        unnamed.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = self._evaluate(capsys, data, unnamed)
         assert (code, out) == (2, "")
         assert err == "error: the checkpoint has 5 features, the dataset 4\n"
+
+    @staticmethod
+    def _columns(data, path, order, header=None):
+        """data's columns in the given order, under header if one is given."""
+        with data.open(encoding="utf-8", newline="") as fh:
+            rows = [[row[i] for i in order] for row in csv.reader(fh)]
+        rows[0] = rows[0] if header is None else header
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    def test_permuted_feature_columns_give_the_same_bytes(self, trained, tmp_path, capsys):
+        data, _, ckpt = trained
+        # the features reversed, behind the label and sensitive columns
+        permuted = self._columns(data, tmp_path / "permuted.csv", [5, 6, 4, 3, 2, 1, 0])
+        code, expected, _ = self._evaluate(capsys, data, ckpt)
+        assert code == 0
+        assert self._evaluate(capsys, permuted, ckpt) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "order, features",
+        [
+            ([0, 1, 2, 3, 4, 5, 6], ["f0", "f1", "x2", "f3", "f4"]),
+            ([0, 1, 2, 3, 4, 4, 5, 6], ["f0", "f1", "f2", "f3", "f4", "f4"]),
+            ([0, 1, 3, 4, 5, 6], ["f0", "f1", "f3", "f4"]),
+            ([0, 1, 2, 3, 4, 0, 5, 6], ["f0", "f1", "f2", "f3", "f4", "f5"]),
+        ],
+        ids=["renamed", "duplicated", "dropped", "added"],
+    )
+    def test_other_feature_columns_are_config_error_naming_both_lists(
+        self, trained, tmp_path, capsys, order, features
+    ):
+        data, _, ckpt = trained
+        header = [*features, "label", "sensitive"]
+        other = self._columns(data, tmp_path / "other.csv", order, header)
+        code, out, err = self._evaluate(capsys, other, ckpt)
+        assert (code, out) == (2, "")
+        names = ["f0", "f1", "f2", "f3", "f4"]
+        message = f"feature columns {features} are not the checkpoint's features {names}"
+        assert err == f"error: {message}\n"
 
 
 class TestMalformedCheckpoint:
@@ -413,6 +459,16 @@ class TestMalformedCheckpoint:
         payload["metadata"]["label_names"] = names
         err = self._evaluate(synth_csv, tmp_path, capsys, payload)
         assert err == "error: checkpoint field 'label_names' must list 2 distinct names\n"
+
+    @pytest.mark.parametrize(
+        "names",
+        [["f0"], ["f0", "f0", "f1", "f2"], ["f0", "f1", "f2", 3], "f0f1f2f3", 4, [["f0"]] * 4],
+    )
+    def test_malformed_feature_names(self, synth_csv, tmp_path, capsys, names):
+        payload = self._payload()
+        payload["metadata"]["feature_names"] = names
+        err = self._evaluate(synth_csv, tmp_path, capsys, payload)
+        assert err == "error: checkpoint field 'feature_names' must list 4 distinct names\n"
 
 
 class TestExitCodes:
@@ -633,6 +689,24 @@ class TestTrainAndSweepShareValidation:
             assert main(argv) == 2, command
             assert capsys.readouterr().err == f"error: {message}\n", command
             assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing_directory", "in_a_file", "a_directory"])
+    def test_out_is_checked_before_the_dataset_is_read(self, synth_csv, tmp_path, capsys, where):
+        # the dataset does not exist, so a check made after reading it would
+        # print the missing file instead
+        out = {
+            "missing_directory": tmp_path / "missing" / "m.json",
+            "in_a_file": synth_csv / "m.json",
+            "a_directory": tmp_path,
+        }[where]
+        if out.is_dir():
+            message = f"--out {out} is a directory"
+        else:
+            message = f"--out {out}: {out.parent} is not a directory"
+        for command in ("train", "sweep"):
+            argv = [command, "--dataset", str(tmp_path / "missing.csv"), "--out", str(out)]
+            assert main(argv) == 2, command
+            assert capsys.readouterr() == ("", f"error: {message}\n"), command
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_audit_prints_the_box_radius_line_of_train(self, synth_csv, tmp_path, capsys, value):

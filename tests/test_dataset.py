@@ -37,7 +37,7 @@ def write_csv(path, text):
 def small_ds(s=(1, 1, 2, 2), y=(1, 2, 1, 2)):
     n = len(s)
     rng = np.random.default_rng(0)
-    return TabularDataset.from_arrays(rng.normal(size=(n, 2)), y, s, l=2, k=2)
+    return TabularDataset(rng.normal(size=(n, 2)), y, s, l=2, k=2)
 
 
 class TestLoadCsv:
@@ -477,7 +477,7 @@ class TestOwnership:
 class TestSplit:
     def test_three_to_one(self):
         rng = np.random.default_rng(1)
-        ds = TabularDataset.from_arrays(
+        ds = TabularDataset(
             rng.normal(size=(100, 3)),
             rng.integers(1, 3, 100),
             rng.integers(1, 3, 100),
@@ -512,7 +512,7 @@ class TestSplit:
         features = rng.normal(size=(n, 2))
         features[:, 0] = np.arange(n)  # row identities survive the split
         codes = np.resize([1, 2], n)
-        ds = TabularDataset.from_arrays(features, codes, codes, l=2, k=2)
+        ds = TabularDataset(features, codes, codes, l=2, k=2)
         train, test = train_test_split(ds, frac, seed=seed)
         ids = np.concatenate([train.features[:, 0], test.features[:, 0]])
         assert sorted(ids.tolist()) == list(range(n))
@@ -534,7 +534,7 @@ class TestSensitiveStats:
         assert np.allclose(st_.inv_sqrt, [1.15470054, 2.0])
 
     def test_empty_group(self):
-        ds = TabularDataset.from_arrays(
+        ds = TabularDataset(
             np.zeros((4, 1)), [1, 2, 1, 2], [1, 1, 1, 1], l=2, k=2
         )
         with pytest.raises(DegenerateGroupError):

@@ -49,7 +49,7 @@ def random_dataset(rng, n=20, d_x=3, l=2, k=2):
     rng.shuffle(s)
     y = np.resize(np.arange(1, l + 1), n)
     rng.shuffle(y)
-    return TabularDataset.from_arrays(rng.normal(size=(n, d_x)), y, s, l=l, k=k)
+    return TabularDataset(rng.normal(size=(n, d_x)), y, s, l=l, k=k)
 
 
 def random_params(rng, l, d_x, scale=0.6):
@@ -225,7 +225,7 @@ class TestPsi:
     def test_hand_evaluated_instance(self):
         # theta = 0, balanced groups, W = diag(sqrt(p_S)): F = (1/2, 1/2),
         # quadratic term 1/2, coupling 2 * sqrt(.5) * .5 * sqrt(2) = 1
-        ds = TabularDataset.from_arrays(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2])
+        ds = TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
         stats = sensitive_stats(ds)
         theta = ModelParams.zeros(2, 2)
         w = np.diag(np.sqrt(stats.probabilities))
@@ -273,7 +273,7 @@ class TestPsiGradW:
     def test_saturated_model_touches_one_column(self):
         # huge logit on class 2 makes F one-hot there
         theta = ModelParams(np.array([[0.0], [80.0]]), np.zeros(2))
-        ds = TabularDataset.from_arrays(np.ones((2, 1)), [1, 2], [1, 2])
+        ds = TabularDataset(np.ones((2, 1)), [1, 2], [1, 2], l=2, k=2)
         stats = sensitive_stats(ds)
         grad = psi_grad_w(theta, np.ones((2, 2)), np.ones(1), 1, stats)
         assert np.allclose(grad[:, 0], 0.0, atol=1e-25)
@@ -380,7 +380,7 @@ class TestInnerMax:
     def test_saturated_marginal_gets_ridge(self):
         # class 2 saturated off: its soft marginal underflows to zero, so the
         # ridge is added to both class marginals of each stratum
-        ds = TabularDataset.from_arrays(np.ones((4, 1)), [1, 2, 1, 2], [1, 1, 2, 2])
+        ds = TabularDataset(np.ones((4, 1)), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
         theta = ModelParams(np.array([[800.0], [-800.0]]), np.zeros(2))
         # in every stratum p(1, r) = p(r) = 1/2, p(1) = 1 and p(2) = 0
         expected = np.array([[math.sqrt(0.5) / (1.0 + MARGINAL_RIDGE), 0.0]] * 2)
@@ -389,7 +389,9 @@ class TestInnerMax:
             assert w.shape == (n_strata, 2, 2)
             assert np.allclose(w, expected, rtol=1e-15, atol=0.0)
         # only label class 1 saturated: label class 2 keeps its exact maximizer
-        ds = TabularDataset.from_arrays(np.array([[1.0], [0], [1], [0]]), [1, 2, 1, 2], [1, 1, 2, 2])
+        ds = TabularDataset(
+            np.array([[1.0], [0], [1], [0]]), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2
+        )
         w = inner_max_closed_form(theta, ds, EQUALIZED_ODDS)
         assert np.allclose(w[0], expected, rtol=1e-15, atol=0.0)
         assert np.array_equal(w[1], np.full((2, 2), math.sqrt(0.5)))
@@ -579,7 +581,7 @@ def full_cell_dataset(rng, l, k, per_cell=4, d_x=3):
     """Every (label, group) cell holds per_cell samples, in shuffled order."""
     codes = np.repeat(np.arange(l * k), per_cell)
     rng.shuffle(codes)
-    return TabularDataset.from_arrays(
+    return TabularDataset(
         rng.normal(size=(codes.size, d_x)), codes // k + 1, codes % k + 1, l=l, k=k
     )
 
@@ -611,12 +613,12 @@ class TestStrata:
         assert np.array_equal(inv_sqrt, expected)
 
     def test_absent_group_raises(self):
-        ds = TabularDataset.from_arrays(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 1, 1], l=2, k=2)
+        ds = TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 1, 1], l=2, k=2)
         with pytest.raises(DegenerateGroupError, match=r"sensitive group\(s\) \[2\] have no samples"):
             strata(ds, DEMOGRAPHIC_PARITY)
 
     def test_unknown_notion_rejected(self):
-        ds = TabularDataset.from_arrays(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2])
+        ds = TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
         with pytest.raises(ValueError):
             strata(ds, "parity_of_some_kind")
 
@@ -641,12 +643,12 @@ class TestEoPsiGrads:
 
     def test_construction_requires_two_labels(self):
         with pytest.raises(ValueError):
-            TabularDataset.from_arrays(np.zeros((3, 1)), [1, 1, 1], [1, 2, 1], l=1, k=2)
+            TabularDataset(np.zeros((3, 1)), [1, 1, 1], [1, 2, 1], l=1, k=2)
 
     def test_empty_conditional_cell_aborts_stack(self):
         # label 2 only ever occurs in group 1
-        ds = TabularDataset.from_arrays(
-            np.zeros((6, 2)), [1, 1, 1, 1, 2, 2], [1, 2, 1, 2, 1, 1]
+        ds = TabularDataset(
+            np.zeros((6, 2)), [1, 1, 1, 1, 2, 2], [1, 2, 1, 2, 1, 1], l=2, k=2
         )
         with pytest.raises(
             DegenerateConditionalError,
@@ -655,7 +657,7 @@ class TestEoPsiGrads:
             strata(ds, EQUALIZED_ODDS)
 
     def test_absent_label_class_aborts_stack(self):
-        ds = TabularDataset.from_arrays(
+        ds = TabularDataset(
             np.zeros((4, 2)), [1, 1, 1, 1], [1, 2, 1, 2], l=2, k=2
         )
         with pytest.raises(DegenerateConditionalError, match=r"^label class 2 has no samples$"):
