@@ -6,10 +6,13 @@ is a sweep of one cell) and set each run up through harness.plan_run, so
 they validate the same flags the same way before reading any data: --lambda
 and --notion in fairness.FermiConfig, --epsilon and --delta in
 privacy.PrivacyBudget (as calibrate does), the step sizes, --box-radius and
---clip (0 turns it off) in optimizer.SgdaConfig, then --out, whose directory
-must exist. epsilon <= 2 ln(1/delta) is checked only where noise is
-calibrated, by privacy.noise_multiplier. evaluate reads the columns a
-checkpoint names, features and labels, by name.
+--clip (0 turns it off) in optimizer.SgdaConfig, then --out.
+epsilon <= 2 ln(1/delta) is checked only where noise is calibrated, by
+privacy.noise_multiplier. The --out of train, sweep, calibrate and synth
+passes one check (_check_out) before any data is read, drawn or computed:
+it must not be empty or a directory, and its directory must exist; train,
+sweep and synth check their other flags first. evaluate reads the columns
+a checkpoint names, features and labels, by name.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
 overflow on the evaluated data, overflowing noise or sensitivity formulas
@@ -164,9 +167,11 @@ def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig
 
 def _check_out(path) -> None:
     """Fail before a run, not after it, if its --out cannot be written: the
-    directory must exist and path must not be one."""
+    path must not be empty or a directory, and its directory must exist."""
     if path is None:
         return
+    if not path:
+        raise ValueError("--out must not be empty")
     if os.path.isdir(path):
         raise ValueError(f"--out {path} is a directory")
     directory = os.path.dirname(path) or os.curdir
@@ -190,7 +195,7 @@ def _cmd_train(args) -> int:
     )
     for name, value in metrics.items():
         print(f"{name}={value:.6g}")
-    if args.out:
+    if args.out is not None:
         save_checkpoint(
             result.params,
             args.out,
@@ -212,6 +217,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_out(args.out)
     m, T = run_length(args.n, args.batch_size, args.epochs)
     rows = []
     for epsilon in args.epsilon:
@@ -284,6 +290,7 @@ def _cmd_synth(args) -> int:
         noise_scale=args.noise_scale,
         seed=args.seed,
     )
+    _check_out(args.out)
     ds = synth_dataset(spec)
     # no cell of these rows needs CSV quoting, so one template writes them
     row_format = "%.10g," * ds.d_x + "%d,%d\r\n"

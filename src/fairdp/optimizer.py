@@ -13,6 +13,10 @@ theta noise sits inside the lam bracket, so the injected noise is lam * u_t.
 SgdaConfig.seed, passed as is to np.random.default_rng, is the run's only
 seed: per iteration the batch is drawn first, then u_t, then V_t.
 
+Every run returns its last iterate, theta after step T. The utility
+theorem's iterate, drawn uniformly from 1..T, is the last iterate of a run
+of tau ~ U{1..T} steps with the noise calibrated for T: T only bounds the loop.
+
 Each step is one fused pass in class-major (l, m) layout. The class
 probabilities of the batch are computed once (classifier.forward) and feed
 both the clipped loss gradient in the logits (classifier.loss_dlogits) and
@@ -79,10 +83,6 @@ from .exceptions import DivergenceError
 from .fairness import FermiConfig, _inner_max, saddle_terms, strata
 from .privacy import NoiseScales, _check_positive_finite, gaussian_noise
 
-LAST = "last"
-UNIFORM_RANDOM = "uniform_random"
-
-
 def _check_seed(name: str, seed) -> None:
     """Raise ValueError naming `name` unless seed is a non-negative int."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -91,7 +91,10 @@ def _check_seed(name: str, seed) -> None:
 
 @dataclass(frozen=True)
 class SgdaConfig:
-    """Step sizes, iteration budget, batch size, dual box and seed of one run."""
+    """Step sizes, iteration budget, batch size, dual box and seed of one run.
+
+    The run returns its last iterate; the theorem's uniform iterate is a run
+    of tau ~ U{1..T} steps with the noise calibrated for T."""
 
     eta_theta: float
     eta_w: float
@@ -99,7 +102,6 @@ class SgdaConfig:
     m: int
     box_radius: float
     clip_theta: float | None = None
-    iterate_rule: str = LAST
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
@@ -110,20 +112,17 @@ class SgdaConfig:
         _check_positive_finite("box radius D", self.box_radius)  # as in sensitivities
         if self.clip_theta is not None:
             _check_positive_finite("clip_theta", self.clip_theta)
-        if self.iterate_rule not in (LAST, UNIFORM_RANDOM):
-            raise ValueError(f"unknown iterate rule {self.iterate_rule!r}")
         for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
             _check_seed("seed", part)
 
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Chosen iterate, final (C, k, l) dual, optional trace, and which t was chosen."""
+    """Last iterate (theta after step T), final (C, k, l) dual and optional trace."""
 
     params: ModelParams
     dual: np.ndarray
     trace: list[dict] | None
-    chosen_iterate: int
 
 
 class _TraceWriter:
@@ -147,13 +146,6 @@ class _TraceWriter:
     def close(self):
         if self._fh is not None:
             self._fh.close()
-
-
-def _pick_iterate(rng: np.random.Generator, rule: str, T: int) -> int:
-    """Iteration whose theta is returned; drawn up front so memory stays O(1)."""
-    if rule == UNIFORM_RANDOM:
-        return int(rng.integers(1, T + 1))
-    return T
 
 
 def dp_fermi_train(
@@ -192,7 +184,6 @@ def dp_fermi_train(
     theta[:] = theta0.as_vector()
     weights, bias = theta[: l * ds.d_x].reshape(l, ds.d_x), theta[l * ds.d_x :]
     lam = fermi.lam
-    chosen = _pick_iterate(rng, config.iterate_rule, config.T)
     tracer = _TraceWriter(trace_every, trace_path)
     # the per-run workspace, which every step writes into: the gathered
     # batch, the (l, m) class-major arrays and the flat theta gradient
@@ -239,8 +230,6 @@ def dp_fermi_train(
             v.clip(-config.box_radius, config.box_radius, out=w)
             if not np.isfinite(iterate).all():
                 raise DivergenceError(t, "iterates")
-            if t == chosen:
-                snapshot = theta.copy()
             if tracing:
                 objective, g_w_norm = mean_cross_entropy(proba, labels), 0.0
                 if lam > 0:
@@ -249,10 +238,9 @@ def dp_fermi_train(
     finally:
         tracer.close()
     return TrainResult(
-        params=ModelParams.from_vector(snapshot, l, ds.d_x),
+        params=ModelParams(weights, bias),
         dual=w.copy(),
         trace=tracer.records,
-        chosen_iterate=chosen,
     )
 
 

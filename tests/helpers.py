@@ -30,7 +30,7 @@ from fairdp.dataset import SensitiveStats, TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
-from fairdp.optimizer import TrainResult, _pick_iterate, _TraceWriter
+from fairdp.optimizer import TrainResult, _TraceWriter
 from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
 
 
@@ -220,8 +220,6 @@ def reference_train(
     weights = theta[: ds.l * ds.d_x].reshape(ds.l, ds.d_x)
     bias = theta[ds.l * ds.d_x :]
     lam = fermi.lam
-    chosen = _pick_iterate(rng, config.iterate_rule, config.T)
-    snapshot = theta.copy()
     tracer = _TraceWriter(trace_every, trace_path)
 
     try:
@@ -244,8 +242,6 @@ def reference_train(
             w = np.clip(w + config.eta_w * (lam * g_w + v), -config.box_radius, config.box_radius)
             if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
                 raise DivergenceError(t, "iterates")
-            if t == chosen:
-                snapshot = theta.copy()
             if tracer.records is not None and t % tracer.every == 0:
                 tracer.log(
                     t,
@@ -257,10 +253,9 @@ def reference_train(
     finally:
         tracer.close()
     return TrainResult(
-        params=ModelParams.from_vector(snapshot, ds.l, ds.d_x),
+        params=ModelParams.from_vector(theta, ds.l, ds.d_x),
         dual=w,
         trace=tracer.records,
-        chosen_iterate=chosen,
     )
 
 

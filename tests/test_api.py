@@ -2,6 +2,8 @@
 importable from their module, and the per-sample references that live in
 tests/helpers.py rather than in the library."""
 
+import dataclasses
+
 import pytest
 
 import fairdp
@@ -102,10 +104,22 @@ def test_internals_stay_importable_from_their_module(module, name):
         (optimizer, "project_box"),
         (fairness, "ermi_conditional"),
         (dataset.TabularDataset, "from_arrays"),
+        (optimizer, "_pick_iterate"),
+        (optimizer, "LAST"),
+        (optimizer, "UNIFORM_RANDOM"),
     ],
 )
 def test_folded_helpers_are_gone(module, name):
-    # the step clips W in place, ermi_hard takes an optional y, and a
-    # dataset has one constructor, which takes l and k
+    # the step clips W in place, ermi_hard takes an optional y, a dataset
+    # has one constructor, which takes l and k, and every run returns its
+    # last iterate, so no rule picks another one
     assert not hasattr(module, name)
     assert not hasattr(fairdp, name)
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [(optimizer.SgdaConfig, "iterate_rule"), (optimizer.TrainResult, "chosen_iterate")],
+)
+def test_iterate_rule_fields_are_gone(cls, field):
+    assert field not in {f.name for f in dataclasses.fields(cls)}

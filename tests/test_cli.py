@@ -690,23 +690,40 @@ class TestTrainAndSweepShareValidation:
             assert capsys.readouterr().err == f"error: {message}\n", command
             assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing_directory", "in_a_file", "a_directory"])
-    def test_out_is_checked_before_the_dataset_is_read(self, synth_csv, tmp_path, capsys, where):
-        # the dataset does not exist, so a check made after reading it would
-        # print the missing file instead
+    @pytest.mark.parametrize("where", ["missing_directory", "in_a_file", "a_directory", "empty"])
+    def test_out_is_checked_before_the_dataset_is_read(
+        self, synth_csv, tmp_path, capsys, monkeypatch, where
+    ):
+        # every --out passes one check. train and sweep get a dataset that
+        # does not exist, so a check made after reading it would print the
+        # missing file instead; synth and calibrate must not start their work
         out = {
-            "missing_directory": tmp_path / "missing" / "m.json",
-            "in_a_file": synth_csv / "m.json",
-            "a_directory": tmp_path,
+            "missing_directory": str(tmp_path / "missing" / "m.json"),
+            "in_a_file": str(synth_csv / "m.json"),
+            "a_directory": str(tmp_path),
+            "empty": "",
         }[where]
-        if out.is_dir():
+        if not out:
+            message = "--out must not be empty"
+        elif os.path.isdir(out):
             message = f"--out {out} is a directory"
         else:
-            message = f"--out {out}: {out.parent} is not a directory"
-        for command in ("train", "sweep"):
-            argv = [command, "--dataset", str(tmp_path / "missing.csv"), "--out", str(out)]
-            assert main(argv) == 2, command
-            assert capsys.readouterr() == ("", f"error: {message}\n"), command
+            message = f"--out {out}: {os.path.dirname(out)} is not a directory"
+
+        def work(*args):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli, "synth_dataset", work)
+        monkeypatch.setattr(cli, "run_length", work)
+        missing = ["--dataset", str(tmp_path / "missing.csv")]
+        for argv in (
+            ["train", *missing],
+            ["sweep", *missing],
+            ["synth", "--n", "200"],
+            ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "10", "--rho", "0.4"],
+        ):
+            assert main([*argv, "--out", out]) == 2, argv[0]
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv[0]
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_audit_prints_the_box_radius_line_of_train(self, synth_csv, tmp_path, capsys, value):

@@ -22,13 +22,7 @@ from fairdp.fairness import (
     ermi_soft,
 )
 from fairdp.harness import SyntheticSpec, synth_dataset
-from fairdp.optimizer import (
-    LAST,
-    UNIFORM_RANDOM,
-    SgdaConfig,
-    dp_fermi_train,
-    stationarity_gap,
-)
+from fairdp.optimizer import SgdaConfig, dp_fermi_train, stationarity_gap
 from fairdp.privacy import NoiseScales
 from helpers import (
     central_diff_grad,
@@ -156,33 +150,6 @@ class TestDpFermiTrain:
         b = dp_fermi_train(ds, ModelParams.zeros(2, 5), FermiConfig(1.0), config, noise)
         assert np.array_equal(a.params.as_vector(), b.params.as_vector())
         assert np.array_equal(a.dual, b.dual)
-
-    def test_uniform_random_iterate_rule(self, monkeypatch):
-        # the chosen iterate is drawn first, so the returned model is the one
-        # a LAST run of T = chosen steps reaches after making the same draw
-        ds = separable(n=100, seed=4, bias=0.6)
-        fermi = FermiConfig(1.0, EQUALIZED_ODDS)
-        noise = NoiseScales(0.01, 0.01)
-        base = dict(eta_theta=0.05, eta_w=0.05, m=25, box_radius=1.0, clip_theta=1.0, seed=11)
-        config = SgdaConfig(T=30, iterate_rule=UNIFORM_RANDOM, **base)
-        result = dp_fermi_train(ds, ModelParams.zeros(2, 5), fermi, config, noise)
-        assert 1 <= result.chosen_iterate < 30
-        assert int(np.random.default_rng(11).integers(1, 31)) == result.chosen_iterate
-
-        def draw_then_last(rng, rule, T):
-            rng.integers(1, 31)
-            return T
-
-        monkeypatch.setattr(optimizer, "_pick_iterate", draw_then_last)
-        last = dp_fermi_train(
-            ds,
-            ModelParams.zeros(2, 5),
-            fermi,
-            SgdaConfig(T=result.chosen_iterate, iterate_rule=LAST, **base),
-            noise,
-        )
-        assert last.chosen_iterate == result.chosen_iterate
-        assert np.array_equal(result.params.as_vector(), last.params.as_vector())
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_reports_iteration(self):
@@ -324,16 +291,16 @@ class TestRunIsolation:
         wide = synth_dataset(SyntheticSpec(n=800, d_x=40, k=4, l=5, bias=0.5, seed=3))
         rng = np.random.default_rng(5)
         cases = {}
-        for name, ds, notion, m, rule in (
-            ("dp", narrow, DEMOGRAPHIC_PARITY, 128, LAST),
-            ("eo", wide, EQUALIZED_ODDS, 256, UNIFORM_RANDOM),
+        for name, ds, notion, m in (
+            ("dp", narrow, DEMOGRAPHIC_PARITY, 128),
+            ("eo", wide, EQUALIZED_ODDS, 256),
         ):
             theta0 = ModelParams(
                 rng.normal(scale=0.1, size=(ds.l, ds.d_x)), rng.normal(scale=0.1, size=ds.l)
             )
             config = SgdaConfig(
                 eta_theta=0.05, eta_w=0.05, T=30, m=m, box_radius=1.0, clip_theta=1.0,
-                iterate_rule=rule, seed=len(cases),
+                seed=len(cases),
             )
             cases[name] = (ds, theta0, FermiConfig(2.0, notion), config)
         inputs = {
@@ -347,7 +314,6 @@ class TestRunIsolation:
                 result.params.as_vector().tobytes(),
                 result.dual.tobytes(),
                 repr(result.trace),
-                result.chosen_iterate,
             )
 
         solo = {name: run(name) for name in cases}
@@ -455,8 +421,8 @@ class TestFusedStep:
 
 class TestAgainstReferenceLoop:
     """dp_fermi_train against reference_train, which computes and scales the
-    saddle terms at every step: params, dual, trace and chosen iterate must
-    agree bit for bit, including at lam = 0, where dp_fermi_train skips them."""
+    saddle terms at every step: params, dual and trace must agree bit for
+    bit, including at lam = 0, where dp_fermi_train skips them."""
 
     @staticmethod
     def assert_same(ds, fermi, config, noise, tmp_path):
@@ -473,7 +439,6 @@ class TestAgainstReferenceLoop:
         assert fused.dual.tobytes() == ref.dual.tobytes()
         assert repr(fused.trace) == repr(ref.trace)
         assert fused_log == ref_log
-        assert fused.chosen_iterate == ref.chosen_iterate
 
     @pytest.mark.parametrize("notion", [DEMOGRAPHIC_PARITY, EQUALIZED_ODDS])
     @pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
@@ -485,16 +450,6 @@ class TestAgainstReferenceLoop:
         )
         noise = NoiseScales(0.02, 0.05)
         self.assert_same(ds, FermiConfig(lam, notion), config, noise, tmp_path)
-
-    @pytest.mark.parametrize("lam", [0.0, 2.0])
-    def test_matches_reference_with_uniform_random_iterate(self, lam, tmp_path):
-        ds = separable(n=100, seed=4, bias=0.6)
-        config = SgdaConfig(
-            eta_theta=0.05, eta_w=0.05, T=30, m=25, box_radius=1.0,
-            iterate_rule=UNIFORM_RANDOM, seed=11,
-        )
-        noise = NoiseScales(0.01, 0.01)
-        self.assert_same(ds, FermiConfig(lam, EQUALIZED_ODDS), config, noise, tmp_path)
 
 
 class TestStationarityGap:
@@ -563,8 +518,6 @@ class TestSgdaConfigValidation:
             small_config(T=0)
         with pytest.raises(ValueError):
             small_config(box_radius=-1.0)
-        with pytest.raises(ValueError):
-            small_config(iterate_rule="best")
         with pytest.raises(ValueError):
             small_config(clip_theta=0.0)
 
