@@ -16,10 +16,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .exceptions import (
-    DegenerateGroupError,
-    EmptyDatasetError,
-    ParseError,
-    SchemaError,
+    DegenerateConditionalError, DegenerateGroupError, EmptyDatasetError, ParseError, SchemaError
 )
 
 CHUNK_ROWS = 1024  # CSV lines parsed per chunk by load_csv and rows written per write by synth
@@ -126,21 +123,37 @@ class SensitiveStats:
     def k(self) -> int:
         return self.counts.shape[0]
 
-    @classmethod
-    def from_groups(cls, sensitive: np.ndarray, k: int) -> "SensitiveStats":
-        """Stats for a vector of group codes in 1..k; every group must appear."""
-        sensitive = np.asarray(sensitive, dtype=np.int64)
-        counts = np.bincount(sensitive - 1, minlength=k)
-        if counts.min() < 1:
-            missing = [r + 1 for r in range(k) if counts[r] == 0]
-            raise DegenerateGroupError(f"sensitive group(s) {missing} have no samples")
-        probs = counts / sensitive.shape[0]
-        return cls(counts, probs, float(probs.min()), probs ** -0.5)
+
+def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's cell and the (stratum, group) sample counts; no other
+    code counts samples per group.
+
+    Returns the 0-based (n,) cell codes stratum * k + (group - 1) and the
+    (C, k) int64 counts, with one stratum (C = 1), or one per label class
+    (C = l) when by_label. An absent group raises DegenerateGroupError; by
+    label, the first label class that is absent or lacks a group raises
+    DegenerateConditionalError.
+    """
+    n_strata, stratum = (ds.l, ds.labels - 1) if by_label else (1, 0)
+    cells = stratum * ds.k + ds.sensitive - 1
+    counts = np.bincount(cells, minlength=n_strata * ds.k).reshape(n_strata, ds.k)
+    if counts.min() == 0:
+        c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
+        missing = (np.flatnonzero(counts[c] == 0) + 1).tolist()
+        message = f"sensitive group(s) {missing} have no samples"
+        if not by_label:
+            raise DegenerateGroupError(message)
+        if not counts[c].any():
+            raise DegenerateConditionalError(f"label class {c + 1} has no samples")
+        raise DegenerateConditionalError(f"within label class {c + 1}: {message}")
+    return cells, counts
 
 
 def sensitive_stats(ds: TabularDataset) -> SensitiveStats:
     """Group counts, probabilities, rho and P_S^{-1/2} diagonal for a dataset."""
-    return SensitiveStats.from_groups(ds.sensitive, ds.k)
+    counts = group_counts(ds)[1][0]
+    probs = counts / ds.n
+    return SensitiveStats(counts, probs, float(probs.min()), probs ** -0.5)
 
 
 def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:

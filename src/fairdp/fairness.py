@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward
-from .dataset import TabularDataset
+from .dataset import TabularDataset, group_counts
 from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
@@ -65,29 +65,14 @@ def strata(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell codes and group statistics of the (C, k, l) layout.
 
-    Returns the 0-based (n,) codes stratum * k + (group - 1) and the (C, k)
-    group inverse square roots within each stratum. Demographic parity has
-    one stratum (C = 1) and raises DegenerateGroupError for an empty group;
-    equalized odds has one stratum per label class (C = l) and raises
-    DegenerateConditionalError if a label class is absent or a (label,
-    group) cell is empty.
+    Returns dataset.group_counts' cell codes, with one stratum (C = 1) for
+    demographic parity and one per label class (C = l) for equalized odds,
+    and the (C, k) group inverse square roots within each stratum from its
+    counts; an empty group, label class or (label, group) cell raises its error.
     """
-    if notion == DEMOGRAPHIC_PARITY:
-        n_strata, cells = 1, ds.sensitive - 1
-    elif notion == EQUALIZED_ODDS:
-        n_strata, cells = ds.l, (ds.labels - 1) * ds.k + (ds.sensitive - 1)
-    else:
+    if notion not in (DEMOGRAPHIC_PARITY, EQUALIZED_ODDS):
         raise ValueError(f"unknown fairness notion {notion!r}")
-    counts = np.bincount(cells, minlength=n_strata * ds.k).reshape(n_strata, ds.k)
-    if counts.min() == 0:
-        c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
-        missing = (np.flatnonzero(counts[c] == 0) + 1).tolist()
-        message = f"sensitive group(s) {missing} have no samples"
-        if notion == DEMOGRAPHIC_PARITY:
-            raise DegenerateGroupError(message)
-        if not counts[c].any():
-            raise DegenerateConditionalError(f"label class {c + 1} has no samples")
-        raise DegenerateConditionalError(f"within label class {c + 1}: {message}")
+    cells, counts = group_counts(ds, by_label=notion == EQUALIZED_ODDS)
     return cells, (counts / counts.sum(axis=1, keepdims=True)) ** -0.5
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward, mean_param_grad
-from .dataset import TabularDataset
+from .dataset import TabularDataset, group_counts
 from .exceptions import CalibrationError
-from .fairness import saddle_terms, strata
+from .fairness import saddle_terms
 
 SENSITIVE_ONLY = "sensitive_only"
 ALL_FEATURES = "all_features"
@@ -215,15 +215,15 @@ def empirical_sensitivity_audit(
         raise ValueError("trials must be positive")
     if not 1 <= m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
-    cells, inv_sqrt = strata(ds)
-    counts = np.bincount(cells, minlength=ds.k)
+    cells, counts = group_counts(ds)
+    inv_sqrt = (counts / ds.n) ** -0.5  # strata(ds)'s, from the same counts
     w = np.asarray(w, dtype=np.float64)[None]
     max_dtheta = max_dw = 0.0
     for _ in range(trials):
         batch = rng.choice(ds.n, size=m, replace=False)
         i = int(batch[rng.integers(0, m)])
         old = int(ds.sensitive[i])
-        if counts[old - 1] <= 1:
+        if counts[0, old - 1] <= 1:
             continue
         choices = [r for r in range(1, ds.k + 1) if r != old]
         s_new = int(choices[rng.integers(0, len(choices))])

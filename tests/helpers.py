@@ -7,8 +7,9 @@ forms must match bit for bit, and the per-sample references for the
 class-major batch kernels: the cross-entropy loss, its gradient and the
 probability Jacobian of one sample (loss, loss_grad, jacobian_proba, and
 mean_loss over a sample set), one sample's saddle value psi and its
-exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block, and
-the four closed-form noise variances written out term by term, which the
+exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block,
+the group statistics of a vector of group codes by one bincount, and the
+four closed-form noise variances written out term by term, which the
 one noise rule sigma = z * Delta must reproduce."""
 
 import csv
@@ -294,6 +295,16 @@ def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> f
     """Average cross-entropy over a sample set."""
     features = np.asarray(features, dtype=np.float64)
     return mean_cross_entropy(forward(theta.weights, theta.bias, features), np.asarray(labels))
+
+
+def group_stats(sensitive, k: int) -> SensitiveStats:
+    """Group statistics of codes in 1..k, every group present, by one plain
+    bincount: the oracle for dataset.group_counts and for the statistics of
+    one label class's groups."""
+    sensitive = np.asarray(sensitive, dtype=np.int64)
+    counts = np.bincount(sensitive - 1, minlength=k)
+    probs = counts / sensitive.shape[0]
+    return SensitiveStats(counts, probs, float(probs.min()), probs ** -0.5)
 
 
 def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.ndarray:

@@ -86,12 +86,16 @@ def test_per_sample_references_are_not_in_the_library(module, name):
     "module, name",
     [
         (dataset, "minibatch"),
+        (dataset, "group_counts"),
         (privacy, "SensitivityBounds"),
         (privacy, "gaussian_noise"),
         (privacy, "min_iterations"),
         (privacy, "sensitivities"),
     ],
-    ids=["minibatch", "SensitivityBounds", "gaussian_noise", "min_iterations", "sensitivities"],
+    ids=[
+        "minibatch", "group_counts", "SensitivityBounds", "gaussian_noise", "min_iterations",
+        "sensitivities",
+    ],
 )
 def test_internals_stay_importable_from_their_module(module, name):
     assert name not in fairdp.__all__
@@ -107,12 +111,14 @@ def test_internals_stay_importable_from_their_module(module, name):
         (optimizer, "_pick_iterate"),
         (optimizer, "LAST"),
         (optimizer, "UNIFORM_RANDOM"),
+        (dataset.SensitiveStats, "from_groups"),
     ],
 )
 def test_folded_helpers_are_gone(module, name):
     # the step clips W in place, ermi_hard takes an optional y, a dataset
-    # has one constructor, which takes l and k, and every run returns its
-    # last iterate, so no rule picks another one
+    # has one constructor, which takes l and k, every run returns its last
+    # iterate, so no rule picks another one, and dataset.group_counts is the
+    # one group counter
     assert not hasattr(module, name)
     assert not hasattr(fairdp, name)
 

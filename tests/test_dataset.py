@@ -12,21 +12,22 @@ from hypothesis import strategies as st
 from fairdp import cli, dataset
 from fairdp.dataset import (
     CHUNK_ROWS,
-    SensitiveStats,
     TabularDataset,
+    group_counts,
     load_csv,
     minibatch,
     sensitive_stats,
     train_test_split,
 )
 from fairdp.exceptions import (
+    DegenerateConditionalError,
     DegenerateGroupError,
     EmptyDatasetError,
     ParseError,
     SchemaError,
 )
 from fairdp.harness import SyntheticSpec, synth_dataset
-from helpers import reference_load_csv
+from helpers import group_stats, reference_load_csv
 
 
 def write_csv(path, text):
@@ -541,8 +542,82 @@ class TestSensitiveStats:
             sensitive_stats(ds)
 
     def test_inv_sqrt_inverts(self):
-        st_ = SensitiveStats.from_groups(np.array([1, 1, 2, 3, 3, 3]), 3)
+        ds = TabularDataset(np.zeros((6, 1)), [1, 2, 1, 2, 1, 2], [1, 1, 2, 3, 3, 3], l=2, k=3)
+        st_ = sensitive_stats(ds)
         assert np.allclose(st_.inv_sqrt * np.sqrt(st_.probabilities), 1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_bincount_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 40, 3
+        s = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
+        ds = TabularDataset(rng.normal(size=(n, 2)), rng.integers(1, 3, size=n), s, l=2, k=k)
+        got, want = sensitive_stats(ds), group_stats(ds.sensitive, k)
+        for field in ("counts", "probabilities", "inv_sqrt"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.rho == want.rho
+
+
+def cells_dataset(pairs, l=2, k=2):
+    """A dataset with one row per (label, group) pair."""
+    y, s = zip(*pairs)
+    return TabularDataset(np.zeros((len(pairs), 1)), y, s, l=l, k=k)
+
+
+class TestGroupCounts:
+    @pytest.mark.parametrize("by_label", [False, True], ids=["one_stratum", "by_label"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_bincount_oracle(self, seed, by_label):
+        rng = np.random.default_rng(seed)
+        l, k = 3, 4
+        # every (label, group) cell at least once, then random rows, shuffled
+        y = np.concatenate([np.repeat(np.arange(1, l + 1), k), rng.integers(1, l + 1, 60)])
+        s = np.concatenate([np.tile(np.arange(1, k + 1), l), rng.integers(1, k + 1, 60)])
+        order = rng.permutation(y.size)
+        ds = TabularDataset(rng.normal(size=(y.size, 2)), y[order], s[order], l=l, k=k)
+        cells, counts = group_counts(ds, by_label=by_label)
+        stratum = ds.labels - 1 if by_label else 0
+        assert np.array_equal(cells, stratum * k + ds.sensitive - 1)
+        members = [ds.labels == c for c in range(1, l + 1)] if by_label else [slice(None)]
+        want = np.stack([group_stats(ds.sensitive[rows], k).counts for rows in members])
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want)
+
+    def test_one_stratum_ignores_the_labels(self):
+        # label class 2 lacks group 2, which only counting by label sees
+        ds = cells_dataset([(1, 1), (1, 2), (2, 1), (2, 1)])
+        assert group_counts(ds)[1].tolist() == [[3, 1]]
+        with pytest.raises(DegenerateConditionalError):
+            group_counts(ds, by_label=True)
+
+    @pytest.mark.parametrize(
+        "pairs, by_label, error, message",
+        [
+            ([(1, 1), (2, 1)], False, DegenerateGroupError,
+             "sensitive group(s) [2] have no samples"),
+            ([(1, 1), (1, 2)], True, DegenerateConditionalError,
+             "label class 2 has no samples"),
+            ([(1, 1), (1, 2), (2, 1)], True, DegenerateConditionalError,
+             "within label class 2: sensitive group(s) [2] have no samples"),
+            # the first label class that fails raises, whichever way it fails
+            ([(2, 1)], True, DegenerateConditionalError,
+             "label class 1 has no samples"),
+            ([(1, 2), (3, 1), (3, 2)], True, DegenerateConditionalError,
+             "within label class 1: sensitive group(s) [1] have no samples"),
+            # a group absent from every class is named within the first
+            ([(1, 1), (2, 1)], True, DegenerateConditionalError,
+             "within label class 1: sensitive group(s) [2] have no samples"),
+        ],
+        ids=["absent_group", "absent_label_class", "empty_label_group_cell",
+             "absent_class_before_a_later_cell", "empty_cell_before_an_absent_class",
+             "absent_group_by_label"],
+    )
+    def test_errors(self, pairs, by_label, error, message):
+        ds = cells_dataset(pairs, l=max(2, max(y for y, _ in pairs)))
+        with pytest.raises(error) as info:
+            group_counts(ds, by_label=by_label)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestMinibatch:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairdp.classifier import ModelParams, forward, mean_param_grad, predict_proba
-from fairdp.dataset import SensitiveStats, TabularDataset, sensitive_stats
+from fairdp.dataset import TabularDataset, sensitive_stats
 from fairdp.exceptions import DegenerateConditionalError, DegenerateGroupError
 from fairdp.fairness import (
     DEMOGRAPHIC_PARITY,
@@ -23,6 +23,7 @@ from fairdp.fairness import (
 from helpers import (
     central_diff_grad,
     dp_saddle_terms,
+    group_stats,
     mean_loss,
     psi,
     psi_grad_theta,
@@ -588,7 +589,7 @@ def full_cell_dataset(rng, l, k, per_cell=4, d_x=3):
 
 def label_stats(ds, y):
     """Group statistics within label class y: stratum y - 1 of equalized odds."""
-    return SensitiveStats.from_groups(ds.sensitive[ds.labels == y], ds.k)
+    return group_stats(ds.sensitive[ds.labels == y], ds.k)
 
 
 def label_slice(ds, y):

@@ -13,7 +13,7 @@ from fairdp.classifier import (
     mean_param_grad,
     predict_label,
 )
-from fairdp.dataset import SensitiveStats, TabularDataset, minibatch, sensitive_stats
+from fairdp.dataset import TabularDataset, minibatch, sensitive_stats
 from fairdp.exceptions import DivergenceError
 from fairdp.fairness import (
     DEMOGRAPHIC_PARITY,
@@ -26,6 +26,7 @@ from fairdp.optimizer import SgdaConfig, dp_fermi_train, stationarity_gap
 from fairdp.privacy import NoiseScales
 from helpers import (
     central_diff_grad,
+    group_stats,
     loss_grad,
     mean_loss,
     psi_grad_theta,
@@ -359,9 +360,7 @@ class TestFusedStep:
         batch = minibatch(ds.n, m, stream)
         params = ModelParams.from_vector(theta1, l, 3)
         if notion == EQUALIZED_ODDS:
-            stats = [
-                SensitiveStats.from_groups(ds.sensitive[ds.labels == y], k) for y in range(1, l + 1)
-            ]
+            stats = [group_stats(ds.sensitive[ds.labels == y], k) for y in range(1, l + 1)]
         else:
             stats = [sensitive_stats(ds)]
         oracle_theta = np.zeros_like(theta1)

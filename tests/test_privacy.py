@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fairdp.classifier import ModelParams, proba_lipschitz_bound
-from fairdp.dataset import sensitive_stats
+from fairdp.classifier import ModelParams, forward, mean_param_grad, proba_lipschitz_bound
+from fairdp.dataset import TabularDataset, sensitive_stats
 from fairdp.exceptions import CalibrationError
+from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import SyntheticSpec, calibrate_for_run, synth_dataset
 from fairdp.privacy import (
     ALL_FEATURES,
@@ -415,6 +416,33 @@ class TestAudit:
         bounds = sensitivities(SENSITIVE_ONLY, D, L, 10, stats.rho)
         assert 0.0 < obs_theta <= bounds.delta_theta
         assert 0.0 < obs_w <= bounds.delta_w
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="defect F: the sensitive-only Delta_theta is sqrt(2l) too small for a corner dual",
+    )
+    def test_corner_dual_flip_stays_within_the_theta_bound(self):
+        # four people in groups 1, 1, 2, 2 with ||x|| = 3, theta = 0 and W at
+        # opposite corners of the box D = 1; person 0 moves to group 2, with
+        # the group statistics held at the original split. The gradient moves
+        # by 3.16228 against a bound of 1.58114, exactly twice it.
+        ds = TabularDataset(np.tile([3.0, 0.0], (4, 1)), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
+        cells, inv_sqrt = strata(ds)
+        flipped = cells.copy()
+        flipped[0] = 1
+        w = np.array([[[-1.0, 1.0], [1.0, -1.0]]])
+        theta = ModelParams.zeros(2, 2)
+        proba = forward(theta.weights, theta.bias, ds.features)
+        grads = [
+            mean_param_grad(saddle_terms(proba, w, inv_sqrt, c)[0], ds.features)
+            for c in (cells, flipped)
+        ]
+        observed = np.linalg.norm(grads[1] - grads[0])
+        L = proba_lipschitz_bound(ds.features)
+        bound = sensitivities(SENSITIVE_ONLY, 1.0, L, 4, 0.5).delta_theta
+        # a bound that this case attains may round either way
+        assert observed <= bound * (1.0 + 1e-12)
 
     def test_nan_difference_is_kept(self):
         # a dual this large overflows the saddle terms; max() would drop the NaN
