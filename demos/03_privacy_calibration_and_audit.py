@@ -11,18 +11,17 @@ audit hammers those bounds with random adjacent-dataset pairs.
 import numpy as np
 
 from fairdp import (
+    ALL_FEATURES,
     SENSITIVE_ONLY,
     ModelParams,
     PrivacyBudget,
     SyntheticSpec,
-    calibrate_all_features,
-    calibrate_sensitive_only,
     empirical_sensitivity_audit,
     proba_lipschitz_bound,
     sensitive_stats,
     synth_dataset,
 )
-from fairdp.privacy import min_iterations, sensitivities
+from fairdp.privacy import calibrate, min_iterations, sensitivities
 
 ds = synth_dataset(SyntheticSpec(n=2000, d_x=4, bias=0.5, noise_scale=1.0, seed=5))
 stats = sensitive_stats(ds)
@@ -36,8 +35,9 @@ print(f"iteration floor for eps=1: {min_iterations(ds.n, m, 1.0)} (T must be at 
 print("epsilon  sigma_theta^2(sens)  sigma_w^2(sens)  sigma_theta^2(all)  sigma_w^2(all)")
 for eps in (0.5, 1.0, 3.0, 9.0):
     budget = PrivacyBudget(eps, 1e-5)
-    sens = calibrate_sensitive_only(budget, T, ds.n, stats.rho, L, D)
-    full = calibrate_all_features(budget, T, ds.n, stats.rho, L, D, ds.l)
+    # the batch size cancels in sigma^2 = z^2 Delta^2, so m = 1 gives the same noise
+    sens = calibrate(SENSITIVE_ONLY, budget, T, ds.n, 1, stats.rho, L, D)
+    full = calibrate(ALL_FEATURES, budget, T, ds.n, 1, stats.rho, L, D, ds.l)
     print(
         f"{eps:7.1f}  {sens.sigma_theta_sq:19.6f}  {sens.sigma_w_sq:15.6f}"
         f"  {full.sigma_theta_sq:18.6f}  {full.sigma_w_sq:14.6f}"

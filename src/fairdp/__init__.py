@@ -61,8 +61,6 @@ from .optimizer import (
 from .privacy import (
     NoiseScales,
     PrivacyBudget,
-    calibrate_all_features,
-    calibrate_sensitive_only,
     empirical_sensitivity_audit,
 )
 
@@ -86,8 +84,6 @@ __all__ = [
     "TradeoffRecord",
     "TrainResult",
     "aggregate",
-    "calibrate_all_features",
-    "calibrate_sensitive_only",
     "dp_fermi_train",
     "dp_violation",
     "emit_csv",

@@ -219,13 +219,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_calibrate(args) -> int:
     _check_out(args.out)
     m, T = run_length(args.n, args.batch_size, args.epochs)
+    granularity = GRANULARITY_FLAGS[args.granularity]
+    # the bounds sigma^2 was calibrated to; none calibrates nothing and shows
+    # the sensitive-only bounds beside sigma^2 = 0, so its flags are checked too
+    shown = SENSITIVE_ONLY if granularity == NO_PRIVACY else granularity
     rows = []
     for epsilon in args.epsilon:
         noise = calibrate_for_run(
-            GRANULARITY_FLAGS[args.granularity], epsilon, args.delta, T, args.n, m,
+            granularity, epsilon, args.delta, T, args.n, m,
             args.rho, args.l_theta, args.box_radius, args.labels,
         )
-        bounds = sensitivities(SENSITIVE_ONLY, args.box_radius, args.l_theta, m, args.rho)
+        bounds = sensitivities(shown, args.box_radius, args.l_theta, m, args.rho, args.labels)
         rows.append(dict(
             epsilon=epsilon, delta=args.delta, T=T, n=args.n, m=m, rho=args.rho,
             sigma_theta_sq=noise.sigma_theta_sq, sigma_w_sq=noise.sigma_w_sq,

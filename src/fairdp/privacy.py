@@ -12,10 +12,10 @@ radius D, probability-map Lipschitz constant L and l label classes:
     sensitive only   8 / (m^2 rho)            8 L^2 D^2 / (m^2 rho)
     all features     16 (1/rho + D^2) / m^2   (32 L^2 D^2 / rho + 16 D^4 L^2 l^2) / m^2
 
-calibrate returns sigma^2 = z^2 Delta^2 per channel; m cancels. This closed
-form composes the T iterations; there is no separate accountant. The group
-frequencies P_S and rho come from the sensitive data without noise; treat
-them as public in the guarantee.
+calibrate is the one function that returns the noise, sigma^2 = z^2 Delta^2
+per channel; m cancels. This closed form composes the T iterations; there is
+no separate accountant. The group frequencies P_S and rho come from the
+sensitive data without noise; treat them as public in the guarantee.
 """
 
 from __future__ import annotations
@@ -152,20 +152,6 @@ def calibrate(
             f"epsilon={budget.epsilon} with box radius D={D} overflows the noise variances"
         )
     return NoiseScales(*variances)
-
-
-def calibrate_sensitive_only(
-    budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float
-) -> NoiseScales:
-    """Least noise making T updates private w.r.t. one person's sensitive attribute."""
-    return calibrate(SENSITIVE_ONLY, budget, T, n, 1, rho, L_theta, D)  # m cancels
-
-
-def calibrate_all_features(
-    budget: PrivacyBudget, T: int, n: int, rho: float, L_theta: float, D: float, l: int
-) -> NoiseScales:
-    """Least noise making T updates private w.r.t. one person's entire record."""
-    return calibrate(ALL_FEATURES, budget, T, n, 1, rho, L_theta, D, l)  # m cancels
 
 
 def min_iterations(n: int, m: int, epsilon: float) -> int:

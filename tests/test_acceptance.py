@@ -38,10 +38,10 @@ from fairdp.harness import (
 )
 from fairdp.optimizer import SgdaConfig, dp_fermi_train, stationarity_gap
 from fairdp.privacy import (
+    ALL_FEATURES,
     NoiseScales,
     PrivacyBudget,
-    calibrate_all_features,
-    calibrate_sensitive_only,
+    calibrate,
     empirical_sensitivity_audit,
     min_iterations,
     sensitivities,
@@ -251,14 +251,14 @@ def test_criterion_4_sensitivity_soundness():
 
 def test_criterion_5_calibration_formulas():
     budget = PrivacyBudget(1.0, 1e-5)
-    noise = calibrate_sensitive_only(budget, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0)
+    noise = calibrate(SENSITIVE_ONLY, budget, T=400, n=2000, m=1, rho=0.4, L_theta=1.0, D=1.0)
     ok = float(f"{noise.sigma_w_sq:.6g}") == 0.0460517
     ok &= float(f"{noise.sigma_theta_sq:.6g}") == 0.0460517  # L * D = 1
-    full = calibrate_all_features(budget, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0, l=2)
+    full = calibrate(ALL_FEATURES, budget, T=400, n=2000, m=1, rho=0.4, L_theta=1.0, D=1.0, l=2)
     ok &= float(f"{full.sigma_w_sq:.6g}") == float(f"{0.0460517 * 2 * 3.5 / 2.5:.6g}")
 
     def scales(eps=1.0, n=2000, T=400, rho=0.4):
-        s = calibrate_sensitive_only(PrivacyBudget(eps, 1e-5), T, n, rho, 1.0, 1.0)
+        s = calibrate(SENSITIVE_ONLY, PrivacyBudget(eps, 1e-5), T, n, 1, rho, 1.0, 1.0)
         return s.sigma_theta_sq, s.sigma_w_sq
 
     base = scales()
@@ -363,8 +363,9 @@ def test_criterion_9_scaling_trend():
         m = 100
         T = 12 * math.ceil(n / m)
         assert T >= min_iterations(n, m, 1.0)
-        noise = calibrate_sensitive_only(
-            PrivacyBudget(1.0, 1e-5), T, n, stats.rho, proba_lipschitz_bound(ds.features), 3.0
+        noise = calibrate(
+            SENSITIVE_ONLY, PrivacyBudget(1.0, 1e-5), T, n, 1, stats.rho,
+            proba_lipschitz_bound(ds.features), 3.0,
         )
         config = SgdaConfig(
             eta_theta=0.01, eta_w=0.01, T=T, m=m, box_radius=3.0, clip_theta=1.0, seed=trial

@@ -1,4 +1,4 @@
-"""The public API: the 40 names of fairdp.__all__, the internals that stay
+"""The public API: the 38 names of fairdp.__all__, the internals that stay
 importable from their module, and the per-sample references that live in
 tests/helpers.py rather than in the library."""
 
@@ -27,8 +27,6 @@ PUBLIC = [
     "TradeoffRecord",
     "TrainResult",
     "aggregate",
-    "calibrate_all_features",
-    "calibrate_sensitive_only",
     "dp_fermi_train",
     "dp_violation",
     "emit_csv",
@@ -54,7 +52,7 @@ PUBLIC = [
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert fairdp.__all__ == PUBLIC
 
 
@@ -88,13 +86,14 @@ def test_per_sample_references_are_not_in_the_library(module, name):
         (dataset, "minibatch"),
         (dataset, "group_counts"),
         (privacy, "SensitivityBounds"),
+        (privacy, "calibrate"),
         (privacy, "gaussian_noise"),
         (privacy, "min_iterations"),
         (privacy, "sensitivities"),
     ],
     ids=[
-        "minibatch", "group_counts", "SensitivityBounds", "gaussian_noise", "min_iterations",
-        "sensitivities",
+        "minibatch", "group_counts", "SensitivityBounds", "calibrate", "gaussian_noise",
+        "min_iterations", "sensitivities",
     ],
 )
 def test_internals_stay_importable_from_their_module(module, name):

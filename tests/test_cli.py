@@ -19,7 +19,13 @@ from fairdp.harness import (
     plan_run,
     synth_dataset,
 )
-from fairdp.privacy import SENSITIVE_ONLY, SensitivityBounds, sensitivities
+from fairdp.privacy import (
+    SENSITIVE_ONLY,
+    PrivacyBudget,
+    SensitivityBounds,
+    noise_multiplier,
+    sensitivities,
+)
 from helpers import reference_write_csv
 
 
@@ -190,17 +196,41 @@ class TestCalibrate:
         assert main([*self.ALL_FEATURES, "--labels", "2"]) == 0
         assert capsysbinary.readouterr().out == (
             b"epsilon,delta,T,n,m,rho,sigma_theta_sq,sigma_w_sq,delta_theta,delta_w\r\n"
-            b"1,1e-05,200,100,10,0.4,66.3145,25.789,0.447214,0.447214\r\n"
+            b"1,1e-05,200,100,10,0.4,66.3145,25.789,1.2,0.748331\r\n"
+        )
+
+    TABLE = ["calibrate", "--epsilon", "0.5", "1", "3", "--n", "2000", "--batch-size", "100",
+             "--rho", "0.4", "--epochs", "20"]
+
+    @pytest.mark.parametrize("labels", ["2", "3"])
+    @pytest.mark.parametrize("granularity", ["sensitive", "all"])
+    def test_every_row_shows_the_bounds_its_noise_used(self, capsys, granularity, labels):
+        # sigma^2 = z^2 Delta^2 on both channels, with the z of the row's budget
+        assert main([*self.TABLE, "--granularity", granularity, "--labels", labels]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            budget = PrivacyBudget(float(row["epsilon"]), float(row["delta"]))
+            z = noise_multiplier(budget, int(row["T"]), int(row["n"]), int(row["m"]))
+            for channel in ("theta", "w"):
+                ratio = float(row[f"sigma_{channel}_sq"]) / float(row[f"delta_{channel}"]) ** 2
+                assert ratio == pytest.approx(z * z, rel=1e-5), (row, channel)
+
+    def test_none_table_shows_the_sensitive_only_bounds(self, capsysbinary):
+        assert main([*self.TABLE, "--granularity", "none", "--labels", "3"]) == 0
+        assert capsysbinary.readouterr().out == (
+            b"epsilon,delta,T,n,m,rho,sigma_theta_sq,sigma_w_sq,delta_theta,delta_w\r\n"
+            b"0.5,1e-05,400,2000,100,0.4,0,0,0.0447214,0.0447214\r\n"
+            b"1,1e-05,400,2000,100,0.4,0,0,0.0447214,0.0447214\r\n"
+            b"3,1e-05,400,2000,100,0.4,0,0,0.0447214,0.0447214\r\n"
         )
 
     def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary):
-        argv = ["calibrate", "--epsilon", "0.5", "1", "3", "--n", "2000", "--batch-size", "100",
-                "--rho", "0.4", "--epochs", "20"]
-        assert main(argv) == 0
+        assert main(self.TABLE) == 0
         stdout = capsysbinary.readouterr().out
         assert stdout.count(b"\r\n") == 4
         out = tmp_path / "table.csv"
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*self.TABLE, "--out", str(out)]) == 0
         assert capsysbinary.readouterr().out == b""
         assert out.read_bytes() == stdout
 

@@ -13,8 +13,7 @@ from fairdp.privacy import (
     SENSITIVE_ONLY,
     NoiseScales,
     PrivacyBudget,
-    calibrate_all_features,
-    calibrate_sensitive_only,
+    calibrate,
     empirical_sensitivity_audit,
     gaussian_noise,
     min_iterations,
@@ -31,18 +30,18 @@ class TestBudget:
         PrivacyBudget(9.0, 1e-5)  # 9 <= 2 ln(1e5) ~ 23.0
 
     @pytest.mark.parametrize(
-        "calibrate",
+        "calibrate_with",
         [
-            lambda b: calibrate_sensitive_only(b, 400, 2000, 0.4, 1.0, 1.0),
-            lambda b: calibrate_all_features(b, 400, 2000, 0.4, 1.0, 1.0, l=2),
+            lambda b: calibrate(SENSITIVE_ONLY, b, 400, 2000, 1, 0.4, 1.0, 1.0),
+            lambda b: calibrate(ALL_FEATURES, b, 400, 2000, 1, 0.4, 1.0, 1.0, l=2),
         ],
         ids=["sensitive_only", "all_features"],
     )
-    def test_epsilon_above_cap(self, calibrate):
+    def test_epsilon_above_cap(self, calibrate_with):
         # the budget holds any positive epsilon; the closed forms own the cap
         budget = PrivacyBudget(24.0, 1e-5)
         with pytest.raises(CalibrationError) as info:
-            calibrate(budget)
+            calibrate_with(budget)
         assert str(info.value) == "epsilon=24.0 exceeds 2 ln(1/delta)=23.0259"
 
     def test_bad_delta(self):
@@ -72,10 +71,10 @@ class TestNonFiniteParameters:
             PrivacyBudget(1.0, delta)
 
     @pytest.mark.parametrize(
-        "calibrate",
+        "calibrate_with",
         [
-            lambda rho, L, D: calibrate_sensitive_only(BUDGET, 400, 2000, rho, L, D),
-            lambda rho, L, D: calibrate_all_features(BUDGET, 400, 2000, rho, L, D, l=2),
+            lambda rho, L, D: calibrate(SENSITIVE_ONLY, BUDGET, 400, 2000, 1, rho, L, D),
+            lambda rho, L, D: calibrate(ALL_FEATURES, BUDGET, 400, 2000, 1, rho, L, D, l=2),
         ],
         ids=["sensitive_only", "all_features"],
     )
@@ -88,11 +87,11 @@ class TestNonFiniteParameters:
             (2, "box radius D must be positive and finite, got {}"),
         ],
     )
-    def test_calibration_names_the_parameter(self, calibrate, value, position, message):
+    def test_calibration_names_the_parameter(self, calibrate_with, value, position, message):
         args = [0.4, 1.0, 1.0]
         args[position] = value
         with pytest.raises(CalibrationError) as info:
-            calibrate(*args)
+            calibrate_with(*args)
         assert str(info.value) == message.format(value)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
@@ -162,40 +161,42 @@ class TestNonFiniteParameters:
 
 class TestSensitiveOnly:
     def test_reference_value(self):
-        noise = calibrate_sensitive_only(BUDGET, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0)
+        noise = calibrate(SENSITIVE_ONLY, BUDGET, T=400, n=2000, m=1, rho=0.4, L_theta=1.0, D=1.0)
         assert noise.sigma_w_sq == pytest.approx(0.0460517, rel=1e-6)
 
     def test_variances_coincide_when_LD_is_one(self):
-        noise = calibrate_sensitive_only(BUDGET, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0)
+        noise = calibrate(SENSITIVE_ONLY, BUDGET, T=400, n=2000, m=1, rho=0.4, L_theta=1.0, D=1.0)
         assert noise.sigma_theta_sq == pytest.approx(noise.sigma_w_sq, rel=1e-12)
 
     def test_doubling_n_quarters_variance(self):
-        a = calibrate_sensitive_only(BUDGET, 400, 2000, 0.4, 1.0, 1.0)
-        b = calibrate_sensitive_only(BUDGET, 400, 4000, 0.4, 1.0, 1.0)
+        a = calibrate(SENSITIVE_ONLY, BUDGET, 400, 2000, 1, 0.4, 1.0, 1.0)
+        b = calibrate(SENSITIVE_ONLY, BUDGET, 400, 4000, 1, 0.4, 1.0, 1.0)
         assert b.sigma_w_sq == pytest.approx(a.sigma_w_sq / 4)
         assert b.sigma_theta_sq == pytest.approx(a.sigma_theta_sq / 4)
 
     def test_bad_rho(self):
         with pytest.raises(CalibrationError):
-            calibrate_sensitive_only(BUDGET, 400, 2000, 0.0, 1.0, 1.0)
+            calibrate(SENSITIVE_ONLY, BUDGET, 400, 2000, 1, 0.0, 1.0, 1.0)
 
 
 class TestAllFeatures:
     def test_reference_value(self):
-        noise = calibrate_all_features(BUDGET, T=400, n=2000, rho=0.4, L_theta=1.0, D=1.0, l=2)
+        noise = calibrate(
+            ALL_FEATURES, BUDGET, T=400, n=2000, m=1, rho=0.4, L_theta=1.0, D=1.0, l=2
+        )
         assert noise.sigma_w_sq == pytest.approx(0.0460517 * 2 * (2.5 + 1) / 2.5, rel=1e-5)
 
     def test_theta_variance_decomposition(self):
-        sens = calibrate_sensitive_only(BUDGET, 400, 2000, 0.4, 1.0, 1.0)
-        full = calibrate_all_features(BUDGET, 400, 2000, 0.4, 1.0, 1.0, l=2)
+        sens = calibrate(SENSITIVE_ONLY, BUDGET, 400, 2000, 1, 0.4, 1.0, 1.0)
+        full = calibrate(ALL_FEATURES, BUDGET, 400, 2000, 1, 0.4, 1.0, 1.0, l=2)
         extra = 32.0 * 4 * 400 * math.log(1e5) / (1.0 * 2000 ** 2)
         assert full.sigma_theta_sq == pytest.approx(4 * sens.sigma_theta_sq + extra, rel=1e-12)
 
     def test_dominates_sensitive_only(self):
         for rho in (0.1, 0.3, 0.5):
             for D in (0.5, 1.0, 3.0):
-                sens = calibrate_sensitive_only(BUDGET, 300, 1500, rho, 2.0, D)
-                full = calibrate_all_features(BUDGET, 300, 1500, rho, 2.0, D, l=3)
+                sens = calibrate(SENSITIVE_ONLY, BUDGET, 300, 1500, 1, rho, 2.0, D)
+                full = calibrate(ALL_FEATURES, BUDGET, 300, 1500, 1, rho, 2.0, D, l=3)
                 assert full.sigma_w_sq >= sens.sigma_w_sq
                 assert full.sigma_theta_sq >= sens.sigma_theta_sq
 
@@ -204,7 +205,7 @@ class TestMonotonicity:
     def test_variances_decrease_in_epsilon_n_rho_increase_in_T(self):
         def value(eps=1.0, n=2000, T=400, rho=0.4):
             budget = PrivacyBudget(eps, 1e-5)
-            noise = calibrate_sensitive_only(budget, T, n, rho, 1.0, 1.0)
+            noise = calibrate(SENSITIVE_ONLY, budget, T, n, 1, rho, 1.0, 1.0)
             return noise.sigma_theta_sq, noise.sigma_w_sq
 
         for axis, ordered, decreasing in [
@@ -328,19 +329,19 @@ class TestNoiseRule:
                 assert abs(value - expected) <= 1e-15 * expected, (n, m, epsilon, T, rho, L, D, l)
 
     @pytest.mark.parametrize(
-        "calibrate",
+        "calibrate_with",
         [
             lambda b: calibrate_for_run(SENSITIVE_ONLY, b.epsilon, b.delta, 2000, 100, 10, 0.4,
                                         1.0, 1e3, 2),
-            lambda b: calibrate_sensitive_only(b, 2000, 100, 0.4, 1.0, 1e3),
-            lambda b: calibrate_all_features(b, 2000, 100, 0.4, 1.0, 1e3, l=2),
+            lambda b: calibrate(SENSITIVE_ONLY, b, 2000, 100, 1, 0.4, 1.0, 1e3),
+            lambda b: calibrate(ALL_FEATURES, b, 2000, 100, 1, 0.4, 1.0, 1e3, l=2),
         ],
         ids=["calibrate_for_run", "sensitive_only", "all_features"],
     )
-    def test_overflow_names_epsilon_and_the_box_radius(self, calibrate):
+    def test_overflow_names_epsilon_and_the_box_radius(self, calibrate_with):
         # z and every Delta are finite, but z^2 Delta^2 is not
         with pytest.raises(CalibrationError) as info:
-            calibrate(PrivacyBudget(1e-152, 1e-5))
+            calibrate_with(PrivacyBudget(1e-152, 1e-5))
         message = "epsilon=1e-152 with box radius D=1000.0 overflows the noise variances"
         assert str(info.value) == message
 
@@ -348,7 +349,7 @@ class TestNoiseRule:
         # m cancels in z * Delta; T = 10**6 clears the floor at m = 1
         for m in (1, 7, 100, 2000):
             run = calibrate_for_run(ALL_FEATURES, 1.0, 1e-5, 10**6, 2000, m, 0.4, 1.5, 2.0, 3)
-            closed = calibrate_all_features(BUDGET, 10**6, 2000, 0.4, 1.5, 2.0, l=3)
+            closed = calibrate(ALL_FEATURES, BUDGET, 10**6, 2000, 1, 0.4, 1.5, 2.0, l=3)
             assert run.sigma_theta_sq == pytest.approx(closed.sigma_theta_sq, rel=1e-15)
             assert run.sigma_w_sq == pytest.approx(closed.sigma_w_sq, rel=1e-15)
 
