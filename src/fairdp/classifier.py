@@ -204,9 +204,13 @@ def save_checkpoint(theta: ModelParams, path, metadata: dict | None = None) -> N
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """The model and metadata of a save_checkpoint file. CheckpointError
-    names the first field that is missing or malformed."""
+    names the path of a file that is not UTF-8 JSON, and the first field
+    that is missing or malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"checkpoint {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     if missing := [name for name in ("l", "d_x", "weights", "bias") if name not in payload]:

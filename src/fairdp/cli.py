@@ -37,7 +37,9 @@ from .classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from .dataset import CHUNK_ROWS, _read_csv, load_csv, sensitive_stats, train_test_split
+from .dataset import (
+    CHUNK_ROWS, _check_int, _read_csv, load_csv, sensitive_stats, train_test_split
+)
 from .exceptions import DivergenceError, FairdpError
 from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig
 from .harness import (
@@ -55,7 +57,7 @@ from .harness import (
     run_sweep,
     synth_dataset,
 )
-from .optimizer import _check_seed, dp_fermi_train
+from .optimizer import dp_fermi_train
 from .privacy import SensitivityBounds, empirical_sensitivity_audit, sensitivities
 
 NOTIONS = {"dp": DEMOGRAPHIC_PARITY, "eo": EQUALIZED_ODDS}
@@ -240,7 +242,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _check_seed("seed", args.seed)
+    _check_int("seed", args.seed)
     ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     m, D = args.batch_size, args.box_radius
     # the bounds first, so a bad box radius or batch size fails before the audit;

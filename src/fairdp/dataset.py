@@ -33,6 +33,15 @@ def _frozen_array(a, dtype) -> np.ndarray:
     return out
 
 
+def _check_int(name: str, value, minimum: int = 0) -> None:
+    """Raise ValueError naming `name` unless value is an int or a numpy
+    integer, not a bool, of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        bound = {0: "a non-negative integer", 1: "a positive integer"}
+        kind = bound.get(minimum, f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _frozen(*arrays) -> None:
     """Mark freshly built arrays read-only, so TabularDataset takes them
     without a copy."""
@@ -74,6 +83,8 @@ class TabularDataset:
             raise EmptyDatasetError("dataset has no rows")
         if labels.shape != (n,) or sensitive.shape != (n,):
             raise ValueError("labels and sensitive must be length-n vectors")
+        _check_int("l", self.l)
+        _check_int("k", self.k)
         if self.l < 2:
             raise ValueError(f"need at least two label classes, got l={self.l}")
         if self.k < 2:

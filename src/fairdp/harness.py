@@ -18,10 +18,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
-from .dataset import TabularDataset, _frozen, load_csv, sensitive_stats, train_test_split
+from .dataset import (
+    TabularDataset, _check_int, _frozen, load_csv, sensitive_stats, train_test_split
+)
 from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
 from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
-from .optimizer import SgdaConfig, _check_seed, dp_fermi_train
+from .optimizer import SgdaConfig, dp_fermi_train
 from .privacy import (  # the granularities are re-exported here
     ALL_FEATURES,
     GRANULARITIES,
@@ -62,15 +64,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.d_x < 1:
-            raise ValueError("n and d_x must be positive")
-        if self.k < 2 or self.l < 2:
-            raise ValueError("need k >= 2 and l >= 2")
+        for name, minimum in (("n", 1), ("d_x", 1), ("k", 2), ("l", 2)):
+            _check_int(name, getattr(self, name), minimum)
         if not 0.0 <= self.bias <= 1.0:
             raise ValueError("bias must lie in [0, 1]")
         if not 0.0 < self.noise_scale < math.inf:
             raise ValueError("noise_scale must be positive and finite")
-        _check_seed("seed", self.seed)
+        _check_int("seed", self.seed)
 
     @property
     def dataset_id(self) -> str:
@@ -139,16 +139,15 @@ class ExperimentConfig:
             FermiConfig(lam, self.notion)
         for eps in self.epsilons:
             PrivacyBudget(eps, self.delta)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_int("trials", self.trials, 1)
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        _check_int("epochs", self.epochs, 1)
+        _check_int("batch_size", self.batch_size, 1)
         # only the per-sample clip bounds a whole record's loss gradient
         if self.granularity == ALL_FEATURES and self.clip_theta is None:
             raise CalibrationError("all-features privacy requires loss-gradient clipping")
-        _check_seed("master_seed", self.master_seed)
+        _check_int("master_seed", self.master_seed)
         self.sgda(self.epochs, self.batch_size)  # plan_run sets T and m per split
 
     def sgda(self, T: int, m: int) -> SgdaConfig:
@@ -253,8 +252,8 @@ def calibrate_for_run(
 
 def run_length(n: int, batch_size: int, epochs: int) -> tuple[int, int]:
     """Batch size m = min(batch_size, n) and steps T = epochs * ceil(n / m)."""
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be positive")
+    _check_int("epochs", epochs, 1)
+    _check_int("batch_size", batch_size, 1)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     m = min(batch_size, n)

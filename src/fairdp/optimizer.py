@@ -42,8 +42,7 @@ updated in place and one finiteness check covers them. The gathers use
 take(..., out=, mode="clip"): minibatch indices are in range by
 construction, and with out= numpy's default mode="raise" copies through a
 temporary (a (4096, 40) float64 gather took about 370 us against 140 us
-with mode="clip"; numpy 2.4, one core). The batch psi value is computed
-only on the steps the trace records. The arithmetic is that of the
+with mode="clip"; numpy 2.4, one core). The arithmetic is that of the
 allocating calls, in the same order, so the results are bit for bit the
 same. The workspace lives only as long as the call: nothing carries over
 from one run to the next.
@@ -52,11 +51,10 @@ At lam = 0 every saddle term enters the update multiplied by zero, so the
 step skips them: no saddle_terms call, theta takes the plain loss step and
 W moves by projected noise alone, W <- Pi_box(W + eta_w * V_t). The draws
 are the same (batch, u_t, V_t), and adding 0 * x to a number leaves it as
-it is for any finite x (up to the sign of a zero), so params, dual and trace
-equal those of the full step; the trace records the cross-entropy as the
-objective and 0 as the dual gradient norm. The full step differs only where
-its saddle terms are not finite, which needs |W| above about 1e154: there
-it turns theta into NaN, although the lam = 0 objective does not depend on W.
+it is for any finite x (up to the sign of a zero), so params and dual equal
+those of the full step. The full step differs only where its saddle terms
+are not finite, which needs |W| above about 1e154: there it turns theta
+into NaN, although the lam = 0 objective does not depend on W.
 
 stationarity_gap measures how far a model is from a stationary point of the
 envelope max_W F(theta, W), using the closed-form inner maximum on the same
@@ -65,28 +63,15 @@ layout for both notions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import (
-    ModelParams,
-    forward,
-    gradient_scale,
-    loss_dlogits,
-    mean_cross_entropy,
-    mean_param_grad,
-)
-from .dataset import TabularDataset, minibatch
+from .classifier import ModelParams, forward, gradient_scale, loss_dlogits, mean_param_grad
+from .dataset import TabularDataset, _check_int, minibatch
 from .exceptions import DivergenceError
 from .fairness import FermiConfig, _inner_max, saddle_terms, strata
 from .privacy import NoiseScales, _check_positive_finite, gaussian_noise
-
-def _check_seed(name: str, seed) -> None:
-    """Raise ValueError naming `name` unless seed is a non-negative int."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -107,45 +92,21 @@ class SgdaConfig:
     def __post_init__(self):
         _check_positive_finite("eta_theta", self.eta_theta)
         _check_positive_finite("eta_w", self.eta_w)
-        if self.T < 1 or self.m < 1:
-            raise ValueError("T and m must be positive")
+        _check_int("T", self.T, 1)
+        _check_int("m", self.m, 1)
         _check_positive_finite("box radius D", self.box_radius)  # as in sensitivities
         if self.clip_theta is not None:
             _check_positive_finite("clip_theta", self.clip_theta)
         for part in self.seed if isinstance(self.seed, tuple) else (self.seed,):
-            _check_seed("seed", part)
+            _check_int("seed", part)
 
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Last iterate (theta after step T), final (C, k, l) dual and optional trace."""
+    """Last iterate (theta after step T) and final (C, k, l) dual."""
 
     params: ModelParams
     dual: np.ndarray
-    trace: list[dict] | None
-
-
-class _TraceWriter:
-    def __init__(self, every: int, path):
-        self.every = every
-        self.records: list[dict] | None = [] if every > 0 else None
-        self._fh = open(path, "w", encoding="utf-8") if (every > 0 and path) else None
-
-    def log(self, t: int, objective: float, g_theta_norm: float, g_w_norm: float, w_max: float):
-        rec = {
-            "iteration": t,
-            "objective": float(objective),
-            "grad_theta_norm": float(g_theta_norm),
-            "grad_w_norm": float(g_w_norm),
-            "w_max_abs": float(w_max),
-        }
-        self.records.append(rec)
-        if self._fh is not None:
-            self._fh.write(json.dumps(rec) + "\n")
-
-    def close(self):
-        if self._fh is not None:
-            self._fh.close()
 
 
 def dp_fermi_train(
@@ -154,8 +115,6 @@ def dp_fermi_train(
     fermi: FermiConfig,
     config: SgdaConfig,
     noise: NoiseScales,
-    trace_every: int = 0,
-    trace_path=None,
 ) -> TrainResult:
     """Fairness-regularized private training loop.
 
@@ -184,7 +143,6 @@ def dp_fermi_train(
     theta[:] = theta0.as_vector()
     weights, bias = theta[: l * ds.d_x].reshape(l, ds.d_x), theta[l * ds.d_x :]
     lam = fermi.lam
-    tracer = _TraceWriter(trace_every, trace_path)
     # the per-run workspace, which every step writes into: the gathered
     # batch, the (l, m) class-major arrays and the flat theta gradient
     x = np.empty((m, ds.d_x))
@@ -193,55 +151,40 @@ def dp_fermi_train(
     proba, d_loss, d_psi = np.empty((l, m)), np.empty((l, m)), np.empty((l, m))
     g_theta = np.empty(d_theta)
 
-    try:
-        for t in range(1, config.T + 1):
-            batch = minibatch(ds.n, m, rng)
-            ds.features.take(batch, axis=0, out=x, mode="clip")
-            ds.labels.take(batch, out=labels, mode="clip")
-            if scale is not None:
-                scale.take(batch, out=scale_b, mode="clip")
-            try:
-                forward(weights, bias, x, out=proba)
-            except FloatingPointError:
-                raise DivergenceError(t, "logits") from None
-            loss_dlogits(proba, labels, config.clip_theta, scale_b, out=d_loss)
-            tracing = tracer.records is not None and t % tracer.every == 0
-            if lam > 0:
-                cells.take(batch, out=cells_b, mode="clip")
-                _, g_w, psi_val = saddle_terms(
-                    proba, w, inv_sqrt, cells_b, out=d_psi, value=tracing
-                )
-                d_psi *= lam
-                d_loss += d_psi
-            mean_param_grad(d_loss, x, out=g_theta)
-            u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
-            v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
-            # theta <- theta - eta_theta * (g_theta + lam * u)
-            u *= lam
-            u += g_theta
-            u *= config.eta_theta
-            theta -= u
-            # W <- Pi_box(W + eta_w * (lam * g_w + V_t)); g_w keeps lam * g_w
-            if lam > 0:
-                g_w *= lam
-                v += g_w
-            v *= config.eta_w
-            v += w
-            v.clip(-config.box_radius, config.box_radius, out=w)
-            if not np.isfinite(iterate).all():
-                raise DivergenceError(t, "iterates")
-            if tracing:
-                objective, g_w_norm = mean_cross_entropy(proba, labels), 0.0
-                if lam > 0:
-                    objective, g_w_norm = objective + lam * psi_val, np.linalg.norm(g_w)
-                tracer.log(t, objective, np.linalg.norm(g_theta), g_w_norm, np.abs(w).max())
-    finally:
-        tracer.close()
-    return TrainResult(
-        params=ModelParams(weights, bias),
-        dual=w.copy(),
-        trace=tracer.records,
-    )
+    for t in range(1, config.T + 1):
+        batch = minibatch(ds.n, m, rng)
+        ds.features.take(batch, axis=0, out=x, mode="clip")
+        ds.labels.take(batch, out=labels, mode="clip")
+        if scale is not None:
+            scale.take(batch, out=scale_b, mode="clip")
+        try:
+            forward(weights, bias, x, out=proba)
+        except FloatingPointError:
+            raise DivergenceError(t, "logits") from None
+        loss_dlogits(proba, labels, config.clip_theta, scale_b, out=d_loss)
+        if lam > 0:
+            cells.take(batch, out=cells_b, mode="clip")
+            _, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells_b, out=d_psi, value=False)
+            d_psi *= lam
+            d_loss += d_psi
+        mean_param_grad(d_loss, x, out=g_theta)
+        u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
+        v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
+        # theta <- theta - eta_theta * (g_theta + lam * u)
+        u *= lam
+        u += g_theta
+        u *= config.eta_theta
+        theta -= u
+        # W <- Pi_box(W + eta_w * (lam * g_w + V_t)); g_w keeps lam * g_w
+        if lam > 0:
+            g_w *= lam
+            v += g_w
+        v *= config.eta_w
+        v += w
+        v.clip(-config.box_radius, config.box_radius, out=w)
+        if not np.isfinite(iterate).all():
+            raise DivergenceError(t, "iterates")
+    return TrainResult(params=ModelParams(weights, bias), dual=w.copy())
 
 
 def stationarity_gap(theta: ModelParams, ds: TabularDataset, fermi: FermiConfig) -> float:

@@ -13,9 +13,11 @@ radius D, probability-map Lipschitz constant L and l label classes:
     all features     16 (1/rho + D^2) / m^2   (32 L^2 D^2 / rho + 16 D^4 L^2 l^2) / m^2
 
 calibrate is the one function that returns the noise, sigma^2 = z^2 Delta^2
-per channel; m cancels. This closed form composes the T iterations; there is
-no separate accountant. The group frequencies P_S and rho come from the
-sensitive data without noise; treat them as public in the guarantee.
+per channel; m cancels. This closed form is the library's only privacy
+accounting. Where it does not hold for the noise the training loop adds,
+see the README's notes on the privacy accounting and ROADMAP item 1
+(defects A-F). The group frequencies P_S and rho come from the sensitive
+data without noise; treat them as public in the guarantee.
 """
 
 from __future__ import annotations

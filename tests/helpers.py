@@ -31,7 +31,7 @@ from fairdp.dataset import SensitiveStats, TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
-from fairdp.optimizer import TrainResult, _TraceWriter
+from fairdp.optimizer import TrainResult
 from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
 
 
@@ -197,15 +197,7 @@ def reference_saddle_terms(proba, w, inv_sqrt, cells):
     return coeffs, grad_w, float(per_sample.sum() / m - 1.0)
 
 
-def reference_train(
-    ds,
-    theta0,
-    fermi,
-    config,
-    noise,
-    trace_every=0,
-    trace_path=None,
-):
+def reference_train(ds, theta0, fermi, config, noise):
     """dp_fermi_train without the lam = 0 shortcut: every step computes the
     saddle terms (reference_saddle_terms) and scales them by lam, whatever
     lam is."""
@@ -221,43 +213,26 @@ def reference_train(
     weights = theta[: ds.l * ds.d_x].reshape(ds.l, ds.d_x)
     bias = theta[ds.l * ds.d_x :]
     lam = fermi.lam
-    tracer = _TraceWriter(trace_every, trace_path)
-
-    try:
-        for t in range(1, config.T + 1):
-            batch = minibatch(ds.n, config.m, rng)
-            x = ds.features.take(batch, axis=0)
-            labels = ds.labels.take(batch)
-            try:
-                proba = forward(weights, bias, x)
-            except FloatingPointError:
-                raise DivergenceError(t, "logits") from None
-            d_loss = loss_dlogits(
-                proba, labels, config.clip_theta, None if scale is None else scale.take(batch)
-            )
-            d_psi, g_w, psi_val = reference_saddle_terms(proba, w, inv_sqrt, cells.take(batch))
-            g_theta = mean_param_grad(d_loss + lam * d_psi, x)
-            u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
-            v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
-            theta -= config.eta_theta * (g_theta + lam * u)
-            w = np.clip(w + config.eta_w * (lam * g_w + v), -config.box_radius, config.box_radius)
-            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
-                raise DivergenceError(t, "iterates")
-            if tracer.records is not None and t % tracer.every == 0:
-                tracer.log(
-                    t,
-                    mean_cross_entropy(proba, labels) + lam * psi_val,
-                    np.linalg.norm(g_theta),
-                    np.linalg.norm(lam * g_w),
-                    np.abs(w).max(),
-                )
-    finally:
-        tracer.close()
-    return TrainResult(
-        params=ModelParams.from_vector(theta, ds.l, ds.d_x),
-        dual=w,
-        trace=tracer.records,
-    )
+    for t in range(1, config.T + 1):
+        batch = minibatch(ds.n, config.m, rng)
+        x = ds.features.take(batch, axis=0)
+        labels = ds.labels.take(batch)
+        try:
+            proba = forward(weights, bias, x)
+        except FloatingPointError:
+            raise DivergenceError(t, "logits") from None
+        d_loss = loss_dlogits(
+            proba, labels, config.clip_theta, None if scale is None else scale.take(batch)
+        )
+        d_psi, g_w, _ = reference_saddle_terms(proba, w, inv_sqrt, cells.take(batch))
+        g_theta = mean_param_grad(d_loss + lam * d_psi, x)
+        u = gaussian_noise(rng, noise.sigma_theta_sq, theta.size)
+        v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
+        theta -= config.eta_theta * (g_theta + lam * u)
+        w = np.clip(w + config.eta_w * (lam * g_w + v), -config.box_radius, config.box_radius)
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(w))):
+            raise DivergenceError(t, "iterates")
+    return TrainResult(params=ModelParams.from_vector(theta, ds.l, ds.d_x), dual=w)
 
 
 def loss(theta: ModelParams, x: np.ndarray, y: int) -> float:

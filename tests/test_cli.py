@@ -155,7 +155,8 @@ class TestCalibrate:
         argv = ["calibrate", "--epsilon", "1", "--n", "2000", "--batch-size", "100",
                 "--rho", "0.4", "--epochs", "20", flag, "0", "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: epochs and batch_size must be positive\n"
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be a positive integer, got 0\n"
         assert not out.exists()
 
     def test_batch_size_is_capped_at_n_as_in_train(self, capsys):
@@ -428,8 +429,8 @@ class TestEvaluateLabelNames:
 
 
 class TestMalformedCheckpoint:
-    """A checkpoint that lacks a field or holds a malformed one exits 2 with
-    one error line naming the field."""
+    """A checkpoint that is not UTF-8 JSON, lacks a field or holds a
+    malformed one exits 2 with one error line naming the file or the field."""
 
     @staticmethod
     def _payload():
@@ -449,6 +450,22 @@ class TestMalformedCheckpoint:
         ckpt = tmp_path / "model.json"
         ckpt.write_text(json.dumps(self._payload()), encoding="utf-8")
         assert main(["evaluate", "--dataset", str(synth_csv), "--checkpoint", str(ckpt)]) == 0
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_unreadable_file_is_named(self, synth_csv, tmp_path, capsys, content, reason):
+        ckpt = tmp_path / "model.json"
+        ckpt.write_bytes(content)
+        code = main(["evaluate", "--dataset", str(synth_csv), "--checkpoint", str(ckpt)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: checkpoint {ckpt} is not UTF-8 JSON: {reason}\n"
 
     def test_empty_object(self, synth_csv, tmp_path, capsys):
         err = self._evaluate(synth_csv, tmp_path, capsys, {})
@@ -667,8 +684,8 @@ class TestTrainAndSweepShareValidation:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--batch-size", "0"], "epochs and batch_size must be positive"),
-            (["--epochs", "0"], "epochs and batch_size must be positive"),
+            (["--batch-size", "0"], "batch_size must be a positive integer, got 0"),
+            (["--epochs", "0"], "epochs must be a positive integer, got 0"),
             (["--granularity", "none", "--epsilon", "nan"],
              "epsilon must be positive and finite, got nan"),
             (["--granularity", "none", "--epsilon", "-1"],

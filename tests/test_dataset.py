@@ -26,7 +26,8 @@ from fairdp.exceptions import (
     ParseError,
     SchemaError,
 )
-from fairdp.harness import SyntheticSpec, synth_dataset
+from fairdp.harness import ExperimentConfig, SyntheticSpec, synth_dataset
+from fairdp.optimizer import SgdaConfig
 from helpers import group_stats, reference_load_csv
 
 
@@ -659,3 +660,45 @@ class TestImmutability:
         ds = small_ds()
         with pytest.raises(ValueError):
             ds.sensitive[0] = 2
+
+
+def _sgda(**kw):
+    return SgdaConfig(**{"eta_theta": 0.1, "eta_w": 0.1, "T": 5, "m": 2, "box_radius": 1.0, **kw})
+
+
+def _tabular(**kw):
+    return TabularDataset(np.zeros((4, 1)), [1, 2, 1, 2], [1, 1, 2, 2], **{"l": 2, "k": 2, **kw})
+
+
+COUNT_FIELDS = [
+    (_sgda, "T"), (_sgda, "m"),
+    (lambda **kw: ExperimentConfig("unused.csv", **kw), "epochs"),
+    (lambda **kw: ExperimentConfig("unused.csv", **kw), "batch_size"),
+    (lambda **kw: ExperimentConfig("unused.csv", **kw), "trials"),
+    (lambda **kw: SyntheticSpec(**{"n": 10, "d_x": 3, **kw}), "n"),
+    (lambda **kw: SyntheticSpec(**{"n": 10, "d_x": 3, **kw}), "d_x"),
+    (lambda **kw: SyntheticSpec(**{"n": 10, "d_x": 3, **kw}), "k"),
+    (lambda **kw: SyntheticSpec(**{"n": 10, "d_x": 3, **kw}), "l"),
+    (_tabular, "l"), (_tabular, "k"),
+]
+
+
+class TestIntegerCounts:
+    """Every count of a config, spec or dataset is an int or a numpy
+    integer; anything else fails in the constructor, with a line naming
+    the field, and not later in the run."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), 2.0, 2.5, True, "2", np.float64(2.0)],
+        ids=["nan", "float", "fraction", "bool", "str", "float64"],
+    )
+    @pytest.mark.parametrize("build, field", COUNT_FIELDS)
+    def test_non_integer_is_named(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? .*integer.*, got "):
+            build(**{field: value})
+
+    @pytest.mark.parametrize("build, field", COUNT_FIELDS)
+    def test_numpy_integer_is_accepted(self, build, field):
+        built = build(**{field: np.int64(2)})
+        assert getattr(built, field) == 2
