@@ -22,9 +22,6 @@ import numpy as np
 from .dataset import _frozen_array
 from .exceptions import CheckpointError
 
-# Probabilities below this are clamped by mean_cross_entropy, so a saturated
-# wrong prediction yields a large finite loss; gradients use the analytic form.
-PROB_FLOOR = 1e-30
 # Rows squared at a time by proba_lipschitz_bound.
 LIPSCHITZ_BLOCK_ROWS = 4096
 
@@ -117,12 +114,6 @@ def predict_label(theta: ModelParams, x: np.ndarray):
     probs = predict_proba(theta, x)
     labels = np.argmax(probs, axis=-1) + 1
     return labels if labels.ndim else int(labels)
-
-
-def mean_cross_entropy(proba: np.ndarray, labels: np.ndarray) -> float:
-    """Average -log F_y over class-major probabilities (l, m) and labels in 1..l."""
-    picked = proba[labels - 1, np.arange(labels.shape[0])]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def gradient_scale(features: np.ndarray) -> np.ndarray:

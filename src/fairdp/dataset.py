@@ -2,7 +2,9 @@
 
 Labels live in {1..l} and sensitive attributes in {1..k}; categorical CSV
 values are mapped to these codes in first-appearance order and the mapping
-is kept on the dataset so exported results stay interpretable.
+is kept on the dataset so exported results stay interpretable. The module
+also owns the library's argument checks, _check_int for counts and seeds
+and _check_positive_finite for positive reals.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ def _check_int(name: str, value, minimum: int = 0) -> None:
         bound = {0: "a non-negative integer", 1: "a positive integer"}
         kind = bound.get(minimum, f"an integer >= {minimum}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_positive_finite(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming `name` unless 0 < value < inf."""
+    if not 0.0 < value < math.inf:  # also rejects NaN, which fails every comparison
+        raise error(f"{name} must be positive and finite, got {value}")
 
 
 def _frozen(*arrays) -> None:
@@ -177,9 +185,9 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     stored on the dataset.
 
     Data lines are read CHUNK_ROWS at a time. A chunk is parsed by one
-    np.loadtxt call when it has no quote or NUL character, no line longer
-    than csv's field size limit, loadtxt returns exactly one row per line
-    and every feature is finite. The first chunk that fails any of these
+    np.loadtxt call when it has no quote character, no line longer than
+    csv's field size limit, loadtxt returns exactly one row per line and
+    every feature is finite. The first chunk that fails any of these
     hands its lines and the rest of the file to csv.reader, the only path
     for quoted cells, blank rows and the numerals only float() accepts
     ("1_0", non-ASCII digits). There each row is converted cell by cell as
@@ -331,14 +339,13 @@ def _raising(exc):
 def _loadtxt_chunk(lines, row_dtype, feat_idx, out) -> np.ndarray | None:
     """A chunk's structured rows, one per line, with its features written
     into out, (rows, features) float64; None, with out partly written, if
-    the chunk needs csv.reader: it is empty, has a quote or NUL character
-    (csv quoting, and csv's NUL error before Python 3.11), a line that may
-    hold a cell over csv's field size limit, a cell loadtxt cannot convert,
-    another count of rows than lines or a non-finite feature."""
+    the chunk needs csv.reader: it is empty, has a quote character, a line
+    that may hold a cell over csv's field size limit, a cell loadtxt cannot
+    convert, another count of rows than lines or a non-finite feature."""
     # checked line by line: joining a chunk into one string costs cli-ingest
     # about 6 MB of peak RSS in heap fragmentation
     if (
-        any('"' in line or "\x00" in line for line in lines)
+        any('"' in line for line in lines)
         # a blank line is at most a two-character terminator; one longer line
         # keeps loadtxt from warning of empty input (the row count below
         # catches the blank lines it skips)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
 from .dataset import (
-    TabularDataset, _check_int, _frozen, load_csv, sensitive_stats, train_test_split
+    TabularDataset, _check_int, _check_positive_finite, _frozen, load_csv, sensitive_stats,
+    train_test_split,
 )
 from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
 from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
@@ -68,8 +69,7 @@ class SyntheticSpec:
             _check_int(name, getattr(self, name), minimum)
         if not 0.0 <= self.bias <= 1.0:
             raise ValueError("bias must lie in [0, 1]")
-        if not 0.0 < self.noise_scale < math.inf:
-            raise ValueError("noise_scale must be positive and finite")
+        _check_positive_finite("noise_scale", self.noise_scale)
         _check_int("seed", self.seed)
 
     @property
@@ -254,8 +254,7 @@ def run_length(n: int, batch_size: int, epochs: int) -> tuple[int, int]:
     """Batch size m = min(batch_size, n) and steps T = epochs * ceil(n / m)."""
     _check_int("epochs", epochs, 1)
     _check_int("batch_size", batch_size, 1)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_int("n", n, 1)
     m = min(batch_size, n)
     return m, epochs * -(-n // m)  # ceil(n / m) in ints, which cannot overflow
 

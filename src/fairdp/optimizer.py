@@ -68,10 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward, gradient_scale, loss_dlogits, mean_param_grad
-from .dataset import TabularDataset, _check_int, minibatch
+from .dataset import TabularDataset, _check_int, _check_positive_finite, minibatch
 from .exceptions import DivergenceError
 from .fairness import FermiConfig, _inner_max, saddle_terms, strata
-from .privacy import NoiseScales, _check_positive_finite, gaussian_noise
+from .privacy import NoiseScales, gaussian_noise
 
 
 @dataclass(frozen=True)

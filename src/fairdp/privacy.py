@@ -17,7 +17,9 @@ per channel; m cancels. This closed form is the library's only privacy
 accounting. Where it does not hold for the noise the training loop adds,
 see the README's notes on the privacy accounting and ROADMAP item 1
 (defects A-F). The group frequencies P_S and rho come from the sensitive
-data without noise; treat them as public in the guarantee.
+data without noise; treat them as public in the guarantee. The counts T,
+n, m and trials, and each positive real, are checked by dataset's
+_check_int and _check_positive_finite, the owner of argument checks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward, mean_param_grad
-from .dataset import TabularDataset, group_counts
+from .dataset import TabularDataset, _check_int, _check_positive_finite, group_counts
 from .exceptions import CalibrationError
 from .fairness import saddle_terms
 
@@ -37,11 +39,6 @@ SENSITIVE_ONLY = "sensitive_only"
 ALL_FEATURES = "all_features"
 NO_PRIVACY = "none"
 GRANULARITIES = (SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY)
-
-
-def _check_positive_finite(name: str, value, error: type[Exception] = ValueError) -> None:
-    if not 0.0 < value < math.inf:  # also rejects NaN, which fails every comparison
-        raise error(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,8 @@ def noise_multiplier(budget: PrivacyBudget, T: int, n: int, m: int) -> float:
     cap = 2.0 * math.log(1.0 / budget.delta)
     if budget.epsilon > cap:
         raise CalibrationError(f"epsilon={budget.epsilon} exceeds 2 ln(1/delta)={cap:.4f}")
-    if T < 1 or n < 1 or m < 1:
-        raise ValueError("T, n and m must be positive")
+    for name, count in (("T", T), ("n", n), ("m", m)):
+        _check_int(name, count, 1)
     try:
         z = math.sqrt(T * m * m * cap / (n * n * budget.epsilon ** 2))
     except OverflowError:  # n * n or T * m * m is an int too large for a float
@@ -158,8 +155,9 @@ def calibrate(
 
 def min_iterations(n: int, m: int, epsilon: float) -> int:
     """Smallest iteration count the calibration requires: ceil((n sqrt(eps) / 2m)^2)."""
-    if n < 1 or m < 1 or not 0.0 < epsilon < math.inf:
-        raise ValueError("n and m must be positive and epsilon positive and finite")
+    _check_int("n", n, 1)
+    _check_int("m", m, 1)
+    _check_positive_finite("epsilon", epsilon)
     # n * n may be an int too large for a float, or overflow once scaled by epsilon
     value = n * n * epsilon / (4.0 * m * m) if n * n <= sys.float_info.max else math.inf
     if value == math.inf:
@@ -199,8 +197,7 @@ def empirical_sensitivity_audit(
     Returns the largest theta and dual differences, NaN if any difference is
     NaN; tests compare them with sensitivities(SENSITIVE_ONLY, ...).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_int("trials", trials, 1)
     if not 1 <= m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
     cells, counts = group_counts(ds)

@@ -6,11 +6,12 @@ synth_dataset and proba_lipschitz_bound, which their in-place and blocked
 forms must match bit for bit, and the per-sample references for the
 class-major batch kernels: the cross-entropy loss, its gradient and the
 probability Jacobian of one sample (loss, loss_grad, jacobian_proba, and
-mean_loss over a sample set), one sample's saddle value psi and its
-exact gradients (psi_grad_w, psi_grad_theta) for one k x l dual block,
-the group statistics of a vector of group codes by one bincount, and the
-four closed-form noise variances written out term by term, which the
-one noise rule sigma = z * Delta must reproduce."""
+mean_loss over a sample set, by mean_cross_entropy on class-major
+probabilities; the library computes no loss value), one sample's saddle
+value psi and its exact gradients (psi_grad_w, psi_grad_theta) for one
+k x l dual block, the group statistics of a vector of group codes by one
+bincount, and the four closed-form noise variances written out term by
+term, which the one noise rule sigma = z * Delta must reproduce."""
 
 import csv
 import math
@@ -18,14 +19,7 @@ import math
 import numpy as np
 
 from fairdp.classifier import (
-    PROB_FLOOR,
-    ModelParams,
-    forward,
-    gradient_scale,
-    loss_dlogits,
-    mean_cross_entropy,
-    mean_param_grad,
-    predict_proba,
+    ModelParams, forward, gradient_scale, loss_dlogits, mean_param_grad, predict_proba
 )
 from fairdp.dataset import SensitiveStats, TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
@@ -33,6 +27,10 @@ from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
 from fairdp.optimizer import TrainResult
 from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
+
+# Probabilities below this are clamped by the loss references, so a saturated
+# wrong prediction yields a large finite loss; gradients use the analytic form.
+PROB_FLOOR = 1e-30
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -264,6 +262,12 @@ def jacobian_proba(theta: ModelParams, x: np.ndarray) -> np.ndarray:
     a = np.diag(probs) - np.outer(probs, probs)
     weight_part = a[:, :, None] * x[None, None, :]
     return np.concatenate([weight_part.reshape(theta.l, -1), a], axis=1)
+
+
+def mean_cross_entropy(proba: np.ndarray, labels: np.ndarray) -> float:
+    """Average -log F_y over class-major probabilities (l, m) and labels in 1..l."""
+    picked = proba[labels - 1, np.arange(labels.shape[0])]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:

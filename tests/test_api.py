@@ -69,6 +69,8 @@ def test_public_name_resolves(name):
         (classifier, "jacobian_proba"),
         (classifier, "mean_loss"),
         (classifier, "mean_loss_grad"),
+        (classifier, "mean_cross_entropy"),
+        (classifier, "PROB_FLOOR"),
         (fairness, "psi"),
         (fairness, "psi_grad_w"),
         (fairness, "psi_grad_theta"),

@@ -274,3 +274,33 @@ class TestVectorRoundTrip:
         again = ModelParams.from_vector(theta.as_vector(), 3, 2)
         assert np.array_equal(again.weights, theta.weights)
         assert np.array_equal(again.bias, theta.bias)
+
+    def test_from_vector_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError) as info:
+            ModelParams.from_vector(np.zeros(8), 3, 2)
+        assert str(info.value) == "expected a length-9 vector"
+
+
+class TestModelParamsChecks:
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [
+            (np.zeros((2, 3)), np.zeros(3)),
+            (np.zeros(3), np.zeros(3)),
+            (np.zeros((2, 3)), np.zeros((2, 1))),
+        ],
+        ids=["bias_length", "flat_weights", "bias_matrix"],
+    )
+    def test_mismatched_shapes(self, weights, bias):
+        with pytest.raises(ValueError) as info:
+            ModelParams(weights, bias)
+        assert str(info.value) == "weights must be (l, d_x) with a matching length-l bias"
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry(self, where, value):
+        arrays = {"weights": np.zeros((2, 3)), "bias": np.zeros(2)}
+        arrays[where][-1] = value
+        with pytest.raises(ValueError) as info:
+            ModelParams(**arrays)
+        assert str(info.value) == "model parameters must be finite"

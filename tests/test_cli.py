@@ -74,7 +74,8 @@ class TestSynth:
         out = tmp_path / "synth.csv"
         argv = ["synth", "--n", "10", "--noise-scale", value, "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: noise_scale must be positive and finite\n"
+        expected = f"error: noise_scale must be positive and finite, got {float(value)}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_noise_scale_that_overflows_is_config_error_naming_it(self, tmp_path, capsys):
@@ -180,7 +181,7 @@ class TestCalibrate:
         argv = ["calibrate", "--granularity", granularity, "--epsilon", "1", "--n", n,
                 "--batch-size", "100", "--rho", "0.4", "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: n must be positive, got {n}\n"
+        assert capsys.readouterr().err == f"error: n must be a positive integer, got {n}\n"
         assert not out.exists()
 
     ALL_FEATURES = ["calibrate", "--epsilon", "1", "--n", "100", "--batch-size", "10",

@@ -165,6 +165,7 @@ LOAD_CSV_CORPUS = {
     "hash_label_first_cell": "lab,x,grp\n#,1,m\nb,2,f\n",
     "nul_in_label": "x,lab,grp\n1,a\x00b,m\n2,b,f\n",
     "nul_in_feature": "x,lab,grp\n1,a,m\n2\x00,b,f\n",
+    "nul_ending_a_line": "x,lab,grp\n1,a,m\x00\n2,b,f\n3,a,m\n",
     "no_final_newline": "x,lab,grp\n1,a,m\n2,b,f",
     "label_column_first": "lab,x,grp,y\na,1,m,2\nb,3,f,4\na,5,f,6\n",
     "crlf_past_first_chunk": "x,y,lab,grp\r\n"
@@ -476,6 +477,38 @@ class TestOwnership:
                 assert np.array_equal(part, whole[idx])
 
 
+class TestConstructorChecks:
+    def test_features_must_be_a_matrix(self):
+        with pytest.raises(ValueError) as info:
+            TabularDataset(np.zeros(4), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
+        assert str(info.value) == "features must be a 2-D matrix"
+
+    def test_zero_rows(self):
+        with pytest.raises(EmptyDatasetError) as info:
+            TabularDataset(np.zeros((0, 2)), [], [], l=2, k=2)
+        assert str(info.value) == "dataset has no rows"
+
+    @pytest.mark.parametrize(
+        "labels, sensitive", [([1, 2, 1], [1, 1, 2, 2]), ([1, 2, 1, 2], [1, 1, 2])],
+        ids=["short_labels", "short_sensitive"],
+    )
+    def test_codes_must_match_the_rows(self, labels, sensitive):
+        with pytest.raises(ValueError) as info:
+            TabularDataset(np.zeros((4, 2)), labels, sensitive, l=2, k=2)
+        assert str(info.value) == "labels and sensitive must be length-n vectors"
+
+    def test_sensitive_code_above_k(self):
+        with pytest.raises(ValueError) as info:
+            TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 3], l=2, k=2)
+        assert str(info.value) == "sensitive attributes out of range 1..k"
+
+    def test_load_csv_rejects_one_column_for_both(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x,lab,grp\n1,a,m\n2,b,f\n")
+        with pytest.raises(SchemaError) as info:
+            load_csv(path, "lab", "lab")
+        assert str(info.value) == "label and sensitive columns must differ"
+
+
 class TestSplit:
     def test_three_to_one(self):
         rng = np.random.default_rng(1)
@@ -505,6 +538,12 @@ class TestSplit:
             train_test_split(small_ds(), 1.0, seed=0)
         with pytest.raises(ValueError):
             train_test_split(small_ds(), 0.0, seed=0)
+
+    def test_fraction_that_empties_a_side(self):
+        # ceil(4 * 0.9) = 4 train rows leave the test side empty
+        with pytest.raises(ValueError) as info:
+            train_test_split(small_ds(), 0.1, seed=0)
+        assert str(info.value) == "split of n=4 at fraction 0.1 leaves an empty side"
 
     @given(n=st.integers(4, 60), frac=st.floats(0.1, 0.9), seed=st.integers(0, 100))
     @settings(max_examples=40, deadline=None)

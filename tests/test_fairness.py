@@ -73,6 +73,20 @@ class TestErmiHard:
         with pytest.raises(DegenerateGroupError, match="^every sensitive group must appear"):
             ermi_hard([1, 2, 1, 2], [1, 1, 1, 1], k=2)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([1, 2, 1], [1, 1, 2, 2]), "preds and s must be equal-length nonempty vectors"),
+            (([], []), "preds and s must be equal-length nonempty vectors"),
+            (([1, 2], [1, 2], [1]), "preds, s and y must be equal-length nonempty vectors"),
+        ],
+        ids=["unequal", "empty", "unequal_y"],
+    )
+    def test_vectors_must_be_equal_length_and_nonempty(self, args, message):
+        with pytest.raises(ValueError) as info:
+            ermi_hard(*args)
+        assert str(info.value) == message
+
     def test_matches_brute_force_on_random_tables(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

@@ -28,7 +28,7 @@ from fairdp.harness import (
     synth_dataset,
 )
 from fairdp.optimizer import SgdaConfig, dp_fermi_train
-from fairdp.privacy import NoiseScales
+from fairdp.privacy import GRANULARITIES, NoiseScales
 from helpers import reference_synth_dataset
 
 
@@ -97,8 +97,9 @@ class TestSyntheticData:
 
     @pytest.mark.parametrize("noise_scale", [0.0, -1.0, math.nan, math.inf])
     def test_noise_scale_must_be_positive_and_finite(self, noise_scale):
-        with pytest.raises(ValueError, match="^noise_scale must be positive and finite$"):
+        with pytest.raises(ValueError) as info:
             SyntheticSpec(n=10, d_x=3, noise_scale=noise_scale)
+        assert str(info.value) == f"noise_scale must be positive and finite, got {noise_scale}"
 
     def test_noise_scale_that_overflows_the_features_is_named(self):
         # finite, but noise_scale * z overflows for |z| > 1.8
@@ -212,6 +213,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(dataset="does-not-exist.csv", **{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["lambdas", "epsilons"])
+    def test_empty_grid_rejected(self, field):
+        with pytest.raises(ValueError) as info:
+            cheap_config(**{field: ()})
+        assert str(info.value) == "lambda and epsilon values must be nonempty"
+
+    def test_unknown_granularity_rejected(self):
+        with pytest.raises(ValueError) as info:
+            cheap_config(granularity="everything")
+        assert str(info.value) == f"granularity must be one of {GRANULARITIES}"
+
     def test_all_features_privacy_requires_clip(self):
         with pytest.raises(CalibrationError):
             cheap_config(granularity=ALL_FEATURES, clip_theta=None)
@@ -289,6 +301,12 @@ class TestPlanRun:
         # n / m as a float would overflow here, and lose digits beyond 2^53
         assert harness.run_length(10 ** 400, 10, 2) == (10, 2 * 10 ** 399)
         assert harness.run_length(2 ** 53 + 1, 1, 1) == (1, 2 ** 53 + 1)
+
+    @pytest.mark.parametrize("n", [math.nan, 2.5, True], ids=["nan", "fraction", "bool"])
+    def test_run_length_names_a_non_integer_n(self, n):
+        with pytest.raises(ValueError) as info:
+            harness.run_length(n, 10, 1)
+        assert str(info.value) == f"n must be a positive integer, got {n!r}"
 
     @pytest.mark.parametrize("granularity", [SENSITIVE_ONLY, ALL_FEATURES, NO_PRIVACY])
     def test_noise_is_calibrated_at_the_split(self, granularity):

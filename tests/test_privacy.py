@@ -23,6 +23,10 @@ from fairdp.privacy import (
 from helpers import dp_saddle_terms, reference_noise_variances
 
 BUDGET = PrivacyBudget(1.0, 1e-5)
+# counts that are not ints: each must fail with a line naming its field
+NON_INTEGER = pytest.mark.parametrize(
+    "value", [math.nan, 2.5, True], ids=["nan", "fraction", "bool"]
+)
 
 
 class TestBudget:
@@ -96,8 +100,9 @@ class TestNonFiniteParameters:
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
     def test_min_iterations_rejects_epsilon(self, epsilon):
-        with pytest.raises(ValueError, match="epsilon positive and finite"):
+        with pytest.raises(ValueError) as info:
             min_iterations(1000, 100, epsilon)
+        assert str(info.value) == f"epsilon must be positive and finite, got {epsilon}"
 
     @pytest.mark.parametrize("D, L", [(math.nan, 1.0), (1.0, math.nan)])
     def test_sensitivities_reject_nan(self, D, L):
@@ -243,6 +248,14 @@ class TestMinIterations:
             min_iterations(n, 10, 20.0)
         assert str(info.value) == "n overflows the iteration floor"
 
+    @NON_INTEGER
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_non_integer_count_is_named(self, field, value):
+        counts = {"n": 1000, "m": 100, field: value}
+        with pytest.raises(ValueError) as info:
+            min_iterations(epsilon=1.0, **counts)
+        assert str(info.value) == f"{field} must be a positive integer, got {value!r}"
+
 
 class TestSensitivities:
     def test_reference_value(self):
@@ -284,8 +297,18 @@ class TestNoiseMultiplier:
 
     @pytest.mark.parametrize("T, n, m", [(0, 2000, 100), (400, 0, 100), (400, 2000, 0)])
     def test_rejects_nonpositive_counts(self, T, n, m):
-        with pytest.raises(ValueError, match="must be positive"):
+        field = "T" if T == 0 else "n" if n == 0 else "m"
+        with pytest.raises(ValueError) as info:
             noise_multiplier(BUDGET, T, n, m)
+        assert str(info.value) == f"{field} must be a positive integer, got 0"
+
+    @NON_INTEGER
+    @pytest.mark.parametrize("field", ["T", "n", "m"])
+    def test_non_integer_count_is_named(self, field, value):
+        counts = {"T": 400, "n": 2000, "m": 100, field: value}
+        with pytest.raises(ValueError) as info:
+            noise_multiplier(BUDGET, **counts)
+        assert str(info.value) == f"{field} must be a positive integer, got {value!r}"
 
     @pytest.mark.parametrize(
         "epsilon, T, n, message",
@@ -463,6 +486,29 @@ class TestAudit:
             empirical_sensitivity_audit(theta, np.zeros((2, 2)), ds, trials=0, m=5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             empirical_sensitivity_audit(theta, np.zeros((2, 2)), ds, trials=5, m=0, rng=np.random.default_rng(0))
+
+    def test_flips_that_would_empty_a_group_are_skipped(self):
+        rng = np.random.default_rng(6)
+        theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
+        w = rng.uniform(-1, 1, size=(2, 2))
+        # one person per group: every flip would empty a group, so none is measured
+        pair = TabularDataset(rng.normal(size=(2, 3)), [1, 2], [1, 2], l=2, k=2)
+        assert empirical_sensitivity_audit(theta, w, pair, 20, 2, rng) == (0.0, 0.0)
+        # group 2 is one person among 12: their flips are skipped, the others' measured
+        s = np.ones(12, dtype=np.int64)
+        s[5] = 2
+        ds = TabularDataset(rng.normal(size=(12, 3)), np.resize([1, 2], 12), s, l=2, k=2)
+        observed = empirical_sensitivity_audit(theta, w, ds, 200, 12, rng)
+        assert all(0.0 < x < math.inf for x in observed)
+
+    @NON_INTEGER
+    def test_non_integer_trials_is_named(self, value):
+        ds = audit_dataset()
+        with pytest.raises(ValueError) as info:
+            empirical_sensitivity_audit(
+                ModelParams.zeros(2, 3), np.zeros((2, 2)), ds, value, 5, np.random.default_rng(0)
+            )
+        assert str(info.value) == f"trials must be a positive integer, got {value!r}"
 
 
 class TestNoiseScales:
