@@ -35,13 +35,13 @@ def _frozen_array(a, dtype) -> np.ndarray:
     return out
 
 
-def _check_int(name: str, value, minimum: int = 0) -> None:
-    """Raise ValueError naming `name` unless value is an int or a numpy
+def _check_int(name: str, value, minimum: int = 0, error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming `name` unless value is an int or a numpy
     integer, not a bool, of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         bound = {0: "a non-negative integer", 1: "a positive integer"}
         kind = bound.get(minimum, f"an integer >= {minimum}")
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+        raise error(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_positive_finite(name: str, value, error: type[Exception] = ValueError) -> None:
@@ -409,7 +409,8 @@ def train_test_split(
 
 def minibatch(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m dataset indices drawn uniformly with replacement (0-based)."""
-    if not 1 <= m <= n:
+    _check_int("m", m, 1)
+    if not m <= n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={n}")
     return rng.integers(0, n, size=m)
 

@@ -11,9 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
+import signal
 import sys
+import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -278,6 +282,167 @@ def plan_run(
 
 _DIVERGED_METRICS = dict.fromkeys(("error", "dp_violation", "eo_violation", "ermi_hard"), math.nan)
 
+# A sweep forks only when its cells are long enough to repay a fork. Timed
+# with each side in its own process (2 vCPUs, numpy 2.4.6, one BLAS thread),
+# forking bench's narrow 2-cell sweep was 0.78x as fast at 30,720 sample-steps
+# a cell (T * m), 0.87-1.10x at 66,560 and 1.12-1.45x from 133,120 on; the CI
+# smoke sweep's was 1.13x at 30,720 and 1.23x at 92,160.
+FORK_MIN_SAMPLE_STEPS = 1 << 16
+
+
+def _cell_record(
+    train: TabularDataset, test: TabularDataset, dataset_id: str, config: ExperimentConfig, job
+) -> TradeoffRecord:
+    """Train and evaluate one sweep cell (epsilon, lambda, trial, SgdaConfig,
+    noise); a diverged run keeps status "diverged" and NaN metrics."""
+    epsilon, lam, trial, sgda, noise = job
+    theta0 = ModelParams.zeros(train.l, train.d_x)
+    try:
+        result = dp_fermi_train(train, theta0, FermiConfig(lam, config.notion), sgda, noise)
+        train_preds = predict_label(result.params, train.features)
+        train_error = float((train_preds != train.labels).mean())
+        test_metrics = evaluate_metrics(result.params, test)
+        status = "ok"
+    except DivergenceError:
+        train_error, test_metrics = math.nan, _DIVERGED_METRICS
+        status = "diverged"
+    return TradeoffRecord(
+        dataset_id=dataset_id,
+        seed=trial,
+        epsilon=epsilon,
+        delta=config.delta,
+        lam=lam,
+        notion=config.notion,
+        T=sgda.T,
+        m=sgda.m,
+        sigma_theta_sq=noise.sigma_theta_sq,
+        sigma_w_sq=noise.sigma_w_sq,
+        train_error=train_error,
+        test_error=test_metrics["error"],
+        dp_violation=test_metrics["dp_violation"],
+        eo_violation=test_metrics["eo_violation"],
+        ermi_hard=test_metrics["ermi_hard"],
+        status=status,
+    )
+
+
+def _sweep_workers(cells: int, sample_steps: int) -> int:
+    """Processes a sweep runs on: one per usable CPU, at most one per cell,
+    if a cell trains at least FORK_MIN_SAMPLE_STEPS and this process has no
+    other OS thread, whose locks a fork could copy held; else 1 (in-process).
+    """
+    if sample_steps < FORK_MIN_SAMPLE_STEPS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    workers = min(cells, len(os.sched_getaffinity(0)))
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return workers if workers >= 2 and threads == 1 else 1
+
+
+class _ChildTraceback(Exception):
+    """A forked child's formatted traceback, the cause of the child's
+    exception where the caller raises it."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _run_share(run_job, share: list) -> tuple:
+    """(results, None, None) for the jobs of share; at the first job that
+    raises, (the results before it, the exception, its formatted traceback)."""
+    results = []
+    try:
+        for job in share:
+            results.append(run_job(job))
+    except Exception as exc:
+        return results, exc, traceback.format_exc()
+    return results, None, None
+
+
+def _child_payload(run_job, share: list) -> bytes:
+    """_run_share's result, pickled for a forked child to send; an exception
+    that does not pickle, or does not unpickle, goes as a ChildProcessError
+    that names its type and message, beside its traceback."""
+    results, exc, tb = _run_share(run_job, share)
+    try:
+        payload = pickle.dumps((results, exc, tb))
+        pickle.loads(payload)
+    except Exception:
+        stand_in = ChildProcessError(traceback.format_exception_only(exc)[-1].strip())
+        payload = pickle.dumps((results, stand_in, tb))
+    return payload
+
+
+def _run_shares(run_job, jobs: list, workers: int) -> list:
+    """[run_job(job) for job in jobs], with jobs[i::workers] run as share i.
+
+    Share 0 runs here; each other share runs in a forked child that pipes
+    back its _child_payload and never returns into the caller's code. Every
+    child is reaped, and an interrupt here kills them first. The exception
+    raised is that of the first job in job order that raised, as in an
+    in-process run, with a child's traceback as its cause; a child that
+    sent nothing raises ChildProcessError.
+    """
+    if workers == 1:
+        return [run_job(job) for job in jobs]
+    pids, pipes, payloads = [], [], []
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(read_fd)
+                        payload = _child_payload(run_job, jobs[i::workers])
+                        with open(write_fd, "wb", closefd=False) as pipe:
+                            pipe.write(payload)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        shares = [_run_share(run_job, jobs[::workers])]
+        for read_fd in pipes:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read_fd in pipes:
+            os.close(read_fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for i, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        try:
+            shares.append(pickle.loads(payload))  # bytes its own child wrote
+        except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(
+                f"sweep worker {i} of {workers} sent no records (exit status {code})"
+            ) from None
+    # share i's first failed job, if any, is jobs[i + len(results) * workers]
+    failed = [
+        (i + len(results) * workers, i, exc, tb)
+        for i, (results, exc, tb) in enumerate(shares)
+        if exc is not None
+    ]
+    if failed:
+        _, i, exc, tb = min(failed, key=lambda failure: failure[0])
+        if i == 0:
+            raise exc
+        raise exc from _ChildTraceback(tb)
+    results = [None] * len(jobs)
+    for i, (share_results, _, _) in enumerate(shares):
+        results[i::workers] = share_results
+    return results
+
 
 def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     """Train and evaluate every (epsilon, lambda, trial) cell of the grid.
@@ -285,49 +450,34 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     Each cell's SgdaConfig.seed is the tuple (master_seed, epsilon index,
     lambda index, trial), so every cell owns its own stream. Diverged runs are
     recorded with status "diverged" and NaN metrics rather than dropped.
+
+    Every epsilon is planned before any cell trains, so a CalibrationError
+    comes first. The cells then run on one forked process per usable CPU
+    (the caller trains one share) when a cell trains at least
+    FORK_MIN_SAMPLE_STEPS sample-steps, there are two CPUs and two cells to
+    share, and the process has a single OS thread; otherwise in-process.
+    Either way the records come back in grid order, the same bytes as an
+    in-process run's, and a cell that raises raises as it would in-process:
+    the first such cell in grid order wins, with a forked child's traceback
+    chained as the cause. A process with BLAS threads (numpy's default on a
+    multi-core host, unless OPENBLAS_NUM_THREADS=1) always runs in-process.
     """
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
     dataset_id = _dataset_id(config)
-    theta0 = ModelParams.zeros(train.l, train.d_x)
 
-    records = []
+    jobs = []
     for e_idx, epsilon in enumerate(config.epsilons):
         sgda, noise = plan_run(config, train, epsilon)
         for l_idx, lam in enumerate(config.lambdas):
-            fermi = FermiConfig(lam, config.notion)
             for trial in range(config.trials):
                 cell = replace(sgda, seed=(config.master_seed, e_idx, l_idx, trial))
-                try:
-                    result = dp_fermi_train(train, theta0, fermi, cell, noise)
-                    train_preds = predict_label(result.params, train.features)
-                    train_error = float((train_preds != train.labels).mean())
-                    test_metrics = evaluate_metrics(result.params, test)
-                    status = "ok"
-                except DivergenceError:
-                    train_error, test_metrics = math.nan, _DIVERGED_METRICS
-                    status = "diverged"
-                records.append(
-                    TradeoffRecord(
-                        dataset_id=dataset_id,
-                        seed=trial,
-                        epsilon=epsilon,
-                        delta=config.delta,
-                        lam=lam,
-                        notion=config.notion,
-                        T=sgda.T,
-                        m=sgda.m,
-                        sigma_theta_sq=noise.sigma_theta_sq,
-                        sigma_w_sq=noise.sigma_w_sq,
-                        train_error=train_error,
-                        test_error=test_metrics["error"],
-                        dp_violation=test_metrics["dp_violation"],
-                        eo_violation=test_metrics["eo_violation"],
-                        ermi_hard=test_metrics["ermi_hard"],
-                        status=status,
-                    )
-                )
-    return records
+                jobs.append((epsilon, lam, trial, cell, noise))
+
+    run_job = partial(_cell_record, train, test, dataset_id, config)
+    # every cell has the same T and m: run_length reads only the split
+    workers = _sweep_workers(len(jobs), sgda.T * sgda.m)
+    return _run_shares(run_job, jobs, workers)
 
 
 def aggregate(records: list[TradeoffRecord]) -> list[dict]:

@@ -119,9 +119,9 @@ def sensitivities(
         raise ValueError(f"granularity must be {SENSITIVE_ONLY!r} or {ALL_FEATURES!r}")
     if not 0.0 < rho <= 1.0:
         raise CalibrationError(f"rho must lie in (0, 1], got {rho}")
-    named = (("Lipschitz constant L_theta", L_theta), ("box radius D", D), ("batch size m", m))
-    for name, value in named:
+    for name, value in (("Lipschitz constant L_theta", L_theta), ("box radius D", D)):
         _check_positive_finite(name, value, CalibrationError)
+    _check_int("batch size m", m, 1, CalibrationError)
     if granularity == ALL_FEATURES and (l is None or l < 2):
         raise CalibrationError(f"need at least two label classes, got l={l}")
     squares = _squares(granularity, D, L_theta, m, rho, l)
@@ -198,7 +198,8 @@ def empirical_sensitivity_audit(
     NaN; tests compare them with sensitivities(SENSITIVE_ONLY, ...).
     """
     _check_int("trials", trials, 1)
-    if not 1 <= m <= ds.n:
+    _check_int("m", m, 1)
+    if not m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
     cells, counts = group_counts(ds)
     inv_sqrt = (counts / ds.n) ** -0.5  # strata(ds)'s, from the same counts

@@ -677,6 +677,12 @@ class TestMinibatch:
         with pytest.raises(ValueError):
             minibatch(5, 0, rng)
 
+    @pytest.mark.parametrize("m", [np.nan, 2.5, True], ids=["nan", "fraction", "bool"])
+    def test_non_integer_size_is_named(self, m):
+        with pytest.raises(ValueError) as info:
+            minibatch(10, m, np.random.default_rng(0))
+        assert str(info.value) == f"m must be a positive integer, got {m!r}"
+
     def test_stream_semantics(self):
         a = np.random.default_rng(9)
         b = np.random.default_rng(9)

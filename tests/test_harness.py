@@ -1,6 +1,11 @@
 import math
+import os
 import re
 import statistics
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +182,15 @@ class TestRunSweep:
         with pytest.raises(CalibrationError):
             run_sweep(config)
 
+    def test_every_epsilon_is_planned_before_any_cell_trains(self, monkeypatch):
+        # T = 9 meets the floor 7 at epsilon 3 but not the floor 12 at epsilon 5
+        config = cheap_config(granularity=SENSITIVE_ONLY, epochs=3, epsilons=(3.0, 5.0))
+        calls = []
+        monkeypatch.setattr(harness, "dp_fermi_train", lambda *args: calls.append(args))
+        with pytest.raises(CalibrationError, match="below the required minimum 12"):
+            run_sweep(config)
+        assert calls == []
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_logit_overflow_records_diverged(self):
         # noise_scale 1e200 gives features whose second-step logits overflow
@@ -274,6 +288,295 @@ class TestRunSweep:
             for name in ("dp_violation", "eo_violation", "ermi_hard"):
                 assert repr(getattr(record, name)) == repr(test_metrics[name])
         assert len(set(params)) == 8
+
+
+# Run in a fresh interpreter with one BLAS thread, so the process has a single
+# OS thread and, with two usable CPUs, run_sweep forks. FORKING's cells train
+# EPOCHS steps of m = 300 (300 training rows), the fewest that reach
+# FORK_MIN_SAMPLE_STEPS; forks counts the children harness starts.
+FORK_PRELUDE = """
+import os
+from dataclasses import replace
+
+from fairdp import harness
+from fairdp.dataset import train_test_split
+from fairdp.fairness import FermiConfig
+from fairdp.harness import (
+    SENSITIVE_ONLY, ExperimentConfig, SyntheticSpec, TradeoffRecord, evaluate_metrics, plan_run,
+    run_sweep,
+)
+from fairdp.classifier import ModelParams
+from fairdp.optimizer import dp_fermi_train
+
+EPOCHS = -(-harness.FORK_MIN_SAMPLE_STEPS // 300)
+FORKING = ExperimentConfig(
+    dataset=SyntheticSpec(n=400, d_x=3, bias=0.6, seed=0), lambdas=(0.0, 1.5), epsilons=(3.0,),
+    trials=2, granularity=SENSITIVE_ONLY, eta_theta=0.02, eta_w=0.02, epochs=EPOCHS,
+    batch_size=300, master_seed=5,
+)
+CELLS = [(0, l, t) for l in range(2) for t in range(2)]
+WORKERS = min(len(CELLS), len(os.sched_getaffinity(0)))
+PARENT = os.getpid()
+forks = []
+fork = os.fork
+
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counting_fork
+
+
+def no_child_is_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def where():
+    return "parent" if os.getpid() == PARENT else "a child"
+"""
+
+
+def run_forking(body, timeout=120):
+    """Run FORK_PRELUDE and then body in a new interpreter, under -X dev
+    with warnings as errors; the completed process."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", FORK_PRELUDE + textwrap.dedent(body)],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a sweep forks only with two usable CPUs",
+)
+class TestForkedSweep:
+    def test_records_are_the_cell_references_forked_or_not(self):
+        proc = run_forking("""
+            records = run_sweep(FORKING)
+            assert forks and len(forks) == WORKERS - 1, forks
+            assert no_child_is_left()
+            train, test = train_test_split(
+                harness.load_experiment_dataset(FORKING), FORKING.test_fraction, 5
+            )
+            sgda, noise = plan_run(FORKING, train, 3.0)
+            assert sgda.T * sgda.m >= harness.FORK_MIN_SAMPLE_STEPS
+            expected = []
+            for e, l, t in CELLS:
+                lam = FORKING.lambdas[l]
+                cell = replace(sgda, seed=(5, e, l, t))
+                result = dp_fermi_train(
+                    train, ModelParams.zeros(train.l, train.d_x), FermiConfig(lam), cell, noise
+                )
+                metrics = evaluate_metrics(result.params, test)
+                expected.append(TradeoffRecord(
+                    dataset_id=FORKING.dataset.dataset_id, seed=t, epsilon=3.0,
+                    delta=FORKING.delta, lam=lam, notion=FORKING.notion, T=sgda.T, m=sgda.m,
+                    sigma_theta_sq=noise.sigma_theta_sq, sigma_w_sq=noise.sigma_w_sq,
+                    train_error=evaluate_metrics(result.params, train)["error"],
+                    test_error=metrics["error"], dp_violation=metrics["dp_violation"],
+                    eo_violation=metrics["eo_violation"], ermi_hard=metrics["ermi_hard"],
+                ))
+            assert repr(records) == repr(expected)
+            assert len({rec.test_error for rec in records}) > 1
+            # on one usable CPU the sweep runs in-process, to the same bytes
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            forks.clear()
+            assert repr(run_sweep(FORKING)) == repr(records)
+            assert forks == []
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+
+    def test_short_cells_and_a_second_thread_keep_the_sweep_in_process(self):
+        proc = run_forking("""
+            import threading
+
+            run_sweep(replace(FORKING, epochs=EPOCHS - 1))  # cells just below the floor
+            assert forks == []
+            records = run_sweep(FORKING)
+            assert len(forks) == WORKERS - 1
+            forks.clear()
+            stop = threading.Event()
+            waiter = threading.Thread(target=stop.wait)
+            waiter.start()
+            try:
+                assert repr(run_sweep(FORKING)) == repr(records)
+            finally:
+                stop.set()
+                waiter.join()
+            assert forks == []
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_childs_error_is_raised_with_its_message_and_traceback(self):
+        # cell (0, 0, 1) is the second job, the first of share 1
+        proc = run_forking("""
+            import traceback
+
+            def failing_train(train, theta0, fermi, sgda, noise):
+                if sgda.seed == (5, 0, 0, 1):
+                    raise ValueError(f"cell {sgda.seed} failed in {where()}")
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            harness.dp_fermi_train = failing_train
+            try:
+                run_sweep(FORKING)
+            except ValueError as exc:
+                assert str(exc) == "cell (5, 0, 0, 1) failed in a child", exc
+                printed = "".join(traceback.format_exception(exc))
+            else:
+                raise AssertionError("no error")
+            assert forks and no_child_is_left()
+            # the child's frames come first, as the cause
+            child, _, here = printed.partition("direct cause of the following exception")
+            assert "in failing_train" in child, printed
+            assert "ValueError: cell (5, 0, 0, 1) failed in a child" in child, printed
+            assert "in _run_shares" in here, printed
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("failing", [(0, 1, 1, 0), (0, 0, 1, 1)])
+    def test_the_first_failing_cell_in_grid_order_is_raised(self, failing):
+        # job j is cell (0, j // 2, j % 2); the parent's share holds jobs 0
+        # and, with two workers, 2. An in-process run stops at the first
+        # failing job, and so must the forked run's error
+        proc = run_forking(f"""
+            failing = {failing!r}
+
+            def failing_train(train, theta0, fermi, sgda, noise):
+                job = 2 * sgda.seed[2] + sgda.seed[3]
+                if failing[job]:
+                    raise ValueError(f"job {{job}} failed")
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            harness.dp_fermi_train = failing_train
+            messages = []
+            for cpus in (os.sched_getaffinity(0), {{min(os.sched_getaffinity(0))}}):
+                os.sched_setaffinity(0, cpus)
+                try:
+                    run_sweep(FORKING)
+                except ValueError as exc:
+                    messages.append(str(exc))
+                assert no_child_is_left()
+            assert len(forks) == WORKERS - 1, forks
+            assert messages == [f"job {{failing.index(1)}} failed"] * 2, messages
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            "Holding(msg)",  # its lambda does not pickle
+            "TwoArgs(msg, 'needs two')",  # pickles, but unpickles with one argument
+        ],
+    )
+    def test_an_error_that_does_not_survive_pickling_comes_back_by_name(self, error):
+        proc = run_forking(f"""
+            class Holding(Exception):
+                def __init__(self, msg):
+                    super().__init__(msg)
+                    self.hook = lambda: None
+
+            class TwoArgs(Exception):
+                def __init__(self, msg, extra):
+                    super().__init__(msg)
+
+            def failing_train(train, theta0, fermi, sgda, noise):
+                if sgda.seed == (5, 0, 0, 1):
+                    msg = "cell failed in " + where()
+                    raise {error}
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            harness.dp_fermi_train = failing_train
+            try:
+                run_sweep(FORKING)
+            except ChildProcessError as exc:
+                name = {error!r}.partition("(")[0]
+                assert str(exc) == name + ": cell failed in a child", exc
+                assert "in failing_train" in str(exc.__cause__), exc.__cause__
+            else:
+                raise AssertionError("no error")
+            assert forks and no_child_is_left()
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_child_that_sends_nothing_is_a_child_process_error(self):
+        proc = run_forking("""
+            def dying_train(train, theta0, fermi, sgda, noise):
+                if sgda.seed == (5, 0, 0, 1):
+                    os._exit(3)
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            harness.dp_fermi_train = dying_train
+            try:
+                run_sweep(FORKING)
+            except ChildProcessError as exc:
+                assert str(exc) == f"sweep worker 1 of {WORKERS} sent no records (exit status 3)"
+            else:
+                raise AssertionError("no error")
+            assert forks and no_child_is_left()
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_cli_reports_a_dead_child_in_one_line(self, tmp_path):
+        # ChildProcessError is an OSError, so fairdp sweep exits 2 without a traceback
+        data, out = str(tmp_path / "data.csv"), str(tmp_path / "records.csv")
+        proc = run_forking(f"""
+            import sys
+            from fairdp.cli import main
+
+            def dying_train(train, theta0, fermi, sgda, noise):
+                if where() != "parent":
+                    os._exit(1)
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            assert main(["synth", "--n", "400", "--d-x", "3", "--out", {data!r}]) == 0
+            harness.dp_fermi_train = dying_train
+            code = main([
+                "sweep", "--dataset", {data!r}, "--epsilon", "3", "--lambda", "0", "1.5",
+                "--epochs", str(EPOCHS), "--batch-size", "300", "--granularity", "none",
+                "--out", {out!r},
+            ])
+            assert forks and no_child_is_left()
+            sys.exit(code)
+        """)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: sweep worker 1 of 2 sent no records (exit status 1)\n"
+
+    def test_an_interrupt_here_stops_and_reaps_the_children(self):
+        # the parent's first cell is interrupted while the children would
+        # train for a minute; they are killed, not waited for
+        proc = run_forking("""
+            import time
+
+            def slow_train(train, theta0, fermi, sgda, noise):
+                if where() == "parent":
+                    raise KeyboardInterrupt
+                time.sleep(60)
+
+            harness.dp_fermi_train = slow_train
+            start = time.monotonic()
+            try:
+                run_sweep(FORKING)
+            except KeyboardInterrupt:
+                pass
+            else:
+                raise AssertionError("no interrupt")
+            assert time.monotonic() - start < 30
+            assert forks and no_child_is_left()
+        """)
+        assert proc.returncode == 0, proc.stderr
 
 
 def split_of(config):

@@ -151,7 +151,14 @@ class TestNonFiniteParameters:
     def test_sensitivities_reject_batch_size(self, m):
         with pytest.raises(CalibrationError) as info:
             sensitivities(SENSITIVE_ONLY, 1.0, 1.0, m, 0.5)
-        assert str(info.value) == f"batch size m must be positive and finite, got {m}"
+        assert str(info.value) == f"batch size m must be a positive integer, got {m}"
+
+    @NON_INTEGER
+    def test_sensitivities_name_a_non_integer_batch_size(self, value):
+        # m is a count: 2.5 would give other bounds, and True those of m = 1
+        with pytest.raises(CalibrationError) as info:
+            sensitivities(SENSITIVE_ONLY, 1.0, 1.0, value, 0.5)
+        assert str(info.value) == f"batch size m must be a positive integer, got {value!r}"
 
     @pytest.mark.parametrize("l", [None, 1])
     def test_all_features_needs_two_labels(self, l):
@@ -509,6 +516,15 @@ class TestAudit:
                 ModelParams.zeros(2, 3), np.zeros((2, 2)), ds, value, 5, np.random.default_rng(0)
             )
         assert str(info.value) == f"trials must be a positive integer, got {value!r}"
+
+    @NON_INTEGER
+    def test_non_integer_batch_size_is_named(self, value):
+        ds = audit_dataset()
+        with pytest.raises(ValueError) as info:
+            empirical_sensitivity_audit(
+                ModelParams.zeros(2, 3), np.zeros((2, 2)), ds, 5, value, np.random.default_rng(0)
+            )
+        assert str(info.value) == f"m must be a positive integer, got {value!r}"
 
 
 class TestNoiseScales:
