@@ -11,7 +11,26 @@ respect to the sensitive data (or the full records). The pieces:
 - privacy: noise calibration (sigma = z * Delta), sensitivities, the empirical audit
 - optimizer: noisy projected stochastic gradient descent-ascent
 - harness: synthetic data, sweeps, aggregation, CSV emission
+
+Where this package loads numpy, numpy's OpenBLAS starts one thread only:
+OPENBLAS_NUM_THREADS=1 is set for that import alone, if the variable is
+unset, and the environment is restored after it, so the processes a user
+starts keep their BLAS threads. A fairdp process then has a single OS
+thread, which sweeps and large CSV parses need to fork across CPUs. A
+process that imported numpy first keeps its BLAS threads, and never forks.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # OpenBLAS reads the variable as it loads
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
 
 from . import exceptions
 from .classifier import (

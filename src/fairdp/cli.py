@@ -15,9 +15,10 @@ sweep and synth check their other flags first. evaluate reads the columns
 a checkpoint names, features and labels, by name.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
-overflow on the evaluated data, overflowing noise or sensitivity formulas
-and an audit --box-radius too large for a verdict), 3 train divergence.
-Runs execute sequentially, so results are deterministic for a fixed seed.
+overflow on the evaluated data, overflowing noise or sensitivity formulas,
+an audit --box-radius too large for a verdict and an allocation that fails),
+3 train divergence. Results are deterministic for a fixed seed, whether a
+sweep or a CSV parse runs in one process or forks across CPUs.
 train --seed S seeds its run with S, not with sweep's first cell (S, 0, 0, 0).
 """
 
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FairdpError, ValueError, OSError, ArithmeticError) as exc:
+    except (FairdpError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,21 +2,25 @@
 
 Labels live in {1..l} and sensitive attributes in {1..k}; categorical CSV
 values are mapped to these codes in first-appearance order and the mapping
-is kept on the dataset so exported results stay interpretable. The module
+is kept on the dataset so exported results stay interpretable. A large CSV
+is parsed in byte ranges across the usable CPUs (see load_csv). The module
 also owns the library's argument checks, _check_int for counts and seeds
 and _check_positive_finite for positive reals.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
 import numpy as np
 
+from ._fork import _run_shares, _workers
 from .exceptions import (
     DegenerateConditionalError, DegenerateGroupError, EmptyDatasetError, ParseError, SchemaError
 )
@@ -200,7 +204,19 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     once, for the file size over the first chunk's mean line length plus
     headroom, grow only if the rows outrun that estimate, and are cut to the
     rows read and marked read-only at the end, so the dataset takes them
-    without a copy: the data is held once.
+    without a copy: the data is held once. A cell over csv's field size
+    limit raises ParseError with its row (SchemaError in the header).
+
+    A regular file of at least FORK_MIN_CSV_BYTES that is valid UTF-8, has
+    no quote character, no carriage return outside a CRLF and a newline is
+    parsed in byte ranges, one per usable CPU, when the process may fork
+    (fairdp._fork): every line is then one row, so a range that starts just
+    after a newline parses as it would in the whole file. The caller parses
+    the first range and a forked child each other one, all through the
+    chunk loop above, into arrays of the file's row count; a child's rows
+    come through its pipe straight into them, and the label and group names
+    it met first get their codes in file order. The dataset, and any error
+    with its message and row, are the serial parse's.
     """
     return _read_csv(path, label_col, sensitive_col, ())
 
@@ -219,6 +235,8 @@ def _read_csv(
             header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
+        except csv.Error as exc:
+            raise SchemaError(f"unreadable header: {exc}") from None
         header = [h.strip() for h in header]
         for col in (label_col, sensitive_col):
             if col not in header:
@@ -234,49 +252,202 @@ def _read_csv(
                     f"{list(feature_names)}"
                 )
             feat_idx = [header.index(name) for name in feature_names]
-        row_dtype = np.dtype(
+
+        rows = _Rows(header, label_idx, sens_idx, feat_idx, label_names)
+        split = _split(path, fh.fileno())
+        if split is None:
+            n = rows.read(fh, 0, size=os.fstat(fh.fileno()).st_size)
+        else:
+            n = _read_ranges(path, fh, rows, *split)
+
+    if not n:
+        raise EmptyDatasetError(f"{path} has a header but no data rows")
+    rows.columns.finish(n)
+    return TabularDataset(
+        features=rows.columns.features,
+        labels=rows.columns.labels,
+        sensitive=rows.columns.sensitive,
+        l=len(rows.label_codes),
+        k=len(rows.sens_codes),
+        label_names=tuple(rows.label_codes),
+        sensitive_names=tuple(rows.sens_codes),
+        feature_names=tuple(header[i] for i in feat_idx),
+    )
+
+
+class _Rows:
+    """The data-row parser of one CSV: its columns' roles, the label and
+    group codes given so far, and the _Columns the rows are written into."""
+
+    def __init__(self, header, label_idx, sens_idx, feat_idx, label_names):
+        self.header, self.label_idx, self.sens_idx = header, label_idx, sens_idx
+        self.feat_idx = feat_idx
+        self.row_dtype = np.dtype(
             [(str(i), np.float64 if i in feat_idx else object) for i in range(len(header))]
         )
+        self.label_codes = {name: code for code, name in enumerate(label_names, 1)}
+        self.sens_codes: dict[str, int] = {}
+        self.columns: _Columns | None = None
 
-        label_codes = {name: code for code, name in enumerate(label_names, 1)}
-        sens_codes: dict[str, int] = {}
-        lines, error = _read_chunk(fh)
-        columns = _Columns(_row_estimate(os.fstat(fh.fileno()).st_size, lines), len(feat_idx))
-        start = 0
+    def read(self, fh, start: int, count: int | None = None, size: int = 0) -> int:
+        """Parse the next `count` lines of fh (all of them if None) as rows
+        start, start + 1, ... and return the row after the last. A first
+        call sizes the columns from `size`, the file's bytes. Errors carry
+        these absolute rows."""
+        source = fh if count is None else islice(fh, count)
+        lines, error = _read_chunk(source)
+        if self.columns is None:
+            self.columns = _Columns(_row_estimate(size, lines), len(self.feat_idx))
+        columns = self.columns
         while error is None:
             stop = start + len(lines)
             columns.reserve(stop)
-            table = _loadtxt_chunk(lines, row_dtype, feat_idx, columns.features[start:stop])
+            features = columns.features[start:stop]
+            table = _loadtxt_chunk(lines, self.row_dtype, self.feat_idx, features)
             if table is None:
                 break
-            columns.labels[start:stop] = _encode(table[str(label_idx)].tolist(), label_codes)
-            columns.sensitive[start:stop] = _encode(table[str(sens_idx)].tolist(), sens_codes)
+            labels, groups = table[str(self.label_idx)], table[str(self.sens_idx)]
+            columns.labels[start:stop] = _encode(labels.tolist(), self.label_codes)
+            columns.sensitive[start:stop] = _encode(groups.tolist(), self.sens_codes)
             start = stop
-            lines, error = _read_chunk(fh)
+            lines, error = _read_chunk(source)
 
         # csv.reader sees the lines read so far, then the same decode error
-        for row in csv.reader(chain(lines, fh if error is None else _raising(error))):
-            columns.reserve(start + 1)
-            _parse_row(row, start, header, feat_idx, columns.features[start])
-            label = row[label_idx].strip()
-            columns.labels[start] = label_codes.setdefault(label, len(label_codes) + 1)
-            group = row[sens_idx].strip()
-            columns.sensitive[start] = sens_codes.setdefault(group, len(sens_codes) + 1)
-            start += 1
+        label_codes, sens_codes = self.label_codes, self.sens_codes
+        try:
+            for row in csv.reader(chain(lines, source if error is None else _raising(error))):
+                columns.reserve(start + 1)
+                _parse_row(row, start, self.header, self.feat_idx, columns.features[start])
+                label = row[self.label_idx].strip()
+                columns.labels[start] = label_codes.setdefault(label, len(label_codes) + 1)
+                group = row[self.sens_idx].strip()
+                columns.sensitive[start] = sens_codes.setdefault(group, len(sens_codes) + 1)
+                start += 1
+        except csv.Error as exc:  # a cell over csv's field size limit
+            raise ParseError(str(exc), start) from None
+        return start
 
-    if not start:
-        raise EmptyDatasetError(f"{path} has a header but no data rows")
-    columns.finish(start)
-    return TabularDataset(
-        features=columns.features,
-        labels=columns.labels,
-        sensitive=columns.sensitive,
-        l=len(label_codes),
-        k=len(sens_codes),
-        label_names=tuple(label_codes),
-        sensitive_names=tuple(sens_codes),
-        feature_names=tuple(header[i] for i in feat_idx),
-    )
+
+# A CSV forks its parse only from this size on. Timed as load_csv's second
+# call in a fresh process, forked against one CPU (sched_setaffinity), on
+# `fairdp synth` files with d_x = 10 (2 vCPUs, numpy 2.4.6, one BLAS
+# thread), in runs of 10 or 16 alternating pairs: 0.57x as fast at 0.5 MB
+# (0 of 10 won), 0.79x at 1 MB (2/10), 0.88x and 1.00x at 2 MB (4/10,
+# 10/16), 1.00x and 1.41x at 3 MB (14/16, 15/16), 1.00x, 1.09x and 1.34x at
+# 4 MB (6/10, 13/16, 15/16), 1.06x at 5 MB (13/16), 1.31x at 6 MB (16/16)
+# and 1.32x and 1.18x at 8 MB (10/10, 16/16).
+FORK_MIN_CSV_BYTES = 4_000_000
+_SCAN_BYTES = 1 << 18  # bytes per block of _split's scan
+
+
+def _split(path, fd: int) -> tuple[list[tuple[int, int]], int] | None:
+    """Where a forked parse cuts the file open at fd (its name is path): a
+    (byte offset, first row) for each range after the first, one range per
+    worker, and the data row count; None if the parse stays serial.
+
+    It forks only a regular file of at least FORK_MIN_CSV_BYTES, with at
+    least FORK_MIN_CSV_BYTES / 2 per range, when _fork._workers grants two
+    workers, and only a file that is valid UTF-8, has no quote character
+    and no carriage return outside a CRLF, and has a newline. There every
+    line is one row, so a cut just after a newline is a row boundary that
+    csv.reader and np.loadtxt see as the serial parse does. The file is
+    scanned in blocks, with the same small buffer throughout.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        return None  # a file descriptor: a child could not open it anew
+    info = os.fstat(fd)
+    size = info.st_size
+    if not stat.S_ISREG(info.st_mode) or size < FORK_MIN_CSV_BYTES:
+        return None
+    workers = _workers(size // (FORK_MIN_CSV_BYTES // 2))
+    if workers == 1:
+        return None
+    targets = [size * i // workers for i in range(1, workers)]
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    buf = bytearray(_SCAN_BYTES)
+    # masks written in place: a temporary this size would cost page faults per block
+    is_lf, is_cr = np.empty(_SCAN_BYTES, bool), np.empty(_SCAN_BYTES, bool)
+    cuts, newlines, offset, last = {}, 0, 0, 0
+    while n := os.preadv(fd, [buf], offset):
+        block = np.frombuffer(buf, np.uint8, n)
+        if buf.find(b'"', 0, n) >= 0 or (last == 13 and block[0] != 10):
+            return None
+        lf = np.equal(block, 10, out=is_lf[:n])
+        # a CR must end a CRLF: it is the text layer's line end only there
+        if buf.find(b"\r", 0, n) >= 0:
+            cr = np.equal(block, 13, out=is_cr[:n])
+            if np.greater(cr[:-1], lf[1:], out=cr[:-1]).any():
+                return None
+        if block.max() >= 0x80:
+            try:
+                decoder.decode(memoryview(buf)[:n])
+            except UnicodeDecodeError:
+                return None
+        while targets and targets[0] < offset + n:
+            end = buf.find(b"\n", max(targets[0] - offset, 0), n)
+            if end < 0:
+                break  # the cut is the next block's first newline
+            # the header is the first line, so this many rows come before the cut
+            cuts[offset + end + 1] = newlines + int(np.count_nonzero(lf[:end]))
+            targets.pop(0)
+        newlines += int(np.count_nonzero(lf))
+        offset += n
+        last = int(block[-1])
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return None
+    if last == 13 or not newlines:
+        return None
+    rows = newlines - (last == 10)
+    cuts = [(at, first) for at, first in cuts.items() if 0 < first < rows]
+    return (cuts, rows) if cuts else None
+
+
+def _read_ranges(path, fh, rows: _Rows, cuts, n: int) -> int:
+    """Parse the n data rows of path, whose header fh has read, in ranges:
+    fh reads the first here and a forked child each range of cuts, all into
+    columns of n rows. The children send back their rows, read straight into
+    the columns, and the label and group names they met, whose codes are then
+    given in file order. n, or the first error in file order."""
+    firsts = [0] + [first for _, first in cuts]
+    bounds = list(zip(firsts, firsts[1:] + [n]))
+    rows.columns = columns = _Columns(n, len(rows.feat_idx))
+
+    def arrays(i):
+        rows_i = slice(*bounds[i])
+        return columns.features[rows_i], columns.labels[rows_i], columns.sensitive[rows_i]
+
+    def parse(i):
+        first, stop = bounds[i]
+        if i == 0:
+            rows.read(fh, first, stop - first)
+        else:
+            with open(path, "r", encoding="utf-8", newline="") as text:
+                text.buffer.seek(cuts[i - 1][0])  # nothing is read yet
+                rows.read(text, first, stop - first)
+        return tuple(rows.label_codes), tuple(rows.sens_codes), *arrays(i)
+
+    def place(i, sizes):
+        views = [a.reshape(-1).view(np.uint8) for a in arrays(i)]  # C-contiguous rows
+        return views if [view.nbytes for view in views] == sizes else None
+
+    results = _run_shares(parse, range(len(bounds)), len(bounds), "CSV reader", place)
+    for i, (label_names, group_names, *received) in enumerate(results[1:], 1):
+        for got, into in zip(received, arrays(i)):
+            if not np.may_share_memory(got, into):  # place() found other sizes
+                into[...] = got
+        first, stop = bounds[i]
+        for codes, names, column in (
+            (rows.label_codes, label_names, columns.labels),
+            (rows.sens_codes, group_names, columns.sensitive),
+        ):
+            # a child's code j is names[j - 1]; those it shares keep theirs
+            remap = np.fromiter(
+                chain((0,), (codes.setdefault(name, len(codes) + 1) for name in names)), np.int64
+            )
+            column[first:stop] = remap[column[first:stop]]
+    return n
 
 
 def _read_chunk(fh) -> tuple[list[str], UnicodeDecodeError | None]:

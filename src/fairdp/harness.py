@@ -11,16 +11,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-import pickle
-import signal
 import sys
-import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
+from ._fork import _run_shares, _workers
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
 from .dataset import (
     TabularDataset, _check_int, _check_positive_finite, _frozen, load_csv, sensitive_stats,
@@ -326,124 +324,6 @@ def _cell_record(
     )
 
 
-def _sweep_workers(cells: int, sample_steps: int) -> int:
-    """Processes a sweep runs on: one per usable CPU, at most one per cell,
-    if a cell trains at least FORK_MIN_SAMPLE_STEPS and this process has no
-    other OS thread, whose locks a fork could copy held; else 1 (in-process).
-    """
-    if sample_steps < FORK_MIN_SAMPLE_STEPS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    workers = min(cells, len(os.sched_getaffinity(0)))
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 1
-    return workers if workers >= 2 and threads == 1 else 1
-
-
-class _ChildTraceback(Exception):
-    """A forked child's formatted traceback, the cause of the child's
-    exception where the caller raises it."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _run_share(run_job, share: list) -> tuple:
-    """(results, None, None) for the jobs of share; at the first job that
-    raises, (the results before it, the exception, its formatted traceback)."""
-    results = []
-    try:
-        for job in share:
-            results.append(run_job(job))
-    except Exception as exc:
-        return results, exc, traceback.format_exc()
-    return results, None, None
-
-
-def _child_payload(run_job, share: list) -> bytes:
-    """_run_share's result, pickled for a forked child to send; an exception
-    that does not pickle, or does not unpickle, goes as a ChildProcessError
-    that names its type and message, beside its traceback."""
-    results, exc, tb = _run_share(run_job, share)
-    try:
-        payload = pickle.dumps((results, exc, tb))
-        pickle.loads(payload)
-    except Exception:
-        stand_in = ChildProcessError(traceback.format_exception_only(exc)[-1].strip())
-        payload = pickle.dumps((results, stand_in, tb))
-    return payload
-
-
-def _run_shares(run_job, jobs: list, workers: int) -> list:
-    """[run_job(job) for job in jobs], with jobs[i::workers] run as share i.
-
-    Share 0 runs here; each other share runs in a forked child that pipes
-    back its _child_payload and never returns into the caller's code. Every
-    child is reaped, and an interrupt here kills them first. The exception
-    raised is that of the first job in job order that raised, as in an
-    in-process run, with a child's traceback as its cause; a child that
-    sent nothing raises ChildProcessError.
-    """
-    if workers == 1:
-        return [run_job(job) for job in jobs]
-    pids, pipes, payloads = [], [], []
-    try:
-        for i in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        os.close(read_fd)
-                        payload = _child_payload(run_job, jobs[i::workers])
-                        with open(write_fd, "wb", closefd=False) as pipe:
-                            pipe.write(payload)
-                        status = 0
-                    finally:
-                        os._exit(status)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        shares = [_run_share(run_job, jobs[::workers])]
-        for read_fd in pipes:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for read_fd in pipes:
-            os.close(read_fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for i, (payload, status) in enumerate(zip(payloads, statuses), 1):
-        try:
-            shares.append(pickle.loads(payload))  # bytes its own child wrote
-        except (EOFError, pickle.UnpicklingError):  # nothing, or cut short
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(
-                f"sweep worker {i} of {workers} sent no records (exit status {code})"
-            ) from None
-    # share i's first failed job, if any, is jobs[i + len(results) * workers]
-    failed = [
-        (i + len(results) * workers, i, exc, tb)
-        for i, (results, exc, tb) in enumerate(shares)
-        if exc is not None
-    ]
-    if failed:
-        _, i, exc, tb = min(failed, key=lambda failure: failure[0])
-        if i == 0:
-            raise exc
-        raise exc from _ChildTraceback(tb)
-    results = [None] * len(jobs)
-    for i, (share_results, _, _) in enumerate(shares):
-        results[i::workers] = share_results
-    return results
-
-
 def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     """Train and evaluate every (epsilon, lambda, trial) cell of the grid.
 
@@ -454,13 +334,13 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     Every epsilon is planned before any cell trains, so a CalibrationError
     comes first. The cells then run on one forked process per usable CPU
     (the caller trains one share) when a cell trains at least
-    FORK_MIN_SAMPLE_STEPS sample-steps, there are two CPUs and two cells to
-    share, and the process has a single OS thread; otherwise in-process.
-    Either way the records come back in grid order, the same bytes as an
-    in-process run's, and a cell that raises raises as it would in-process:
-    the first such cell in grid order wins, with a forked child's traceback
-    chained as the cause. A process with BLAS threads (numpy's default on a
-    multi-core host, unless OPENBLAS_NUM_THREADS=1) always runs in-process.
+    FORK_MIN_SAMPLE_STEPS sample-steps and fairdp._fork grants two workers:
+    two cells to share, two usable CPUs and a single OS thread; otherwise
+    in-process. Either way the records come back in grid order, the same
+    bytes as an in-process run's, and a cell that raises raises as it would
+    in-process: the first such cell in grid order wins, with a forked
+    child's traceback chained as the cause. A process with BLAS threads
+    (numpy imported before fairdp on a multi-core host) runs in-process.
     """
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
@@ -476,8 +356,8 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
 
     run_job = partial(_cell_record, train, test, dataset_id, config)
     # every cell has the same T and m: run_length reads only the split
-    workers = _sweep_workers(len(jobs), sgda.T * sgda.m)
-    return _run_shares(run_job, jobs, workers)
+    workers = _workers(len(jobs)) if sgda.T * sgda.m >= FORK_MIN_SAMPLE_STEPS else 1
+    return _run_shares(run_job, jobs, workers, "sweep worker")
 
 
 def aggregate(records: list[TradeoffRecord]) -> list[dict]:

@@ -1,6 +1,8 @@
 """Shared independent oracles: central finite differences, error norms, the
-row-by-row CSV reader and writer the chunked ones are checked against, a
-training loop that computes the saddle terms at every step, which
+row-by-row CSV reader and writer the chunked ones are checked against, the
+observable outcome of a CSV load (its dataset or its error), whether
+fairdp may fork here (TWO_USABLE_CPUS), a training loop that computes the
+saddle terms at every step, which
 dp_fermi_train must match bit for bit, the whole-array forms of
 synth_dataset and proba_lipschitz_bound, which their in-place and blocked
 forms must match bit for bit, and the per-sample references for the
@@ -15,9 +17,11 @@ term, which the one noise rule sigma = z * Delta must reproduce."""
 
 import csv
 import math
+import os
 
 import numpy as np
 
+from fairdp import _fork
 from fairdp.classifier import (
     ModelParams, forward, gradient_scale, loss_dlogits, mean_param_grad, predict_proba
 )
@@ -27,6 +31,12 @@ from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
 from fairdp.optimizer import TrainResult
 from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
+
+# Whether fairdp may fork here, thread count aside: two CPUs in the affinity
+# mask, and a cgroup quota, if any, of two whole CPUs (fairdp._fork._workers).
+TWO_USABLE_CPUS = hasattr(os, "sched_getaffinity") and min(
+    len(os.sched_getaffinity(0)), _fork._cpu_quota() or math.inf
+) >= 2
 
 # Probabilities below this are clamped by the loss references, so a saturated
 # wrong prediction yields a large finite loss; gradients use the analytic form.
@@ -116,6 +126,8 @@ def reference_load_csv(path, label_col, sensitive_col):
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path} is empty") from None
+        except csv.Error as exc:  # a cell over csv's field size limit
+            raise SchemaError(f"unreadable header: {exc}") from None
         header = [h.strip() for h in header]
         for col in (label_col, sensitive_col):
             if col not in header:
@@ -127,26 +139,29 @@ def reference_load_csv(path, label_col, sensitive_col):
         label_codes = {}
         sens_codes = {}
         features, labels, sensitive = [], [], []
-        for row_i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
-            feats = np.empty(len(feat_idx))
-            for j, col_i in enumerate(feat_idx):
-                cell = row[col_i].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
-                    )
-                feats[j] = value
-            labels.append(label_codes.setdefault(row[label_idx].strip(), len(label_codes) + 1))
-            sensitive.append(sens_codes.setdefault(row[sens_idx].strip(), len(sens_codes) + 1))
-            features.append(feats)
+        try:
+            for row_i, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", row_i)
+                feats = np.empty(len(feat_idx))
+                for j, col_i in enumerate(feat_idx):
+                    cell = row[col_i].strip()
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"non-numeric feature cell {cell!r} in column {header[col_i]!r}", row_i
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"non-finite feature cell {cell!r} in column {header[col_i]!r}", row_i
+                        )
+                    feats[j] = value
+                labels.append(label_codes.setdefault(row[label_idx].strip(), len(label_codes) + 1))
+                sensitive.append(sens_codes.setdefault(row[sens_idx].strip(), len(sens_codes) + 1))
+                features.append(feats)
+        except csv.Error as exc:  # a cell over csv's field size limit
+            raise ParseError(str(exc), len(features)) from None
 
     if not features:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
@@ -159,6 +174,27 @@ def reference_load_csv(path, label_col, sensitive_col):
         label_names=tuple(label_codes),
         sensitive_names=tuple(sens_codes),
         feature_names=tuple(header[i] for i in feat_idx),
+    )
+
+
+def load_outcome(load, path, columns=("lab", "grp")):
+    """Everything observable about a load: the dataset or the exception."""
+    try:
+        ds = load(path, *columns)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return (
+        ds.features.shape,
+        ds.features.dtype,
+        ds.features.flags.c_contiguous,
+        ds.features.tobytes(),
+        ds.labels.tolist(),
+        ds.sensitive.tolist(),
+        ds.l,
+        ds.k,
+        ds.label_names,
+        ds.sensitive_names,
+        ds.feature_names,
     )
 
 

@@ -560,6 +560,54 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "error: non-finite logits\n"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep", "audit-sensitivity"])
+    @pytest.mark.parametrize("where", ["row", "header"])
+    def test_a_cell_over_the_field_size_limit_is_config_error(
+        self, tmp_path, capsys, command, where
+    ):
+        # csv.reader refuses a cell longer than csv.field_size_limit()
+        long_cell = "z" * 200_000
+        path = tmp_path / "long.csv"
+        if where == "row":
+            path.write_text(f"x,label,sensitive\n1,a,m\n2,{long_cell},f\n")
+            message = "error: field larger than field limit (131072) (row 1)\n"
+        else:
+            path.write_text(f"x,label,sensitive,{long_cell}\n1,a,m,2\n")
+            message = "error: unreadable header: field larger than field limit (131072)\n"
+        ckpt = tmp_path / "model.json"
+        argv = {
+            "train": ["--epochs", "1"],
+            "evaluate": ["--checkpoint", str(ckpt)],
+            "sweep": ["--epochs", "1", "--out", str(tmp_path / "records.csv")],
+            "audit-sensitivity": [],
+        }[command]
+        if command == "evaluate":  # a checkpoint of the same columns
+            good = tmp_path / "good.csv"
+            good.write_text("x,label,sensitive\n" + "1,a,m\n2,b,f\n3,a,f\n4,b,m\n" * 4)
+            train = ["train", "--dataset", str(good), "--epochs", "1", "--out", str(ckpt)]
+            assert main(train) == 0
+            capsys.readouterr()
+        assert main([command, "--dataset", str(path), *argv]) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_an_allocation_failure_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # numpy's message for `fairdp synth --n 100000000000`, without the
+        # allocation: the stand-in raises before any memory is asked for
+        def too_large(spec):
+            raise MemoryError(
+                f"Unable to allocate 745. GiB for an array with shape ({spec.n}, 1) and "
+                "data type float64"
+            )
+
+        monkeypatch.setattr(cli, "synth_dataset", too_large)
+        out = tmp_path / "big.csv"
+        assert main(["synth", "--n", "100000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: Unable to allocate 745. GiB for an array with shape "
+            "(100000000000, 1) and data type float64\n"
+        )
+        assert not out.exists()
+
     def test_all_features_privacy_without_clip_is_config_error(self, synth_csv, capsys):
         code = main(
             [

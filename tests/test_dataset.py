@@ -1,8 +1,11 @@
 import csv
 import io
 import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from fairdp.exceptions import (
 )
 from fairdp.harness import ExperimentConfig, SyntheticSpec, synth_dataset
 from fairdp.optimizer import SgdaConfig
-from helpers import group_stats, reference_load_csv
+from helpers import TWO_USABLE_CPUS, group_stats, load_outcome, reference_load_csv
 
 
 def write_csv(path, text):
@@ -189,27 +192,6 @@ LOAD_CSV_CORPUS = {
 }
 
 
-def _load_outcome(load, path, columns=("lab", "grp")):
-    """Everything observable about a load: the dataset or the exception."""
-    try:
-        ds = load(path, *columns)
-    except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "row", None)
-    return (
-        ds.features.shape,
-        ds.features.dtype,
-        ds.features.flags.c_contiguous,
-        ds.features.tobytes(),
-        ds.labels.tolist(),
-        ds.sensitive.tolist(),
-        ds.l,
-        ds.k,
-        ds.label_names,
-        ds.sensitive_names,
-        ds.feature_names,
-    )
-
-
 class TestLoadCsvMatchesReference:
     """The chunked loader against the row-by-row reference loader."""
 
@@ -220,9 +202,25 @@ class TestLoadCsvMatchesReference:
         path = tmp_path / "d.csv"
         text = LOAD_CSV_CORPUS[name]
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        expected = _load_outcome(reference_load_csv, path)
+        expected = load_outcome(reference_load_csv, path)
         monkeypatch.setattr(dataset, "CHUNK_ROWS", chunk_rows)
-        assert _load_outcome(load_csv, path) == expected
+        assert load_outcome(load_csv, path) == expected
+
+    @pytest.mark.parametrize(
+        "name, row", [("unquoted_cell_over_field_limit", 1), ("unreadable_row", 2)]
+    )
+    def test_a_cell_over_the_field_size_limit_is_a_parse_error(self, name, row, tmp_path):
+        path = write_csv(tmp_path / "d.csv", LOAD_CSV_CORPUS[name])
+        with pytest.raises(ParseError) as info:
+            load_csv(path, "lab", "grp")
+        assert str(info.value) == f"field larger than field limit (131072) (row {row})"
+        assert info.value.row == row
+
+    def test_a_header_over_the_field_size_limit_is_a_schema_error(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x,lab,grp," + "z" * 200_000 + "\n1,a,m,2\n")
+        message = r"^unreadable header: field larger than field limit"
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path, "lab", "grp")
 
     def test_error_row_is_absolute(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -292,11 +290,11 @@ class TestDirectAssembly:
         path = write_csv(tmp_path / "d.csv", "x,y,lab,grp\n" + "".join(rows))
         estimate = dataset._row_estimate(path.stat().st_size, rows[:CHUNK_ROWS])
         assert estimate < len(rows)
-        assert _load_outcome(load_csv, path) == _load_outcome(reference_load_csv, path)
+        assert load_outcome(load_csv, path) == load_outcome(reference_load_csv, path)
 
     def test_quoted_file_goes_to_csv_reader(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path / "d.csv", "x,y,lab,grp\n" + "".join(self._rows(3000, True)))
-        expected = _load_outcome(reference_load_csv, path)
+        expected = load_outcome(reference_load_csv, path)
         parsed = []
         real_chunk = dataset._loadtxt_chunk
 
@@ -306,7 +304,7 @@ class TestDirectAssembly:
             return table
 
         monkeypatch.setattr(dataset, "_loadtxt_chunk", spy)
-        assert _load_outcome(load_csv, path) == expected
+        assert load_outcome(load_csv, path) == expected
         assert parsed == [False]  # the first chunk hands the whole file to csv.reader
 
     def test_arrays_are_cut_to_the_rows_read(self, tmp_path):
@@ -337,10 +335,10 @@ class TestByteOrderMark:
         plain.write_text(text.getvalue(), encoding="utf-8")
         marked.write_text(text.getvalue(), encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        expected = _load_outcome(load_csv, plain)
+        expected = load_outcome(load_csv, plain)
         assert expected[0] == (50, 2)  # a dataset, not an error
         assert expected[-1] == ("x", "y")  # feature names
-        assert _load_outcome(load_csv, marked) == expected
+        assert load_outcome(load_csv, marked) == expected
 
 
 def _test_file(kind, tmp_path):
@@ -367,12 +365,12 @@ class TestLoadUnderHooks:
     @pytest.mark.parametrize("kind", ["synth", "grows"])
     def test_same_dataset(self, hook, kind, tmp_path, capsys):
         path, columns = _test_file(kind, tmp_path)
-        expected = _load_outcome(load_csv, path, columns)
+        expected = load_outcome(load_csv, path, columns)
         assert isinstance(expected[0], tuple)  # a dataset, not an error
         previous = getattr(sys, f"get{hook}")()
         getattr(sys, f"set{hook}")(lambda *args: None)
         try:
-            got = _load_outcome(load_csv, path, columns)
+            got = load_outcome(load_csv, path, columns)
         finally:
             getattr(sys, f"set{hook}")(previous)
         assert got == expected
@@ -398,10 +396,324 @@ class TestLoadFromFifo:
 
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-        got = _load_outcome(load_csv, fifo, columns)
+        got = load_outcome(load_csv, fifo, columns)
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert got == _load_outcome(load_csv, path, columns)
+        assert got == load_outcome(load_csv, path, columns)
+
+
+
+class TestRangeCuts:
+    """_split's scan in 7-byte blocks, as if two workers were granted and
+    the floor were 16 bytes: where it cuts a file, and which it leaves to
+    the serial parse."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "FORK_MIN_CSV_BYTES", 16)
+        monkeypatch.setattr(dataset, "_SCAN_BYTES", 7)
+        monkeypatch.setattr(dataset, "_workers", lambda tasks: 2)
+
+    @staticmethod
+    def split(tmp_path, data):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            return dataset._split(path, fh.fileno())
+
+    @pytest.mark.parametrize(
+        "data, cuts",
+        [
+            # the cut follows the first newline at or after byte 21 of 42:
+            # rows start at byte 2 + 4r, so it falls after row 4
+            (b"h\n" + b"1,a\n" * 10, ([(22, 5)], 10)),
+            (b"h\n" + b"1,a\n" * 9 + b"1,a", ([(22, 5)], 10)),  # no final newline
+            (b"h\r\n" + b"1,a\r\n" * 10, ([(28, 5)], 10)),  # CRLF across blocks
+            (b"h\n" + b"1,\xc3\xa9\n" * 10, ([(27, 5)], 10)),  # "\xe9" across blocks
+            (b"\xef\xbb\xbfh\n" + b"1,a\n" * 10, ([(25, 5)], 10)),  # byte-order mark
+        ],
+        ids=["lf", "no_final_newline", "crlf", "two_byte_character", "byte_order_mark"],
+    )
+    def test_cuts_just_after_a_newline(self, tmp_path, data, cuts):
+        assert self.split(tmp_path, data) == cuts
+        offset, first = cuts[0][0]
+        assert data[offset - 1:offset] == b"\n"
+        assert data[:offset].count(b"\n") - 1 == first  # rows before the cut
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"h\n" + b"1,a\n" * 5 + b'"1",a\n' + b"1,a\n" * 4,
+            b"h\n" + b"1,a\n" * 9 + b"1,\xff\n",
+            b"h\n" + b"1,a\n" * 9 + b"1,\xc3",  # a character cut short at the end
+            b"h\n" + b"1,a\n" * 5 + b"1,a\r" + b"1,a\n" * 4,  # a lone CR
+            b"h\n1," + b"a" * 9 + b"\r2,b\n" + b"1,a\n" * 7,  # a lone CR ending a block
+            b"h\n" + b"1,a\n" * 9 + b"1,a\r",  # a CR ending the file
+            b"h,x" + b",y" * 20,  # no newline
+            b"h\n" + b"1,a\n" * 3,  # below the floor
+        ],
+        ids=["quote", "undecodable", "cut_short", "lone_cr", "lone_cr_at_block_end",
+             "final_cr", "no_newline", "below_the_floor"],
+    )
+    def test_files_the_parse_keeps_serial(self, tmp_path, data):
+        assert self.split(tmp_path, data) is None
+
+    def test_one_worker_keeps_the_parse_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_workers", lambda tasks: 1)
+        assert self.split(tmp_path, b"h\n" + b"1,a\n" * 10) is None
+
+
+# Run in a fresh interpreter with one BLAS thread, so the process has a single
+# OS thread and, with two usable CPUs, a CSV of at least FORK_MIN_CSV_BYTES is
+# parsed in forked byte ranges. FORK_ROWS rows of `fairdp synth --d-x 10` make
+# a file of about 4.6 MB, which is two ranges; forks counts the children
+# fairdp starts.
+FORK_ROWS = 34_000
+LAST_RANGE_ROW = FORK_ROWS - 10
+READER_PRELUDE = """
+import os
+import threading
+
+from fairdp import dataset
+from fairdp.exceptions import ParseError
+from helpers import load_outcome, reference_load_csv
+
+COLUMNS = ("label", "sensitive")
+forks = []
+fork = os.fork
+
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counting_fork
+
+
+def on_one_cpu(load, path, columns=COLUMNS):
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return load_outcome(load, path, columns)
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def check(path, forked, reference_path=None):
+    # the reference's outcome (on reference_path if given), with `forked`
+    # children; then with one CPU, serially
+    expected = load_outcome(reference_load_csv, reference_path or path, COLUMNS)
+    got = load_outcome(dataset.load_csv, path, COLUMNS)
+    assert len(forks) == forked, forks
+    assert got == expected, (got[:3], expected[:3])
+    forks.clear()
+    assert on_one_cpu(dataset.load_csv, path) == expected
+    assert forks == []
+    return got
+"""
+
+
+def run_reader(body, timeout=120):
+    """Run READER_PRELUDE and then body in a new interpreter, under -X dev
+    with warnings as errors; the completed process."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    )
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", READER_PRELUDE + textwrap.dedent(body)],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def fork_file(tmp_path, edit=None):
+    """A `fairdp synth` CSV of FORK_ROWS rows with CRLF line ends, with
+    edit(lines) applied to its lines (the header is line 0)."""
+    path = tmp_path / "d.csv"
+    argv = ["synth", "--n", FORK_ROWS, "--d-x", "10", "--k", "3", "--l", "3", "--seed", "4",
+            "--out", path]
+    assert cli.main([str(a) for a in argv]) == 0
+    if edit is not None:
+        lines = path.read_bytes().splitlines(keepends=True)
+        edit(lines)
+        path.write_bytes(b"".join(lines))
+    return path
+
+
+def _first_cell(row, value):
+    """An edit that makes the first cell of data row `row` value."""
+    def edit(lines):
+        line = lines[row + 1]
+        lines[row + 1] = value + line[line.index(b","):]
+    return edit
+
+
+def _line_ends(end):
+    def edit(lines):
+        lines[:] = [line.replace(b"\r\n", end) for line in lines]
+    return edit
+
+
+def _byte_order_mark(lines):
+    lines[0] = b"\xef\xbb\xbf" + lines[0]
+
+
+def _names_in_last_range(lines):
+    # a label and a group that no earlier row has
+    cells = lines[LAST_RANGE_ROW + 1].split(b",")
+    lines[LAST_RANGE_ROW + 1] = b",".join(cells[:-2] + [b"late", b"new\r\n"])
+
+
+def _long_first_chunk(lines):
+    # long numerals in the first chunk make the row estimate taken from it
+    # fall short of the rows
+    for row in range(CHUNK_ROWS):
+        _first_cell(row, b"0." + b"0" * 200 + b"1")(lines)
+
+
+def _blank_line(lines):
+    lines[LAST_RANGE_ROW + 1] = b"\r\n"
+
+
+def _below_the_floor(lines):
+    # whole lines, up to the last that keeps the file below the floor
+    size = 0
+    for i, line in enumerate(lines):
+        if size + len(line) >= dataset.FORK_MIN_CSV_BYTES:
+            del lines[i:]
+            return
+        size += len(line)
+
+
+@pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a CSV parse forks only with two usable CPUs")
+class TestForkedRead:
+    """A CSV of at least FORK_MIN_CSV_BYTES is parsed in byte ranges, one per
+    usable CPU, and gives the reference's dataset or error, which is also
+    the serial parse's with one usable CPU."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [None, _line_ends(b"\n"), _byte_order_mark, _names_in_last_range, _long_first_chunk],
+        ids=["crlf", "lf", "byte_order_mark", "names_in_last_range", "rows_outrun_estimate"],
+    )
+    def test_same_dataset(self, tmp_path, edit):
+        path = fork_file(tmp_path, edit)
+        assert path.stat().st_size >= dataset.FORK_MIN_CSV_BYTES
+        # the reference reads a byte-order mark into the header; the file without it
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+        proc = run_reader(f"""
+            got = check({str(path)!r}, forked=1, reference_path={str(plain)!r})
+            assert got[0] == ({FORK_ROWS}, 10), got[0]  # a dataset, not an error
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (_first_cell(LAST_RANGE_ROW, b"1_0"), None),  # only float() reads it
+            (_first_cell(LAST_RANGE_ROW, b"oops"), "non-numeric feature cell 'oops'"),
+            (_first_cell(LAST_RANGE_ROW, b"inf"), "non-finite feature cell 'inf'"),
+            (_blank_line, "expected 12 cells, got 0"),
+        ],
+        ids=["underscore_numeral", "bad_numeral", "non_finite", "blank_line"],
+    )
+    def test_csv_reader_within_the_last_range(self, tmp_path, edit, error):
+        # the last range's chunk goes to csv.reader; an error carries its
+        # absolute row
+        path = fork_file(tmp_path, edit)
+        proc = run_reader(f"""
+            error = {error!r}
+            got = check({str(path)!r}, forked=1)
+            if error is None:
+                assert got[0] == ({FORK_ROWS}, 10), got[0]
+            else:
+                assert got[0] is ParseError and got[2] == {LAST_RANGE_ROW}, got
+                assert got[1].startswith(error), got
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_the_rows_are_held_once(self, tmp_path):
+        # a child's rows are read from its pipe straight into the dataset's
+        # arrays: a copy of them on the way, half the data, would pass 1.4
+        path = fork_file(tmp_path)
+        proc = run_reader(f"""
+            import tracemalloc
+
+            tracemalloc.start()
+            ds = dataset.load_csv({str(path)!r}, *COLUMNS)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert len(forks) == 1, forks
+            data = ds.features.nbytes + ds.labels.nbytes + ds.sensitive.nbytes
+            assert peak <= 1.4 * data, (peak, data)
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_checkpoint_names(self, tmp_path):
+        # evaluate's read: the checkpoint's label codes and feature order
+        path = fork_file(tmp_path)
+        proc = run_reader(f"""
+            names = ("2", "9", "1")
+            order = [3, 1, 0, 2, 9, 8, 7, 6, 5, 4]
+            features = tuple(f"f{{j}}" for j in order)
+
+            def read(path, *columns):
+                return dataset._read_csv(path, *columns, names, features)
+
+            got = load_outcome(read, {str(path)!r}, COLUMNS)
+            assert len(forks) == 1, forks
+            forks.clear()
+            assert on_one_cpu(read, {str(path)!r}) == got
+            assert forks == []
+            ref = reference_load_csv({str(path)!r}, *COLUMNS)
+            assert got[3] == ref.features[:, order].tobytes()
+            assert (got[8][:3], got[10]) == (names, features)
+            assert [got[8][c - 1] for c in got[4]] == [ref.label_names[c - 1] for c in ref.labels]
+            assert got[5] == ref.sensitive.tolist()
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "edit, outcome",
+        [
+            (_first_cell(LAST_RANGE_ROW, b'"0.5"'), "dataset"),
+            (_first_cell(LAST_RANGE_ROW, b"\xff"), "UnicodeDecodeError"),
+            (_line_ends(b"\r"), "dataset"),
+            (_below_the_floor, "dataset"),
+        ],
+        ids=["quote_in_last_range", "undecodable_byte_in_last_range", "cr_line_ends",
+             "just_below_the_floor"],
+    )
+    def test_files_that_stay_serial(self, tmp_path, edit, outcome):
+        path = fork_file(tmp_path, edit)
+        assert dataset.FORK_MIN_CSV_BYTES - 1000 < path.stat().st_size
+        proc = run_reader(f"""
+            got = check({str(path)!r}, forked=0)
+            outcome = got[0].__name__ if isinstance(got[0], type) else "dataset"
+            assert outcome == {outcome!r}, got[:3]
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_second_thread_keeps_the_parse_serial(self, tmp_path):
+        path = fork_file(tmp_path)
+        proc = run_reader(f"""
+            check({str(path)!r}, forked=1)
+            forks.clear()
+            stop = threading.Event()
+            waiter = threading.Thread(target=stop.wait)
+            waiter.start()
+            try:
+                check({str(path)!r}, forked=0)
+            finally:
+                stop.set()
+                waiter.join()
+        """)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOwnership:

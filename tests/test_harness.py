@@ -34,7 +34,7 @@ from fairdp.harness import (
 )
 from fairdp.optimizer import SgdaConfig, dp_fermi_train
 from fairdp.privacy import GRANULARITIES, NoiseScales
-from helpers import reference_synth_dataset
+from helpers import TWO_USABLE_CPUS, reference_synth_dataset
 
 
 def cheap_config(**kw):
@@ -356,10 +356,7 @@ def run_forking(body, timeout=120):
     )
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="a sweep forks only with two usable CPUs",
-)
+@pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a sweep forks only with two usable CPUs")
 class TestForkedSweep:
     def test_records_are_the_cell_references_forked_or_not(self):
         proc = run_forking("""
