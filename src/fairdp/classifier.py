@@ -15,6 +15,7 @@ Parameter vectors are flattened as concat(weights row-major, bias).
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,11 +224,14 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
 
 
 def _numbers(payload: dict, name: str, size: int) -> np.ndarray:
-    """payload[name] as a float64 vector of the given size."""
-    try:
-        value = np.array(payload[name], dtype=np.float64)
-        if value.shape == (size,):
-            return value
-    except (TypeError, ValueError):
-        pass
+    """payload[name] as a float64 vector of the given size: a list of JSON
+    numbers, which are finite; a string, a bool, NaN or an infinity is not
+    one."""
+    value = payload[name]
+    if isinstance(value, list) and len(value) == size:
+        if all(type(v) in (int, float) for v in value):
+            with suppress(OverflowError):  # an integer beyond float64's range
+                numbers = np.array(value, dtype=np.float64)
+                if np.isfinite(numbers).all():
+                    return numbers
     raise CheckpointError(f"checkpoint field {name!r} must hold {size} numbers")

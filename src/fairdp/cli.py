@@ -10,9 +10,11 @@ privacy.PrivacyBudget (as calibrate does), the step sizes, --box-radius and
 epsilon <= 2 ln(1/delta) is checked only where noise is calibrated, by
 privacy.noise_multiplier. The --out of train, sweep, calibrate and synth
 passes one check (_check_out) before any data is read, drawn or computed:
-it must not be empty or a directory, and its directory must exist; train,
-sweep and synth check their other flags first. evaluate reads the columns
-a checkpoint names, features and labels, by name.
+it must not be empty or a directory, its directory must exist, and for
+train and sweep it must not be the --dataset file; train, sweep and synth
+check their other flags first. evaluate reads the columns a checkpoint
+names, features and labels, by name; the checkpoint's weights and bias
+must be finite JSON numbers.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
 overflow on the evaluated data, overflowing noise or sensitivity formulas,
@@ -168,9 +170,10 @@ def _experiment_config(args, epsilons, lambdas, trials: int) -> ExperimentConfig
     )
 
 
-def _check_out(path) -> None:
+def _check_out(path, dataset=None) -> None:
     """Fail before a run, not after it, if its --out cannot be written: the
-    path must not be empty or a directory, and its directory must exist."""
+    path must not be empty or a directory, its directory must exist, and it
+    must not be the --dataset file, which the run would overwrite."""
     if path is None:
         return
     if not path:
@@ -180,12 +183,15 @@ def _check_out(path) -> None:
     directory = os.path.dirname(path) or os.curdir
     if not os.path.isdir(directory):
         raise ValueError(f"--out {path}: {directory} is not a directory")
+    if dataset is not None and os.path.exists(path) and os.path.exists(dataset):
+        if os.path.samefile(path, dataset):
+            raise ValueError(f"--out {path} is the --dataset file")
 
 
 def _cmd_train(args) -> int:
     config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
     fermi = FermiConfig(args.lam, config.notion)
-    _check_out(args.out)
+    _check_out(args.out, args.dataset)
     ds = load_experiment_dataset(config)
     train, test = train_test_split(ds, config.test_fraction, config.master_seed)
     del ds  # the split keeps the name tuples; the whole file need not outlive it
@@ -213,7 +219,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _experiment_config(args, args.epsilon, args.lam, args.trials)
-    _check_out(args.out)
+    _check_out(args.out, args.dataset)
     emit_csv(run_sweep(config), args.out)
     print(f"wrote {args.out}")
     return 0

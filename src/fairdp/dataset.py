@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import stat
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 
@@ -183,10 +184,11 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     """Load a UTF-8 header CSV into a dataset; a leading byte-order mark is skipped.
 
     One label column and one sensitive column are taken by name; every other
-    column must be numeric and becomes a feature. Missing values are a hard
-    error. Label and sensitive categories are encoded in first-appearance
-    order of their whitespace-stripped cells and the code-to-name maps are
-    stored on the dataset.
+    column must be numeric and becomes a feature. A header that repeats a
+    column name raises SchemaError before any row is read. Missing values
+    are a hard error. Label and sensitive categories are encoded in
+    first-appearance order of their whitespace-stripped cells and the
+    code-to-name maps are stored on the dataset.
 
     Data lines are read CHUNK_ROWS at a time. A chunk is parsed by one
     np.loadtxt call when it has no quote character, no line longer than
@@ -213,9 +215,10 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     (fairdp._fork): every line is then one row, so a range that starts just
     after a newline parses as it would in the whole file. The caller parses
     the first range and a forked child each other one, all through the
-    chunk loop above, into arrays of the file's row count; a child's rows
-    come through its pipe straight into them, and the label and group names
-    it met first get their codes in file order. The dataset, and any error
+    chunk loop above, into one set of arrays of the file's row count; a
+    child's rows come through its pipe straight into them, and the label
+    and group names it met get their codes in file order, by the
+    first-appearance rule of the chunks. The dataset, and any error
     with its message and row, are the serial parse's.
     """
     return _read_csv(path, label_col, sensitive_col, ())
@@ -252,6 +255,8 @@ def _read_csv(
                     f"{list(feature_names)}"
                 )
             feat_idx = [header.index(name) for name in feature_names]
+        if repeated := [name for name, count in Counter(header).items() if count > 1]:
+            raise SchemaError(f"header repeats the column name(s) {repeated}")
 
         rows = _Rows(header, label_idx, sens_idx, feat_idx, label_names)
         split = _split(path, fh.fileno())
@@ -262,11 +267,11 @@ def _read_csv(
 
     if not n:
         raise EmptyDatasetError(f"{path} has a header but no data rows")
-    rows.columns.finish(n)
+    rows.finish(n)
     return TabularDataset(
-        features=rows.columns.features,
-        labels=rows.columns.labels,
-        sensitive=rows.columns.sensitive,
+        features=rows.features,
+        labels=rows.labels,
+        sensitive=rows.sensitive,
         l=len(rows.label_codes),
         k=len(rows.sens_codes),
         label_names=tuple(rows.label_codes),
@@ -276,8 +281,12 @@ def _read_csv(
 
 
 class _Rows:
-    """The data-row parser of one CSV: its columns' roles, the label and
-    group codes given so far, and the _Columns the rows are written into."""
+    """The data-row parser of one CSV, which the caller and its forked
+    children share: the columns' roles, the label and group codes given so
+    far, and the feature, label and sensitive arrays the rows are written
+    into. The arrays are allocated once, grow by half only when the rows
+    outrun them, and are cut to the rows read at the end; no view of them
+    may be held across a resize."""
 
     def __init__(self, header, label_idx, sens_idx, feat_idx, label_names):
         self.header, self.label_idx, self.sens_idx = header, label_idx, sens_idx
@@ -287,28 +296,52 @@ class _Rows:
         )
         self.label_codes = {name: code for code, name in enumerate(label_names, 1)}
         self.sens_codes: dict[str, int] = {}
-        self.columns: _Columns | None = None
+        self.allocate(0)
 
-    def read(self, fh, start: int, count: int | None = None, size: int = 0) -> int:
+    def allocate(self, rows: int) -> None:
+        """New arrays of `rows` rows, not yet written."""
+        self.features = np.empty((rows, len(self.feat_idx)))
+        self.labels = np.empty(rows, np.int64)
+        self.sensitive = np.empty(rows, np.int64)
+
+    def reserve(self, rows: int) -> None:
+        """Room for at least `rows` rows."""
+        capacity = self.labels.shape[0]
+        if rows > capacity:
+            self._resize(max(rows, capacity + capacity // 2))
+
+    def finish(self, rows: int) -> None:
+        """Cut the arrays to `rows` rows and mark them read-only."""
+        self._resize(rows)
+        _frozen(self.features, self.labels, self.sensitive)
+
+    def _resize(self, rows: int) -> None:
+        # in place: realloc keeps the rows written so far (C order) and
+        # shrinking frees the tail without a copy; no view is held across a
+        # resize, so refcheck is off (a profiler's own reference trips it)
+        self.features.resize((rows, self.features.shape[1]), refcheck=False)
+        self.labels.resize(rows, refcheck=False)
+        self.sensitive.resize(rows, refcheck=False)
+
+    def read(self, fh, start: int, count: int | None = None, size: int | None = None) -> int:
         """Parse the next `count` lines of fh (all of them if None) as rows
-        start, start + 1, ... and return the row after the last. A first
-        call sizes the columns from `size`, the file's bytes. Errors carry
-        these absolute rows."""
+        start, start + 1, ... and return the row after the last. Given
+        `size`, the file's bytes, the arrays are first allocated for the
+        rows estimated from it. Errors carry these absolute rows."""
         source = fh if count is None else islice(fh, count)
         lines, error = _read_chunk(source)
-        if self.columns is None:
-            self.columns = _Columns(_row_estimate(size, lines), len(self.feat_idx))
-        columns = self.columns
+        if size is not None:
+            self.allocate(_row_estimate(size, lines))
         while error is None:
             stop = start + len(lines)
-            columns.reserve(stop)
-            features = columns.features[start:stop]
+            self.reserve(stop)
+            features = self.features[start:stop]
             table = _loadtxt_chunk(lines, self.row_dtype, self.feat_idx, features)
             if table is None:
                 break
             labels, groups = table[str(self.label_idx)], table[str(self.sens_idx)]
-            columns.labels[start:stop] = _encode(labels.tolist(), self.label_codes)
-            columns.sensitive[start:stop] = _encode(groups.tolist(), self.sens_codes)
+            self.labels[start:stop] = _encode(labels.tolist(), self.label_codes)
+            self.sensitive[start:stop] = _encode(groups.tolist(), self.sens_codes)
             start = stop
             lines, error = _read_chunk(source)
 
@@ -316,12 +349,12 @@ class _Rows:
         label_codes, sens_codes = self.label_codes, self.sens_codes
         try:
             for row in csv.reader(chain(lines, source if error is None else _raising(error))):
-                columns.reserve(start + 1)
-                _parse_row(row, start, self.header, self.feat_idx, columns.features[start])
+                self.reserve(start + 1)
+                _parse_row(row, start, self.header, self.feat_idx, self.features[start])
                 label = row[self.label_idx].strip()
-                columns.labels[start] = label_codes.setdefault(label, len(label_codes) + 1)
+                self.labels[start] = label_codes.setdefault(label, len(label_codes) + 1)
                 group = row[self.sens_idx].strip()
-                columns.sensitive[start] = sens_codes.setdefault(group, len(sens_codes) + 1)
+                self.sensitive[start] = sens_codes.setdefault(group, len(sens_codes) + 1)
                 start += 1
         except csv.Error as exc:  # a cell over csv's field size limit
             raise ParseError(str(exc), start) from None
@@ -407,16 +440,16 @@ def _split(path, fd: int) -> tuple[list[tuple[int, int]], int] | None:
 def _read_ranges(path, fh, rows: _Rows, cuts, n: int) -> int:
     """Parse the n data rows of path, whose header fh has read, in ranges:
     fh reads the first here and a forked child each range of cuts, all into
-    columns of n rows. The children send back their rows, read straight into
-    the columns, and the label and group names they met, whose codes are then
+    arrays of n rows. The children send back their rows, read straight into
+    the arrays, and the label and group names they met, whose codes are then
     given in file order. n, or the first error in file order."""
     firsts = [0] + [first for _, first in cuts]
     bounds = list(zip(firsts, firsts[1:] + [n]))
-    rows.columns = columns = _Columns(n, len(rows.feat_idx))
+    rows.allocate(n)
 
     def arrays(i):
         rows_i = slice(*bounds[i])
-        return columns.features[rows_i], columns.labels[rows_i], columns.sensitive[rows_i]
+        return rows.features[rows_i], rows.labels[rows_i], rows.sensitive[rows_i]
 
     def parse(i):
         first, stop = bounds[i]
@@ -432,21 +465,13 @@ def _read_ranges(path, fh, rows: _Rows, cuts, n: int) -> int:
         views = [a.reshape(-1).view(np.uint8) for a in arrays(i)]  # C-contiguous rows
         return views if [view.nbytes for view in views] == sizes else None
 
+    # a child that sent its rows sent them into place's views; only its codes
+    # need mending: its code j is names[j - 1]
     results = _run_shares(parse, range(len(bounds)), len(bounds), "CSV reader", place)
-    for i, (label_names, group_names, *received) in enumerate(results[1:], 1):
-        for got, into in zip(received, arrays(i)):
-            if not np.may_share_memory(got, into):  # place() found other sizes
-                into[...] = got
-        first, stop = bounds[i]
-        for codes, names, column in (
-            (rows.label_codes, label_names, columns.labels),
-            (rows.sens_codes, group_names, columns.sensitive),
-        ):
-            # a child's code j is names[j - 1]; those it shares keep theirs
-            remap = np.fromiter(
-                chain((0,), (codes.setdefault(name, len(codes) + 1) for name in names)), np.int64
-            )
-            column[first:stop] = remap[column[first:stop]]
+    for i, (label_names, group_names, *_) in enumerate(results[1:], 1):
+        _, labels, groups = arrays(i)
+        labels[...] = np.append(0, _encode(label_names, rows.label_codes))[labels]
+        groups[...] = np.append(0, _encode(group_names, rows.sens_codes))[groups]
     return n
 
 
@@ -468,37 +493,6 @@ def _row_estimate(size: int, lines) -> int:
     chars = sum(map(len, lines))
     rows = size * len(lines) // chars if chars else 0
     return rows + rows // 16 + CHUNK_ROWS
-
-
-class _Columns:
-    """The feature, label and sensitive arrays load_csv writes its chunks
-    and rows into. They are sized once from the row estimate, grow by half
-    only when the rows outrun it, and are cut to the rows read at the end;
-    no view of them may be held across a resize."""
-
-    def __init__(self, rows: int, d: int):
-        self.features = np.empty((rows, d))
-        self.labels = np.empty(rows, np.int64)
-        self.sensitive = np.empty(rows, np.int64)
-
-    def reserve(self, rows: int) -> None:
-        """Room for at least `rows` rows."""
-        capacity = self.labels.shape[0]
-        if rows > capacity:
-            self._resize(max(rows, capacity + capacity // 2))
-
-    def finish(self, rows: int) -> None:
-        """Cut the arrays to `rows` rows and mark them read-only."""
-        self._resize(rows)
-        _frozen(self.features, self.labels, self.sensitive)
-
-    def _resize(self, rows: int) -> None:
-        # in place: realloc keeps the rows written so far (C order) and
-        # shrinking frees the tail without a copy; no view is held across a
-        # resize, so refcheck is off (a profiler's own reference trips it)
-        self.features.resize((rows, self.features.shape[1]), refcheck=False)
-        self.labels.resize(rows, refcheck=False)
-        self.sensitive.resize(rows, refcheck=False)
 
 
 def _raising(exc):

@@ -132,6 +132,8 @@ def reference_load_csv(path, label_col, sensitive_col):
         for col in (label_col, sensitive_col):
             if col not in header:
                 raise SchemaError(f"column {col!r} not found in header {header}")
+        if repeated := [name for name in dict.fromkeys(header) if header.count(name) > 1]:
+            raise SchemaError(f"header repeats the column name(s) {repeated}")
         label_idx = header.index(label_col)
         sens_idx = header.index(sensitive_col)
         feat_idx = [i for i in range(len(header)) if i not in (label_idx, sens_idx)]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,6 +268,24 @@ class TestTrainEvaluate:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("x,x,label,sensitive\n" + "1,2,a,m\n2,1,b,f\n" * 8, "['x']"),
+            ("label,x,label,sensitive\n" + "a,1,b,m\nb,2,a,f\n" * 8, "['label']"),
+        ],
+        ids=["feature", "label"],
+    )
+    def test_a_repeated_column_name_is_config_error(self, tmp_path, capsys, text, repeated):
+        path = tmp_path / "repeated.csv"
+        path.write_text(text)
+        ckpt = tmp_path / "model.json"
+        argv = ["train", "--dataset", str(path), "--epochs", "1", "--out", str(ckpt)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: header repeats the column name(s) {repeated}\n")
+        assert not ckpt.exists()
+
+
 class TestEvaluateLabelNames:
     """evaluate encodes labels through the checkpoint's label names and
     reads features by the checkpoint's feature names."""
@@ -494,6 +513,14 @@ class TestMalformedCheckpoint:
             ("bias", {"a": 1}, "checkpoint field 'bias' must hold 2 numbers"),
             ("bias", None, "checkpoint field 'bias' must hold 2 numbers"),
             ("metadata", [], "checkpoint field 'metadata' must be a JSON object"),
+            # JSON numbers only: no strings or booleans numpy would convert,
+            # and none of the non-finite values Python's json module accepts
+            ("weights", ["0.5"] * 8, "checkpoint field 'weights' must hold 8 numbers"),
+            ("weights", [True, False] * 4, "checkpoint field 'weights' must hold 8 numbers"),
+            ("weights", [10 ** 400] + [0] * 7, "checkpoint field 'weights' must hold 8 numbers"),
+            ("weights", [-math.inf] + [0.0] * 7, "checkpoint field 'weights' must hold 8 numbers"),
+            ("bias", [math.nan, 0.0], "checkpoint field 'bias' must hold 2 numbers"),
+            ("bias", [0.0, math.inf], "checkpoint field 'bias' must hold 2 numbers"),
         ],
     )
     def test_malformed_field(self, synth_csv, tmp_path, capsys, field, value, message):
@@ -820,6 +847,29 @@ class TestTrainAndSweepShareValidation:
         ):
             assert main([*argv, "--out", out]) == 2, argv[0]
             assert capsys.readouterr() == ("", f"error: {message}\n"), argv[0]
+
+    @pytest.mark.parametrize("spelling", ["same_path", "symlink"])
+    def test_out_that_is_the_dataset_is_refused_before_it_is_read(
+        self, synth_csv, tmp_path, capsys, monkeypatch, spelling
+    ):
+        # the run would overwrite its own input
+        out = synth_csv
+        if spelling == "symlink":
+            out = tmp_path / "link.csv"
+            out.symlink_to(synth_csv)
+        before = synth_csv.read_bytes()
+
+        def work(*args):
+            raise AssertionError("the dataset was read before --out was checked")
+
+        monkeypatch.setattr(cli, "load_experiment_dataset", work)
+        monkeypatch.setattr(cli, "run_sweep", work)
+        for command in ("train", "sweep"):
+            argv = [command, "--dataset", str(synth_csv), "--epochs", "5", "--batch-size", "64",
+                    "--out", str(out)]
+            assert main(argv) == 2, command
+            assert capsys.readouterr() == ("", f"error: --out {out} is the --dataset file\n")
+            assert synth_csv.read_bytes() == before
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_audit_prints_the_box_radius_line_of_train(self, synth_csv, tmp_path, capsys, value):

@@ -95,6 +95,21 @@ class TestLoadCsv:
         with pytest.raises(EmptyDatasetError):
             load_csv(p2, "lab", "grp")
 
+    @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("x,x,lab,grp\n1,2,a,m\n3,4,b,f\n", ["x"]),
+            ("lab,x,lab,grp\na,1,b,m\nb,2,a,f\n", ["lab"]),
+            ("grp,y,x,lab,y,grp,x\nm,1,2,a,3,m,4\n", ["grp", "y", "x"]),
+        ],
+        ids=["feature", "label", "three_names"],
+    )
+    def test_a_repeated_column_name_is_a_schema_error(self, tmp_path, text, repeated):
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(SchemaError) as info:
+            load_csv(p, "lab", "grp")
+        assert str(info.value) == f"header repeats the column name(s) {repeated}"
+
     def test_reload_gives_identical_encodings(self, tmp_path):
         p = write_csv(
             tmp_path / "d.csv",
@@ -153,6 +168,8 @@ LOAD_CSV_CORPUS = {
     "unreadable_row": "x,lab,grp\n1,a,m\n2,b,f\n" + UNREADABLE,
     "unreadable_row_after_bad_cell": "x,lab,grp\n1,a,m\nbad,b,f\n" + UNREADABLE,
     "no_feature_columns": "lab,grp\na,m\nb,f\n",
+    "repeated_feature_name": "x,y, x,lab,grp\n1,2,3,a,m\n4,5,6,b,f\n",
+    "repeated_label_name": "lab,x,lab,grp\na,1,b,m\nb,2,a,f\n",
     "header_only": "x,lab,grp\n",
     "empty_file": "",
     # cases where np.loadtxt and csv.reader could read a chunk differently
@@ -579,6 +596,22 @@ def _blank_line(lines):
     lines[LAST_RANGE_ROW + 1] = b"\r\n"
 
 
+def _repeated_name(lines):
+    lines[0] = lines[0].replace(b"f1,", b"f0,")
+
+
+def _names_in_later_ranges(lines):
+    # with three ranges: a label and a group first met in the second range,
+    # one met again and one first met in the third
+    for row, label, group in [
+        (FORK_ROWS // 2, b"late", b"new"),
+        (LAST_RANGE_ROW - 1, b"late", b"newer"),
+        (LAST_RANGE_ROW, b"later", b"new"),
+    ]:
+        cells = lines[row + 1].split(b",")
+        lines[row + 1] = b",".join(cells[:-2] + [label, group + b"\r\n"])
+
+
 def _below_the_floor(lines):
     # whole lines, up to the last that keeps the file below the floor
     size = 0
@@ -637,6 +670,19 @@ class TestForkedRead:
         """)
         assert proc.returncode == 0, proc.stderr
 
+    def test_three_ranges(self, tmp_path):
+        # three workers, as on a host with three usable CPUs: two children,
+        # whose label and group names merge in file order
+        path = fork_file(tmp_path, _names_in_later_ranges)
+        proc = run_reader(f"""
+            workers = dataset._workers
+            dataset._workers = lambda tasks: 3 if workers(tasks) > 1 else 1
+            got = check({str(path)!r}, forked=2)
+            assert got[0] == ({FORK_ROWS}, 10), got[0]
+            assert (got[8][3:], got[9][3:]) == (("late", "later"), ("new", "newer")), got[8:10]
+        """)
+        assert proc.returncode == 0, proc.stderr
+
     def test_the_rows_are_held_once(self, tmp_path):
         # a child's rows are read from its pipe straight into the dataset's
         # arrays: a copy of them on the way, half the data, would pass 1.4
@@ -685,9 +731,10 @@ class TestForkedRead:
             (_first_cell(LAST_RANGE_ROW, b"\xff"), "UnicodeDecodeError"),
             (_line_ends(b"\r"), "dataset"),
             (_below_the_floor, "dataset"),
+            (_repeated_name, "SchemaError"),
         ],
         ids=["quote_in_last_range", "undecodable_byte_in_last_range", "cr_line_ends",
-             "just_below_the_floor"],
+             "just_below_the_floor", "repeated_column_name"],
     )
     def test_files_that_stay_serial(self, tmp_path, edit, outcome):
         path = fork_file(tmp_path, edit)

@@ -472,6 +472,43 @@ class TestForkedSweep:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize(
+        "failing", [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
+        ids=["no_cell", "both_children", "a_child_and_the_parent"],
+    )
+    def test_three_workers(self, failing):
+        # three workers, as on a host with three usable CPUs: the parent's
+        # share is jobs 0 and 3, and each child runs one job. The records, or
+        # the first failing job in grid order, are the in-process run's
+        proc = run_forking(f"""
+            failing = {failing!r}
+            workers = harness._workers
+            harness._workers = lambda tasks: 3 if workers(tasks) > 1 else 1
+
+            def failing_train(train, theta0, fermi, sgda, noise):
+                job = 2 * sgda.seed[2] + sgda.seed[3]
+                if failing[job]:
+                    raise ValueError(f"job {{job}} failed")
+                return dp_fermi_train(train, theta0, fermi, sgda, noise)
+
+            harness.dp_fermi_train = failing_train
+            outcomes = []
+            for cpus in (os.sched_getaffinity(0), {{min(os.sched_getaffinity(0))}}):
+                os.sched_setaffinity(0, cpus)
+                try:
+                    outcomes.append(repr(run_sweep(FORKING)))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+                assert no_child_is_left()
+            assert len(forks) == 2, forks
+            assert outcomes[0] == outcomes[1], outcomes
+            if 1 in failing:
+                assert outcomes[0] == f"job {{failing.index(1)}} failed", outcomes
+            else:
+                assert outcomes[0].startswith("[TradeoffRecord("), outcomes
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
         "error",
         [
             "Holding(msg)",  # its lambda does not pickle
