@@ -10,9 +10,10 @@ raised, as an in-process run would raise it.
 
 A process forks only when it has a single OS thread, whose locks a fork
 could copy held, and at least two CPUs that both its affinity mask and its
-cgroup's CPU quota allow (_workers). Each child is pinned to a CPU other
-than the caller's (_other_cpus). Nothing here is configured: a caller that
-wants one process passes workers=1.
+cgroup's CPU quota allow (_workers). Each share is pinned to a CPU of the
+affinity mask: where a cpuset does not balance load (sched_load_balance 0),
+a child would stay on its parent's CPU. Nothing here is configured: a
+caller that wants one process passes workers=1.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ def _workers(tasks: int) -> int:
     return workers if workers >= 2 and threads == 1 else 1
 
 
-def _other_cpus() -> list[int]:
-    """The usable CPUs but the one this process last ran on, a forked
-    child's to run on: where the kernel does not balance load across CPUs
-    (a cpuset with sched_load_balance 0), a child stays on its parent's CPU
-    unless told otherwise. Empty if the CPU cannot be read."""
-    try:
-        with open("/proc/self/stat", encoding="ascii") as fh:
-            here = int(fh.read().rpartition(")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return []
-    return sorted(os.sched_getaffinity(0) - {here})
-
-
 class _ChildTraceback(Exception):
     """A forked child's formatted traceback, the cause of the child's
     exception where the caller raises it."""
@@ -159,17 +147,20 @@ def _run_shares(
     back its payload and never returns into the caller's code. The arrays
     in a child's results travel out of band: place(i, sizes) may return a
     writable buffer of each size for share i, into which they are read, so
-    the caller holds them once. Each child runs on a CPU of its own where
-    it can. Every child is reaped, and an
-    interrupt here kills them first. The exception raised is that of the
-    first job in job order that raised, as in an in-process run, with a
-    child's traceback as its cause; a child that sent nothing raises
+    the caller holds them once. With cpus the sorted affinity mask, share i
+    runs on CPU cpus[i % len(cpus)], so each share has a CPU of its own
+    when there are as many CPUs as workers; the caller's mask is restored
+    when this returns or raises. Every child is reaped, and an interrupt
+    here kills them first. The exception raised is that of the first job
+    in job order that raised, as in an in-process run, with a child's
+    traceback as its cause; a child that sent nothing raises
     ChildProcessError naming it as `name` i of workers.
     """
     if workers == 1:
         return [run_job(job) for job in jobs]
     pids, pipes, shares = [], [], []
-    cpus = _other_cpus()
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
     try:
         for i in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -180,9 +171,8 @@ def _run_shares(
                     status = 1
                     try:
                         os.close(read_fd)
-                        if cpus:
-                            with suppress(OSError):  # a CPU taken offline since
-                                os.sched_setaffinity(0, {cpus[(i - 1) % len(cpus)]})
+                        with suppress(OSError):  # a CPU taken offline since
+                            os.sched_setaffinity(0, {cpus[i % len(cpus)]})
                         with open(write_fd, "wb", closefd=False) as pipe:
                             _send(pipe, run_job, jobs[i::workers])
                         status = 0
@@ -191,6 +181,8 @@ def _run_shares(
             finally:
                 os.close(write_fd)
             pids.append(pid)
+        with suppress(OSError):
+            os.sched_setaffinity(0, {cpus[0]})
         shares.append(_run_share(run_job, jobs[::workers]))
         for i, read_fd in enumerate(pipes, 1):
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -200,6 +192,7 @@ def _run_shares(
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.sched_setaffinity(0, mask)
         for read_fd in pipes:
             os.close(read_fd)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]

@@ -12,9 +12,11 @@ privacy.noise_multiplier. The --out of train, sweep, calibrate and synth
 passes one check (_check_out) before any data is read, drawn or computed:
 it must not be empty or a directory, its directory must exist, and for
 train and sweep it must not be the --dataset file; train, sweep and synth
-check their other flags first. evaluate reads the columns a checkpoint
-names, features and labels, by name; the checkpoint's weights and bias
-must be finite JSON numbers.
+check their other flags first. Once the data is read and split, train and
+sweep refuse a test split that lacks a sensitive group before any run
+trains, with one line naming the split and the group (harness._load_split).
+evaluate reads the columns a checkpoint names, features and labels, by
+name; the checkpoint's weights and bias must be finite JSON numbers.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
 above its closed-form bound), 2 configuration error (also logits that
 overflow on the evaluated data, overflowing noise or sensitivity formulas,
@@ -40,9 +42,7 @@ from .classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from .dataset import (
-    CHUNK_ROWS, _check_int, _read_csv, load_csv, sensitive_stats, train_test_split
-)
+from .dataset import CHUNK_ROWS, _check_int, _read_csv, load_csv, sensitive_stats
 from .exceptions import DivergenceError, FairdpError
 from .fairness import DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig
 from .harness import (
@@ -51,10 +51,10 @@ from .harness import (
     SENSITIVE_ONLY,
     ExperimentConfig,
     SyntheticSpec,
+    _load_split,
     calibrate_for_run,
     emit_csv,
     evaluate_metrics,
-    load_experiment_dataset,
     plan_run,
     run_length,
     run_sweep,
@@ -192,9 +192,7 @@ def _cmd_train(args) -> int:
     config = _experiment_config(args, [args.epsilon], [args.lam], trials=1)
     fermi = FermiConfig(args.lam, config.notion)
     _check_out(args.out, args.dataset)
-    ds = load_experiment_dataset(config)
-    train, test = train_test_split(ds, config.test_fraction, config.master_seed)
-    del ds  # the split keeps the name tuples; the whole file need not outlive it
+    train, test = _load_split(config)
     sgda, noise = plan_run(config, train, args.epsilon)
     result = dp_fermi_train(train, ModelParams.zeros(train.l, train.d_x), fermi, sgda, noise)
     metrics = evaluate_metrics(result.params, test)

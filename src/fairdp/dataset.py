@@ -156,7 +156,8 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
     (C, k) int64 counts, with one stratum (C = 1), or one per label class
     (C = l) when by_label. An absent group raises DegenerateGroupError; by
     label, the first label class that is absent or lacks a group raises
-    DegenerateConditionalError.
+    DegenerateConditionalError. The error names a group by its CSV value
+    where the dataset keeps one, else by its code.
     """
     n_strata, stratum = (ds.l, ds.labels - 1) if by_label else (1, 0)
     cells = stratum * ds.k + ds.sensitive - 1
@@ -164,6 +165,8 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
     if counts.min() == 0:
         c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
         missing = (np.flatnonzero(counts[c] == 0) + 1).tolist()
+        if ds.sensitive_names is not None:
+            missing = [ds.sensitive_names[r - 1] for r in missing]
         message = f"sensitive group(s) {missing} have no samples"
         if not by_label:
             raise DegenerateGroupError(message)

@@ -21,10 +21,12 @@ import numpy as np
 from ._fork import _run_shares, _workers
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
 from .dataset import (
-    TabularDataset, _check_int, _check_positive_finite, _frozen, load_csv, sensitive_stats,
-    train_test_split,
+    TabularDataset, _check_int, _check_positive_finite, _frozen, group_counts, load_csv,
+    sensitive_stats, train_test_split,
 )
-from .exceptions import CalibrationError, DegenerateConditionalError, DivergenceError
+from .exceptions import (
+    CalibrationError, DegenerateConditionalError, DegenerateGroupError, DivergenceError
+)
 from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
 from .optimizer import SgdaConfig, dp_fermi_train
 from .privacy import (  # the granularities are re-exported here
@@ -202,6 +204,23 @@ def load_experiment_dataset(config: ExperimentConfig) -> TabularDataset:
     return load_csv(config.dataset, config.label_col, config.sensitive_col)
 
 
+def _load_split(config: ExperimentConfig) -> tuple[TabularDataset, TabularDataset]:
+    """The train and test splits of config's dataset, which is not kept.
+
+    A test split that lacks a sensitive group raises DegenerateGroupError
+    naming the split here, before any run trains, where evaluate_metrics
+    would raise it only after training.
+    """
+    train, test = train_test_split(
+        load_experiment_dataset(config), config.test_fraction, config.master_seed
+    )
+    try:
+        group_counts(test)
+    except DegenerateGroupError as exc:
+        raise DegenerateGroupError(f"{exc} in the test split") from None
+    return train, test
+
+
 def _dataset_id(config: ExperimentConfig) -> str:
     if isinstance(config.dataset, SyntheticSpec):
         return config.dataset.dataset_id
@@ -331,19 +350,20 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     lambda index, trial), so every cell owns its own stream. Diverged runs are
     recorded with status "diverged" and NaN metrics rather than dropped.
 
-    Every epsilon is planned before any cell trains, so a CalibrationError
-    comes first. The cells then run on one forked process per usable CPU
-    (the caller trains one share) when a cell trains at least
-    FORK_MIN_SAMPLE_STEPS sample-steps and fairdp._fork grants two workers:
-    two cells to share, two usable CPUs and a single OS thread; otherwise
-    in-process. Either way the records come back in grid order, the same
-    bytes as an in-process run's, and a cell that raises raises as it would
-    in-process: the first such cell in grid order wins, with a forked
-    child's traceback chained as the cause. A process with BLAS threads
-    (numpy imported before fairdp on a multi-core host) runs in-process.
+    A test split that lacks a sensitive group is refused, and every epsilon
+    is planned, before any cell trains, so a DegenerateGroupError or a
+    CalibrationError comes first; only the two splits outlive the set-up.
+    The cells then run on one forked process per usable CPU (the caller
+    trains one share) when a cell trains at least FORK_MIN_SAMPLE_STEPS
+    sample-steps and fairdp._fork grants two workers: two cells to share,
+    two usable CPUs and a single OS thread; otherwise in-process. Either
+    way the records come back in grid order, the same bytes as an
+    in-process run's, and a cell that raises raises as it would in-process:
+    the first such cell in grid order wins, with a forked child's traceback
+    chained as the cause. A process with BLAS threads (numpy imported
+    before fairdp on a multi-core host) runs in-process.
     """
-    ds = load_experiment_dataset(config)
-    train, test = train_test_split(ds, config.test_fraction, config.master_seed)
+    train, test = _load_split(config)
     dataset_id = _dataset_id(config)
 
     jobs = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairdp import cli
+from fairdp import cli, harness
 from fairdp.classifier import ModelParams, load_checkpoint, predict_label, save_checkpoint
 from fairdp.cli import main
 from fairdp.dataset import CHUNK_ROWS, load_csv
@@ -20,6 +20,7 @@ from fairdp.harness import (
     plan_run,
     synth_dataset,
 )
+from fairdp.optimizer import dp_fermi_train
 from fairdp.privacy import (
     SENSITIVE_ONLY,
     PrivacyBudget,
@@ -862,7 +863,7 @@ class TestTrainAndSweepShareValidation:
         def work(*args):
             raise AssertionError("the dataset was read before --out was checked")
 
-        monkeypatch.setattr(cli, "load_experiment_dataset", work)
+        monkeypatch.setattr(harness, "load_experiment_dataset", work)
         monkeypatch.setattr(cli, "run_sweep", work)
         for command in ("train", "sweep"):
             argv = [command, "--dataset", str(synth_csv), "--epochs", "5", "--batch-size", "64",
@@ -880,6 +881,33 @@ class TestTrainAndSweepShareValidation:
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--box-radius", value]
         assert main(argv) == 2
         assert capsys.readouterr().err == line
+
+
+class TestTestSplitLackingAGroup:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_exits_2_before_any_run_trains(self, synth_csv, tmp_path, capsys, monkeypatch, command):
+        # data row 1 becomes the one row of group "3", and the split at seed
+        # 0 puts it in the train split, so the test split lacks the group
+        with synth_csv.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][-1] = "3"
+        path = tmp_path / "one-row-group.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        calls = []
+
+        def training(*args):
+            calls.append(args)
+            return dp_fermi_train(*args)
+
+        monkeypatch.setattr(cli, "dp_fermi_train", training)
+        monkeypatch.setattr(harness, "dp_fermi_train", training)
+        argv = [command, "--dataset", str(path), "--epochs", "5", "--batch-size", "64",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        message = "error: sensitive group(s) ['3'] have no samples in the test split\n"
+        assert capsys.readouterr() == ("", message)
+        assert calls == []
 
 
 class TestNonFinitePrivacyParameters:

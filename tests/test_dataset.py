@@ -1018,6 +1018,22 @@ class TestGroupCounts:
         assert type(info.value) is error
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "by_label, error, message",
+        [(False, DegenerateGroupError, "sensitive group(s) ['m'] have no samples"),
+         (True, DegenerateConditionalError,
+          "within label class 1: sensitive group(s) ['m'] have no samples")],
+        ids=["one_stratum", "by_label"],
+    )
+    def test_a_csv_group_is_named_by_its_value(self, tmp_path, by_label, error, message):
+        # code 2 is "m", the second group value of the file to appear
+        path = tmp_path / "groups.csv"
+        path.write_text("x,label,sensitive\n1,a,f\n2,b,m\n3,a,f\n")
+        ds = load_csv(path, "label", "sensitive")
+        with pytest.raises(error) as info:
+            group_counts(ds.subset([0, 2]), by_label=by_label)
+        assert str(info.value) == message
+
 
 class TestMinibatch:
     def test_full_size_draw_may_repeat(self):

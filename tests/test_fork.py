@@ -84,12 +84,13 @@ class TestWorkers:
         assert _fork._cpu_quota() is None
 
 
-def fresh_interpreter(code):
-    """Run code in a new interpreter whose environment lacks
-    OPENBLAS_NUM_THREADS; its standard output."""
+def fresh_interpreter(code, **variables):
+    """Run code under -X dev -W error in a new interpreter whose environment
+    lacks OPENBLAS_NUM_THREADS, unless variables set it; its standard output."""
     src = str(Path(_fork.__file__).resolve().parents[1])
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env.update(variables)
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
@@ -119,3 +120,46 @@ class TestBlasThreads:
             "print(len(os.listdir('/proc/self/task')) > 1, _fork._workers(2))\n"
         )
         assert out == "True 1\n"
+
+
+@pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a process forks only with two usable CPUs")
+class TestPlacement:
+    """With cpus the sorted affinity mask, _run_shares runs share i on CPU
+    cpus[i % len(cpus)] and gives the caller back its mask however it ends."""
+
+    def test_each_share_runs_on_its_cpu_and_the_caller_gets_its_mask_back(self):
+        out = fresh_interpreter(
+            "import os\n"
+            "from fairdp import _fork\n"
+            "mask = os.sched_getaffinity(0)\n"
+            "cpus = sorted(mask)\n"
+            "workers = min(len(cpus), 4)\n"
+            "\n"
+            "def no_child_is_left():\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        return True\n"
+            "    return False\n"
+            "\n"
+            "def placed(job, fail=None):\n"
+            "    if job == fail:\n"
+            "        raise (ValueError if job else KeyboardInterrupt)(job)\n"
+            "    return os.sched_getaffinity(0)\n"
+            "\n"
+            "seen = _fork._run_shares(placed, list(range(workers)), workers, 'worker')\n"
+            "assert seen == [{cpus[i]} for i in range(workers)], (seen, cpus)\n"
+            "assert os.sched_getaffinity(0) == mask and no_child_is_left()\n"
+            "for fail, error in ((1, ValueError), (0, KeyboardInterrupt)):\n"
+            "    try:\n"
+            "        _fork._run_shares(lambda job: placed(job, fail), [0, 1], 2, 'worker')\n"
+            "    except error:\n"
+            "        pass\n"
+            "    else:\n"
+            "        raise AssertionError(f'job {fail} did not raise')\n"
+            "    assert os.sched_getaffinity(0) == mask, fail\n"
+            "    assert no_child_is_left(), fail\n"
+            "print('ok')\n",
+            OPENBLAS_NUM_THREADS="1",
+        )
+        assert out == "ok\n"

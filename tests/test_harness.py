@@ -5,6 +5,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from fairdp import harness
 from fairdp.classifier import ModelParams, proba_lipschitz_bound
-from fairdp.dataset import sensitive_stats, train_test_split
-from fairdp.exceptions import CalibrationError
+from fairdp.dataset import TabularDataset, sensitive_stats, train_test_split
+from fairdp.exceptions import CalibrationError, DegenerateGroupError
 from fairdp.fairness import FermiConfig
 from fairdp.harness import (
     ALL_FEATURES,
@@ -190,6 +191,45 @@ class TestRunSweep:
         with pytest.raises(CalibrationError, match="below the required minimum 12"):
             run_sweep(config)
         assert calls == []
+
+    def test_a_test_split_lacking_a_group_is_refused_before_any_cell_trains(self, monkeypatch):
+        # group 3 is one row, the first that train_test_split draws into the
+        # train split; evaluating the test split would fail after training
+        config = cheap_config(lambdas=(0.0, 1.0))
+        ds = synth_dataset(config.dataset)
+        sensitive = ds.sensitive.copy()
+        sensitive[np.random.default_rng(config.master_seed).permutation(ds.n)[0]] = 3
+        ds = TabularDataset(ds.features, ds.labels, sensitive, ds.l, 3)
+        calls = []
+
+        def training(*args):
+            calls.append(args)
+            return dp_fermi_train(*args)
+
+        monkeypatch.setattr(harness, "load_experiment_dataset", lambda config: ds)
+        monkeypatch.setattr(harness, "dp_fermi_train", training)
+        with pytest.raises(DegenerateGroupError) as info:
+            run_sweep(config)
+        assert str(info.value) == "sensitive group(s) [3] have no samples in the test split"
+        assert calls == []
+
+    def test_the_loaded_dataset_is_dropped_before_the_first_cell_trains(self, monkeypatch):
+        # the cells, and the children of a forked sweep, hold only the splits
+        load, refs, alive = harness.load_experiment_dataset, [], []
+
+        def loading(config):
+            ds = load(config)
+            refs.append(weakref.ref(ds))
+            return ds
+
+        def training(*args):
+            alive.append(refs[0]() is not None)
+            return dp_fermi_train(*args)
+
+        monkeypatch.setattr(harness, "load_experiment_dataset", loading)
+        monkeypatch.setattr(harness, "dp_fermi_train", training)
+        run_sweep(cheap_config(lambdas=(0.0, 1.0)))
+        assert alive == [False, False]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_logit_overflow_records_diverged(self):
