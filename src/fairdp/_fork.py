@@ -6,7 +6,9 @@ the jobs is jobs[i::workers]; the caller runs share 0 itself and a forked
 child runs each other share, sends its results back through a pipe and
 never returns into the caller's code. The results come back in job order,
 and the exception raised is that of the first job in job order that
-raised, as an in-process run would raise it.
+raised, as an in-process run would raise it; a child's exception carries
+the child's traceback as a note, and a child that sent nothing fails at
+its first job.
 
 A process forks only when it has a single OS thread, whose locks a fork
 could copy held, and at least two CPUs that both its affinity mask and its
@@ -82,41 +84,39 @@ def _workers(tasks: int) -> int:
     return workers if workers >= 2 and threads == 1 else 1
 
 
-class _ChildTraceback(Exception):
-    """A forked child's formatted traceback, the cause of the child's
-    exception where the caller raises it."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
 def _run_share(run_job, share: list) -> tuple:
-    """(results, None, None) for the jobs of share; at the first job that
-    raises, (the results before it, the exception, its formatted traceback)."""
+    """(results, None) for the jobs of share; at the first job that raises,
+    (the results before it, the exception)."""
     results = []
     try:
         for job in share:
             results.append(run_job(job))
     except Exception as exc:
-        return results, exc, traceback.format_exc()
-    return results, None, None
+        return results, exc
+    return results, None
 
 
 def _send(pipe, run_job, share: list) -> None:
-    """Write _run_share's result for share, pickled (protocol 5) with the
-    contiguous arrays in it out of band: the buffers' sizes, the buffers,
-    then the pickle. An exception that does not pickle, or does not
-    unpickle, goes as a ChildProcessError that names its type and message,
-    beside its traceback."""
-    results, exc, tb = _run_share(run_job, share)
+    """Write _run_share's (results, exception) for share, pickled (protocol
+    5) with the contiguous arrays in it out of band: the buffers' sizes, the
+    buffers, then the pickle. The exception carries the child's formatted
+    traceback as a note; one that does not pickle, or does not unpickle,
+    goes as a ChildProcessError that names its type and message, with the
+    same note."""
+    results, exc = _run_share(run_job, share)
+    stand_in = exc  # results that do not pickle fail again with it: nothing is sent
+    if exc is not None:
+        stand_in = ChildProcessError(traceback.format_exception_only(exc)[-1].strip())
+        note = "".join(traceback.format_exception(exc)).rstrip()
+        for error in (exc, stand_in):
+            error.add_note(f"Raised in a forked child:\n{note}")
     try:
         buffers = []
-        head = pickle.dumps((results, exc, tb), 5, buffer_callback=buffers.append)
+        head = pickle.dumps((results, exc), 5, buffer_callback=buffers.append)
         pickle.loads(head, buffers=buffers)
     except Exception:
-        stand_in = ChildProcessError(traceback.format_exception_only(exc)[-1].strip())
         buffers = []
-        head = pickle.dumps((results, stand_in, tb), 5, buffer_callback=buffers.append)
+        head = pickle.dumps((results, stand_in), 5, buffer_callback=buffers.append)
     pickle.dump([buf.raw().nbytes for buf in buffers], pipe)
     for buf in buffers:
         pipe.write(buf.raw())
@@ -124,9 +124,9 @@ def _send(pipe, run_job, share: list) -> None:
 
 
 def _receive(pipe, place) -> tuple | None:
-    """A child's (results, exception, traceback) as _send wrote it, its
-    buffers read into those place(sizes) returns, or into new ones if it
-    returns None; None if the child sent nothing or was cut short."""
+    """A child's (results, exception) as _send wrote it, its buffers read
+    into those place(sizes) returns, or into new ones if it returns None;
+    None if the child sent nothing or was cut short."""
     try:
         sizes = pickle.load(pipe)
         buffers = place(sizes) or [bytearray(size) for size in sizes]
@@ -152,9 +152,10 @@ def _run_shares(
     when there are as many CPUs as workers; the caller's mask is restored
     when this returns or raises. Every child is reaped, and an interrupt
     here kills them first. The exception raised is that of the first job
-    in job order that raised, as in an in-process run, with a child's
-    traceback as its cause; a child that sent nothing raises
-    ChildProcessError naming it as `name` i of workers.
+    in job order that raised, as in an in-process run; a child's carries
+    the child's traceback as a note. A child that sent nothing counts as
+    failed at its first job, with a ChildProcessError naming it as `name` i
+    of workers.
     """
     if workers == 1:
         return [run_job(job) for job in jobs]
@@ -196,24 +197,20 @@ def _run_shares(
         for read_fd in pipes:
             os.close(read_fd)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for i, (share, status) in enumerate(zip(shares[1:], statuses), 1):
-        if share is None:
+    for i, status in enumerate(statuses, 1):
+        if shares[i] is None:  # a child that sent nothing fails at its first job
             code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(
-                f"{name} {i} of {workers} sent no records (exit status {code})"
-            )
+            error = f"{name} {i} of {workers} sent no records (exit status {code})"
+            shares[i] = [], ChildProcessError(error)
     # share i's first failed job, if any, is jobs[i + len(results) * workers]
     failed = [
-        (i + len(results) * workers, i, exc, tb)
-        for i, (results, exc, tb) in enumerate(shares)
+        (i + len(results) * workers, exc)
+        for i, (results, exc) in enumerate(shares)
         if exc is not None
     ]
     if failed:
-        _, i, exc, tb = min(failed, key=lambda failure: failure[0])
-        if i == 0:
-            raise exc
-        raise exc from _ChildTraceback(tb)
+        raise min(failed, key=lambda failure: failure[0])[1]
     results = [None] * len(jobs)
-    for i, (share_results, _, _) in enumerate(shares):
+    for i, (share_results, _) in enumerate(shares):
         results[i::workers] = share_results
     return results

@@ -13,8 +13,13 @@ passes one check (_check_out) before any data is read, drawn or computed:
 it must not be empty or a directory, its directory must exist, and for
 train and sweep it must not be the --dataset file; train, sweep and synth
 check their other flags first. Once the data is read and split, train and
-sweep refuse a test split that lacks a sensitive group before any run
-trains, with one line naming the split and the group (harness._load_split).
+sweep refuse a train or test split that lacks a sensitive group before any
+run trains, with one line naming the split and the group
+(harness._load_split). audit-sensitivity checks every flag before it reads
+the dataset, with the lines its bounds and audit print: --seed, then
+--box-radius and --batch-size as sensitivities checks them, then a box
+radius too large for a verdict, then --trials; only a --batch-size above
+the dataset's n is refused after the read.
 evaluate reads the columns a checkpoint names, features and labels, by
 name; the checkpoint's weights and bias must be finite JSON numbers.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity
@@ -247,18 +252,23 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _check_int("seed", args.seed)
-    ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     m, D = args.batch_size, args.box_radius
-    # the bounds first, so a bad box radius or batch size fails before the audit;
+    # every flag is checked before the dataset is read, with the line the
+    # checks after the read would print: the bounds only grow with L_theta
+    # (at least 1/2) and 1/rho (at least 1), so bounds that overflow at those
+    # floors overflow on any dataset
+    _check_int("seed", args.seed)
+    sensitivities(SENSITIVE_ONLY, D, 0.5, m, 1.0)
+    slack = AUDIT_ULPS * np.finfo(np.float64).eps * m * (1.0 + D)
+    if slack > AUDIT_MAX_SLACK:
+        raise ValueError(f"--box-radius {D:g} is too large for the audit to give a verdict")
+    _check_int("trials", args.trials, 1)
+    ds = load_csv(args.dataset, args.label_col, args.sensitive_col)
     # features whose squared norm overflows make L_theta, and the theta bound, infinite
     L_theta, rho = proba_lipschitz_bound(ds.features), sensitive_stats(ds).rho
     finite = L_theta < math.inf
     bounds = sensitivities(SENSITIVE_ONLY, D, L_theta if finite else 1.0, m, rho)
     bounds = bounds if finite else SensitivityBounds(math.inf, bounds.delta_w_sq)
-    slack = AUDIT_ULPS * np.finfo(np.float64).eps * m * (1.0 + D)
-    if slack > AUDIT_MAX_SLACK:
-        raise ValueError(f"--box-radius {D:g} is too large for the audit to give a verdict")
     rng = np.random.default_rng(args.seed)
     theta = ModelParams(
         rng.normal(scale=0.5, size=(ds.l, ds.d_x)), rng.normal(scale=0.5, size=ds.l)

@@ -55,6 +55,12 @@ def _check_positive_finite(name: str, value, error: type[Exception] = ValueError
         raise error(f"{name} must be positive and finite, got {value}")
 
 
+def _check_test_fraction(test_fraction) -> None:
+    """Raise ValueError unless 0 < test_fraction < 1 (NaN fails too)."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+
+
 def _frozen(*arrays) -> None:
     """Mark freshly built arrays read-only, so TabularDataset takes them
     without a copy."""
@@ -565,8 +571,7 @@ def train_test_split(
     ds: TabularDataset, test_fraction: float, seed: int
 ) -> tuple[TabularDataset, TabularDataset]:
     """Disjoint uniform-random partition into ceil(n*(1-f)) train rows and the rest."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    _check_test_fraction(test_fraction)
     # small slack absorbs float error in n*(1-f) before the ceiling
     n_train = math.ceil(ds.n * (1.0 - test_fraction) - 1e-9)
     if n_train < 1 or n_train >= ds.n:

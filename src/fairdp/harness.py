@@ -21,8 +21,8 @@ import numpy as np
 from ._fork import _run_shares, _workers
 from .classifier import ModelParams, predict_label, proba_lipschitz_bound
 from .dataset import (
-    TabularDataset, _check_int, _check_positive_finite, _frozen, group_counts, load_csv,
-    sensitive_stats, train_test_split,
+    TabularDataset, _check_int, _check_positive_finite, _check_test_fraction, _frozen,
+    group_counts, load_csv, sensitive_stats, train_test_split,
 )
 from .exceptions import (
     CalibrationError, DegenerateConditionalError, DegenerateGroupError, DivergenceError
@@ -152,6 +152,7 @@ class ExperimentConfig:
         if self.granularity == ALL_FEATURES and self.clip_theta is None:
             raise CalibrationError("all-features privacy requires loss-gradient clipping")
         _check_int("master_seed", self.master_seed)
+        _check_test_fraction(self.test_fraction)
         self.sgda(self.epochs, self.batch_size)  # plan_run sets T and m per split
 
     def sgda(self, T: int, m: int) -> SgdaConfig:
@@ -207,18 +208,20 @@ def load_experiment_dataset(config: ExperimentConfig) -> TabularDataset:
 def _load_split(config: ExperimentConfig) -> tuple[TabularDataset, TabularDataset]:
     """The train and test splits of config's dataset, which is not kept.
 
-    A test split that lacks a sensitive group raises DegenerateGroupError
-    naming the split here, before any run trains, where evaluate_metrics
-    would raise it only after training.
+    A split that lacks a sensitive group raises DegenerateGroupError naming
+    the split here, before any run trains: calibration would raise it for
+    the train split without naming it, and evaluate_metrics for the test
+    split only after training.
     """
-    train, test = train_test_split(
+    splits = train_test_split(
         load_experiment_dataset(config), config.test_fraction, config.master_seed
     )
-    try:
-        group_counts(test)
-    except DegenerateGroupError as exc:
-        raise DegenerateGroupError(f"{exc} in the test split") from None
-    return train, test
+    for name, split in zip(("train", "test"), splits):
+        try:
+            group_counts(split)
+        except DegenerateGroupError as exc:
+            raise DegenerateGroupError(f"{exc} in the {name} split") from None
+    return splits
 
 
 def _dataset_id(config: ExperimentConfig) -> str:
@@ -350,8 +353,8 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     lambda index, trial), so every cell owns its own stream. Diverged runs are
     recorded with status "diverged" and NaN metrics rather than dropped.
 
-    A test split that lacks a sensitive group is refused, and every epsilon
-    is planned, before any cell trains, so a DegenerateGroupError or a
+    A split that lacks a sensitive group is refused, and every epsilon is
+    planned, before any cell trains, so a DegenerateGroupError or a
     CalibrationError comes first; only the two splits outlive the set-up.
     The cells then run on one forked process per usable CPU (the caller
     trains one share) when a cell trains at least FORK_MIN_SAMPLE_STEPS
@@ -360,7 +363,7 @@ def run_sweep(config: ExperimentConfig) -> list[TradeoffRecord]:
     way the records come back in grid order, the same bytes as an
     in-process run's, and a cell that raises raises as it would in-process:
     the first such cell in grid order wins, with a forked child's traceback
-    chained as the cause. A process with BLAS threads (numpy imported
+    as an exception note. A process with BLAS threads (numpy imported
     before fairdp on a multi-core host) runs in-process.
     """
     train, test = _load_split(config)

@@ -884,13 +884,13 @@ class TestTrainAndSweepShareValidation:
 
 
 class TestTestSplitLackingAGroup:
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    def test_exits_2_before_any_run_trains(self, synth_csv, tmp_path, capsys, monkeypatch, command):
-        # data row 1 becomes the one row of group "3", and the split at seed
-        # 0 puts it in the train split, so the test split lacks the group
+    @staticmethod
+    def refused(synth_csv, tmp_path, monkeypatch, command, row):
+        """The exit code, output and training calls of `command` on a copy of
+        synth_csv whose data row `row` is the one row of group "3"."""
         with synth_csv.open(newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[2][-1] = "3"
+        rows[row + 1][-1] = "3"
         path = tmp_path / "one-row-group.csv"
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -904,8 +904,27 @@ class TestTestSplitLackingAGroup:
         monkeypatch.setattr(harness, "dp_fermi_train", training)
         argv = [command, "--dataset", str(path), "--epochs", "5", "--batch-size", "64",
                 "--out", str(tmp_path / "out")]
-        assert main(argv) == 2
+        return main(argv), calls
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_exits_2_before_any_run_trains(self, synth_csv, tmp_path, capsys, monkeypatch, command):
+        # data row 1 becomes the one row of group "3", and the split at seed
+        # 0 puts it in the train split, so the test split lacks the group
+        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, 1)
+        assert code == 2
         message = "error: sensitive group(s) ['3'] have no samples in the test split\n"
+        assert capsys.readouterr() == ("", message)
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_train_split_lacking_a_group_exits_2_before_any_run_trains(
+        self, synth_csv, tmp_path, capsys, monkeypatch, command
+    ):
+        # data row 95 goes to the test split at seed 0, so the train split
+        # lacks its group
+        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, 95)
+        assert code == 2
+        message = "error: sensitive group(s) ['3'] have no samples in the train split\n"
         assert capsys.readouterr() == ("", message)
         assert calls == []
 
@@ -1096,6 +1115,28 @@ class TestAudit:
         assert capsys.readouterr().err == (
             "error: box radius D must be positive and finite, got 0.0\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "trials must be a positive integer, got 0"),
+            (["--batch-size", "0"], "batch size m must be a positive integer, got 0"),
+            (["--batch-size", "1" + "0" * 400], "batch size m overflows the sensitivity bounds"),
+            (["--box-radius", "-1"], "box radius D must be positive and finite, got -1.0"),
+            (["--box-radius", "1e150"],
+             "--box-radius 1e+150 is too large for the audit to give a verdict"),
+            (["--box-radius", "1e154"], "box radius D=1e+154 overflows the sensitivity bounds"),
+        ],
+        ids=["trials", "batch_size", "batch_size_400_digits", "box_radius", "slack",
+             "box_radius_overflow"],
+    )
+    def test_flags_are_refused_before_the_dataset_is_read(
+        self, synth_csv, tmp_path, capsys, flags, message
+    ):
+        # the line on a missing dataset names the flag, as it does on a real one
+        for dataset in (synth_csv, tmp_path / "missing.csv"):
+            assert main(["audit-sensitivity", "--dataset", str(dataset), *flags]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n"), dataset
 
     def test_negative_seed_is_config_error_naming_it(self, synth_csv, capsys):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--seed", "-1"]

@@ -670,6 +670,50 @@ class TestForkedRead:
         """)
         assert proc.returncode == 0, proc.stderr
 
+    def test_a_childs_parse_error_keeps_its_row_and_carries_a_note(self, tmp_path):
+        # FairdpError.__reduce__ carries __dict__, where the note lives; the
+        # serial parse raises the same error without one
+        path = fork_file(tmp_path, _first_cell(LAST_RANGE_ROW, b"oops"))
+        proc = run_reader(f"""
+            def failure():
+                try:
+                    dataset.load_csv({str(path)!r}, *COLUMNS)
+                except ParseError as exc:
+                    return str(exc), exc.row, getattr(exc, "__notes__", [])
+                raise AssertionError("no error")
+
+            message, row, notes = failure()
+            assert len(forks) == 1, forks
+            assert message.startswith("non-numeric feature cell 'oops'"), message
+            assert row == {LAST_RANGE_ROW}, row
+            (note,) = notes
+            assert "in parse" in note and "ParseError: " + message in note, note
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {{min(cpus)}})
+            assert failure() == (message, row, [])
+        """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_child_that_sent_nothing_does_not_hide_the_first_ranges_error(self, tmp_path):
+        # the caller's range fails at row 5 and the child dies: the error is
+        # the serial parse's
+        path = fork_file(tmp_path, _first_cell(5, b"oops"))
+        proc = run_reader(f"""
+            parent, read = os.getpid(), dataset._Rows.read
+
+            def dying_read(*args, **kwargs):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return read(*args, **kwargs)
+
+            dataset._Rows.read = dying_read
+            got = load_outcome(dataset.load_csv, {str(path)!r}, COLUMNS)
+            assert len(forks) == 1, forks
+            assert got[0] is ParseError and got[2] == 5, got
+            assert on_one_cpu(dataset.load_csv, {str(path)!r}) == got
+        """)
+        assert proc.returncode == 0, proc.stderr
+
     def test_three_ranges(self, tmp_path):
         # three workers, as on a host with three usable CPUs: two children,
         # whose label and group names merge in file order

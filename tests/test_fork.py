@@ -4,6 +4,7 @@ quota, and the one BLAS thread that lets a fairdp process fork."""
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -162,4 +163,80 @@ class TestPlacement:
             "print('ok')\n",
             OPENBLAS_NUM_THREADS="1",
         )
+        assert out == "ok\n"
+
+
+
+# Jobs 0, 1, 2, 3 in two shares: the caller runs jobs 0 and 2, a child 1 and 3.
+FAILURES_PRELUDE = """
+import os
+from fairdp import _fork
+
+PARENT = os.getpid()
+
+
+def where():
+    return "the caller" if os.getpid() == PARENT else "a child"
+
+
+def outcome(job, jobs=(0, 1, 2, 3)):
+    # the exception's type, message and notes; no child may be left
+    try:
+        _fork._run_shares(job, list(jobs), 2, "sweep worker")
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "__notes__", [])
+    finally:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass
+        else:
+            raise AssertionError("a child is left")
+    raise AssertionError("no error")
+"""
+
+
+@pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a process forks only with two usable CPUs")
+class TestFailures:
+    """_run_shares raises the exception of the first job in job order that
+    raised, a child that sent nothing counting as failed at its first job,
+    and a child's exception carries the child's traceback as one note."""
+
+    def test_a_child_that_sent_nothing_does_not_hide_an_earlier_error(self):
+        # the child dies at job 1; the caller raises at job 0, then at job 2
+        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+            def failing_at(at):
+                def job(j):
+                    if j == 1:
+                        os._exit(3)
+                    if j == at:
+                        raise ValueError(f"job {j} failed")
+                    return j
+                return job
+
+            print(outcome(failing_at(0)))
+            print(outcome(failing_at(2)))
+        """), OPENBLAS_NUM_THREADS="1")
+        assert out.splitlines() == [
+            "('ValueError', 'job 0 failed', [])",
+            "('ChildProcessError', 'sweep worker 1 of 2 sent no records (exit status 3)', [])",
+        ]
+
+    def test_a_childs_exception_carries_its_traceback_as_one_note(self):
+        # job 1 runs in the child, and in the caller when it is the first job
+        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+            def failing_job(j):
+                if j == 1:
+                    raise ValueError(f"job 1 failed in {where()}")
+                return j
+
+            name, message, notes = outcome(failing_job)
+            assert (name, message) == ("ValueError", "job 1 failed in a child"), message
+            (note,) = notes
+            assert "in failing_job" in note, note
+            assert "ValueError: job 1 failed in a child" in note, note
+            got = outcome(failing_job, (1, 0))
+            assert got == ("ValueError", "job 1 failed in the caller", []), got
+            print("ok")
+        """), OPENBLAS_NUM_THREADS="1")
         assert out == "ok\n"

@@ -213,6 +213,23 @@ class TestRunSweep:
         assert str(info.value) == "sensitive group(s) [3] have no samples in the test split"
         assert calls == []
 
+    def test_a_train_split_lacking_a_group_is_refused_before_any_cell_trains(self, monkeypatch):
+        # group 3 is one row, the last that train_test_split draws, which goes
+        # to the test split; calibration would fail on the train split without
+        # naming it
+        config = cheap_config(lambdas=(0.0, 1.0))
+        ds = synth_dataset(config.dataset)
+        sensitive = ds.sensitive.copy()
+        sensitive[np.random.default_rng(config.master_seed).permutation(ds.n)[-1]] = 3
+        ds = TabularDataset(ds.features, ds.labels, sensitive, ds.l, 3)
+        calls = []
+        monkeypatch.setattr(harness, "load_experiment_dataset", lambda config: ds)
+        monkeypatch.setattr(harness, "dp_fermi_train", lambda *args: calls.append(args))
+        with pytest.raises(DegenerateGroupError) as info:
+            run_sweep(config)
+        assert str(info.value) == "sensitive group(s) [3] have no samples in the train split"
+        assert calls == []
+
     def test_the_loaded_dataset_is_dropped_before_the_first_cell_trains(self, monkeypatch):
         # the cells, and the children of a forked sweep, hold only the splits
         load, refs, alive = harness.load_experiment_dataset, [], []
@@ -266,6 +283,16 @@ class TestRunSweep:
         # the config builds an SgdaConfig from its own fields; the file is never opened
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(dataset="does-not-exist.csv", **{field: math.nan})
+
+    @pytest.mark.parametrize("fraction", [1.5, 0.0, 1.0, math.nan])
+    def test_test_fraction_rejected_before_any_data_is_read(self, monkeypatch, fraction):
+        # the config, not the split, refuses it, with train_test_split's line
+        loads = []
+        monkeypatch.setattr(harness, "load_experiment_dataset", loads.append)
+        with pytest.raises(ValueError) as info:
+            run_sweep(cheap_config(test_fraction=fraction))
+        assert str(info.value) == f"test_fraction must lie in (0, 1), got {fraction}"
+        assert loads == []
 
     @pytest.mark.parametrize("field", ["lambdas", "epsilons"])
     def test_empty_grid_rejected(self, field):
@@ -472,14 +499,17 @@ class TestForkedSweep:
             except ValueError as exc:
                 assert str(exc) == "cell (5, 0, 0, 1) failed in a child", exc
                 printed = "".join(traceback.format_exception(exc))
+                notes = exc.__notes__
             else:
                 raise AssertionError("no error")
             assert forks and no_child_is_left()
-            # the child's frames come first, as the cause
-            child, _, here = printed.partition("direct cause of the following exception")
+            # the child's frames and message travel as the exception's one
+            # note, printed after the caller's frames
+            (child,) = notes
+            here, _, _ = printed.partition(child)
             assert "in failing_train" in child, printed
             assert "ValueError: cell (5, 0, 0, 1) failed in a child" in child, printed
-            assert "in _run_shares" in here, printed
+            assert "in _run_shares" in here and "in failing_train" not in here, printed
         """)
         assert proc.returncode == 0, proc.stderr
 
@@ -578,7 +608,9 @@ class TestForkedSweep:
             except ChildProcessError as exc:
                 name = {error!r}.partition("(")[0]
                 assert str(exc) == name + ": cell failed in a child", exc
-                assert "in failing_train" in str(exc.__cause__), exc.__cause__
+                (child,) = exc.__notes__
+                assert "in failing_train" in child, child
+                assert name + ": cell failed in a child" in child, child
             else:
                 raise AssertionError("no error")
             assert forks and no_child_is_left()
