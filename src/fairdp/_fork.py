@@ -3,12 +3,12 @@
 harness.run_sweep runs its sweep cells here and dataset._read_csv the byte
 ranges of a large CSV, so both take the one fork path below. Share i of
 the jobs is jobs[i::workers]; the caller runs share 0 itself and a forked
-child runs each other share, sends its results back through a pipe and
-never returns into the caller's code. The results come back in job order,
-and the exception raised is that of the first job in job order that
-raised, as an in-process run would raise it; a child's exception carries
-the child's traceback as a note, and a child that sent nothing fails at
-its first job.
+child runs each other share, pipes back one (results, exception) payload
+and never returns into the caller's code. The exception carries the
+child's traceback as a note, and a part that does not pickle is replaced
+(_send), so only a child that died sends nothing; it fails at its first
+job. The results come back in job order, and the exception raised is the
+first failing job's in job order, as an in-process run would raise it.
 
 A process forks only when it has a single OS thread, whose locks a fork
 could copy held, and at least two CPUs that both its affinity mask and its
@@ -100,23 +100,23 @@ def _send(pipe, run_job, share: list) -> None:
     """Write _run_share's (results, exception) for share, pickled (protocol
     5) with the contiguous arrays in it out of band: the buffers' sizes, the
     buffers, then the pickle. The exception carries the child's formatted
-    traceback as a note; one that does not pickle, or does not unpickle,
-    goes as a ChildProcessError that names its type and message, with the
-    same note."""
-    results, exc = _run_share(run_job, share)
-    stand_in = exc  # results that do not pickle fail again with it: nothing is sent
-    if exc is not None:
-        stand_in = ChildProcessError(traceback.format_exception_only(exc)[-1].strip())
-        note = "".join(traceback.format_exception(exc)).rstrip()
-        for error in (exc, stand_in):
-            error.add_note(f"Raised in a forked child:\n{note}")
-    try:
-        buffers = []
-        head = pickle.dumps((results, exc), 5, buffer_callback=buffers.append)
-        pickle.loads(head, buffers=buffers)
-    except Exception:
-        buffers = []
-        head = pickle.dumps((results, stand_in), 5, buffer_callback=buffers.append)
+    traceback as a note. An exception that fails its pickle round trip goes
+    as a ChildProcessError naming it, with that note; results that fail it go
+    as none, with one naming the pickling error and noted with its traceback."""
+    results, raised = _run_share(run_job, share)
+    exc, lines = raised, None if raised is None else traceback.format_exception(raised)
+    while True:  # at most three times, as a stand-in always round-trips
+        if exc is not None:
+            exc.add_note("Raised in a forked child:\n" + "".join(lines).rstrip())
+        try:
+            buffers = []
+            head = pickle.dumps((results, exc), 5, buffer_callback=buffers.append)
+            pickle.loads(head, buffers=buffers)
+            break
+        except Exception as error:  # the exception stands in first, then the results
+            if exc is None or exc is not raised:
+                results, lines = [], traceback.format_exception(error)
+            exc = ChildProcessError(lines[-1].strip())
     pickle.dump([buf.raw().nbytes for buf in buffers], pipe)
     for buf in buffers:
         pipe.write(buf.raw())
@@ -152,10 +152,10 @@ def _run_shares(
     when there are as many CPUs as workers; the caller's mask is restored
     when this returns or raises. Every child is reaped, and an interrupt
     here kills them first. The exception raised is that of the first job
-    in job order that raised, as in an in-process run; a child's carries
-    the child's traceback as a note. A child that sent nothing counts as
-    failed at its first job, with a ChildProcessError naming it as `name` i
-    of workers.
+    in job order that raised, as in an in-process run. A child that lives
+    sends a payload by _send's rule, so one that sent nothing died: it
+    counts as failed at its first job, with a ChildProcessError naming it
+    as `name` i of workers.
     """
     if workers == 1:
         return [run_job(job) for job in jobs]
@@ -198,7 +198,7 @@ def _run_shares(
             os.close(read_fd)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for i, status in enumerate(statuses, 1):
-        if shares[i] is None:  # a child that sent nothing fails at its first job
+        if shares[i] is None:  # a child that died fails at its first job
             code = os.waitstatus_to_exitcode(status)
             error = f"{name} {i} of {workers} sent no records (exit status {code})"
             shares[i] = [], ChildProcessError(error)

@@ -199,8 +199,10 @@ def outcome(job, jobs=(0, 1, 2, 3)):
 @pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a process forks only with two usable CPUs")
 class TestFailures:
     """_run_shares raises the exception of the first job in job order that
-    raised, a child that sent nothing counting as failed at its first job,
-    and a child's exception carries the child's traceback as one note."""
+    raised, a child that died counting as failed at its first job, and a
+    child's exception carries the child's traceback as one note. A child's
+    results that do not pickle fail its share at its first job, with a
+    ChildProcessError that names the pickling error."""
 
     def test_a_child_that_sent_nothing_does_not_hide_an_earlier_error(self):
         # the child dies at job 1; the caller raises at job 0, then at job 2
@@ -237,6 +239,44 @@ class TestFailures:
             assert "ValueError: job 1 failed in a child" in note, note
             got = outcome(failing_job, (1, 0))
             assert got == ("ValueError", "job 1 failed in the caller", []), got
+            print("ok")
+        """), OPENBLAS_NUM_THREADS="1")
+        assert out == "ok\n"
+
+    def test_results_that_do_not_pickle_fail_at_the_first_job_naming_the_pickling_error(self):
+        # job 1 runs in the child. Its result is a local lambda, which pickle
+        # refuses, or an object that pickles but does not unpickle. In the
+        # last case the child also raises an error that does not pickle at
+        # job 3, and the caller raises at job 2, after the child's first job.
+        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+            class Holding(Exception):
+                def __init__(self, msg):
+                    super().__init__(msg)
+                    self.hook = lambda: None
+
+            class TwoArgs(Exception):
+                def __init__(self, msg, extra):
+                    super().__init__(msg)
+
+            def results_and_error_do_not_pickle(j):
+                if j == 2:
+                    raise ValueError("job 2 failed")
+                if j == 3:
+                    raise Holding("job 3 failed")
+                return lambda: j
+
+            local_object = "AttributeError: Can't pickle local object"
+            for job, jobs, error in (
+                (lambda j: (lambda: j), (0, 1), local_object),
+                (lambda j: TwoArgs("job", j), (0, 1), "TypeError: TwoArgs.__init__() missing"),
+                (results_and_error_do_not_pickle, (0, 1, 2, 3), local_object),
+            ):
+                name, message, notes = outcome(job, jobs)
+                assert name == "ChildProcessError", name
+                assert message.startswith(error), message
+                (note,) = notes
+                assert note.startswith("Raised in a forked child:\\nTraceback"), note
+                assert "in _send" in note and message in note, note
             print("ok")
         """), OPENBLAS_NUM_THREADS="1")
         assert out == "ok\n"
