@@ -6,7 +6,6 @@ penalty (lambda = 2), then sweeps lambda to show violation falling while
 test error rises, and writes the records to CSV.
 """
 
-import math
 import tempfile
 from pathlib import Path
 
@@ -14,37 +13,31 @@ from fairdp import (
     ExperimentConfig,
     FermiConfig,
     ModelParams,
-    SgdaConfig,
     SyntheticSpec,
     aggregate,
     emit_csv,
     evaluate_metrics,
     dp_fermi_train,
     run_sweep,
-    sensitive_stats,
     synth_dataset,
     train_test_split,
 )
-from fairdp.classifier import proba_lipschitz_bound
-from fairdp.harness import SENSITIVE_ONLY, calibrate_for_run
+from fairdp.harness import SENSITIVE_ONLY, plan_run
 
 spec = SyntheticSpec(n=6000, d_x=5, bias=0.9, noise_scale=1.25, seed=0)
 ds = synth_dataset(spec)
 train, test = train_test_split(ds, 0.25, seed=7)
-m = min(1024, train.n)
-T = 200 * math.ceil(train.n / m)
-noise = calibrate_for_run(
-    SENSITIVE_ONLY, 3.0, 1e-5, T, train.n, m,
-    sensitive_stats(train).rho, proba_lipschitz_bound(train.features), 3.0, train.l,
+# T, the batch size m and the noise as `fairdp train` plans them: 200 epochs
+# of batches of up to 1024, sensitive-only privacy, box radius 3
+sgda, noise = plan_run(ExperimentConfig(spec, epsilons=(3.0,), box_radius=3.0), train, 3.0)
+print(
+    f"T={sgda.T}, batch={sgda.m}, sigma_theta^2={noise.sigma_theta_sq:.4f}, "
+    f"sigma_w^2={noise.sigma_w_sq:.6f}\n"
 )
-print(f"T={T}, batch={m}, sigma_theta^2={noise.sigma_theta_sq:.4f}, sigma_w^2={noise.sigma_w_sq:.6f}\n")
 
 for lam in (0.0, 2.0):
-    config = SgdaConfig(
-        eta_theta=0.01, eta_w=0.01, T=T, m=m, box_radius=3.0, clip_theta=1.0, seed=0
-    )
     result = dp_fermi_train(
-        train, ModelParams.zeros(train.l, train.d_x), FermiConfig(lam), config, noise
+        train, ModelParams.zeros(train.l, train.d_x), FermiConfig(lam), sgda, noise
     )
     metrics = evaluate_metrics(result.params, test)
     print(

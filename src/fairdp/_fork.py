@@ -100,9 +100,9 @@ def _send(pipe, run_job, share: list) -> None:
     """Write _run_share's (results, exception) for share, pickled (protocol
     5) with the contiguous arrays in it out of band: the buffers' sizes, the
     buffers, then the pickle. The exception carries the child's formatted
-    traceback as a note. An exception that fails its pickle round trip goes
-    as a ChildProcessError naming it, with that note; results that fail it go
-    as none, with one naming the pickling error and noted with its traceback."""
+    traceback as a note. An exception that fails its pickle round trip, or the
+    pickling error of results that do (then sent as none), goes as that note
+    on a ChildProcessError named by its format_exception_only's first line."""
     results, raised = _run_share(run_job, share)
     exc, lines = raised, None if raised is None else traceback.format_exception(raised)
     while True:  # at most three times, as a stand-in always round-trips
@@ -115,8 +115,8 @@ def _send(pipe, run_job, share: list) -> None:
             break
         except Exception as error:  # the exception stands in first, then the results
             if exc is None or exc is not raised:
-                results, lines = [], traceback.format_exception(error)
-            exc = ChildProcessError(lines[-1].strip())
+                results, lines, raised = [], traceback.format_exception(error), error
+            exc = ChildProcessError(traceback.format_exception_only(raised)[0].strip())
     pickle.dump([buf.raw().nbytes for buf in buffers], pipe)
     for buf in buffers:
         pipe.write(buf.raw())

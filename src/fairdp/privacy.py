@@ -16,7 +16,7 @@ calibrate is the one function that returns the noise, sigma^2 = z^2 Delta^2
 per channel; m cancels. This closed form is the library's only privacy
 accounting. Where it does not hold for the noise the training loop adds,
 see the README's notes on the privacy accounting and ROADMAP item 1
-(defects A-F). The group frequencies P_S and rho come from the sensitive
+(defects A–G). The group frequencies P_S and rho come from the sensitive
 data without noise; treat them as public in the guarantee. The counts T,
 n, m and trials, and each positive real, are checked by dataset's
 _check_int and _check_positive_finite, the owner of argument checks.

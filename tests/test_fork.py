@@ -280,3 +280,40 @@ class TestFailures:
             print("ok")
         """), OPENBLAS_NUM_THREADS="1")
         assert out == "ok\n"
+
+    def test_a_stand_in_is_named_by_the_exception_it_replaces(self):
+        # job 1 runs in the child and raises an exception that does not pickle:
+        # one with a note of its own, or a group; the name is the exception's
+        # own line, not its traceback's last line
+        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+            class Holding(Exception):
+                def __init__(self, msg):
+                    super().__init__(msg)
+                    self.hook = lambda: None
+
+            def noted(j):
+                if j == 1:
+                    exc = Holding("x")
+                    exc.add_note("while reading row 7")
+                    raise exc
+                return j
+
+            def grouped(j):
+                if j == 1:
+                    raise ExceptionGroup("cells failed", [Holding("x")])
+                return j
+
+            # the traceback in the note holds the job's own note, or the group's member
+            for job, message, shown in (
+                (noted, "Holding: x", "while reading row 7"),
+                (grouped, "ExceptionGroup: cells failed (1 sub-exception)", "Holding: x"),
+            ):
+                got = outcome(job)
+                assert got[:2] == ("ChildProcessError", message), got
+                (note,) = got[2]
+                assert note.startswith("Raised in a forked child:\\n"), note
+                assert "Traceback" in note and "in " + job.__name__ in note, note
+                assert message in note and shown in note, note
+            print("ok")
+        """), OPENBLAS_NUM_THREADS="1")
+        assert out == "ok\n"
