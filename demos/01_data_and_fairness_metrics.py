@@ -17,19 +17,22 @@ from fairdp import (
     ermi_hard,
     ermi_soft,
     predict_label,
-    sensitive_stats,
     synth_dataset,
     train_test_split,
 )
+from fairdp.dataset import group_counts
+from fairdp.fairness import strata
 
 spec = SyntheticSpec(n=4000, d_x=5, k=2, l=2, bias=0.8, noise_scale=1.0, seed=0)
 ds = synth_dataset(spec)
 train, test = train_test_split(ds, test_fraction=0.25, seed=0)
 print(f"dataset: n={ds.n}, d_x={ds.d_x}, classes={ds.l}, groups={ds.k}")
 
-stats = sensitive_stats(train)
-print(f"group fractions: {np.round(stats.probabilities, 3)}, rho={stats.rho:.3f}")
-print(f"P_S^(-1/2) diagonal: {np.round(stats.inv_sqrt, 4)}")
+# rho, the smallest group fraction, floors the noise calibration; the
+# saddle terms weight each group by its P_S^(-1/2) entry
+fractions = group_counts(train)[1][0] / train.n
+print(f"group fractions: {np.round(fractions, 3)}, rho={fractions.min():.3f}")
+print(f"P_S^(-1/2) diagonal: {np.round(strata(train)[1][0], 4)}")
 
 # With bias > 0, group 2's labels lean toward class 2.
 for r in (1, 2):

@@ -41,13 +41,7 @@ from .classifier import (
     proba_lipschitz_bound,
     save_checkpoint,
 )
-from .dataset import (
-    SensitiveStats,
-    TabularDataset,
-    load_csv,
-    sensitive_stats,
-    train_test_split,
-)
+from .dataset import TabularDataset, load_csv, train_test_split
 from .fairness import (
     DEMOGRAPHIC_PARITY,
     EQUALIZED_ODDS,
@@ -96,7 +90,6 @@ __all__ = [
     "NoiseScales",
     "PrivacyBudget",
     "SENSITIVE_ONLY",
-    "SensitiveStats",
     "SgdaConfig",
     "SyntheticSpec",
     "TabularDataset",
@@ -120,7 +113,6 @@ __all__ = [
     "proba_lipschitz_bound",
     "run_sweep",
     "save_checkpoint",
-    "sensitive_stats",
     "stationarity_gap",
     "synth_dataset",
     "train_test_split",

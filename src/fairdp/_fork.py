@@ -193,10 +193,10 @@ def _run_shares(
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.sched_setaffinity(0, mask)
         for read_fd in pipes:
             os.close(read_fd)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        os.sched_setaffinity(0, mask)  # last: if it raises, no child or pipe is left
     for i, status in enumerate(statuses, 1):
         if shares[i] is None:  # a child that died fails at its first job
             code = os.waitstatus_to_exitcode(status)

@@ -183,7 +183,11 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
 
 
 def sensitive_stats(ds: TabularDataset) -> SensitiveStats:
-    """Group counts, probabilities, rho and P_S^{-1/2} diagonal for a dataset."""
+    """Group counts, probabilities, rho and P_S^{-1/2} diagonal for a dataset.
+
+    Not public, as group_counts and fairness.strata give its figures: kept only
+    for the rho of plan_run, audit-sensitivity and bench/ until ROADMAP items
+    2 and 5 delete it."""
     counts = group_counts(ds)[1][0]
     probs = counts / ds.n
     return SensitiveStats(counts, probs, float(probs.min()), probs ** -0.5)
@@ -193,11 +197,11 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     """Load a UTF-8 header CSV into a dataset; a leading byte-order mark is skipped.
 
     One label column and one sensitive column are taken by name; every other
-    column must be numeric and becomes a feature. A header that repeats a
-    column name raises SchemaError before any row is read. Missing values
-    are a hard error. Label and sensitive categories are encoded in
-    first-appearance order of their whitespace-stripped cells and the
-    code-to-name maps are stored on the dataset.
+    column must be numeric and becomes a feature. A header that repeats a column
+    name raises SchemaError before any row is read. Missing values are a hard
+    error. Label and sensitive categories are encoded in first-appearance order
+    of their whitespace-stripped cells and the code-to-name maps are stored on
+    the dataset. An open file descriptor is parsed in one process, then closed.
 
     Data lines are read CHUNK_ROWS at a time. A chunk is parsed by one
     np.loadtxt call when it has no quote character, no line longer than

@@ -101,7 +101,8 @@ def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) ->
 
     Without y there is one stratum (C = 1); with y each label class is one
     (C = l). k defaults to the largest group code and l to the largest
-    predicted (or true) class; codes outside 1..k and 1..l are rejected.
+    predicted (or true) class; codes outside 1..k and 1..l are rejected,
+    and without y a group that does not appear raises DegenerateGroupError.
     """
     names = ("preds", "s") if y is None else ("preds", "s", "y")
     codes = dict(zip(names, (np.asarray(c, dtype=np.int64) for c in (preds, s, y))))
@@ -117,7 +118,10 @@ def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) ->
             raise ValueError(f"{name} out of range 1..{top}")
     n_strata, stratum = (l, codes["y"] - 1) if "y" in codes else (1, 0)
     flat = np.bincount((stratum * k + s - 1) * l + preds - 1, minlength=n_strata * k * l)
-    return flat.reshape(n_strata, k, l)
+    table = flat.reshape(n_strata, k, l)
+    if y is None and not table.any(axis=2).all():
+        raise DegenerateGroupError("every sensitive group must appear at least once")
+    return table
 
 
 def _stratified_ermi(table: np.ndarray) -> float:
@@ -151,9 +155,7 @@ def ermi_hard(
     table = _hard_table(preds, s, y, k, l)
     groups = table.sum(axis=2)  # (C, k) samples per (stratum, group)
     absent = (groups.min(axis=1) == 0) & (groups.max(axis=1) > 0)
-    if absent.any():
-        if y is None:
-            raise DegenerateGroupError("every sensitive group must appear at least once")
+    if absent.any():  # only with y: _hard_table refuses an absent group without it
         raise DegenerateConditionalError(
             f"some sensitive group is absent within label class {int(np.argmax(absent)) + 1}"
         )
@@ -250,10 +252,7 @@ def inner_max_closed_form(
 def dp_violation(preds: np.ndarray, s: np.ndarray, k: int | None = None) -> float:
     """Worst-case gap max_{j, r1, r2} |P[yhat=j | s=r1] - P[yhat=j | s=r2]|."""
     table = _hard_table(preds, s, None, k)[0]  # (k, l)
-    counts = table.sum(axis=1, keepdims=True)
-    if counts.min() < 1:
-        raise DegenerateGroupError("every sensitive group must appear at least once")
-    rates = table / counts
+    rates = table / table.sum(axis=1, keepdims=True)
     return float((rates.max(axis=0) - rates.min(axis=0)).max())
 
 

@@ -186,17 +186,7 @@ class TradeoffRecord:
 
 
 RECORD_COLUMNS = [f.name for f in fields(TradeoffRecord)]
-AGGREGATE_FIELDS = (
-    "T",
-    "m",
-    "sigma_theta_sq",
-    "sigma_w_sq",
-    "train_error",
-    "test_error",
-    "dp_violation",
-    "eo_violation",
-    "ermi_hard",
-)
+AGGREGATE_FIELDS = tuple(RECORD_COLUMNS[RECORD_COLUMNS.index("T"):RECORD_COLUMNS.index("status")])
 
 
 def load_experiment_dataset(config: ExperimentConfig) -> TabularDataset:

@@ -1138,6 +1138,12 @@ class TestAudit:
             assert main(["audit-sensitivity", "--dataset", str(dataset), *flags]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n"), dataset
 
+    def test_a_batch_larger_than_the_dataset_is_config_error(self, synth_csv, capsys):
+        # checked once the dataset's n is known, so after the flags
+        argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--batch-size", "301"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: batch size 301 must satisfy 1 <= m <= n=300\n")
+
     def test_negative_seed_is_config_error_naming_it(self, synth_csv, capsys):
         argv = ["audit-sensitivity", "--dataset", str(synth_csv), "--seed", "-1"]
         assert main(argv) == 2

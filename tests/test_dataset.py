@@ -807,6 +807,32 @@ class TestForkedRead:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestLoadFromDescriptor:
+    """load_csv takes an open file descriptor, which it parses in one
+    process whatever the file's size, and closes."""
+
+    def test_same_dataset_as_the_path_in_one_process(self, tmp_path, monkeypatch):
+        path = fork_file(tmp_path)
+        assert path.stat().st_size >= dataset.FORK_MIN_CSV_BYTES
+        columns = ("label", "sensitive")
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        # with two workers granted the path's parse forks; the descriptor's does not
+        monkeypatch.setattr(dataset, "_workers", lambda tasks: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(AssertionError, match="forked"):
+            load_csv(path, *columns)
+        fd = os.open(path, os.O_RDONLY)
+        got = load_outcome(load_csv, fd, columns)
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        monkeypatch.setattr(dataset, "_workers", lambda tasks: 1)
+        assert got[0] == (FORK_ROWS, 10), got[:3]  # a dataset, not an error
+        assert got == load_outcome(load_csv, path, columns)
+
+
 class TestOwnership:
     """A dataset holds read-only arrays nothing else can write to."""
 

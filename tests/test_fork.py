@@ -165,6 +165,40 @@ class TestPlacement:
         )
         assert out == "ok\n"
 
+    def test_a_restore_that_raises_leaves_no_child_or_pipe(self):
+        # the caller's mask is restored after every pipe is closed and every
+        # child reaped, so a restore that raises leaves neither behind
+        out = fresh_interpreter(textwrap.dedent("""
+            import os
+            from fairdp import _fork
+
+            mask, setaffinity = os.sched_getaffinity(0), os.sched_setaffinity
+
+            def refusing_restore(pid, cpus):
+                if set(cpus) == mask:
+                    raise OSError("restore refused")
+                setaffinity(pid, cpus)
+
+            fds = sorted(os.listdir("/proc/self/fd"))
+            os.sched_setaffinity = refusing_restore
+            try:
+                _fork._run_shares(lambda job: job, [0, 1], 2, "worker")
+            except OSError as exc:
+                assert str(exc) == "restore refused", exc
+            else:
+                raise AssertionError("the restore did not raise")
+            finally:
+                os.sched_setaffinity = setaffinity
+            setaffinity(0, mask)
+            assert sorted(os.listdir("/proc/self/fd")) == fds, "a pipe is left"
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("ok")
+            else:
+                raise AssertionError("a child is left")
+        """), OPENBLAS_NUM_THREADS="1")
+        assert out == "ok\n"
 
 
 # Jobs 0, 1, 2, 3 in two shares: the caller runs jobs 0 and 2, a child 1 and 3.
