@@ -13,16 +13,9 @@ a closed form. This script verifies the pieces numerically.
 
 import numpy as np
 
-from fairdp import (
-    DEMOGRAPHIC_PARITY,
-    ModelParams,
-    SyntheticSpec,
-    ermi_soft,
-    inner_max_closed_form,
-    synth_dataset,
-)
+from fairdp import DEMOGRAPHIC_PARITY, ModelParams, SyntheticSpec, ermi_soft, synth_dataset
 from fairdp.classifier import forward, mean_param_grad
-from fairdp.fairness import saddle_terms, strata
+from fairdp.fairness import inner_max_closed_form, saddle_terms, strata
 
 rng = np.random.default_rng(1)
 ds = synth_dataset(SyntheticSpec(n=400, d_x=4, bias=0.6, noise_scale=1.0, seed=3))

@@ -10,18 +10,16 @@ audit hammers those bounds with random adjacent-dataset pairs.
 
 import numpy as np
 
-from fairdp import (
-    ALL_FEATURES,
-    SENSITIVE_ONLY,
-    ModelParams,
-    PrivacyBudget,
-    SyntheticSpec,
-    empirical_sensitivity_audit,
-    proba_lipschitz_bound,
-    synth_dataset,
-)
+from fairdp import ALL_FEATURES, SENSITIVE_ONLY, ModelParams, SyntheticSpec, synth_dataset
+from fairdp.classifier import proba_lipschitz_bound
 from fairdp.dataset import group_counts
-from fairdp.privacy import calibrate, min_iterations, sensitivities
+from fairdp.privacy import (
+    PrivacyBudget,
+    calibrate,
+    empirical_sensitivity_audit,
+    min_iterations,
+    sensitivities,
+)
 
 ds = synth_dataset(SyntheticSpec(n=2000, d_x=4, bias=0.5, noise_scale=1.0, seed=5))
 rho = float((group_counts(ds)[1][0] / ds.n).min())  # the smallest group fraction

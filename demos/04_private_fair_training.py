@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 from fairdp import (
+    SENSITIVE_ONLY,
     ExperimentConfig,
     FermiConfig,
     ModelParams,
@@ -18,11 +19,11 @@ from fairdp import (
     emit_csv,
     evaluate_metrics,
     dp_fermi_train,
+    plan_run,
     run_sweep,
     synth_dataset,
     train_test_split,
 )
-from fairdp.harness import SENSITIVE_ONLY, plan_run
 
 spec = SyntheticSpec(n=6000, d_x=5, bias=0.9, noise_scale=1.25, seed=0)
 ds = synth_dataset(spec)

@@ -10,7 +10,11 @@ respect to the sensitive data (or the full records). The pieces:
 - fairness: ERMI estimators, the dual saddle terms, violation metrics
 - privacy: noise calibration (sigma = z * Delta), sensitivities, the empirical audit
 - optimizer: noisy projected stochastic gradient descent-ascent
-- harness: synthetic data, sweeps, aggregation, CSV emission
+- harness: synthetic data, run planning, sweeps, aggregation, CSV emission
+
+The package root exports the run a user writes: configurations, data, the
+model and its checkpoints, plan_run, training, sweeps and fairness metrics.
+Analysis helpers and result types are imported from their modules.
 
 Where this package loads numpy, numpy's OpenBLAS starts one thread only:
 OPENBLAS_NUM_THREADS=1 is set for that import alone, if the variable is
@@ -33,14 +37,7 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 del os, sys
 
 from . import exceptions
-from .classifier import (
-    ModelParams,
-    load_checkpoint,
-    predict_label,
-    predict_proba,
-    proba_lipschitz_bound,
-    save_checkpoint,
-)
+from .classifier import ModelParams, load_checkpoint, predict_label, predict_proba, save_checkpoint
 from .dataset import TabularDataset, load_csv, train_test_split
 from .fairness import (
     DEMOGRAPHIC_PARITY,
@@ -50,7 +47,6 @@ from .fairness import (
     eo_violation,
     ermi_hard,
     ermi_soft,
-    inner_max_closed_form,
 )
 from .harness import (
     ALL_FEATURES,
@@ -58,24 +54,15 @@ from .harness import (
     SENSITIVE_ONLY,
     ExperimentConfig,
     SyntheticSpec,
-    TradeoffRecord,
     aggregate,
     emit_csv,
     evaluate_metrics,
+    plan_run,
     run_sweep,
     synth_dataset,
 )
-from .optimizer import (
-    SgdaConfig,
-    TrainResult,
-    dp_fermi_train,
-    stationarity_gap,
-)
-from .privacy import (
-    NoiseScales,
-    PrivacyBudget,
-    empirical_sensitivity_audit,
-)
+from .optimizer import SgdaConfig, dp_fermi_train
+from .privacy import NoiseScales
 
 __version__ = "0.1.0"
 
@@ -88,32 +75,26 @@ __all__ = [
     "ModelParams",
     "NO_PRIVACY",
     "NoiseScales",
-    "PrivacyBudget",
     "SENSITIVE_ONLY",
     "SgdaConfig",
     "SyntheticSpec",
     "TabularDataset",
-    "TradeoffRecord",
-    "TrainResult",
     "aggregate",
     "dp_fermi_train",
     "dp_violation",
     "emit_csv",
-    "empirical_sensitivity_audit",
     "eo_violation",
     "ermi_hard",
     "ermi_soft",
     "evaluate_metrics",
     "exceptions",
-    "inner_max_closed_form",
     "load_checkpoint",
     "load_csv",
+    "plan_run",
     "predict_label",
     "predict_proba",
-    "proba_lipschitz_bound",
     "run_sweep",
     "save_checkpoint",
-    "stationarity_gap",
     "synth_dataset",
     "train_test_split",
 ]

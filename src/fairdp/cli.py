@@ -13,13 +13,14 @@ passes one check (_check_out) before any data is read, drawn or computed:
 it must not be empty or a directory, its directory must exist, and for
 train and sweep it must not be the --dataset file; train, sweep and synth
 check their other flags first. Once the data is read and split, train and
-sweep refuse a train or test split that lacks a sensitive group before any
-run trains, with one line naming the split and the group
-(harness._load_split). audit-sensitivity checks every flag before it reads
-the dataset, with the lines its bounds and audit print: --seed, then
---box-radius and --batch-size as sensitivities checks them, then a box
-radius too large for a verdict, then --trials; only a --batch-size above
-the dataset's n is refused after the read.
+sweep refuse a train or test split that lacks a sensitive group, and under
+--notion eo a train split that lacks a (label, group) cell, before any run
+trains, with one line naming the split and the group (harness._load_split).
+audit-sensitivity checks every flag before it reads the dataset, with the
+lines its bounds and audit print: --seed, then --box-radius and
+--batch-size as sensitivities checks them, then a box radius too large for
+a verdict, then --trials; only a --batch-size above the dataset's n is
+refused after the read.
 evaluate reads the columns a checkpoint names, features and labels, by
 name; the checkpoint's weights and bias must be finite JSON numbers.
 Exit codes: 0 success, 1 audit-sensitivity FAIL (an observed sensitivity

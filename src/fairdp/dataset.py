@@ -170,16 +170,21 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
     counts = np.bincount(cells, minlength=n_strata * ds.k).reshape(n_strata, ds.k)
     if counts.min() == 0:
         c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
-        missing = (np.flatnonzero(counts[c] == 0) + 1).tolist()
-        if ds.sensitive_names is not None:
-            missing = [ds.sensitive_names[r - 1] for r in missing]
-        message = f"sensitive group(s) {missing} have no samples"
+        message = _no_samples(counts[c], ds.sensitive_names)
         if not by_label:
             raise DegenerateGroupError(message)
         if not counts[c].any():
             raise DegenerateConditionalError(f"label class {c + 1} has no samples")
         raise DegenerateConditionalError(f"within label class {c + 1}: {message}")
     return cells, counts
+
+
+def _no_samples(counts: np.ndarray, names=None) -> str:
+    """The error text for the zeros of a (k,) group count row, by name or code."""
+    missing = (np.flatnonzero(counts == 0) + 1).tolist()
+    if names is not None:
+        missing = [names[r - 1] for r in missing]
+    return f"sensitive group(s) {missing} have no samples"
 
 
 def sensitive_stats(ds: TabularDataset) -> SensitiveStats:
@@ -201,7 +206,8 @@ def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:
     name raises SchemaError before any row is read. Missing values are a hard
     error. Label and sensitive categories are encoded in first-appearance order
     of their whitespace-stripped cells and the code-to-name maps are stored on
-    the dataset. An open file descriptor is parsed in one process, then closed.
+    the dataset. An open file descriptor is parsed in one process, then closed,
+    and the error of an empty or header-only file names it "file descriptor N".
 
     Data lines are read CHUNK_ROWS at a time. A chunk is parsed by one
     np.loadtxt call when it has no quote character, no line longer than
@@ -246,11 +252,12 @@ def _read_csv(
     exactly those names, and they are read in that order."""
     if label_col == sensitive_col:
         raise SchemaError("label and sensitive columns must differ")
+    source = f"file descriptor {path}" if isinstance(path, int) else path
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
-            raise EmptyDatasetError(f"{path} is empty") from None
+            raise EmptyDatasetError(f"{source} is empty") from None
         except csv.Error as exc:
             raise SchemaError(f"unreadable header: {exc}") from None
         header = [h.strip() for h in header]
@@ -279,7 +286,7 @@ def _read_csv(
             n = _read_ranges(path, fh, rows, *split)
 
     if not n:
-        raise EmptyDatasetError(f"{path} has a header but no data rows")
+        raise EmptyDatasetError(f"{source} has a header but no data rows")
     rows.finish(n)
     return TabularDataset(
         features=rows.features,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward
-from .dataset import TabularDataset, group_counts
+from .dataset import TabularDataset, _no_samples, group_counts
 from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
@@ -102,7 +102,8 @@ def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) ->
     Without y there is one stratum (C = 1); with y each label class is one
     (C = l). k defaults to the largest group code and l to the largest
     predicted (or true) class; codes outside 1..k and 1..l are rejected,
-    and without y a group that does not appear raises DegenerateGroupError.
+    and without y a group that does not appear raises DegenerateGroupError
+    naming it as dataset.group_counts does.
     """
     names = ("preds", "s") if y is None else ("preds", "s", "y")
     codes = dict(zip(names, (np.asarray(c, dtype=np.int64) for c in (preds, s, y))))
@@ -120,7 +121,7 @@ def _hard_table(preds, s, y=None, k: int | None = None, l: int | None = None) ->
     flat = np.bincount((stratum * k + s - 1) * l + preds - 1, minlength=n_strata * k * l)
     table = flat.reshape(n_strata, k, l)
     if y is None and not table.any(axis=2).all():
-        raise DegenerateGroupError("every sensitive group must appear at least once")
+        raise DegenerateGroupError(_no_samples(table[0].sum(axis=1)))
     return table
 
 
@@ -156,9 +157,8 @@ def ermi_hard(
     groups = table.sum(axis=2)  # (C, k) samples per (stratum, group)
     absent = (groups.min(axis=1) == 0) & (groups.max(axis=1) > 0)
     if absent.any():  # only with y: _hard_table refuses an absent group without it
-        raise DegenerateConditionalError(
-            f"some sensitive group is absent within label class {int(np.argmax(absent)) + 1}"
-        )
+        c = int(np.argmax(absent))
+        raise DegenerateConditionalError(f"within label class {c + 1}: {_no_samples(groups[c])}")
     return _stratified_ermi(table)
 
 

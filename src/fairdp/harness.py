@@ -27,7 +27,9 @@ from .dataset import (
 from .exceptions import (
     CalibrationError, DegenerateConditionalError, DegenerateGroupError, DivergenceError
 )
-from .fairness import DEMOGRAPHIC_PARITY, FermiConfig, dp_violation, eo_violation, ermi_hard
+from .fairness import (
+    DEMOGRAPHIC_PARITY, EQUALIZED_ODDS, FermiConfig, dp_violation, eo_violation, ermi_hard
+)
 from .optimizer import SgdaConfig, dp_fermi_train
 from .privacy import (  # the granularities are re-exported here
     ALL_FEATURES,
@@ -201,7 +203,9 @@ def _load_split(config: ExperimentConfig) -> tuple[TabularDataset, TabularDatase
     A split that lacks a sensitive group raises DegenerateGroupError naming
     the split here, before any run trains: calibration would raise it for
     the train split without naming it, and evaluate_metrics for the test
-    split only after training.
+    split only after training. Under equalized odds, so does a train split
+    that lacks a (label, group) cell (DegenerateConditionalError), which strata
+    would raise inside the first run; a test split lacking one has a NaN EO gap.
     """
     splits = train_test_split(
         load_experiment_dataset(config), config.test_fraction, config.master_seed
@@ -209,8 +213,10 @@ def _load_split(config: ExperimentConfig) -> tuple[TabularDataset, TabularDatase
     for name, split in zip(("train", "test"), splits):
         try:
             group_counts(split)
-        except DegenerateGroupError as exc:
-            raise DegenerateGroupError(f"{exc} in the {name} split") from None
+            if name == "train" and config.notion == EQUALIZED_ODDS:
+                group_counts(split, by_label=True)
+        except (DegenerateGroupError, DegenerateConditionalError) as exc:
+            raise type(exc)(f"{exc} in the {name} split") from None
     return splits
 
 

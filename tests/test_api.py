@@ -1,4 +1,4 @@
-"""The public API: the 36 names of fairdp.__all__, the internals that stay
+"""The public API: the 30 names of fairdp.__all__, the internals that stay
 importable from their module, and the per-sample references that live in
 tests/helpers.py rather than in the library."""
 
@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 import fairdp
-from fairdp import classifier, dataset, fairness, optimizer, privacy
+from fairdp import classifier, dataset, fairness, harness, optimizer, privacy
 
 PUBLIC = [
     "ALL_FEATURES",
@@ -18,39 +18,33 @@ PUBLIC = [
     "ModelParams",
     "NO_PRIVACY",
     "NoiseScales",
-    "PrivacyBudget",
     "SENSITIVE_ONLY",
     "SgdaConfig",
     "SyntheticSpec",
     "TabularDataset",
-    "TradeoffRecord",
-    "TrainResult",
     "aggregate",
     "dp_fermi_train",
     "dp_violation",
     "emit_csv",
-    "empirical_sensitivity_audit",
     "eo_violation",
     "ermi_hard",
     "ermi_soft",
     "evaluate_metrics",
     "exceptions",
-    "inner_max_closed_form",
     "load_checkpoint",
     "load_csv",
+    "plan_run",
     "predict_label",
     "predict_proba",
-    "proba_lipschitz_bound",
     "run_sweep",
     "save_checkpoint",
-    "stationarity_gap",
     "synth_dataset",
     "train_test_split",
 ]
 
 
 def test_all_is_the_public_api():
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 30
     assert fairdp.__all__ == PUBLIC
 
 
@@ -91,14 +85,25 @@ def test_per_sample_references_are_not_in_the_library(module, name):
         (privacy, "gaussian_noise"),
         (privacy, "min_iterations"),
         (privacy, "sensitivities"),
+        (optimizer, "stationarity_gap"),
+        (optimizer, "TrainResult"),
+        (fairness, "inner_max_closed_form"),
+        (classifier, "proba_lipschitz_bound"),
+        (privacy, "empirical_sensitivity_audit"),
+        (privacy, "PrivacyBudget"),
+        (harness, "TradeoffRecord"),
     ],
     ids=[
         "minibatch", "group_counts", "sensitive_stats", "SensitivityBounds", "calibrate",
-        "gaussian_noise", "min_iterations", "sensitivities",
+        "gaussian_noise", "min_iterations", "sensitivities", "stationarity_gap", "TrainResult",
+        "inner_max_closed_form", "proba_lipschitz_bound", "empirical_sensitivity_audit",
+        "PrivacyBudget", "TradeoffRecord",
     ],
 )
 def test_internals_stay_importable_from_their_module(module, name):
+    # analysis helpers and result types live in their module, not the root
     assert name not in fairdp.__all__
+    assert not hasattr(fairdp, name)
     assert callable(getattr(module, name))
 
 

@@ -885,12 +885,13 @@ class TestTrainAndSweepShareValidation:
 
 class TestTestSplitLackingAGroup:
     @staticmethod
-    def refused(synth_csv, tmp_path, monkeypatch, command, row):
-        """The exit code, output and training calls of `command` on a copy of
-        synth_csv whose data row `row` is the one row of group "3"."""
+    def refused(synth_csv, tmp_path, monkeypatch, command, cells, *flags):
+        """The exit code and training calls of `command` with flags on a copy
+        of synth_csv whose cells (data row, column, value) are rewritten."""
         with synth_csv.open(newline="") as fh:
             rows = list(csv.reader(fh))
-        rows[row + 1][-1] = "3"
+        for row, column, value in cells:
+            rows[row + 1][column] = value
         path = tmp_path / "one-row-group.csv"
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -903,14 +904,14 @@ class TestTestSplitLackingAGroup:
         monkeypatch.setattr(cli, "dp_fermi_train", training)
         monkeypatch.setattr(harness, "dp_fermi_train", training)
         argv = [command, "--dataset", str(path), "--epochs", "5", "--batch-size", "64",
-                "--out", str(tmp_path / "out")]
+                "--out", str(tmp_path / "out"), *flags]
         return main(argv), calls
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_exits_2_before_any_run_trains(self, synth_csv, tmp_path, capsys, monkeypatch, command):
         # data row 1 becomes the one row of group "3", and the split at seed
         # 0 puts it in the train split, so the test split lacks the group
-        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, 1)
+        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, [(1, -1, "3")])
         assert code == 2
         message = "error: sensitive group(s) ['3'] have no samples in the test split\n"
         assert capsys.readouterr() == ("", message)
@@ -922,9 +923,32 @@ class TestTestSplitLackingAGroup:
     ):
         # data row 95 goes to the test split at seed 0, so the train split
         # lacks its group
-        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, 95)
+        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, [(95, -1, "3")])
         assert code == 2
         message = "error: sensitive group(s) ['3'] have no samples in the train split\n"
+        assert capsys.readouterr() == ("", message)
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_an_eo_train_split_lacking_a_cell_exits_2_before_any_run_trains(
+        self, synth_csv, tmp_path, capsys, monkeypatch, command
+    ):
+        # label "3", code 3 by first appearance, has two rows: data row 6, of
+        # group "1", goes to the train split at seed 0 and data row 95, of
+        # group "2", to the test split, so the train split lacks the (3, "2")
+        # cell that equalized odds needs
+        cells = [(6, -2, "3"), (6, -1, "1"), (95, -2, "3"), (95, -1, "2")]
+        code, calls = self.refused(synth_csv, tmp_path, monkeypatch, command, cells)
+        assert code == 0 and calls  # demographic parity needs no such cell
+        capsys.readouterr()
+        code, calls = self.refused(
+            synth_csv, tmp_path, monkeypatch, command, cells, "--notion", "eo"
+        )
+        assert code == 2
+        message = (
+            "error: within label class 3: sensitive group(s) ['2'] have no samples"
+            " in the train split\n"
+        )
         assert capsys.readouterr() == ("", message)
         assert calls == []
 

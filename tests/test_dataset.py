@@ -832,6 +832,24 @@ class TestLoadFromDescriptor:
         assert got[0] == (FORK_ROWS, 10), got[:3]  # a dataset, not an error
         assert got == load_outcome(load_csv, path, columns)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "is empty"), ("x,lab,grp\n", "has a header but no data rows")],
+        ids=["empty", "header_only"],
+    )
+    def test_an_empty_file_is_named_as_a_descriptor(self, tmp_path, text, message):
+        # the path's error names the path; the descriptor's names the descriptor
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(EmptyDatasetError) as info:
+            load_csv(path, "lab", "grp")
+        assert str(info.value) == f"{path} {message}"
+        fd = os.open(path, os.O_RDONLY)
+        with pytest.raises(EmptyDatasetError) as info:
+            load_csv(fd, "lab", "grp")
+        assert str(info.value) == f"file descriptor {fd} {message}"
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
 
 class TestOwnership:
     """A dataset holds read-only arrays nothing else can write to."""
