@@ -76,8 +76,8 @@ class TabularDataset:
     when it has the right dtype, is read-only and owns its memory
     (`a.base is None`); any other input, a view or a writeable array, is
     stored as a read-only copy, so changing it later leaves the dataset
-    unchanged. SensitiveStats and ModelParams hold their arrays by the same
-    rule. The shape, finiteness and code-range checks run either way. A
+    unchanged. ModelParams holds its arrays by the same rule. The shape,
+    finiteness and code-range checks run either way. A
     caller that keeps an array it handed over and calls setflags(write=True)
     on it can still change the dataset.
     """
@@ -137,21 +137,9 @@ class TabularDataset:
 
 @dataclass(frozen=True)
 class SensitiveStats:
-    """Empirical sensitive-group distribution and its inverse square roots."""
+    """The group floor rho of a dataset: its smallest sensitive group's share."""
 
-    counts: np.ndarray  # (k,) int64, all >= 1
-    probabilities: np.ndarray  # (k,) float64, sums to 1
     rho: float  # min group fraction, > 0
-    inv_sqrt: np.ndarray  # (k,) float64, probabilities ** -0.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", _frozen_array(self.counts, np.int64))
-        object.__setattr__(self, "probabilities", _frozen_array(self.probabilities, np.float64))
-        object.__setattr__(self, "inv_sqrt", _frozen_array(self.inv_sqrt, np.float64))
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
 
 
 def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +150,8 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
     (C, k) int64 counts, with one stratum (C = 1), or one per label class
     (C = l) when by_label. An absent group raises DegenerateGroupError; by
     label, the first label class that is absent or lacks a group raises
-    DegenerateConditionalError. The error names a group by its CSV value
-    where the dataset keeps one, else by its code.
+    DegenerateConditionalError. The error names a group and a label class
+    by its CSV value where the dataset keeps one, else by its code.
     """
     n_strata, stratum = (ds.l, ds.labels - 1) if by_label else (1, 0)
     cells = stratum * ds.k + ds.sensitive - 1
@@ -173,9 +161,10 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
         message = _no_samples(counts[c], ds.sensitive_names)
         if not by_label:
             raise DegenerateGroupError(message)
+        label = c + 1 if ds.label_names is None else ds.label_names[c]
         if not counts[c].any():
-            raise DegenerateConditionalError(f"label class {c + 1} has no samples")
-        raise DegenerateConditionalError(f"within label class {c + 1}: {message}")
+            raise DegenerateConditionalError(f"label class {label!r} has no samples")
+        raise DegenerateConditionalError(f"within label class {label!r}: {message}")
     return cells, counts
 
 
@@ -188,14 +177,12 @@ def _no_samples(counts: np.ndarray, names=None) -> str:
 
 
 def sensitive_stats(ds: TabularDataset) -> SensitiveStats:
-    """Group counts, probabilities, rho and P_S^{-1/2} diagonal for a dataset.
+    """The group floor rho: the smallest of group_counts' counts over n.
 
-    Not public, as group_counts and fairness.strata give its figures: kept only
-    for the rho of plan_run, audit-sensitivity and bench/ until ROADMAP items
-    2 and 5 delete it."""
-    counts = group_counts(ds)[1][0]
-    probs = counts / ds.n
-    return SensitiveStats(counts, probs, float(probs.min()), probs ** -0.5)
+    Group counts, shares and inverse square roots come from group_counts and
+    fairness.strata. Kept only for the rho of plan_run, audit-sensitivity and
+    bench/ until ROADMAP items 2 and 5 delete it."""
+    return SensitiveStats(float(group_counts(ds)[1].min() / ds.n))
 
 
 def load_csv(path, label_col: str, sensitive_col: str) -> TabularDataset:

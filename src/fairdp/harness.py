@@ -227,7 +227,11 @@ def _dataset_id(config: ExperimentConfig) -> str:
 
 
 def evaluate_metrics(theta: ModelParams, ds: TabularDataset) -> dict:
-    """Error rate and fairness violations of hard predictions on a dataset."""
+    """Error rate and fairness violations of hard predictions on a dataset.
+
+    A dataset that lacks a sensitive group raises group_counts' error, which
+    names the group by its CSV value."""
+    group_counts(ds)
     preds = predict_label(theta, ds.features)
     metrics = {
         "error": float((preds != ds.labels).mean()),

@@ -33,7 +33,7 @@ import numpy as np
 from .classifier import ModelParams, forward, mean_param_grad
 from .dataset import TabularDataset, _check_int, _check_positive_finite, group_counts
 from .exceptions import CalibrationError
-from .fairness import saddle_terms
+from .fairness import saddle_terms, strata
 
 SENSITIVE_ONLY = "sensitive_only"
 ALL_FEATURES = "all_features"
@@ -201,8 +201,8 @@ def empirical_sensitivity_audit(
     _check_int("m", m, 1)
     if not m <= ds.n:
         raise ValueError(f"batch size {m} must satisfy 1 <= m <= n={ds.n}")
-    cells, counts = group_counts(ds)
-    inv_sqrt = (counts / ds.n) ** -0.5  # strata(ds)'s, from the same counts
+    counts = group_counts(ds)[1]
+    cells, inv_sqrt = strata(ds)
     w = np.asarray(w, dtype=np.float64)[None]
     max_dtheta = max_dw = 0.0
     for _ in range(trials):

@@ -11,7 +11,8 @@ probability Jacobian of one sample (loss, loss_grad, jacobian_proba, and
 mean_loss over a sample set, by mean_cross_entropy on class-major
 probabilities; the library computes no loss value), one sample's saddle
 value psi and its exact gradients (psi_grad_w, psi_grad_theta) for one
-k x l dual block, the group statistics of a vector of group codes by one
+k x l dual block at a (k,) row of group inverse square roots, the group
+counts and inverse square roots of a vector of group codes by one
 bincount, and the four closed-form noise variances written out term by
 term, which the one noise rule sigma = z * Delta must reproduce."""
 
@@ -25,7 +26,7 @@ from fairdp import _fork
 from fairdp.classifier import (
     ModelParams, forward, gradient_scale, loss_dlogits, mean_param_grad, predict_proba
 )
-from fairdp.dataset import SensitiveStats, TabularDataset, minibatch
+from fairdp.dataset import TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError, EmptyDatasetError, ParseError, SchemaError
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import _class_means
@@ -65,14 +66,15 @@ def central_diff_jac(f, x, out_dim, h=1e-5):
     return jac
 
 
-def dp_saddle_terms(theta, w, features, s, stats):
+def dp_saddle_terms(theta, w, features, s, inv_sqrt):
     """Batch-mean (theta gradient, dual gradient, psi value) of one k x l
-    demographic-parity block through the training kernels: one forward pass,
-    saddle_terms on the single stratum, then mean_param_grad."""
+    demographic-parity block, at its (k,) group inverse square roots, through
+    the training kernels: one forward pass, saddle_terms on the single
+    stratum, then mean_param_grad."""
     features = np.asarray(features, dtype=np.float64)
     proba = forward(theta.weights, theta.bias, features)
     cells = np.asarray(s, dtype=np.int64) - 1
-    d_psi, g_w, value = saddle_terms(proba, np.asarray(w)[None], stats.inv_sqrt[None], cells)
+    d_psi, g_w, value = saddle_terms(proba, np.asarray(w)[None], inv_sqrt[None], cells)
     return mean_param_grad(d_psi, features), g_w[0], value
 
 
@@ -314,20 +316,19 @@ def mean_loss(theta: ModelParams, features: np.ndarray, labels: np.ndarray) -> f
     return mean_cross_entropy(forward(theta.weights, theta.bias, features), np.asarray(labels))
 
 
-def group_stats(sensitive, k: int) -> SensitiveStats:
-    """Group statistics of codes in 1..k, every group present, by one plain
-    bincount: the oracle for dataset.group_counts and for the statistics of
-    one label class's groups."""
+def group_stats(sensitive, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k,) counts and share inverse square roots of codes in 1..k, every
+    group present, by one plain bincount: the oracle for dataset.group_counts
+    and fairness.strata, over a dataset or one label class."""
     sensitive = np.asarray(sensitive, dtype=np.int64)
     counts = np.bincount(sensitive - 1, minlength=k)
-    probs = counts / sensitive.shape[0]
-    return SensitiveStats(counts, probs, float(probs.min()), probs ** -0.5)
+    return counts, (counts / sensitive.shape[0]) ** -0.5
 
 
-def _check_dual(theta: ModelParams, w: np.ndarray, stats: SensitiveStats) -> np.ndarray:
+def _check_dual(theta: ModelParams, w: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (stats.k, theta.l):
-        raise ValueError(f"dual must be {(stats.k, theta.l)}, got {w.shape}")
+    if w.shape != (inv_sqrt.shape[0], theta.l):
+        raise ValueError(f"dual must be {(inv_sqrt.shape[0], theta.l)}, got {w.shape}")
     return w
 
 
@@ -336,18 +337,19 @@ def psi(
     w: np.ndarray,
     x: np.ndarray,
     s: int,
-    stats: SensitiveStats,
+    inv_sqrt: np.ndarray,
 ) -> float:
     """Per-sample saddle value.
 
     psi = -Tr(W diag(F) W^T) + 2 Tr(W^T P_S^{-1/2} B) - 1 with
-    B[r, j] = 1{s = r} F_j(x, theta); strongly concave in W, and the batch
-    maximum over W of the averaged psi equals the soft ERMI.
+    B[r, j] = 1{s = r} F_j(x, theta) and inv_sqrt the (k,) diagonal of
+    P_S^{-1/2}; strongly concave in W, and the batch maximum over W of the
+    averaged psi equals the soft ERMI.
     """
-    w = _check_dual(theta, w, stats)
+    w = _check_dual(theta, w, inv_sqrt)
     probs = predict_proba(theta, x)
     quad = float((w ** 2).sum(axis=0) @ probs)
-    coupling = float(w[s - 1] @ probs) * stats.inv_sqrt[s - 1]
+    coupling = float(w[s - 1] @ probs) * inv_sqrt[s - 1]
     return -quad + 2.0 * coupling - 1.0
 
 
@@ -356,13 +358,13 @@ def psi_grad_w(
     w: np.ndarray,
     x: np.ndarray,
     s: int,
-    stats: SensitiveStats,
+    inv_sqrt: np.ndarray,
 ) -> np.ndarray:
     """Exact dual gradient -2 W diag(F) + 2 P_S^{-1/2} B."""
-    w = _check_dual(theta, w, stats)
+    w = _check_dual(theta, w, inv_sqrt)
     probs = predict_proba(theta, x)
     grad = -2.0 * w * probs[None, :]
-    grad[s - 1] += 2.0 * stats.inv_sqrt[s - 1] * probs
+    grad[s - 1] += 2.0 * inv_sqrt[s - 1] * probs
     return grad
 
 
@@ -371,7 +373,7 @@ def psi_grad_theta(
     w: np.ndarray,
     x: np.ndarray,
     s: int,
-    stats: SensitiveStats,
+    inv_sqrt: np.ndarray,
 ) -> np.ndarray:
     """Model gradient of psi, chained through the probability Jacobian.
 
@@ -379,10 +381,10 @@ def psi_grad_theta(
     with c_j = -(W^T W)_{jj} + 2 W[s, j] / sqrt(p_S(s)), so the gradient is
     J^T c where J is jacobian_proba.
     """
-    w = _check_dual(theta, w, stats)
+    w = _check_dual(theta, w, inv_sqrt)
     x = np.asarray(x, dtype=np.float64)
     probs = predict_proba(theta, x)
-    c = -(w ** 2).sum(axis=0) + 2.0 * stats.inv_sqrt[s - 1] * w[s - 1]
+    c = -(w ** 2).sum(axis=0) + 2.0 * inv_sqrt[s - 1] * w[s - 1]
     # J^T c without materializing J: a = (diag(F) - F F^T) c
     a = probs * c - probs * float(probs @ c)
     return np.concatenate([np.outer(a, x).ravel(), a])

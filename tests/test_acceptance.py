@@ -18,7 +18,7 @@ from fairdp.classifier import (
     predict_proba,
     proba_lipschitz_bound,
 )
-from fairdp.dataset import TabularDataset, sensitive_stats, train_test_split
+from fairdp.dataset import TabularDataset, group_counts, train_test_split
 from fairdp.fairness import (
     EQUALIZED_ODDS,
     FermiConfig,
@@ -26,6 +26,7 @@ from fairdp.fairness import (
     ermi_soft,
     inner_max_closed_form,
     saddle_terms,
+    strata,
 )
 from fairdp.harness import (
     SENSITIVE_ONLY,
@@ -86,7 +87,7 @@ def test_criterion_1_gradient_fidelity():
     worst = 0.0
     for _ in range(100):
         ds, theta = random_instance(rng)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         l, d_x = theta.l, theta.d_x
         i = int(rng.integers(0, ds.n))
         x, s, y = ds.features[i], int(ds.sensitive[i]), int(ds.labels[i])
@@ -105,15 +106,15 @@ def test_criterion_1_gradient_fidelity():
         worst = max(worst, rel_error(jacobian_proba(theta, x), fd))
 
         fd = central_diff_grad(
-            lambda v: psi(ModelParams.from_vector(v, l, d_x), w, x, s, stats),
+            lambda v: psi(ModelParams.from_vector(v, l, d_x), w, x, s, inv_sqrt),
             theta.as_vector(),
         )
-        worst = max(worst, rel_error(psi_grad_theta(theta, w, x, s, stats), fd))
+        worst = max(worst, rel_error(psi_grad_theta(theta, w, x, s, inv_sqrt), fd))
 
         fd = central_diff_grad(
-            lambda v: psi(theta, v.reshape(ds.k, l), x, s, stats), w.ravel()
+            lambda v: psi(theta, v.reshape(ds.k, l), x, s, inv_sqrt), w.ravel()
         ).reshape(ds.k, l)
-        worst = max(worst, rel_error(psi_grad_w(theta, w, x, s, stats), fd))
+        worst = max(worst, rel_error(psi_grad_w(theta, w, x, s, inv_sqrt), fd))
     elapsed = time.monotonic() - start
     _report(
         1,
@@ -125,7 +126,7 @@ def test_criterion_1_gradient_fidelity():
 
 def _ascent_confirmation(instances, steps=10_000):
     """Projected ascent on the batch-averaged dual objective of each
-    (theta, ds, stats, w_star) instance.
+    (theta, ds, inv_sqrt, w_star) instance.
 
     The averaged gradient is -2 W diag(marginal) + 2 P^{-1/2} joint; the
     moments are fixed in W, so iterating the gradient map is an independent
@@ -140,13 +141,13 @@ def _ascent_confirmation(instances, steps=10_000):
     coupling = np.zeros((len(instances), k_max, l_max))
     box = np.empty((len(instances), 1, 1))
     eta = np.empty((len(instances), 1, 1))
-    for i, (theta, ds, stats, w_star) in enumerate(instances):
+    for i, (theta, ds, inv_sqrt, w_star) in enumerate(instances):
         k, l = w_star.shape
         probs = predict_proba(theta, ds.features)  # (n, l)
-        in_group = ds.sensitive[:, None] == np.arange(1, stats.k + 1)  # (n, k)
+        in_group = ds.sensitive[:, None] == np.arange(1, k + 1)  # (n, k)
         joint = probs.T @ in_group / ds.n  # (l, k) soft p(j, r)
         marginal[i, 0, :l] = probs.mean(axis=0)
-        coupling[i, :k, :l] = 2.0 * stats.inv_sqrt[:, None] * joint.T
+        coupling[i, :k, :l] = 2.0 * inv_sqrt[:, None] * joint.T
         box[i] = np.abs(w_star).max() * 2.0 + 1.0
         eta[i] = 1.0 / (2.0 * marginal[i].max())
     w = np.zeros_like(coupling)
@@ -161,15 +162,15 @@ def test_criterion_2_minmax_identity():
     instances = []
     for _ in range(50):
         ds, theta = random_instance(rng)
-        stats = sensitive_stats(ds)
+        cells, inv_sqrt = strata(ds)
         lam = float(rng.uniform(0.0, 2.5))
         w_star = inner_max_closed_form(theta, ds)[0]
         proba = forward(theta.weights, theta.bias, ds.features)
-        _, _, psi_at_star = saddle_terms(proba, w_star[None], stats.inv_sqrt[None], ds.sensitive - 1)
+        _, _, psi_at_star = saddle_terms(proba, w_star[None], inv_sqrt, cells)
         max_f = mean_loss(theta, ds.features, ds.labels) + lam * psi_at_star
         direct = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds)
         worst_gap = max(worst_gap, abs(max_f - direct))
-        instances.append((theta, ds, stats, w_star))
+        instances.append((theta, ds, inv_sqrt[0], w_star))
     worst_entry = max(
         np.abs(w_ascent - w_star).max()
         for w_ascent, (*_, w_star) in zip(_ascent_confirmation(instances), instances)
@@ -227,8 +228,8 @@ def test_criterion_4_sensitivity_soundness():
     rng = np.random.default_rng(404)
     spec = SyntheticSpec(n=400, d_x=4, bias=0.5, noise_scale=1.0, seed=11)
     ds = synth_dataset(spec)
-    stats = sensitive_stats(ds)
-    assert stats.rho >= 0.25
+    rho = group_counts(ds)[1].min() / ds.n  # the smallest group's share
+    assert rho >= 0.25
     D = 1.0
     L = proba_lipschitz_bound(ds.features)
     ok = True
@@ -239,7 +240,7 @@ def test_criterion_4_sensitivity_soundness():
         )
         w = rng.uniform(-D, D, size=(ds.k, ds.l))
         obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=400, m=m, rng=rng)
-        bound = sensitivities(SENSITIVE_ONLY, D, L, m, stats.rho)
+        bound = sensitivities(SENSITIVE_ONLY, D, L, m, rho)
         ok &= obs_theta <= bound.delta_theta and obs_w <= bound.delta_w
         details.append(
             f"m={m}: {obs_theta:.4f}<={bound.delta_theta:.4f}, {obs_w:.4f}<={bound.delta_w:.4f}"
@@ -359,12 +360,12 @@ def test_criterion_8_equalized_odds_variant():
 def test_criterion_9_scaling_trend():
     def gap_sq(n, trial):
         ds = synth_dataset(SyntheticSpec(n=n, d_x=5, bias=0.5, noise_scale=1.0, seed=trial))
-        stats = sensitive_stats(ds)
+        rho = group_counts(ds)[1].min() / ds.n
         m = 100
         T = 12 * math.ceil(n / m)
         assert T >= min_iterations(n, m, 1.0)
         noise = calibrate(
-            SENSITIVE_ONLY, PrivacyBudget(1.0, 1e-5), T, n, 1, stats.rho,
+            SENSITIVE_ONLY, PrivacyBudget(1.0, 1e-5), T, n, 1, rho,
             proba_lipschitz_bound(ds.features), 3.0,
         )
         config = SgdaConfig(

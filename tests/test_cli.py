@@ -946,7 +946,7 @@ class TestTestSplitLackingAGroup:
         )
         assert code == 2
         message = (
-            "error: within label class 3: sensitive group(s) ['2'] have no samples"
+            "error: within label class '3': sensitive group(s) ['2'] have no samples"
             " in the train split\n"
         )
         assert capsys.readouterr() == ("", message)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -1008,18 +1009,15 @@ class TestSplit:
 
 
 class TestSensitiveStats:
+    def test_holds_only_rho(self):
+        # group counts, shares and inverse roots come from group_counts and strata
+        assert [f.name for f in dataclasses.fields(dataset.SensitiveStats)] == ["rho"]
+
     def test_balanced(self):
-        st_ = sensitive_stats(small_ds())
-        assert np.allclose(st_.probabilities, [0.5, 0.5])
-        assert st_.rho == 0.5
-        assert np.allclose(st_.inv_sqrt, [1.41421356, 1.41421356])
+        assert sensitive_stats(small_ds()).rho == 0.5
 
     def test_skewed(self):
-        st_ = sensitive_stats(small_ds(s=(1, 1, 1, 2)))
-        assert np.allclose(st_.probabilities, [0.75, 0.25])
-        assert st_.rho == 0.25
-        # 0.75 ** -0.5 and 0.25 ** -0.5
-        assert np.allclose(st_.inv_sqrt, [1.15470054, 2.0])
+        assert sensitive_stats(small_ds(s=(1, 1, 1, 2))).rho == 0.25
 
     def test_empty_group(self):
         ds = TabularDataset(
@@ -1028,21 +1026,16 @@ class TestSensitiveStats:
         with pytest.raises(DegenerateGroupError):
             sensitive_stats(ds)
 
-    def test_inv_sqrt_inverts(self):
-        ds = TabularDataset(np.zeros((6, 1)), [1, 2, 1, 2, 1, 2], [1, 1, 2, 3, 3, 3], l=2, k=3)
-        st_ = sensitive_stats(ds)
-        assert np.allclose(st_.inv_sqrt * np.sqrt(st_.probabilities), 1.0)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_bincount_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n, k = 40, 3
         s = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
         ds = TabularDataset(rng.normal(size=(n, 2)), rng.integers(1, 3, size=n), s, l=2, k=k)
-        got, want = sensitive_stats(ds), group_stats(ds.sensitive, k)
-        for field in ("counts", "probabilities", "inv_sqrt"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert got.rho == want.rho
+        rho = sensitive_stats(ds).rho
+        assert type(rho) is float
+        assert rho == group_stats(ds.sensitive, k)[0].min() / n
+        assert rho == group_counts(ds)[1].min() / ds.n
 
 
 def cells_dataset(pairs, l=2, k=2):
@@ -1066,7 +1059,7 @@ class TestGroupCounts:
         stratum = ds.labels - 1 if by_label else 0
         assert np.array_equal(cells, stratum * k + ds.sensitive - 1)
         members = [ds.labels == c for c in range(1, l + 1)] if by_label else [slice(None)]
-        want = np.stack([group_stats(ds.sensitive[rows], k).counts for rows in members])
+        want = np.stack([group_stats(ds.sensitive[rows], k)[0] for rows in members])
         assert counts.dtype == np.int64
         assert np.array_equal(counts, want)
 
@@ -1110,7 +1103,7 @@ class TestGroupCounts:
         "by_label, error, message",
         [(False, DegenerateGroupError, "sensitive group(s) ['m'] have no samples"),
          (True, DegenerateConditionalError,
-          "within label class 1: sensitive group(s) ['m'] have no samples")],
+          "within label class 'a': sensitive group(s) ['m'] have no samples")],
         ids=["one_stratum", "by_label"],
     )
     def test_a_csv_group_is_named_by_its_value(self, tmp_path, by_label, error, message):
@@ -1120,6 +1113,21 @@ class TestGroupCounts:
         ds = load_csv(path, "label", "sensitive")
         with pytest.raises(error) as info:
             group_counts(ds.subset([0, 2]), by_label=by_label)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [([(1, 1), (2, 1), (2, 2)],
+          "within label class 'yes': sensitive group(s) ['b'] have no samples"),
+         ([(2, 1), (2, 2)], "label class 'yes' has no samples")],
+        ids=["empty_cell", "absent_label_class"],
+    )
+    def test_a_label_class_is_named_by_its_value(self, pairs, message):
+        # as a group is: a label class the dataset names is named, not numbered
+        names = {"label_names": ("yes", "no"), "sensitive_names": ("a", "b")}
+        ds = dataclasses.replace(cells_dataset(pairs), **names)
+        with pytest.raises(DegenerateConditionalError) as info:
+            group_counts(ds, by_label=True)
         assert str(info.value) == message
 
 

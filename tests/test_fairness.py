@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairdp.classifier import ModelParams, forward, mean_param_grad, predict_proba
-from fairdp.dataset import TabularDataset, group_counts, sensitive_stats
+from fairdp.dataset import TabularDataset, group_counts
 from fairdp.exceptions import DegenerateConditionalError, DegenerateGroupError
 from fairdp.fairness import (
     DEMOGRAPHIC_PARITY,
@@ -146,7 +146,7 @@ class TestErmiSoft:
         rng = np.random.default_rng(4)
         ds = random_dataset(rng, n=6)
         theta = random_params(rng, 2, 3)
-        stats = sensitive_stats(ds)
+        counts = group_stats(ds.sensitive, ds.k)[0]
         probs = predict_proba(theta, ds.features)
         joint = np.zeros((2, 2))
         marginal = np.zeros(2)
@@ -155,7 +155,7 @@ class TestErmiSoft:
                 joint[j, ds.sensitive[i] - 1] += probs[i, j] / ds.n
                 marginal[j] += probs[i, j] / ds.n
         expected = sum(
-            joint[j, r] ** 2 / (marginal[j] * stats.probabilities[r])
+            joint[j, r] ** 2 / (marginal[j] * counts[r] / ds.n)
             for j in range(2)
             for r in range(2)
         ) - 1.0
@@ -222,10 +222,10 @@ class TestErmiConditional:
         assert str(info.value) == "within label class 1: sensitive group(s) [2] have no samples"
 
 
-def one_sample_maximizer(theta, x, s, stats):
+def one_sample_maximizer(theta, x, s, inv_sqrt):
     """Per-sample first-order maximizer W[r, j] = 1{s=r} / sqrt(p_S(r))."""
-    w = np.zeros((stats.k, theta.l))
-    w[s - 1, :] = stats.inv_sqrt[s - 1]
+    w = np.zeros((inv_sqrt.shape[0], theta.l))
+    w[s - 1, :] = inv_sqrt[s - 1]
     return w
 
 
@@ -233,65 +233,65 @@ class TestPsi:
     def test_zero_dual(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
-        value = psi(theta, np.zeros((2, 2)), ds.features[0], int(ds.sensitive[0]), stats)
+        value = psi(theta, np.zeros((2, 2)), ds.features[0], int(ds.sensitive[0]), inv_sqrt)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_evaluated_instance(self):
         # theta = 0, balanced groups, W = diag(sqrt(p_S)): F = (1/2, 1/2),
         # quadratic term 1/2, coupling 2 * sqrt(.5) * .5 * sqrt(2) = 1
         ds = TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], [1, 1, 2, 2], l=2, k=2)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = ModelParams.zeros(2, 2)
-        w = np.diag(np.sqrt(stats.probabilities))
-        value = psi(theta, w, ds.features[0], 1, stats)
+        w = np.diag(np.sqrt([0.5, 0.5]))
+        value = psi(theta, w, ds.features[0], 1, inv_sqrt)
         assert value == pytest.approx(-0.5 + 1.0 - 1.0, abs=1e-12)
 
     def test_dominated_by_per_sample_maximizer(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         x, s = ds.features[0], int(ds.sensitive[0])
-        best = psi(theta, one_sample_maximizer(theta, x, s, stats), x, s, stats)
+        best = psi(theta, one_sample_maximizer(theta, x, s, inv_sqrt), x, s, inv_sqrt)
         for _ in range(25):
             w = rng.normal(scale=2.0, size=(2, 2))
-            assert psi(theta, w, x, s, stats) <= best + 1e-12
+            assert psi(theta, w, x, s, inv_sqrt) <= best + 1e-12
 
 
 class TestPsiGradW:
     def test_zero_dual_formula(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         x, s = ds.features[2], int(ds.sensitive[2])
-        grad = psi_grad_w(theta, np.zeros((2, 2)), x, s, stats)
+        grad = psi_grad_w(theta, np.zeros((2, 2)), x, s, inv_sqrt)
         probs = predict_proba(theta, x)
         expected = np.zeros((2, 2))
-        expected[s - 1] = 2.0 * stats.inv_sqrt[s - 1] * probs
+        expected[s - 1] = 2.0 * inv_sqrt[s - 1] * probs
         assert np.allclose(grad, expected, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             ds = random_dataset(rng)
-            stats = sensitive_stats(ds)
+            inv_sqrt = strata(ds)[1][0]
             theta = random_params(rng, 2, 3)
             w = rng.normal(size=(2, 2))
             x, s = ds.features[0], int(ds.sensitive[0])
             fd = central_diff_grad(
-                lambda v: psi(theta, v.reshape(2, 2), x, s, stats), w.ravel()
+                lambda v: psi(theta, v.reshape(2, 2), x, s, inv_sqrt), w.ravel()
             ).reshape(2, 2)
-            assert rel_error(psi_grad_w(theta, w, x, s, stats), fd) <= 1e-6
+            assert rel_error(psi_grad_w(theta, w, x, s, inv_sqrt), fd) <= 1e-6
 
     def test_saturated_model_touches_one_column(self):
         # huge logit on class 2 makes F one-hot there
         theta = ModelParams(np.array([[0.0], [80.0]]), np.zeros(2))
         ds = TabularDataset(np.ones((2, 1)), [1, 2], [1, 2], l=2, k=2)
-        stats = sensitive_stats(ds)
-        grad = psi_grad_w(theta, np.ones((2, 2)), np.ones(1), 1, stats)
+        inv_sqrt = strata(ds)[1][0]
+        grad = psi_grad_w(theta, np.ones((2, 2)), np.ones(1), 1, inv_sqrt)
         assert np.allclose(grad[:, 0], 0.0, atol=1e-25)
         assert not np.allclose(grad[:, 1], 0.0)
 
@@ -300,44 +300,44 @@ class TestPsiGradTheta:
     def test_zero_dual_gives_zero(self):
         rng = np.random.default_rng(11)
         ds = random_dataset(rng)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
-        grad = psi_grad_theta(theta, np.zeros((2, 2)), ds.features[0], 1, stats)
+        grad = psi_grad_theta(theta, np.zeros((2, 2)), ds.features[0], 1, inv_sqrt)
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             ds = random_dataset(rng)
-            stats = sensitive_stats(ds)
+            inv_sqrt = strata(ds)[1][0]
             theta = random_params(rng, 2, 3)
             w = rng.normal(size=(2, 2))
             x, s = ds.features[1], int(ds.sensitive[1])
             fd = central_diff_grad(
-                lambda v: psi(ModelParams.from_vector(v, 2, 3), w, x, s, stats),
+                lambda v: psi(ModelParams.from_vector(v, 2, 3), w, x, s, inv_sqrt),
                 theta.as_vector(),
             )
-            assert rel_error(psi_grad_theta(theta, w, x, s, stats), fd) <= 1e-5
+            assert rel_error(psi_grad_theta(theta, w, x, s, inv_sqrt), fd) <= 1e-5
 
     def test_zero_features_kill_weight_block(self):
         rng = np.random.default_rng(13)
-        stats = sensitive_stats(random_dataset(rng))
+        inv_sqrt = strata(random_dataset(rng))[1][0]
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        grad = psi_grad_theta(theta, w, np.zeros(3), 1, stats)
+        grad = psi_grad_theta(theta, w, np.zeros(3), 1, inv_sqrt)
         assert np.allclose(grad[: 2 * 3], 0.0, atol=1e-15)
 
 
-def ascent_oracle(theta, ds, stats, steps=10_000):
+def ascent_oracle(theta, ds, inv_sqrt, steps=10_000):
     """Projected gradient ascent on the batch-averaged psi."""
-    w = np.zeros((stats.k, theta.l))
+    w = np.zeros((inv_sqrt.shape[0], theta.l))
     marginal = predict_proba(theta, ds.features).mean(axis=0)
     eta = 1.0 / (2.0 * marginal.max())
-    box = 10.0 / math.sqrt(stats.probabilities.min())
+    box = 10.0 * inv_sqrt.max()
     for _ in range(steps):
         grad = np.mean(
             [
-                psi_grad_w(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
+                psi_grad_w(theta, w, ds.features[i], int(ds.sensitive[i]), inv_sqrt)
                 for i in range(ds.n)
             ],
             axis=0,
@@ -350,47 +350,47 @@ class TestInnerMax:
     def test_zero_params_closed_form(self):
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, n=12)
-        stats = sensitive_stats(ds)
+        counts = group_stats(ds.sensitive, ds.k)[0]
         w = inner_max_closed_form(ModelParams.zeros(2, 3), ds)[0]
-        expected = np.repeat(np.sqrt(stats.probabilities)[:, None], 2, axis=1)
+        expected = np.repeat(np.sqrt(counts / ds.n)[:, None], 2, axis=1)
         assert np.allclose(w, expected, atol=1e-12)
 
     def test_gradient_vanishes_at_maximizer(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             ds = random_dataset(rng, n=14)
-            stats = sensitive_stats(ds)
+            inv_sqrt = strata(ds)[1][0]
             theta = random_params(rng, 2, 3)
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, grad_w, _ = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            _, grad_w, _ = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, inv_sqrt)
             assert np.abs(grad_w).max() <= 1e-9
 
     def test_matches_ascent_oracle(self):
         rng = np.random.default_rng(16)
         ds = random_dataset(rng, n=10)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         w_star = inner_max_closed_form(theta, ds)[0]
-        w_ascent = ascent_oracle(theta, ds, stats)
+        w_ascent = ascent_oracle(theta, ds, inv_sqrt)
         assert np.abs(w_star - w_ascent).max() <= 1e-6
 
     def test_plugging_in_recovers_soft_ermi(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             ds = random_dataset(rng, n=int(rng.integers(8, 24)))
-            stats = sensitive_stats(ds)
+            inv_sqrt = strata(ds)[1][0]
             theta = random_params(rng, 2, 3)
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, inv_sqrt)
             assert value == pytest.approx(ermi_soft(theta, ds), abs=1e-9)
 
     def test_factorizing_model_gives_zero(self):
         rng = np.random.default_rng(18)
         ds = random_dataset(rng, n=12)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = ModelParams(np.zeros((2, 3)), rng.normal(size=2))
         w_star = inner_max_closed_form(theta, ds)[0]
-        _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
+        _, _, value = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, inv_sqrt)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_saturated_marginal_gets_ridge(self):
@@ -434,11 +434,11 @@ class TestMinMaxIdentity:
             k = int(rng.integers(2, 4))
             n = int(rng.integers(3 * k, 40))
             ds = random_dataset(rng, n=n, d_x=int(rng.integers(1, 5)), l=l, k=k)
-            stats = sensitive_stats(ds)
+            inv_sqrt = strata(ds)[1][0]
             theta = random_params(rng, l, ds.d_x)
             lam = float(rng.uniform(0.0, 2.5))
             w_star = inner_max_closed_form(theta, ds)[0]
-            _, _, best_psi = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, stats)
+            _, _, best_psi = dp_saddle_terms(theta, w_star, ds.features, ds.sensitive, inv_sqrt)
             lhs = mean_loss(theta, ds.features, ds.labels) + lam * best_psi
             rhs = mean_loss(theta, ds.features, ds.labels) + lam * ermi_soft(theta, ds)
             assert abs(lhs - rhs) <= 1e-6
@@ -448,27 +448,27 @@ class TestGradientLinearity:
     def test_batch_average_equals_gradient_of_average(self):
         rng = np.random.default_rng(20)
         ds = random_dataset(rng, n=9)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        g_theta, g_w, value = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
+        g_theta, g_w, value = dp_saddle_terms(theta, w, ds.features, ds.sensitive, inv_sqrt)
         per_theta = np.mean(
             [
-                psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
+                psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), inv_sqrt)
                 for i in range(ds.n)
             ],
             axis=0,
         )
         per_w = np.mean(
             [
-                psi_grad_w(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
+                psi_grad_w(theta, w, ds.features[i], int(ds.sensitive[i]), inv_sqrt)
                 for i in range(ds.n)
             ],
             axis=0,
         )
         per_value = np.mean(
             [
-                psi(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
+                psi(theta, w, ds.features[i], int(ds.sensitive[i]), inv_sqrt)
                 for i in range(ds.n)
             ]
         )
@@ -481,22 +481,22 @@ class TestUnbiasedness:
     def test_enumerated_batches_reproduce_full_gradient(self):
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, n=6)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        full_theta, full_w, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
+        full_theta, full_w, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, inv_sqrt)
         batches = list(itertools.combinations(range(6), 2))
         assert len(batches) == 15
         avg_theta = np.mean(
             [
-                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[0]
+                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], inv_sqrt)[0]
                 for b in batches
             ],
             axis=0,
         )
         avg_w = np.mean(
             [
-                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], stats)[1]
+                dp_saddle_terms(theta, w, ds.features[list(b)], ds.sensitive[list(b)], inv_sqrt)[1]
                 for b in batches
             ],
             axis=0,
@@ -509,13 +509,13 @@ class TestUnbiasedness:
 
         rng = np.random.default_rng(22)
         ds = random_dataset(rng, n=6)
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         theta = random_params(rng, 2, 3)
         w = rng.normal(size=(2, 2))
-        full_theta, _, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, stats)
+        full_theta, _, _ = dp_saddle_terms(theta, w, ds.features, ds.sensitive, inv_sqrt)
         per_sample = np.stack(
             [
-                psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), stats)
+                psi_grad_theta(theta, w, ds.features[i], int(ds.sensitive[i]), inv_sqrt)
                 for i in range(6)
             ]
         )
@@ -610,11 +610,6 @@ def full_cell_dataset(rng, l, k, per_cell=4, d_x=3):
     )
 
 
-def label_stats(ds, y):
-    """Group statistics within label class y: stratum y - 1 of equalized odds."""
-    return group_stats(ds.sensitive[ds.labels == y], ds.k)
-
-
 def label_slice(ds, y):
     mask = ds.labels == y
     return TabularDataset(ds.features[mask], ds.labels[mask], ds.sensitive[mask], ds.l, ds.k)
@@ -626,14 +621,34 @@ class TestStrata:
         ds = random_dataset(rng, n=15, k=3)
         cells, inv_sqrt = strata(ds, DEMOGRAPHIC_PARITY)
         assert np.array_equal(cells, ds.sensitive - 1)
-        assert np.array_equal(inv_sqrt, sensitive_stats(ds).inv_sqrt[None, :])
+        assert np.array_equal(inv_sqrt, group_stats(ds.sensitive, ds.k)[1][None, :])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_demographic_parity_matches_bincount_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 40, 3
+        s = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
+        ds = TabularDataset(rng.normal(size=(n, 2)), rng.integers(1, 3, size=n), s, l=2, k=k)
+        assert np.array_equal(strata(ds)[1], group_stats(ds.sensitive, k)[1][None, :])
+
+    @pytest.mark.parametrize(
+        "s, expected",
+        # 0.5 ** -0.5 for two equal groups; 0.75 ** -0.5 and 0.25 ** -0.5
+        [((1, 1, 2, 2), [1.41421356, 1.41421356]), ((1, 1, 1, 2), [1.15470054, 2.0])],
+        ids=["balanced", "skewed"],
+    )
+    def test_hand_evaluated_roots(self, s, expected):
+        ds = TabularDataset(np.zeros((4, 2)), [1, 2, 1, 2], s, l=2, k=2)
+        assert np.allclose(strata(ds)[1], [expected])
 
     def test_equalized_odds_has_one_stratum_per_label(self):
         rng = np.random.default_rng(29)
         ds = random_dataset(rng, n=30, l=3, k=2)
         cells, inv_sqrt = strata(ds, EQUALIZED_ODDS)
         assert np.array_equal(cells, (ds.labels - 1) * 2 + ds.sensitive - 1)
-        expected = np.stack([label_stats(ds, y).inv_sqrt for y in (1, 2, 3)])
+        expected = np.stack(
+            [group_stats(ds.sensitive[ds.labels == y], 2)[1] for y in (1, 2, 3)]
+        )
         assert np.array_equal(inv_sqrt, expected)
 
     def test_absent_group_raises(self):
@@ -694,11 +709,11 @@ class TestEoPsiGrads:
         w = rng.normal(size=(2, 2, 2))
         theta = random_params(rng, 2, 3)
         x, s, y = ds.features[0], int(ds.sensitive[0]), int(ds.labels[0])
-        stats_y = label_stats(ds, y)
+        inv_sqrt_y = inv_sqrt[y - 1]
 
         def eo_value(v):
             p = ModelParams.from_vector(v, 2, 3)
-            return psi(p, w[y - 1], x, s, stats_y)
+            return psi(p, w[y - 1], x, s, inv_sqrt_y)
 
         proba = forward(theta.weights, theta.bias, x[None])
         d_psi, g_w, value = saddle_terms(proba, w, inv_sqrt, cells[:1])
@@ -706,7 +721,7 @@ class TestEoPsiGrads:
         fd = central_diff_grad(eo_value, theta.as_vector())
         assert rel_error(g_theta, fd) <= 1e-5
         assert value == pytest.approx(eo_value(theta.as_vector()), abs=1e-12)
-        assert np.allclose(g_w[y - 1], psi_grad_w(theta, w[y - 1], x, s, stats_y), atol=1e-12)
+        assert np.allclose(g_w[y - 1], psi_grad_w(theta, w[y - 1], x, s, inv_sqrt_y), atol=1e-12)
         assert np.array_equal(g_w[2 - y], np.zeros((2, 2)))
 
     def test_batch_terms_respect_label_blocks(self):
@@ -720,15 +735,15 @@ class TestEoPsiGrads:
         # block y must equal the sum of that label's per-sample grads over m
         per_theta = []
         for label in (1, 2):
-            stats_y = label_stats(ds, label)
             members = np.flatnonzero(ds.labels == label)
+            w_y, inv_sqrt_y = w[label - 1], inv_sqrt[label - 1]
             per = [
-                psi_grad_w(theta, w[label - 1], ds.features[i], int(ds.sensitive[i]), stats_y)
+                psi_grad_w(theta, w_y, ds.features[i], int(ds.sensitive[i]), inv_sqrt_y)
                 for i in members
             ]
             assert np.allclose(g_w[label - 1], np.sum(per, axis=0) / ds.n, atol=1e-12)
             per_theta += [
-                psi_grad_theta(theta, w[label - 1], ds.features[i], int(ds.sensitive[i]), stats_y)
+                psi_grad_theta(theta, w_y, ds.features[i], int(ds.sensitive[i]), inv_sqrt_y)
                 for i in members
             ]
         assert np.allclose(g_theta, np.sum(per_theta, axis=0) / ds.n, atol=1e-12)

@@ -13,7 +13,7 @@ import pytest
 
 from fairdp import harness
 from fairdp.classifier import ModelParams, proba_lipschitz_bound
-from fairdp.dataset import TabularDataset, sensitive_stats, train_test_split
+from fairdp.dataset import TabularDataset, group_counts, train_test_split
 from fairdp.exceptions import CalibrationError, DegenerateGroupError
 from fairdp.fairness import FermiConfig
 from fairdp.harness import (
@@ -690,6 +690,17 @@ def split_of(config):
     return train_test_split(ds, config.test_fraction, config.master_seed)[0]
 
 
+class TestEvaluateMetrics:
+    def test_an_absent_group_is_named_by_its_value(self):
+        # as group_counts names it, not by the code the hard metrics get
+        ds = TabularDataset(
+            np.zeros((4, 2)), [1, 2, 1, 2], [1, 2, 1, 2], 2, 3, sensitive_names=("a", "b", "c")
+        )
+        with pytest.raises(DegenerateGroupError) as info:
+            evaluate_metrics(ModelParams.zeros(2, 2), ds)
+        assert str(info.value) == "sensitive group(s) ['c'] have no samples"
+
+
 class TestPlanRun:
     def test_batch_capped_at_training_set(self):
         config = cheap_config(batch_size=10_000, epochs=3)
@@ -724,8 +735,9 @@ class TestPlanRun:
         )
         train = split_of(config)
         sgda, noise = plan_run(config, train, 3.0)
+        rho = group_counts(train)[1].min() / train.n  # the smallest group's share
         expected = calibrate_for_run(
-            granularity, 3.0, 1e-4, sgda.T, train.n, sgda.m, sensitive_stats(train).rho,
+            granularity, 3.0, 1e-4, sgda.T, train.n, sgda.m, rho,
             proba_lipschitz_bound(train.features), 2.0, train.l,
         )
         assert noise == expected

@@ -12,7 +12,7 @@ from fairdp.classifier import (
     mean_param_grad,
     predict_label,
 )
-from fairdp.dataset import TabularDataset, minibatch, sensitive_stats
+from fairdp.dataset import TabularDataset, minibatch
 from fairdp.exceptions import DivergenceError
 from fairdp.fairness import (
     DEMOGRAPHIC_PARITY,
@@ -25,7 +25,6 @@ from fairdp.optimizer import SgdaConfig, dp_fermi_train, stationarity_gap
 from fairdp.privacy import NoiseScales
 from helpers import (
     central_diff_grad,
-    group_stats,
     loss_grad,
     mean_loss,
     psi_grad_theta,
@@ -332,10 +331,7 @@ class TestFusedStep:
         minibatch(ds.n, m, stream)
         batch = minibatch(ds.n, m, stream)
         params = ModelParams.from_vector(theta1, l, 3)
-        if notion == EQUALIZED_ODDS:
-            stats = [group_stats(ds.sensitive[ds.labels == y], k) for y in range(1, l + 1)]
-        else:
-            stats = [sensitive_stats(ds)]
+        inv_sqrt = fairness.strata(ds, notion)[1]
         oracle_theta = np.zeros_like(theta1)
         oracle_w = np.zeros_like(w1)
         for i in batch:
@@ -344,8 +340,8 @@ class TestFusedStep:
             if clip is not None:
                 g_loss = g_loss * min(1.0, clip / np.linalg.norm(g_loss))
             c = y - 1 if notion == EQUALIZED_ODDS else 0
-            g_psi = psi_grad_theta(params, w1[c], x, s, stats[c])
-            oracle_w[c] += psi_grad_w(params, w1[c], x, s, stats[c]) / m
+            g_psi = psi_grad_theta(params, w1[c], x, s, inv_sqrt[c])
+            oracle_w[c] += psi_grad_w(params, w1[c], x, s, inv_sqrt[c]) / m
             oracle_theta += (g_loss + lam * g_psi) / m
         assert rel_error(step_theta, oracle_theta) <= 1e-12
         assert rel_error(step_w, oracle_w) <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairdp.classifier import ModelParams, forward, mean_param_grad, proba_lipschitz_bound
-from fairdp.dataset import TabularDataset, sensitive_stats
+from fairdp.dataset import TabularDataset, group_counts
 from fairdp.exceptions import CalibrationError
 from fairdp.fairness import saddle_terms, strata
 from fairdp.harness import SyntheticSpec, calibrate_for_run, synth_dataset
@@ -414,37 +414,37 @@ def audit_dataset(n=60, seed=0):
 class TestAudit:
     def test_identical_data_gives_identical_gradients(self):
         ds = audit_dataset()
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         rng = np.random.default_rng(3)
         theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
         w = rng.uniform(-1, 1, size=(2, 2))
-        a = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
-        b = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], stats)
+        a = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], inv_sqrt)
+        b = dp_saddle_terms(theta, w, ds.features[:10], ds.sensitive[:10], inv_sqrt)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_flip_outside_batch_leaves_gradient_unchanged(self):
         ds = audit_dataset()
-        stats = sensitive_stats(ds)
+        inv_sqrt = strata(ds)[1][0]
         rng = np.random.default_rng(4)
         theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
         w = rng.uniform(-1, 1, size=(2, 2))
         batch = np.arange(10)
         flipped = ds.sensitive.copy()
         flipped[20] = 3 - flipped[20]  # index 20 is outside the batch
-        a = dp_saddle_terms(theta, w, ds.features[batch], ds.sensitive[batch], stats)
-        b = dp_saddle_terms(theta, w, ds.features[batch], flipped[batch], stats)
+        a = dp_saddle_terms(theta, w, ds.features[batch], ds.sensitive[batch], inv_sqrt)
+        b = dp_saddle_terms(theta, w, ds.features[batch], flipped[batch], inv_sqrt)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_observed_never_exceeds_bound(self):
         ds = audit_dataset(n=80, seed=1)
-        stats = sensitive_stats(ds)
+        rho = group_counts(ds)[1].min() / ds.n
         rng = np.random.default_rng(5)
         D = 1.0
         theta = ModelParams(rng.normal(size=(2, 3)), rng.normal(size=2))
         w = rng.uniform(-D, D, size=(2, 2))
         L = proba_lipschitz_bound(ds.features)
         obs_theta, obs_w = empirical_sensitivity_audit(theta, w, ds, trials=300, m=10, rng=rng)
-        bounds = sensitivities(SENSITIVE_ONLY, D, L, 10, stats.rho)
+        bounds = sensitivities(SENSITIVE_ONLY, D, L, 10, rho)
         assert 0.0 < obs_theta <= bounds.delta_theta
         assert 0.0 < obs_w <= bounds.delta_w
 
