@@ -173,11 +173,13 @@ def proba_lipschitz_bound(features: np.ndarray) -> float:
     features = np.asarray(features, dtype=np.float64)
     rows = features.reshape(-1, features.shape[-1])
     # squared in row blocks rather than all at once; each row's sum, and so
-    # the max, has the same bits
-    sq_norms = [
-        (rows[i : i + LIPSCHITZ_BLOCK_ROWS] ** 2).sum(axis=-1).max()
-        for i in range(0, rows.shape[0], LIPSCHITZ_BLOCK_ROWS)
-    ]
+    # the max, has the same bits. An overflow gives inf, which calibration
+    # refuses or the run reports as diverged, whatever the warning filter
+    with np.errstate(over="ignore"):
+        sq_norms = [
+            (rows[i : i + LIPSCHITZ_BLOCK_ROWS] ** 2).sum(axis=-1).max()
+            for i in range(0, rows.shape[0], LIPSCHITZ_BLOCK_ROWS)
+        ]
     return float(0.5 * np.sqrt(np.max(sq_norms) + 1.0))
 
 

@@ -157,14 +157,11 @@ def group_counts(ds: TabularDataset, by_label: bool = False) -> tuple[np.ndarray
     cells = stratum * ds.k + ds.sensitive - 1
     counts = np.bincount(cells, minlength=n_strata * ds.k).reshape(n_strata, ds.k)
     if counts.min() == 0:
-        c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
-        message = _no_samples(counts[c], ds.sensitive_names)
         if not by_label:
-            raise DegenerateGroupError(message)
-        label = c + 1 if ds.label_names is None else ds.label_names[c]
-        if not counts[c].any():
-            raise DegenerateConditionalError(f"label class {label!r} has no samples")
-        raise DegenerateConditionalError(f"within label class {label!r}: {message}")
+            raise DegenerateGroupError(_no_samples(counts[0], ds.sensitive_names))
+        raise DegenerateConditionalError(
+            _no_label_samples(counts, ds.label_names, ds.sensitive_names)
+        )
     return cells, counts
 
 
@@ -174,6 +171,16 @@ def _no_samples(counts: np.ndarray, names=None) -> str:
     if names is not None:
         missing = [names[r - 1] for r in missing]
     return f"sensitive group(s) {missing} have no samples"
+
+
+def _no_label_samples(counts: np.ndarray, label_names=None, names=None) -> str:
+    """The error text for the first label class of (l, k) counts that is
+    absent or lacks a group, by name or code."""
+    c = int(np.flatnonzero(counts.min(axis=1) == 0)[0])
+    label = c + 1 if label_names is None else label_names[c]
+    if not counts[c].any():
+        return f"label class {label!r} has no samples"
+    return f"within label class {label!r}: {_no_samples(counts[c], names)}"
 
 
 def sensitive_stats(ds: TabularDataset) -> SensitiveStats:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, forward
-from .dataset import TabularDataset, _no_samples, group_counts
+from .dataset import TabularDataset, _no_label_samples, _no_samples, group_counts
 from .exceptions import DegenerateConditionalError, DegenerateGroupError
 
 DEMOGRAPHIC_PARITY = "demographic_parity"
@@ -263,17 +263,20 @@ def eo_violation(
 
     For every class j and group pair, compares P[yhat=j | s, y=j] and
     P[yhat=j | s, y!=j] across groups and returns the largest absolute
-    difference. Every (class, group) stratum on both sides must be nonempty.
+    difference. There must be two classes or more, and every (class, group)
+    cell must be nonempty, which makes every y != j side nonempty too; an
+    empty cell is named as dataset.group_counts names it.
     """
     table = _hard_table(preds, s, y, k, l)  # [y - 1, s - 1, yhat - 1]
+    sizes = table.sum(axis=2)  # (l, k): y = j
+    if sizes.min() == 0:
+        raise DegenerateConditionalError(_no_label_samples(sizes))
+    if sizes.shape[0] < 2:
+        raise DegenerateConditionalError("equalized odds needs two label classes or more, got 1")
     classes = np.arange(table.shape[0])
     hits = table[classes, :, classes]  # (l, k): yhat = j among y = j
-    sizes = table.sum(axis=2)  # (l, k): y = j
     # (l, 2, k): the y = j and y != j sides of class j, per group
     hits = np.stack([hits, table.sum(axis=0).T - hits], axis=1)
     sizes = np.stack([sizes, sizes.sum(axis=0) - sizes], axis=1)
-    if sizes.min() == 0:
-        j, _, r = (int(v) + 1 for v in np.argwhere(sizes == 0)[0])
-        raise DegenerateConditionalError(f"empty stratum for class {j}, group {r}")
     rates = hits / sizes
     return float((rates.max(axis=2) - rates.min(axis=2)).max())

@@ -151,39 +151,42 @@ def dp_fermi_train(
     proba, d_loss, d_psi = np.empty((l, m)), np.empty((l, m)), np.empty((l, m))
     g_theta = np.empty(d_theta)
 
-    for t in range(1, config.T + 1):
-        batch = minibatch(ds.n, m, rng)
-        ds.features.take(batch, axis=0, out=x, mode="clip")
-        ds.labels.take(batch, out=labels, mode="clip")
-        if scale is not None:
-            scale.take(batch, out=scale_b, mode="clip")
-        try:
-            forward(weights, bias, x, out=proba)
-        except FloatingPointError:
-            raise DivergenceError(t, "logits") from None
-        loss_dlogits(proba, labels, config.clip_theta, scale_b, out=d_loss)
-        if lam > 0:
-            cells.take(batch, out=cells_b, mode="clip")
-            _, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells_b, out=d_psi, value=False)
-            d_psi *= lam
-            d_loss += d_psi
-        mean_param_grad(d_loss, x, out=g_theta)
-        u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
-        v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
-        # theta <- theta - eta_theta * (g_theta + lam * u)
-        u *= lam
-        u += g_theta
-        u *= config.eta_theta
-        theta -= u
-        # W <- Pi_box(W + eta_w * (lam * g_w + V_t)); g_w keeps lam * g_w
-        if lam > 0:
-            g_w *= lam
-            v += g_w
-        v *= config.eta_w
-        v += w
-        v.clip(-config.box_radius, config.box_radius, out=w)
-        if not np.isfinite(iterate).all():
-            raise DivergenceError(t, "iterates")
+    # an overflow makes an inf, which the finiteness checks turn into
+    # DivergenceError, whatever the warning filter
+    with np.errstate(over="ignore"):
+        for t in range(1, config.T + 1):
+            batch = minibatch(ds.n, m, rng)
+            ds.features.take(batch, axis=0, out=x, mode="clip")
+            ds.labels.take(batch, out=labels, mode="clip")
+            if scale is not None:
+                scale.take(batch, out=scale_b, mode="clip")
+            try:
+                forward(weights, bias, x, out=proba)
+            except FloatingPointError:
+                raise DivergenceError(t, "logits") from None
+            loss_dlogits(proba, labels, config.clip_theta, scale_b, out=d_loss)
+            if lam > 0:
+                cells.take(batch, out=cells_b, mode="clip")
+                _, g_w, _ = saddle_terms(proba, w, inv_sqrt, cells_b, out=d_psi, value=False)
+                d_psi *= lam
+                d_loss += d_psi
+            mean_param_grad(d_loss, x, out=g_theta)
+            u = gaussian_noise(rng, noise.sigma_theta_sq, d_theta)
+            v = gaussian_noise(rng, noise.sigma_w_sq, w.size).reshape(w.shape)
+            # theta <- theta - eta_theta * (g_theta + lam * u)
+            u *= lam
+            u += g_theta
+            u *= config.eta_theta
+            theta -= u
+            # W <- Pi_box(W + eta_w * (lam * g_w + V_t)); g_w keeps lam * g_w
+            if lam > 0:
+                g_w *= lam
+                v += g_w
+            v *= config.eta_w
+            v += w
+            v.clip(-config.box_radius, config.box_radius, out=w)
+            if not np.isfinite(iterate).all():
+                raise DivergenceError(t, "iterates")
     return TrainResult(params=ModelParams(weights, bias), dual=w.copy())
 
 

@@ -13,12 +13,18 @@ probabilities; the library computes no loss value), one sample's saddle
 value psi and its exact gradients (psi_grad_w, psi_grad_theta) for one
 k x l dual block at a (k,) row of group inverse square roots, the group
 counts and inverse square roots of a vector of group codes by one
-bincount, and the four closed-form noise variances written out term by
-term, which the one noise rule sigma = z * Delta must reproduce."""
+bincount, the four closed-form noise variances written out term by
+term, which the one noise rule sigma = z * Delta must reproduce, and the
+one runner of code in a fresh interpreter (run_fresh) with its fork
+prelude."""
 
 import csv
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +44,61 @@ from fairdp.privacy import ALL_FEATURES, SENSITIVE_ONLY, gaussian_noise
 TWO_USABLE_CPUS = hasattr(os, "sched_getaffinity") and min(
     len(os.sched_getaffinity(0)), _fork._cpu_quota() or math.inf
 ) >= 2
+
+# Run first by run_fresh: forks counts the children os.fork starts, where()
+# names the process it is called in, and no_child_is_left() is whether every
+# child has been reaped.
+FORK_PRELUDE = """
+import os
+
+CALLER = os.getpid()
+forks = []
+fork = os.fork
+
+
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counting_fork
+
+
+def where():
+    return "the caller" if os.getpid() == CALLER else "a child"
+
+
+def no_child_is_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def run_fresh(body, prelude="", returncode=0, pin_blas=True):
+    """Run FORK_PRELUDE, prelude and the dedented body in a new interpreter
+    under -X dev with warnings as errors, with src and tests on its path and
+    OPENBLAS_NUM_THREADS=1, or without the variable if not pin_blas. Its
+    exit status must be returncode; the completed process."""
+    tests = Path(__file__).resolve().parent
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    )
+    if pin_blas:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c",
+         FORK_PRELUDE + prelude + textwrap.dedent(body)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == returncode, proc.stderr
+    return proc
+
 
 # Probabilities below this are clamped by the loss references, so a saturated
 # wrong prediction yields a large finite loss; gradients use the analytic form.

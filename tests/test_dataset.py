@@ -2,11 +2,8 @@ import csv
 import dataclasses
 import io
 import os
-import subprocess
 import sys
-import textwrap
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from fairdp.exceptions import (
 )
 from fairdp.harness import ExperimentConfig, SyntheticSpec, synth_dataset
 from fairdp.optimizer import SgdaConfig
-from helpers import TWO_USABLE_CPUS, group_stats, load_outcome, reference_load_csv
+from helpers import TWO_USABLE_CPUS, group_stats, load_outcome, reference_load_csv, run_fresh
 
 
 def write_csv(path, text):
@@ -483,13 +480,17 @@ class TestRangeCuts:
 
 # Run in a fresh interpreter with one BLAS thread, so the process has a single
 # OS thread and, with two usable CPUs, a CSV of at least FORK_MIN_CSV_BYTES is
-# parsed in forked byte ranges. FORK_ROWS rows of `fairdp synth --d-x 10` make
-# a file of about 4.6 MB, which is two ranges; forks counts the children
-# fairdp starts.
-FORK_ROWS = 34_000
-LAST_RANGE_ROW = FORK_ROWS - 10
-READER_PRELUDE = """
-import os
+# parsed in forked byte ranges. READER_PRELUDE lowers that floor to
+# SMALL_FLOOR and the chunk to SMALL_CHUNK_ROWS lines, so ROWS rows of
+# `fairdp synth --d-x 10`, a file of about 54 KB, make two ranges of several
+# chunks each. FLOOR_ROWS rows make a file of about 4.6 MB, which is two
+# ranges at the library's own floor and chunk (at_the_floor()).
+ROWS = 400
+LAST_RANGE_ROW = ROWS - 10
+SMALL_FLOOR = 40_000
+SMALL_CHUNK_ROWS = 64
+FLOOR_ROWS = 34_000
+READER_PRELUDE = f"""
 import threading
 
 from fairdp import dataset
@@ -497,23 +498,17 @@ from fairdp.exceptions import ParseError
 from helpers import load_outcome, reference_load_csv
 
 COLUMNS = ("label", "sensitive")
-forks = []
-fork = os.fork
+FLOOR, CHUNK_ROWS = dataset.FORK_MIN_CSV_BYTES, dataset.CHUNK_ROWS
+dataset.FORK_MIN_CSV_BYTES, dataset.CHUNK_ROWS = {SMALL_FLOOR}, {SMALL_CHUNK_ROWS}
 
 
-def counting_fork():
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-
-os.fork = counting_fork
+def at_the_floor():
+    dataset.FORK_MIN_CSV_BYTES, dataset.CHUNK_ROWS = FLOOR, CHUNK_ROWS
 
 
 def on_one_cpu(load, path, columns=COLUMNS):
     cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
+    os.sched_setaffinity(0, {{min(cpus)}})
     try:
         return load_outcome(load, path, columns)
     finally:
@@ -534,32 +529,37 @@ def check(path, forked, reference_path=None):
 """
 
 
-def run_reader(body, timeout=120):
-    """Run READER_PRELUDE and then body in a new interpreter, under -X dev
-    with warnings as errors; the completed process."""
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join(
-        [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
-    )
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    return subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", READER_PRELUDE + textwrap.dedent(body)],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
+@pytest.fixture(scope="module")
+def synth_lines(tmp_path_factory):
+    """The lines (the header first, CRLF line ends) of the `fairdp synth`
+    CSV of a given row count, each made once."""
+    made = {}
+
+    def lines(rows):
+        if rows not in made:
+            path = tmp_path_factory.mktemp("synth") / "d.csv"
+            argv = ["synth", "--n", rows, "--d-x", "10", "--k", "3", "--l", "3", "--seed", "4",
+                    "--out", path]
+            assert cli.main([str(a) for a in argv]) == 0
+            made[rows] = path.read_bytes().splitlines(keepends=True)
+        return list(made[rows])
+
+    return lines
 
 
-def fork_file(tmp_path, edit=None):
-    """A `fairdp synth` CSV of FORK_ROWS rows with CRLF line ends, with
-    edit(lines) applied to its lines (the header is line 0)."""
-    path = tmp_path / "d.csv"
-    argv = ["synth", "--n", FORK_ROWS, "--d-x", "10", "--k", "3", "--l", "3", "--seed", "4",
-            "--out", path]
-    assert cli.main([str(a) for a in argv]) == 0
-    if edit is not None:
-        lines = path.read_bytes().splitlines(keepends=True)
-        edit(lines)
+@pytest.fixture
+def fork_file(tmp_path, synth_lines):
+    """Writes the synth CSV of `rows` rows, with edit(lines) applied to its
+    lines (the header is line 0), and returns its path."""
+    def write(edit=None, rows=ROWS):
+        lines = synth_lines(rows)
+        if edit is not None:
+            edit(lines)
+        path = tmp_path / "d.csv"
         path.write_bytes(b"".join(lines))
-    return path
+        return path
+
+    return write
 
 
 def _first_cell(row, value):
@@ -589,7 +589,7 @@ def _names_in_last_range(lines):
 def _long_first_chunk(lines):
     # long numerals in the first chunk make the row estimate taken from it
     # fall short of the rows
-    for row in range(CHUNK_ROWS):
+    for row in range(SMALL_CHUNK_ROWS):
         _first_cell(row, b"0." + b"0" * 200 + b"1")(lines)
 
 
@@ -605,7 +605,7 @@ def _names_in_later_ranges(lines):
     # with three ranges: a label and a group first met in the second range,
     # one met again and one first met in the third
     for row, label, group in [
-        (FORK_ROWS // 2, b"late", b"new"),
+        (ROWS // 2, b"late", b"new"),
         (LAST_RANGE_ROW - 1, b"late", b"newer"),
         (LAST_RANGE_ROW, b"later", b"new"),
     ]:
@@ -617,7 +617,7 @@ def _below_the_floor(lines):
     # whole lines, up to the last that keeps the file below the floor
     size = 0
     for i, line in enumerate(lines):
-        if size + len(line) >= dataset.FORK_MIN_CSV_BYTES:
+        if size + len(line) >= SMALL_FLOOR:
             del lines[i:]
             return
         size += len(line)
@@ -630,21 +630,24 @@ class TestForkedRead:
     the serial parse's with one usable CPU."""
 
     @pytest.mark.parametrize(
-        "edit",
-        [None, _line_ends(b"\n"), _byte_order_mark, _names_in_last_range, _long_first_chunk],
+        "edit, rows",
+        [(None, FLOOR_ROWS), (_line_ends(b"\n"), ROWS), (_byte_order_mark, ROWS),
+         (_names_in_last_range, ROWS), (_long_first_chunk, ROWS)],
         ids=["crlf", "lf", "byte_order_mark", "names_in_last_range", "rows_outrun_estimate"],
     )
-    def test_same_dataset(self, tmp_path, edit):
-        path = fork_file(tmp_path, edit)
-        assert path.stat().st_size >= dataset.FORK_MIN_CSV_BYTES
+    def test_same_dataset(self, fork_file, tmp_path, edit, rows):
+        path = fork_file(edit, rows)
+        floor = dataset.FORK_MIN_CSV_BYTES if rows == FLOOR_ROWS else SMALL_FLOOR
+        assert path.stat().st_size >= floor
         # the reference reads a byte-order mark into the header; the file without it
         plain = tmp_path / "plain.csv"
         plain.write_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
-        proc = run_reader(f"""
+        run_fresh(f"""
+            if {rows} == {FLOOR_ROWS}:
+                at_the_floor()
             got = check({str(path)!r}, forked=1, reference_path={str(plain)!r})
-            assert got[0] == ({FORK_ROWS}, 10), got[0]  # a dataset, not an error
-        """)
-        assert proc.returncode == 0, proc.stderr
+            assert got[0] == ({rows}, 10), got[0]  # a dataset, not an error
+        """, READER_PRELUDE)
 
     @pytest.mark.parametrize(
         "edit, error",
@@ -656,26 +659,25 @@ class TestForkedRead:
         ],
         ids=["underscore_numeral", "bad_numeral", "non_finite", "blank_line"],
     )
-    def test_csv_reader_within_the_last_range(self, tmp_path, edit, error):
-        # the last range's chunk goes to csv.reader; an error carries its
-        # absolute row
-        path = fork_file(tmp_path, edit)
-        proc = run_reader(f"""
+    def test_csv_reader_within_the_last_range(self, fork_file, edit, error):
+        # a chunk of the last range after its first goes to csv.reader; an
+        # error carries its absolute row
+        path = fork_file(edit)
+        run_fresh(f"""
             error = {error!r}
             got = check({str(path)!r}, forked=1)
             if error is None:
-                assert got[0] == ({FORK_ROWS}, 10), got[0]
+                assert got[0] == ({ROWS}, 10), got[0]
             else:
                 assert got[0] is ParseError and got[2] == {LAST_RANGE_ROW}, got
                 assert got[1].startswith(error), got
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_a_childs_parse_error_keeps_its_row_and_carries_a_note(self, tmp_path):
+    def test_a_childs_parse_error_keeps_its_row_and_carries_a_note(self, fork_file):
         # FairdpError.__reduce__ carries __dict__, where the note lives; the
         # serial parse raises the same error without one
-        path = fork_file(tmp_path, _first_cell(LAST_RANGE_ROW, b"oops"))
-        proc = run_reader(f"""
+        path = fork_file(_first_cell(LAST_RANGE_ROW, b"oops"))
+        run_fresh(f"""
             def failure():
                 try:
                     dataset.load_csv({str(path)!r}, *COLUMNS)
@@ -692,18 +694,17 @@ class TestForkedRead:
             cpus = os.sched_getaffinity(0)
             os.sched_setaffinity(0, {{min(cpus)}})
             assert failure() == (message, row, [])
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_a_child_that_sent_nothing_does_not_hide_the_first_ranges_error(self, tmp_path):
+    def test_a_child_that_sent_nothing_does_not_hide_the_first_ranges_error(self, fork_file):
         # the caller's range fails at row 5 and the child dies: the error is
         # the serial parse's
-        path = fork_file(tmp_path, _first_cell(5, b"oops"))
-        proc = run_reader(f"""
-            parent, read = os.getpid(), dataset._Rows.read
+        path = fork_file(_first_cell(5, b"oops"))
+        run_fresh(f"""
+            read = dataset._Rows.read
 
             def dying_read(*args, **kwargs):
-                if os.getpid() != parent:
+                if where() == "a child":
                     os._exit(3)
                 return read(*args, **kwargs)
 
@@ -712,29 +713,28 @@ class TestForkedRead:
             assert len(forks) == 1, forks
             assert got[0] is ParseError and got[2] == 5, got
             assert on_one_cpu(dataset.load_csv, {str(path)!r}) == got
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_three_ranges(self, tmp_path):
+    def test_three_ranges(self, fork_file):
         # three workers, as on a host with three usable CPUs: two children,
         # whose label and group names merge in file order
-        path = fork_file(tmp_path, _names_in_later_ranges)
-        proc = run_reader(f"""
+        path = fork_file(_names_in_later_ranges)
+        run_fresh(f"""
             workers = dataset._workers
             dataset._workers = lambda tasks: 3 if workers(tasks) > 1 else 1
             got = check({str(path)!r}, forked=2)
-            assert got[0] == ({FORK_ROWS}, 10), got[0]
+            assert got[0] == ({ROWS}, 10), got[0]
             assert (got[8][3:], got[9][3:]) == (("late", "later"), ("new", "newer")), got[8:10]
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_the_rows_are_held_once(self, tmp_path):
+    def test_the_rows_are_held_once(self, fork_file):
         # a child's rows are read from its pipe straight into the dataset's
         # arrays: a copy of them on the way, half the data, would pass 1.4
-        path = fork_file(tmp_path)
-        proc = run_reader(f"""
+        path = fork_file(rows=FLOOR_ROWS)
+        run_fresh(f"""
             import tracemalloc
 
+            at_the_floor()
             tracemalloc.start()
             ds = dataset.load_csv({str(path)!r}, *COLUMNS)
             peak = tracemalloc.get_traced_memory()[1]
@@ -742,13 +742,12 @@ class TestForkedRead:
             assert len(forks) == 1, forks
             data = ds.features.nbytes + ds.labels.nbytes + ds.sensitive.nbytes
             assert peak <= 1.4 * data, (peak, data)
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_checkpoint_names(self, tmp_path):
+    def test_checkpoint_names(self, fork_file):
         # evaluate's read: the checkpoint's label codes and feature order
-        path = fork_file(tmp_path)
-        proc = run_reader(f"""
+        path = fork_file()
+        run_fresh(f"""
             names = ("2", "9", "1")
             order = [3, 1, 0, 2, 9, 8, 7, 6, 5, 4]
             features = tuple(f"f{{j}}" for j in order)
@@ -766,8 +765,7 @@ class TestForkedRead:
             assert (got[8][:3], got[10]) == (names, features)
             assert [got[8][c - 1] for c in got[4]] == [ref.label_names[c - 1] for c in ref.labels]
             assert got[5] == ref.sensitive.tolist()
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
     @pytest.mark.parametrize(
         "edit, outcome",
@@ -781,19 +779,18 @@ class TestForkedRead:
         ids=["quote_in_last_range", "undecodable_byte_in_last_range", "cr_line_ends",
              "just_below_the_floor", "repeated_column_name"],
     )
-    def test_files_that_stay_serial(self, tmp_path, edit, outcome):
-        path = fork_file(tmp_path, edit)
-        assert dataset.FORK_MIN_CSV_BYTES - 1000 < path.stat().st_size
-        proc = run_reader(f"""
+    def test_files_that_stay_serial(self, fork_file, edit, outcome):
+        path = fork_file(edit)
+        assert SMALL_FLOOR - 1000 < path.stat().st_size
+        run_fresh(f"""
             got = check({str(path)!r}, forked=0)
             outcome = got[0].__name__ if isinstance(got[0], type) else "dataset"
             assert outcome == {outcome!r}, got[:3]
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
-    def test_a_second_thread_keeps_the_parse_serial(self, tmp_path):
-        path = fork_file(tmp_path)
-        proc = run_reader(f"""
+    def test_a_second_thread_keeps_the_parse_serial(self, fork_file):
+        path = fork_file()
+        run_fresh(f"""
             check({str(path)!r}, forked=1)
             forks.clear()
             stop = threading.Event()
@@ -804,17 +801,17 @@ class TestForkedRead:
             finally:
                 stop.set()
                 waiter.join()
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, READER_PRELUDE)
 
 
 class TestLoadFromDescriptor:
     """load_csv takes an open file descriptor, which it parses in one
     process whatever the file's size, and closes."""
 
-    def test_same_dataset_as_the_path_in_one_process(self, tmp_path, monkeypatch):
-        path = fork_file(tmp_path)
-        assert path.stat().st_size >= dataset.FORK_MIN_CSV_BYTES
+    def test_same_dataset_as_the_path_in_one_process(self, fork_file, monkeypatch):
+        path = fork_file()
+        monkeypatch.setattr(dataset, "FORK_MIN_CSV_BYTES", SMALL_FLOOR)
+        assert path.stat().st_size >= SMALL_FLOOR
         columns = ("label", "sensitive")
 
         def no_fork():
@@ -830,7 +827,7 @@ class TestLoadFromDescriptor:
         with pytest.raises(OSError):
             os.fstat(fd)
         monkeypatch.setattr(dataset, "_workers", lambda tasks: 1)
-        assert got[0] == (FORK_ROWS, 10), got[:3]  # a dataset, not an error
+        assert got[0] == (ROWS, 10), got[:3]  # a dataset, not an error
         assert got == load_outcome(load_csv, path, columns)
 
     @pytest.mark.parametrize(

@@ -578,8 +578,24 @@ class TestEoViolation:
         assert eo_violation(preds, s, y) == pytest.approx(0.5)
 
     def test_empty_stratum(self):
-        with pytest.raises(DegenerateConditionalError):
+        with pytest.raises(DegenerateConditionalError, match="^label class 2 has no samples$"):
             eo_violation([1, 2, 1, 2], [1, 2, 1, 2], [1, 1, 1, 1])
+
+    def test_an_empty_cell_is_named_as_group_counts_names_it(self):
+        # class 1's "y != 1" side is label class 2, which lacks group 2
+        with pytest.raises(DegenerateConditionalError) as info:
+            eo_violation([1, 2, 1], [1, 2, 1], [1, 1, 2], k=2, l=2)
+        ds = TabularDataset(np.zeros((3, 1)), [1, 1, 2], [1, 2, 1], l=2, k=2)
+        with pytest.raises(DegenerateConditionalError) as counted:
+            group_counts(ds, by_label=True)
+        message = "within label class 2: sensitive group(s) [2] have no samples"
+        assert str(info.value) == str(counted.value) == message
+
+    def test_one_label_class_has_no_other_side(self):
+        # l is inferred as 1, so no class has a "y != j" side
+        message = "^equalized odds needs two label classes or more, got 1$"
+        with pytest.raises(DegenerateConditionalError, match=message):
+            eo_violation([1, 1], [1, 2], [1, 1])
 
 
 @pytest.mark.parametrize(

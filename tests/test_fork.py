@@ -2,15 +2,11 @@
 quota, and the one BLAS thread that lets a fairdp process fork."""
 
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 
 from fairdp import _fork
-from helpers import TWO_USABLE_CPUS
+from helpers import TWO_USABLE_CPUS, run_fresh
 
 
 class TestQuotaCpus:
@@ -85,42 +81,27 @@ class TestWorkers:
         assert _fork._cpu_quota() is None
 
 
-def fresh_interpreter(code, **variables):
-    """Run code under -X dev -W error in a new interpreter whose environment
-    lacks OPENBLAS_NUM_THREADS, unless variables set it; its standard output."""
-    src = str(Path(_fork.__file__).resolve().parents[1])
-    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env.update(variables)
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", code],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a process forks only with two usable CPUs")
 class TestBlasThreads:
     """import fairdp loads numpy with one OpenBLAS thread, so a fairdp
     process may fork, and leaves the environment as it found it."""
 
     def test_importing_fairdp_first_keeps_one_thread(self):
-        out = fresh_interpreter(
-            "import os, fairdp\n"
-            "from fairdp import _fork\n"
-            "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ,\n"
-            "      _fork._workers(2))\n"
-        )
-        assert out == "1 False 2\n"
+        proc = run_fresh("""
+            import fairdp
+            from fairdp import _fork
+            print(len(os.listdir("/proc/self/task")), "OPENBLAS_NUM_THREADS" in os.environ,
+                  _fork._workers(2))
+        """, pin_blas=False)
+        assert proc.stdout == "1 False 2\n"
 
     def test_importing_numpy_first_keeps_its_threads_and_never_forks(self):
-        out = fresh_interpreter(
-            "import os, numpy, fairdp\n"
-            "from fairdp import _fork\n"
-            "print(len(os.listdir('/proc/self/task')) > 1, _fork._workers(2))\n"
-        )
-        assert out == "True 1\n"
+        proc = run_fresh("""
+            import numpy, fairdp
+            from fairdp import _fork
+            print(len(os.listdir("/proc/self/task")) > 1, _fork._workers(2))
+        """, pin_blas=False)
+        assert proc.stdout == "True 1\n"
 
 
 @pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a process forks only with two usable CPUs")
@@ -129,47 +110,38 @@ class TestPlacement:
     cpus[i % len(cpus)] and gives the caller back its mask however it ends."""
 
     def test_each_share_runs_on_its_cpu_and_the_caller_gets_its_mask_back(self):
-        out = fresh_interpreter(
-            "import os\n"
-            "from fairdp import _fork\n"
-            "mask = os.sched_getaffinity(0)\n"
-            "cpus = sorted(mask)\n"
-            "workers = min(len(cpus), 4)\n"
-            "\n"
-            "def no_child_is_left():\n"
-            "    try:\n"
-            "        os.waitpid(-1, os.WNOHANG)\n"
-            "    except ChildProcessError:\n"
-            "        return True\n"
-            "    return False\n"
-            "\n"
-            "def placed(job, fail=None):\n"
-            "    if job == fail:\n"
-            "        raise (ValueError if job else KeyboardInterrupt)(job)\n"
-            "    return os.sched_getaffinity(0)\n"
-            "\n"
-            "seen = _fork._run_shares(placed, list(range(workers)), workers, 'worker')\n"
-            "assert seen == [{cpus[i]} for i in range(workers)], (seen, cpus)\n"
-            "assert os.sched_getaffinity(0) == mask and no_child_is_left()\n"
-            "for fail, error in ((1, ValueError), (0, KeyboardInterrupt)):\n"
-            "    try:\n"
-            "        _fork._run_shares(lambda job: placed(job, fail), [0, 1], 2, 'worker')\n"
-            "    except error:\n"
-            "        pass\n"
-            "    else:\n"
-            "        raise AssertionError(f'job {fail} did not raise')\n"
-            "    assert os.sched_getaffinity(0) == mask, fail\n"
-            "    assert no_child_is_left(), fail\n"
-            "print('ok')\n",
-            OPENBLAS_NUM_THREADS="1",
-        )
-        assert out == "ok\n"
+        proc = run_fresh("""
+            from fairdp import _fork
+
+            mask = os.sched_getaffinity(0)
+            cpus = sorted(mask)
+            workers = min(len(cpus), 4)
+
+            def placed(job, fail=None):
+                if job == fail:
+                    raise (ValueError if job else KeyboardInterrupt)(job)
+                return os.sched_getaffinity(0)
+
+            seen = _fork._run_shares(placed, list(range(workers)), workers, "worker")
+            assert seen == [{cpus[i]} for i in range(workers)], (seen, cpus)
+            assert os.sched_getaffinity(0) == mask and no_child_is_left()
+            for fail, error in ((1, ValueError), (0, KeyboardInterrupt)):
+                try:
+                    _fork._run_shares(lambda job: placed(job, fail), [0, 1], 2, "worker")
+                except error:
+                    pass
+                else:
+                    raise AssertionError(f"job {fail} did not raise")
+                assert os.sched_getaffinity(0) == mask, fail
+                assert no_child_is_left(), fail
+            print("ok")
+        """)
+        assert proc.stdout == "ok\n"
 
     def test_a_restore_that_raises_leaves_no_child_or_pipe(self):
         # the caller's mask is restored after every pipe is closed and every
         # child reaped, so a restore that raises leaves neither behind
-        out = fresh_interpreter(textwrap.dedent("""
-            import os
+        proc = run_fresh("""
             from fairdp import _fork
 
             mask, setaffinity = os.sched_getaffinity(0), os.sched_setaffinity
@@ -191,26 +163,15 @@ class TestPlacement:
                 os.sched_setaffinity = setaffinity
             setaffinity(0, mask)
             assert sorted(os.listdir("/proc/self/fd")) == fds, "a pipe is left"
-            try:
-                os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                print("ok")
-            else:
-                raise AssertionError("a child is left")
-        """), OPENBLAS_NUM_THREADS="1")
-        assert out == "ok\n"
+            assert no_child_is_left(), "a child is left"
+            print("ok")
+        """)
+        assert proc.stdout == "ok\n"
 
 
 # Jobs 0, 1, 2, 3 in two shares: the caller runs jobs 0 and 2, a child 1 and 3.
 FAILURES_PRELUDE = """
-import os
 from fairdp import _fork
-
-PARENT = os.getpid()
-
-
-def where():
-    return "the caller" if os.getpid() == PARENT else "a child"
 
 
 def outcome(job, jobs=(0, 1, 2, 3)):
@@ -220,12 +181,7 @@ def outcome(job, jobs=(0, 1, 2, 3)):
     except Exception as exc:
         return type(exc).__name__, str(exc), getattr(exc, "__notes__", [])
     finally:
-        try:
-            os.waitpid(-1, os.WNOHANG)
-        except ChildProcessError:
-            pass
-        else:
-            raise AssertionError("a child is left")
+        assert no_child_is_left(), "a child is left"
     raise AssertionError("no error")
 """
 
@@ -240,7 +196,7 @@ class TestFailures:
 
     def test_a_child_that_sent_nothing_does_not_hide_an_earlier_error(self):
         # the child dies at job 1; the caller raises at job 0, then at job 2
-        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+        proc = run_fresh("""
             def failing_at(at):
                 def job(j):
                     if j == 1:
@@ -252,15 +208,15 @@ class TestFailures:
 
             print(outcome(failing_at(0)))
             print(outcome(failing_at(2)))
-        """), OPENBLAS_NUM_THREADS="1")
-        assert out.splitlines() == [
+        """, FAILURES_PRELUDE)
+        assert proc.stdout.splitlines() == [
             "('ValueError', 'job 0 failed', [])",
             "('ChildProcessError', 'sweep worker 1 of 2 sent no records (exit status 3)', [])",
         ]
 
     def test_a_childs_exception_carries_its_traceback_as_one_note(self):
         # job 1 runs in the child, and in the caller when it is the first job
-        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+        proc = run_fresh("""
             def failing_job(j):
                 if j == 1:
                     raise ValueError(f"job 1 failed in {where()}")
@@ -274,15 +230,15 @@ class TestFailures:
             got = outcome(failing_job, (1, 0))
             assert got == ("ValueError", "job 1 failed in the caller", []), got
             print("ok")
-        """), OPENBLAS_NUM_THREADS="1")
-        assert out == "ok\n"
+        """, FAILURES_PRELUDE)
+        assert proc.stdout == "ok\n"
 
     def test_results_that_do_not_pickle_fail_at_the_first_job_naming_the_pickling_error(self):
         # job 1 runs in the child. Its result is a local lambda, which pickle
         # refuses, or an object that pickles but does not unpickle. In the
         # last case the child also raises an error that does not pickle at
         # job 3, and the caller raises at job 2, after the child's first job.
-        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+        proc = run_fresh("""
             class Holding(Exception):
                 def __init__(self, msg):
                     super().__init__(msg)
@@ -312,14 +268,14 @@ class TestFailures:
                 assert note.startswith("Raised in a forked child:\\nTraceback"), note
                 assert "in _send" in note and message in note, note
             print("ok")
-        """), OPENBLAS_NUM_THREADS="1")
-        assert out == "ok\n"
+        """, FAILURES_PRELUDE)
+        assert proc.stdout == "ok\n"
 
     def test_a_stand_in_is_named_by_the_exception_it_replaces(self):
         # job 1 runs in the child and raises an exception that does not pickle:
         # one with a note of its own, or a group; the name is the exception's
         # own line, not its traceback's last line
-        out = fresh_interpreter(FAILURES_PRELUDE + textwrap.dedent("""
+        proc = run_fresh("""
             class Holding(Exception):
                 def __init__(self, msg):
                     super().__init__(msg)
@@ -349,5 +305,5 @@ class TestFailures:
                 assert "Traceback" in note and "in " + job.__name__ in note, note
                 assert message in note and shown in note, note
             print("ok")
-        """), OPENBLAS_NUM_THREADS="1")
-        assert out == "ok\n"
+        """, FAILURES_PRELUDE)
+        assert proc.stdout == "ok\n"

@@ -1,12 +1,7 @@
 import math
-import os
 import re
 import statistics
-import subprocess
-import sys
-import textwrap
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +30,7 @@ from fairdp.harness import (
 )
 from fairdp.optimizer import SgdaConfig, dp_fermi_train
 from fairdp.privacy import GRANULARITIES, NoiseScales
-from helpers import TWO_USABLE_CPUS, reference_synth_dataset
+from helpers import TWO_USABLE_CPUS, reference_synth_dataset, run_fresh
 
 
 def cheap_config(**kw):
@@ -248,7 +243,7 @@ class TestRunSweep:
         run_sweep(cheap_config(lambdas=(0.0, 1.0)))
         assert alive == [False, False]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_logit_overflow_records_diverged(self):
         # noise_scale 1e200 gives features whose second-step logits overflow
         spec = SyntheticSpec(n=120, d_x=3, bias=0.6, noise_scale=1e200, seed=0)
@@ -360,9 +355,8 @@ class TestRunSweep:
 # Run in a fresh interpreter with one BLAS thread, so the process has a single
 # OS thread and, with two usable CPUs, run_sweep forks. FORKING's cells train
 # EPOCHS steps of m = 300 (300 training rows), the fewest that reach
-# FORK_MIN_SAMPLE_STEPS; forks counts the children harness starts.
-FORK_PRELUDE = """
-import os
+# FORK_MIN_SAMPLE_STEPS.
+SWEEP_PRELUDE = """
 from dataclasses import replace
 
 from fairdp import harness
@@ -383,50 +377,13 @@ FORKING = ExperimentConfig(
 )
 CELLS = [(0, l, t) for l in range(2) for t in range(2)]
 WORKERS = min(len(CELLS), len(os.sched_getaffinity(0)))
-PARENT = os.getpid()
-forks = []
-fork = os.fork
-
-
-def counting_fork():
-    pid = fork()
-    if pid:
-        forks.append(pid)
-    return pid
-
-
-os.fork = counting_fork
-
-
-def no_child_is_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-def where():
-    return "parent" if os.getpid() == PARENT else "a child"
 """
-
-
-def run_forking(body, timeout=120):
-    """Run FORK_PRELUDE and then body in a new interpreter, under -X dev
-    with warnings as errors; the completed process."""
-    src = str(Path(harness.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-    return subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-c", FORK_PRELUDE + textwrap.dedent(body)],
-        capture_output=True, text=True, env=env, timeout=timeout,
-    )
 
 
 @pytest.mark.skipif(not TWO_USABLE_CPUS, reason="a sweep forks only with two usable CPUs")
 class TestForkedSweep:
     def test_records_are_the_cell_references_forked_or_not(self):
-        proc = run_forking("""
+        proc = run_fresh("""
             records = run_sweep(FORKING)
             assert forks and len(forks) == WORKERS - 1, forks
             assert no_child_is_left()
@@ -458,12 +415,11 @@ class TestForkedSweep:
             forks.clear()
             assert repr(run_sweep(FORKING)) == repr(records)
             assert forks == []
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
         assert proc.stdout == proc.stderr == ""
 
     def test_short_cells_and_a_second_thread_keep_the_sweep_in_process(self):
-        proc = run_forking("""
+        proc = run_fresh("""
             import threading
 
             run_sweep(replace(FORKING, epochs=EPOCHS - 1))  # cells just below the floor
@@ -480,12 +436,11 @@ class TestForkedSweep:
                 stop.set()
                 waiter.join()
             assert forks == []
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     def test_a_childs_error_is_raised_with_its_message_and_traceback(self):
         # cell (0, 0, 1) is the second job, the first of share 1
-        proc = run_forking("""
+        proc = run_fresh("""
             import traceback
 
             def failing_train(train, theta0, fermi, sgda, noise):
@@ -510,15 +465,14 @@ class TestForkedSweep:
             assert "in failing_train" in child, printed
             assert "ValueError: cell (5, 0, 0, 1) failed in a child" in child, printed
             assert "in _run_shares" in here and "in failing_train" not in here, printed
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     @pytest.mark.parametrize("failing", [(0, 1, 1, 0), (0, 0, 1, 1)])
     def test_the_first_failing_cell_in_grid_order_is_raised(self, failing):
         # job j is cell (0, j // 2, j % 2); the parent's share holds jobs 0
         # and, with two workers, 2. An in-process run stops at the first
         # failing job, and so must the forked run's error
-        proc = run_forking(f"""
+        proc = run_fresh(f"""
             failing = {failing!r}
 
             def failing_train(train, theta0, fermi, sgda, noise):
@@ -538,8 +492,7 @@ class TestForkedSweep:
                 assert no_child_is_left()
             assert len(forks) == WORKERS - 1, forks
             assert messages == [f"job {{failing.index(1)}} failed"] * 2, messages
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     @pytest.mark.parametrize(
         "failing", [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)],
@@ -549,7 +502,7 @@ class TestForkedSweep:
         # three workers, as on a host with three usable CPUs: the parent's
         # share is jobs 0 and 3, and each child runs one job. The records, or
         # the first failing job in grid order, are the in-process run's
-        proc = run_forking(f"""
+        proc = run_fresh(f"""
             failing = {failing!r}
             workers = harness._workers
             harness._workers = lambda tasks: 3 if workers(tasks) > 1 else 1
@@ -575,8 +528,7 @@ class TestForkedSweep:
                 assert outcomes[0] == f"job {{failing.index(1)}} failed", outcomes
             else:
                 assert outcomes[0].startswith("[TradeoffRecord("), outcomes
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     @pytest.mark.parametrize(
         "error",
@@ -586,7 +538,7 @@ class TestForkedSweep:
         ],
     )
     def test_an_error_that_does_not_survive_pickling_comes_back_by_name(self, error):
-        proc = run_forking(f"""
+        proc = run_fresh(f"""
             class Holding(Exception):
                 def __init__(self, msg):
                     super().__init__(msg)
@@ -614,11 +566,10 @@ class TestForkedSweep:
             else:
                 raise AssertionError("no error")
             assert forks and no_child_is_left()
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     def test_a_child_that_sends_nothing_is_a_child_process_error(self):
-        proc = run_forking("""
+        proc = run_fresh("""
             def dying_train(train, theta0, fermi, sgda, noise):
                 if sgda.seed == (5, 0, 0, 1):
                     os._exit(3)
@@ -632,18 +583,17 @@ class TestForkedSweep:
             else:
                 raise AssertionError("no error")
             assert forks and no_child_is_left()
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
     def test_the_cli_reports_a_dead_child_in_one_line(self, tmp_path):
         # ChildProcessError is an OSError, so fairdp sweep exits 2 without a traceback
         data, out = str(tmp_path / "data.csv"), str(tmp_path / "records.csv")
-        proc = run_forking(f"""
+        proc = run_fresh(f"""
             import sys
             from fairdp.cli import main
 
             def dying_train(train, theta0, fermi, sgda, noise):
-                if where() != "parent":
+                if where() != "the caller":
                     os._exit(1)
                 return dp_fermi_train(train, theta0, fermi, sgda, noise)
 
@@ -656,18 +606,17 @@ class TestForkedSweep:
             ])
             assert forks and no_child_is_left()
             sys.exit(code)
-        """)
-        assert proc.returncode == 2, proc.stderr
+        """, SWEEP_PRELUDE, returncode=2)
         assert proc.stderr == "error: sweep worker 1 of 2 sent no records (exit status 1)\n"
 
     def test_an_interrupt_here_stops_and_reaps_the_children(self):
         # the parent's first cell is interrupted while the children would
         # train for a minute; they are killed, not waited for
-        proc = run_forking("""
+        proc = run_fresh("""
             import time
 
             def slow_train(train, theta0, fermi, sgda, noise):
-                if where() == "parent":
+                if where() == "the caller":
                     raise KeyboardInterrupt
                 time.sleep(60)
 
@@ -681,8 +630,7 @@ class TestForkedSweep:
                 raise AssertionError("no interrupt")
             assert time.monotonic() - start < 30
             assert forks and no_child_is_left()
-        """)
-        assert proc.returncode == 0, proc.stderr
+        """, SWEEP_PRELUDE)
 
 
 def split_of(config):

@@ -147,7 +147,7 @@ class TestDpFermiTrain:
         assert np.array_equal(a.params.as_vector(), b.params.as_vector())
         assert np.array_equal(a.dual, b.dual)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_reports_iteration(self):
         # the dual stays in its finite box, so the theta step has to overflow
         ds = separable(n=60, seed=5)
